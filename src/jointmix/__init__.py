@@ -4,8 +4,6 @@ __version__ = "0.1.0"
 
 from .baseline import IndepParams, compare_partitions, fit_independent
 from .dataset import (
-    CpgRecord,
-    GeneRecord,
     PairedDataset,
     load_paired_dataset,
     split_by_chromosome,
@@ -28,9 +26,7 @@ from .joint_em import (
 from .simulate import SimConfig, SimData, SimTruth, replicate_batch, simulate, write_simulation
 
 __all__ = [
-    "CpgRecord",
     "FitResult",
-    "GeneRecord",
     "IndepParams",
     "JointParams",
     "MetricReport",

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClusterError, FitError
+from .errors import FitError
 from .joint_em import (
     DEFAULT_INIT_QUANTILE,
     DEFAULT_OUTER_MAX,
     DEFAULT_OUTER_TOL,
-    MASS_EPS,
-    VARIANCE_FLOOR,
     _gauss_row_scores,
+    _layer_m_step,
     _log_clip,
     _one_hot,
     _rank_tail_labels,
@@ -44,23 +43,6 @@ class IndepFitResult:
     uncertainty: np.ndarray
     n_iters: int
     converged: bool
-
-
-def _indep_m_step(values: np.ndarray, resp: np.ndarray) -> IndepParams:
-    m, k = resp.shape
-    n = values.shape[1]
-    mass = resp.sum(axis=0)
-    for j in range(k):
-        if mass[j] < MASS_EPS:
-            raise DegenerateClusterError("independent", j)
-    weights = mass / m
-    means = (resp.T @ values.sum(axis=1)) / (n * mass)
-    var_j = np.empty(k)
-    for j in range(k):
-        dev = values - means[j]
-        var_j[j] = (resp[:, j] @ (dev * dev).sum(axis=1)) / (n * mass[j])
-    variance = max(float(weights @ var_j), VARIANCE_FLOOR)
-    return IndepParams(weights=weights, means=means, variance=variance)
 
 
 def fit_independent(
@@ -89,7 +71,7 @@ def fit_independent(
     else:
         labels = np.asarray(init_labels, dtype=np.intp)
     resp = _one_hot(labels, K)
-    params = _indep_m_step(values, resp)
+    params = IndepParams(*_layer_m_step(values, resp, "independent"))
 
     converged = False
     iters = 0
@@ -100,7 +82,7 @@ def fit_independent(
         shift = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shift)
         resp = e / e.sum(axis=1, keepdims=True)
-        new_params = _indep_m_step(values, resp)
+        new_params = IndepParams(*_layer_m_step(values, resp, "independent"))
         delta = float(np.abs(new_params.flatten() - params.flatten()).max())
         params = new_params
         iters = t

@@ -27,17 +27,12 @@ from .dataset import (
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
+    require_unique,
+    resolve_cpg_parents,
     write_expression_table,
     write_methylation_table,
 )
-from .errors import (
-    DuplicateIdError,
-    FitError,
-    FormatError,
-    InputError,
-    JointmixError,
-    MappingError,
-)
+from .errors import FitError, FormatError, InputError, JointmixError
 from .evaluate import benchmark, score_labels, simulated_dataset
 from .joint_em import fit, fit_all_chromosomes
 from .preprocess import (
@@ -52,6 +47,7 @@ from .reports import (
     gene_label_names,
     gene_posterior_columns,
     independent_model_payload,
+    result_rows,
     write_benchmark_tables,
     write_json,
     write_joint_results,
@@ -107,91 +103,67 @@ def _prepare_out(args, filenames) -> Path:
     return out
 
 
-def _aligned_condition_pair(path_a, path_b, reader, id_field_count):
+def _aligned_condition_pair(path_a, path_b, reader):
     """Read one omics layer's two condition files and align rows/columns.
 
     Rows align by identifier (first column), patients by header name;
-    identifier sets and fixed annotation columns must agree.
+    identifier sets and the other annotation columns must agree.
+    Returns the patients and table of file A and both value matrices
+    in file A's row and column order.
     """
-    patients_a, recs_a = reader(path_a)
-    patients_b, recs_b = reader(path_b)
+    patients_a, a = reader(path_a)
+    patients_b, b = reader(path_b)
     if set(patients_a) != set(patients_b):
         raise FormatError(f"patient columns differ between {path_a} and {path_b}")
     order = [patients_b.index(p) for p in patients_a]
-
-    def key(rec):
-        return rec.gene_id if id_field_count == 2 else rec.cpg_id
-
-    ids_a = [key(r) for r in recs_a]
-    if len(set(ids_a)) != len(ids_a):
-        raise DuplicateIdError(f"duplicate identifiers in {path_a}")
-    by_id = {key(r): r for r in recs_b}
-    if set(ids_a) != set(by_id):
+    require_unique(a.ids, f"identifier in {path_a}:")
+    require_unique(b.ids, f"identifier in {path_b}:")
+    row_of = {rid: i for i, rid in enumerate(b.ids.tolist())}
+    rows_b = np.array([row_of.get(rid, -1) for rid in a.ids.tolist()], dtype=np.intp)
+    if len(a) != len(b) or (rows_b < 0).any():
         raise FormatError(f"row sets differ between {path_a} and {path_b}")
-    values_a = np.vstack([r.values for r in recs_a])
-    values_b = np.vstack([by_id[i].values[order] for i in ids_a])
-    for r in recs_a:
-        other = by_id[key(r)]
-        if r.chromosome != other.chromosome or (
-            id_field_count == 3 and r.gene_id != other.gene_id
-        ):
-            raise FormatError(f"annotation mismatch for {key(r)!r} between condition files")
-    return patients_a, recs_a, values_a, values_b
+    mismatch = np.zeros(len(a), dtype=bool)
+    for name, col in a.columns.items():
+        mismatch |= col != b[name][rows_b]
+    if mismatch.any():
+        rid = str(a.ids[np.flatnonzero(mismatch)[0]])
+        raise FormatError(f"annotation mismatch for {rid!r} between condition files")
+    return patients_a, a, a.values, np.ascontiguousarray(b.values[rows_b][:, order])
 
 
 def cmd_preprocess(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["expression.tsv", "methylation.tsv", "manifest.json"])
-    patients, gene_recs, counts_a, counts_b = _aligned_condition_pair(
-        args.expression_a, args.expression_b, read_expression_table, 2
+    patients, genes, counts_a, counts_b = _aligned_condition_pair(
+        args.expression_a, args.expression_b, read_expression_table
     )
-    mpatients, cpg_recs, betas_a, betas_b = _aligned_condition_pair(
-        args.methylation_a, args.methylation_b, read_methylation_table, 3
+    mpatients, cpgs, betas_a, betas_b = _aligned_condition_pair(
+        args.methylation_a, args.methylation_b, read_methylation_table
     )
     if set(mpatients) != set(patients):
         raise FormatError("patient columns differ between expression and methylation files")
     morder = [mpatients.index(p) for p in patients]
-    betas_a = betas_a[:, morder]
-    betas_b = betas_b[:, morder]
-
-    gene_pos = {r.gene_id: i for i, r in enumerate(gene_recs)}
-    keep, gene_idx = [], []
-    for j, rec in enumerate(cpg_recs):
-        i = gene_pos.get(rec.gene_id)
-        problem = None
-        if i is None:
-            problem = f"CpG {rec.cpg_id!r} references unknown gene {rec.gene_id!r}"
-        elif gene_recs[i].chromosome != rec.chromosome:
-            problem = f"CpG {rec.cpg_id!r} chromosome differs from its gene's"
-        if problem:
-            if args.mode == "strict":
-                raise MappingError(problem)
-            logger.warning("%s; dropping it (lenient mode)", problem)
-            continue
-        keep.append(j)
-        gene_idx.append(i)
-    betas_a = betas_a[keep]
-    betas_b = betas_b[keep]
-    cpg_recs = [cpg_recs[j] for j in keep]
+    kept, gene_idx = resolve_cpg_parents(genes, cpgs, args.mode)
+    betas_a = betas_a[np.ix_(kept, morder)]
+    betas_b = betas_b[np.ix_(kept, morder)]
 
     kept_g, x, kept_c, y = derive_model_inputs(
-        counts_a, counts_b, betas_a, betas_b, np.array(gene_idx, dtype=np.intp),
+        counts_a, counts_b, betas_a, betas_b, gene_idx,
         count_threshold=args.count_threshold,
         pseudocount=args.pseudocount,
         beta_eps=args.beta_eps,
     )
     write_expression_table(
         out / "expression.tsv",
-        [gene_recs[i].gene_id for i in kept_g],
-        [gene_recs[i].chromosome for i in kept_g],
+        genes["gene_id"][kept_g].tolist(),
+        genes["chromosome"][kept_g].tolist(),
         patients,
         x,
     )
+    cpg_rows = kept[kept_c]
     write_methylation_table(
         out / "methylation.tsv",
-        [cpg_recs[i].cpg_id for i in kept_c],
-        [cpg_recs[i].gene_id for i in kept_c],
-        [cpg_recs[i].chromosome for i in kept_c],
+        *(cpgs[name][cpg_rows].tolist() for name in cpgs.columns),
         patients,
         y,
     )
@@ -290,47 +262,30 @@ def cmd_baseline(args) -> int:
     expression = args.layer == "expression"
     results_name = "gene_results.tsv" if expression else "cpg_results.tsv"
     out = _prepare_out(args, [results_name, "model.json", "manifest.json"])
-    if expression:
-        _, recs = read_expression_table(args.input)
-    else:
-        _, recs = read_methylation_table(args.input)
-
-    by_chrom: dict[str, list[int]] = {}
-    for i, rec in enumerate(recs):
-        by_chrom.setdefault(rec.chromosome, []).append(i)
-
-    names = gene_label_names(args.k) if expression else cpg_label_names(args.k)
-    fits, failures = {}, {}
-    rows_by_index = {}
-    for label in sorted(by_chrom):
-        idx = by_chrom[label]
-        values = np.vstack([recs[i].values for i in idx])
+    _, table = (read_expression_table if expression else read_methylation_table)(args.input)
+    labels, chrom = np.unique(table["chromosome"], return_inverse=True)
+    fits, failures, covered = {}, {}, []
+    for i, label in enumerate(labels.tolist()):
+        rows = np.flatnonzero(chrom == i)
         try:
-            res = fit_independent(values, K=args.k, q=args.quantile,
+            res = fit_independent(table.values[rows], K=args.k, q=args.quantile,
                                   tol=args.tol, max_iter=args.max_iter)
         except FitError as exc:
             failures[label] = exc
             print(f"chromosome {label} failed: {exc}", file=sys.stderr)
             continue
+        if not res.converged:
+            logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
         fits[label] = res
-        for row_pos, i in enumerate(idx):
-            rec = recs[i]
-            post = res.resp[row_pos]
-            lab = names[res.map_labels[row_pos] - 1]
-            unc = res.uncertainty[row_pos]
-            if expression:
-                rows_by_index[i] = [rec.gene_id, rec.chromosome, *post.tolist(), lab, unc]
-            else:
-                rows_by_index[i] = [rec.cpg_id, rec.gene_id, rec.chromosome,
-                                    *post.tolist(), lab, unc]
+        covered.append((rows, res.resp, res.map_labels, res.uncertainty))
 
     if fits:
+        names = gene_label_names(args.k) if expression else cpg_label_names(args.k)
         post_cols = gene_posterior_columns(args.k) if expression else cpg_posterior_columns(args.k)
-        fixed = ["gene_id", "chromosome"] if expression else ["cpg_id", "gene_id", "chromosome"]
         write_tsv(
             out / results_name,
-            fixed + post_cols + ["map_label", "uncertainty"],
-            [rows_by_index[i] for i in sorted(rows_by_index)],
+            [*table.columns, *post_cols, "map_label", "uncertainty"],
+            result_rows(list(table.columns.values()), covered, names),
         )
         write_json(out / "model.json", independent_model_payload(args.k, fits))
     _write_manifest(

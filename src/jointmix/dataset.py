@@ -1,18 +1,24 @@
-"""Paired gene/CpG tables and their nested mapping.
+"""Paired gene/CpG tables and their nested mapping, held as arrays.
 
-A dataset couples a gene-level matrix (one row per gene, one column per
-patient) with a CpG-level matrix whose rows each belong to exactly one
-gene. Values may be raw (counts / beta values) or model-ready
-(log-fold changes / M-value differences); this module only cares about
-the structure, not the scale.
+A dataset couples a gene-level matrix ``x`` (one row per gene, one
+column per patient) with a CpG-level matrix ``y`` whose rows each
+belong to exactly one gene: row j of ``y`` is a CpG of gene
+``cpg_gene_idx[j]``. Gene ids and chromosome labels run along the rows
+of ``x``, CpG ids along the rows of ``y``; a CpG's gene id and
+chromosome are those of its parent gene. Values may be raw
+(counts / beta values) or model-ready (log-fold changes / M-value
+differences); this module only cares about the structure, not the
+scale.
 """
 
 from __future__ import annotations
 
+import array
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,150 +30,170 @@ EXPRESSION_FIXED_COLUMNS = ("gene_id", "chromosome")
 METHYLATION_FIXED_COLUMNS = ("cpg_id", "gene_id", "chromosome")
 
 
-@dataclass(frozen=True)
-class GeneRecord:
-    """One gene: identifier, chromosome label, and per-patient values."""
+@dataclass
+class Table:
+    """One parsed TSV: its fixed annotation columns and its value matrix.
 
-    gene_id: str
-    chromosome: str
+    ``columns`` maps each fixed column name, in file order, to a string
+    array with one entry per row; ``values`` has shape (rows, patients).
+    The first column is the row identifier.
+    """
+
+    columns: dict[str, np.ndarray]
     values: np.ndarray
 
+    def __post_init__(self):
+        self.columns = {name: np.asarray(col, dtype=str) for name, col in self.columns.items()}
+        self.values = np.asarray(self.values, dtype=float)
 
-@dataclass(frozen=True)
-class CpgRecord:
-    """One CpG site, attached to its parent gene."""
+    def __len__(self) -> int:
+        return len(self.values)
 
-    cpg_id: str
-    gene_id: str
-    chromosome: str
-    values: np.ndarray
+    def __getitem__(self, name) -> np.ndarray:
+        return self.columns[name]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return next(iter(self.columns.values()))
 
 
 @dataclass
 class PairedDataset:
-    """Immutable container for aligned gene and CpG tables.
+    """Aligned gene and CpG tables in columnar form.
 
-    ``mapping`` sends each gene_id to the (ordered) indices of its CpGs
-    in ``cpgs``; genes without CpGs map to an empty list. Instances are
-    treated as read-only after construction and are safe to share
-    across threads.
+    ``gene_ids``, ``chromosomes`` and the rows of ``x`` (G, N) describe
+    the genes; ``cpg_ids``, ``cpg_gene_idx`` and the rows of ``y`` (C, N)
+    describe the CpGs, ``cpg_gene_idx[j]`` being the row of CpG j's
+    gene. Instances are treated as read-only after construction and are
+    safe to share across threads.
     """
 
-    genes: list[GeneRecord]
-    cpgs: list[CpgRecord]
     patients: list[str]
-    mapping: dict[str, list[int]] = field(repr=False)
+    gene_ids: np.ndarray
+    chromosomes: np.ndarray
+    x: np.ndarray
+    cpg_ids: np.ndarray
+    cpg_gene_idx: np.ndarray
+    y: np.ndarray
 
     @property
     def n_genes(self) -> int:
-        return len(self.genes)
+        return len(self.gene_ids)
 
     @property
     def n_cpgs(self) -> int:
-        return len(self.cpgs)
+        return len(self.cpg_ids)
 
     @property
     def n_patients(self) -> int:
         return len(self.patients)
 
     @cached_property
-    def x(self) -> np.ndarray:
-        """Gene value matrix, shape (G, N)."""
-        if not self.genes:
-            return np.zeros((0, self.n_patients))
-        return np.vstack([g.values for g in self.genes]).astype(float)
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        """CpG value matrix, shape (C, N)."""
-        if not self.cpgs:
-            return np.zeros((0, self.n_patients))
-        return np.vstack([c.values for c in self.cpgs]).astype(float)
-
-    @cached_property
-    def cpg_gene_idx(self) -> np.ndarray:
-        """For each CpG, the index of its parent gene in ``genes``."""
-        pos = {g.gene_id: i for i, g in enumerate(self.genes)}
-        return np.array([pos[c.gene_id] for c in self.cpgs], dtype=np.intp)
-
-    @cached_property
     def cpg_counts(self) -> np.ndarray:
         """Number of CpGs per gene (C_g), length G."""
-        counts = np.zeros(self.n_genes, dtype=np.intp)
-        np.add.at(counts, self.cpg_gene_idx, 1)
-        return counts
+        return np.bincount(self.cpg_gene_idx, minlength=self.n_genes)
 
-    def gene_cpg_indices(self, gene_index: int) -> list[int]:
-        return self.mapping[self.genes[gene_index].gene_id]
+    def gene_cpg_indices(self, gene_index: int) -> np.ndarray:
+        return np.flatnonzero(self.cpg_gene_idx == gene_index)
+
+    def subset(self, gene_rows, cpg_rows) -> "PairedDataset":
+        """The given rows, not validated again.
+
+        ``gene_rows`` must ascend and hold the parent of every CpG in
+        ``cpg_rows``.
+        """
+        return PairedDataset(
+            patients=self.patients,
+            gene_ids=self.gene_ids[gene_rows],
+            chromosomes=self.chromosomes[gene_rows],
+            x=self.x[gene_rows],
+            cpg_ids=self.cpg_ids[cpg_rows],
+            cpg_gene_idx=np.searchsorted(gene_rows, self.cpg_gene_idx[cpg_rows]),
+            y=self.y[cpg_rows],
+        )
 
 
-def build_paired_dataset(genes, cpgs, patients, mode="strict") -> PairedDataset:
-    """Validate records and assemble a :class:`PairedDataset`.
+def require_unique(ids, what) -> None:
+    """Raise :class:`DuplicateIdError` naming the first repeated id."""
+    ids = np.asarray(ids).tolist()
+    if len(set(ids)) == len(ids):
+        return
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise DuplicateIdError(f"duplicate {what} {i!r}")
+        seen.add(i)
 
-    ``mode`` controls what happens to a CpG whose gene_id has no gene
-    record (or whose chromosome disagrees with its gene): ``strict``
-    raises :class:`MappingError`, ``lenient`` drops it with a warning.
+
+def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
+    """Match each CpG to its parent gene under the strict/lenient policy.
+
+    A CpG whose gene_id names no gene, or whose chromosome differs from
+    its gene's, raises :class:`MappingError` in ``strict`` mode and is
+    dropped with a warning in ``lenient`` mode. Returns ``(kept,
+    parents)``: the kept CpG rows and, for each, its gene's row.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown mode {mode!r}")
+    row_of = {gid: i for i, gid in enumerate(genes["gene_id"].tolist())}
+    parents = np.array([row_of.get(g, -1) for g in cpgs["gene_id"].tolist()], dtype=np.intp)
+    ok = parents >= 0
+    ok[ok] = genes["chromosome"][parents[ok]] == cpgs["chromosome"][ok]
+    for j in np.flatnonzero(~ok):
+        cpg_id, gene_id, chrom = (str(cpgs[c][j]) for c in METHYLATION_FIXED_COLUMNS)
+        if parents[j] < 0:
+            problem = f"CpG {cpg_id!r} references unknown gene_id {gene_id!r}"
+        else:
+            problem = (
+                f"CpG {cpg_id!r} on chromosome {chrom!r} but its gene "
+                f"{gene_id!r} is on {str(genes['chromosome'][parents[j]])!r}"
+            )
+        if mode == "strict":
+            raise MappingError(problem)
+        logger.warning("%s; dropping it (lenient mode)", problem)
+    kept = np.flatnonzero(ok)
+    return kept, parents[kept]
+
+
+def build_paired_dataset(genes: Table, cpgs: Table, patients, mode="strict") -> PairedDataset:
+    """Validate a gene table and a CpG table and pair them.
+
+    Ids must be unique within each table and every table must have one
+    value column per patient. ``mode`` is the CpG→gene policy of
+    :func:`resolve_cpg_parents`.
+    """
     n = len(patients)
     if n < 1:
         raise FormatError("dataset must have at least one patient column")
-    if not genes:
+    if not len(genes):
         raise FormatError("dataset must have at least one gene row")
-
-    seen = set()
-    for g in genes:
-        if g.gene_id in seen:
-            raise DuplicateIdError(f"duplicate gene_id {g.gene_id!r}")
-        seen.add(g.gene_id)
-        if len(g.values) != n:
-            raise FormatError(
-                f"gene {g.gene_id!r} has {len(g.values)} values, expected {n}"
-            )
-    by_id = {g.gene_id: g for g in genes}
-
-    kept_cpgs = []
-    seen_cpg = set()
-    for c in cpgs:
-        if c.cpg_id in seen_cpg:
-            raise DuplicateIdError(f"duplicate cpg_id {c.cpg_id!r}")
-        seen_cpg.add(c.cpg_id)
-        if len(c.values) != n:
-            raise FormatError(
-                f"CpG {c.cpg_id!r} has {len(c.values)} values, expected {n}"
-            )
-        parent = by_id.get(c.gene_id)
-        problem = None
-        if parent is None:
-            problem = f"CpG {c.cpg_id!r} references unknown gene_id {c.gene_id!r}"
-        elif parent.chromosome != c.chromosome:
-            problem = (
-                f"CpG {c.cpg_id!r} on chromosome {c.chromosome!r} but its gene "
-                f"{c.gene_id!r} is on {parent.chromosome!r}"
-            )
-        if problem is not None:
-            if mode == "strict":
-                raise MappingError(problem)
-            logger.warning("%s; dropping it (lenient mode)", problem)
-            continue
-        kept_cpgs.append(c)
-
-    mapping: dict[str, list[int]] = {g.gene_id: [] for g in genes}
-    for i, c in enumerate(kept_cpgs):
-        mapping[c.gene_id].append(i)
-    return PairedDataset(genes=list(genes), cpgs=kept_cpgs, patients=list(patients), mapping=mapping)
+    for table, what in ((genes, "gene"), (cpgs, "CpG")):
+        width = table.values.shape[1]
+        if width != n:
+            raise FormatError(f"{what} table has {width} value columns, expected {n}")
+    require_unique(genes["gene_id"], "gene_id")
+    require_unique(cpgs["cpg_id"], "cpg_id")
+    kept, parents = resolve_cpg_parents(genes, cpgs, mode)
+    return PairedDataset(
+        patients=list(patients),
+        gene_ids=genes["gene_id"],
+        chromosomes=genes["chromosome"],
+        x=np.ascontiguousarray(genes.values),
+        cpg_ids=cpgs["cpg_id"][kept],
+        cpg_gene_idx=parents,
+        y=np.ascontiguousarray(cpgs.values[kept]),
+    )
 
 
-def _parse_table(path, fixed_columns):
+def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     """Parse a TSV with fixed leading columns followed by patient columns."""
     path = Path(path)
+    k = len(fixed_columns)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if not header:
             raise FormatError(f"{path}: empty file")
         cols = header.split("\t")
-        k = len(fixed_columns)
         if tuple(cols[:k]) != tuple(fixed_columns):
             raise FormatError(
                 f"{path}: header must start with {list(fixed_columns)}, got {cols[:k]}"
@@ -177,7 +203,7 @@ def _parse_table(path, fixed_columns):
             raise FormatError(f"{path}: no patient columns in header")
         if len(set(patients)) != len(patients):
             raise FormatError(f"{path}: duplicate patient column names")
-        rows = []
+        fixed, linenos, flat = [], [], array.array("d")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -188,25 +214,31 @@ def _parse_table(path, fixed_columns):
                     f"{path}:{lineno}: expected {k + len(patients)} columns, got {len(parts)}"
                 )
             try:
-                values = np.array([float(v) for v in parts[k:]])
+                flat.extend([float(v) for v in parts[k:]])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-            rows.append((parts[:k], values))
-    return patients, rows
+            fixed.append(parts[:k])
+            linenos.append(lineno)
+    values = np.frombuffer(flat, dtype=float).reshape(-1, len(patients))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        row, col = divmod(int(bad[0]), len(patients))
+        raise FormatError(
+            f"{path}:{linenos[row]}:{k + col + 1}: non-finite value "
+            f"{float(values[row, col])!r} for patient {patients[col]!r}"
+        )
+    annotations = np.array(fixed, dtype=str).reshape(-1, k)
+    return patients, Table(dict(zip(fixed_columns, annotations.T)), values)
 
 
-def read_expression_table(path):
+def read_expression_table(path) -> tuple[list[str], Table]:
     """Read an expression TSV: gene_id, chromosome, then patient columns."""
-    patients, rows = _parse_table(path, EXPRESSION_FIXED_COLUMNS)
-    genes = [GeneRecord(gene_id=f[0], chromosome=f[1], values=v) for f, v in rows]
-    return patients, genes
+    return _parse_table(path, EXPRESSION_FIXED_COLUMNS)
 
 
-def read_methylation_table(path):
+def read_methylation_table(path) -> tuple[list[str], Table]:
     """Read a methylation TSV: cpg_id, gene_id, chromosome, then patients."""
-    patients, rows = _parse_table(path, METHYLATION_FIXED_COLUMNS)
-    cpgs = [CpgRecord(cpg_id=f[0], gene_id=f[1], chromosome=f[2], values=v) for f, v in rows]
-    return patients, cpgs
+    return _parse_table(path, METHYLATION_FIXED_COLUMNS)
 
 
 def load_paired_dataset(expression_path, methylation_path, mode="strict") -> PairedDataset:
@@ -225,27 +257,31 @@ def load_paired_dataset(expression_path, methylation_path, mode="strict") -> Pai
         )
     if meth_patients != expr_patients:
         order = [meth_patients.index(p) for p in expr_patients]
-        cpgs = [
-            CpgRecord(c.cpg_id, c.gene_id, c.chromosome, c.values[order]) for c in cpgs
-        ]
+        cpgs = Table(cpgs.columns, cpgs.values[:, order])
     return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)
 
 
-def split_by_chromosome(ds: PairedDataset) -> list[PairedDataset]:
-    """Partition into one sub-dataset per chromosome, genes keeping their CpGs.
+class ChromosomeRows(NamedTuple):
+    """One chromosome's gene rows and CpG rows in the parent dataset."""
 
-    Sub-datasets are returned in sorted chromosome-label order; within
-    each, records keep their input order. Concatenating the outputs
-    reproduces the input record multiset exactly.
+    label: str
+    genes: np.ndarray
+    cpgs: np.ndarray
+
+
+def split_by_chromosome(ds: PairedDataset) -> list[ChromosomeRows]:
+    """Partition the rows by chromosome, each CpG going with its gene.
+
+    Chromosomes come in sorted label order; the row indices of each
+    ascend, so ``ds.subset(part.genes, part.cpgs)`` keeps input order.
+    Together the parts hold every gene row and every CpG row once.
     """
-    labels = sorted({g.chromosome for g in ds.genes})
-    out = []
-    for label in labels:
-        genes = [g for g in ds.genes if g.chromosome == label]
-        ids = {g.gene_id for g in genes}
-        cpgs = [c for c in ds.cpgs if c.gene_id in ids]
-        out.append(build_paired_dataset(genes, cpgs, ds.patients, mode="strict"))
-    return out
+    labels, gene_chrom = np.unique(ds.chromosomes, return_inverse=True)
+    cpg_chrom = gene_chrom[ds.cpg_gene_idx]
+    return [
+        ChromosomeRows(label, np.flatnonzero(gene_chrom == i), np.flatnonzero(cpg_chrom == i))
+        for i, label in enumerate(labels.tolist())
+    ]
 
 
 def _format_value(v) -> str:

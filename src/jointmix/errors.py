@@ -19,7 +19,7 @@ class FormatError(InputError):
 
 
 class MappingError(InputError):
-    """CpG record references a gene that does not exist or mismatches it."""
+    """CpG row references a gene that does not exist or mismatches it."""
 
 
 class DuplicateIdError(InputError):

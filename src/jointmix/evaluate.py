@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baseline import compare_partitions, fit_independent
-from .dataset import CpgRecord, GeneRecord, build_paired_dataset
+from .dataset import PairedDataset
 from .errors import JointmixError, ParameterError
 from .joint_em import fit
 from .preprocess import (
@@ -107,14 +107,17 @@ def simulated_dataset(sim, count_threshold=DEFAULT_COUNT_THRESHOLD,
         sim.counts_a, sim.counts_b, sim.betas_a, sim.betas_b, t.cpg_gene_idx,
         count_threshold=count_threshold, pseudocount=pseudocount, beta_eps=beta_eps,
     )
-    genes = [
-        GeneRecord(t.gene_ids[i], "1", x[j]) for j, i in enumerate(kept_g)
-    ]
-    cpgs = [
-        CpgRecord(t.cpg_ids[i], t.gene_ids[t.cpg_gene_idx[i]], "1", y[j])
-        for j, i in enumerate(kept_c)
-    ]
-    ds = build_paired_dataset(genes, cpgs, sim.patients, mode="strict")
+    gene_row = np.full(len(t.gene_ids), -1, dtype=np.intp)
+    gene_row[kept_g] = np.arange(len(kept_g))
+    ds = PairedDataset(
+        patients=list(sim.patients),
+        gene_ids=np.asarray(t.gene_ids, dtype=str)[kept_g],
+        chromosomes=np.full(len(kept_g), "1"),
+        x=x,
+        cpg_ids=np.asarray(t.cpg_ids, dtype=str)[kept_c],
+        cpg_gene_idx=gene_row[t.cpg_gene_idx[kept_c]],
+        y=y,
+    )
     return ds, t.gene_labels[kept_g], t.cpg_labels[kept_c]
 
 

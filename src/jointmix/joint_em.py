@@ -219,10 +219,10 @@ def e_step_fixed_point(
     log_pi = _log_clip(params.pi)
 
     def gene_id(i):
-        return ds.genes[i].gene_id
+        return str(ds.gene_ids[i])
 
     def cpg_id(i):
-        return ds.cpgs[i].cpg_id
+        return str(ds.cpg_ids[i])
 
     u = warm.u_hat
     v = warm.v_hat
@@ -303,30 +303,43 @@ def expected_complete_loglik(
     return q
 
 
+def _layer_m_step(values: np.ndarray, resp: np.ndarray, layer: str):
+    """Weights, means and pooled variance of one equal-variance layer.
+
+    Component variances are estimated per cluster and then pooled; the
+    pooling weights are the cluster mass fractions, which makes the
+    pooled value the maximizer of the expected complete-data
+    log-likelihood under the equal-variance constraint. A cluster whose
+    mass falls below ``MASS_EPS`` raises
+    :class:`DegenerateClusterError` for ``layer``.
+    """
+    m, k = resp.shape
+    n = values.shape[1]
+    mass = resp.sum(axis=0)
+    for j in range(k):
+        if mass[j] < MASS_EPS:
+            raise DegenerateClusterError(layer, j)
+    weights = mass / m
+    means = (resp.T @ values.sum(axis=1)) / (n * mass)
+    var_j = np.empty(k)
+    for j in range(k):
+        dev = values - means[j]
+        var_j[j] = (resp[:, j] @ (dev * dev).sum(axis=1)) / (n * mass[j])
+    variance = max(float(weights @ var_j), VARIANCE_FLOOR)
+    return weights, means, variance
+
+
 def m_step(ds: PairedDataset, u, v, uv) -> JointParams:
     """Closed-form parameter updates for fixed responsibilities.
 
-    Component variances are estimated per cluster and then pooled into
-    a single value per layer; the pooling weights are the cluster mass
-    fractions, which makes the pooled value the maximizer of the
-    expected complete-data log-likelihood under the equal-variance
-    constraint.
+    Each layer gets its weights, means and pooled variance from
+    :func:`_layer_m_step`; ``pi`` is the CpG-cluster mass per gene
+    cluster over that cluster's CpG count.
     """
-    x, y = ds.x, ds.y
-    G, K = u.shape
-    C, L = v.shape
-    N = ds.n_patients
-
-    mass_k = u.sum(axis=0)
-    for k in range(K):
-        if mass_k[k] < MASS_EPS:
-            raise DegenerateClusterError("gene", k)
-    mass_l = v.sum(axis=0)
-    for l in range(L):
-        if mass_l[l] < MASS_EPS:
-            raise DegenerateClusterError("cpg", l)
-
-    tau = mass_k / G
+    K = u.shape[1]
+    L = v.shape[1]
+    tau, mu, sigma2 = _layer_m_step(ds.x, u, "gene")
+    _, lam, rho2 = _layer_m_step(ds.y, v, "cpg")
 
     num = uv.sum(axis=0).T  # (L, K)
     den = u.T @ ds.cpg_counts.astype(float)
@@ -339,20 +352,6 @@ def m_step(ds: PairedDataset, u, v, uv) -> JointParams:
             pi[:, k] = 1.0 / L
         else:
             pi[:, k] = num[:, k] / den[k]
-
-    mu = (u.T @ x.sum(axis=1)) / (N * mass_k)
-    sigma2_k = np.empty(K)
-    for k in range(K):
-        dev = x - mu[k]
-        sigma2_k[k] = (u[:, k] @ (dev * dev).sum(axis=1)) / (N * mass_k[k])
-    sigma2 = max(float(tau @ sigma2_k), VARIANCE_FLOOR)
-
-    lam = (v.T @ y.sum(axis=1)) / (N * mass_l)
-    rho2_l = np.empty(L)
-    for l in range(L):
-        dev = y - lam[l]
-        rho2_l[l] = (v[:, l] @ (dev * dev).sum(axis=1)) / (N * mass_l[l])
-    rho2 = max(float((mass_l / C) @ rho2_l), VARIANCE_FLOOR)
 
     return JointParams(tau=tau, pi=pi, mu=mu, sigma2=sigma2, lam=lam, rho2=rho2)
 
@@ -491,8 +490,7 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     Output is identical for any thread count: each per-chromosome fit
     is pure and deterministic, and results are keyed, not ordered.
     """
-    subs = split_by_chromosome(ds)
-    labels = [sub.genes[0].chromosome for sub in subs]
+    subs = {part.label: ds.subset(part.genes, part.cpgs) for part in split_by_chromosome(ds)}
     results: dict[str, FitResult] = {}
     failures: dict[str, Exception] = {}
 
@@ -501,18 +499,22 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
 
     if threads > 1 and len(subs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {label: pool.submit(run, sub) for label, sub in zip(labels, subs)}
+            futures = {label: pool.submit(run, sub) for label, sub in subs.items()}
         for label, fut in futures.items():
             try:
                 results[label] = fut.result()
             except Exception as exc:  # noqa: BLE001 - reported per chromosome
                 failures[label] = exc
     else:
-        for label, sub in zip(labels, subs):
+        for label, sub in subs.items():
             try:
                 results[label] = run(sub)
             except Exception as exc:  # noqa: BLE001
                 failures[label] = exc
     for label, res in results.items():
         res.chromosome = label
+        if not res.converged:
+            logger.warning(
+                "chromosome %s did not converge in %d outer iterations", label, res.n_outer_iters
+            )
     return results, failures

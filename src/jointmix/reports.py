@@ -102,42 +102,49 @@ def independent_model_payload(K, per_chrom: dict) -> dict:
     return {"model": "independent", "K": int(K), "chromosomes": chroms}
 
 
+def result_rows(annotations, fits, names) -> list[list]:
+    """One layer's result rows in input order, skipping rows no fit covers.
+
+    ``annotations`` holds the leading per-row columns. Each entry of
+    ``fits`` is ``(rows, posteriors, map_labels, uncertainties)`` for
+    the input rows one fit covered; map labels are 1-based indices
+    into ``names``.
+    """
+    n = len(annotations[0])
+    post = np.empty((n, len(names)))
+    labels = np.zeros(n, dtype=np.intp)
+    unc = np.empty(n)
+    for rows, p, m, u in fits:
+        post[rows] = p
+        labels[rows] = m
+        unc[rows] = u
+    covered = np.flatnonzero(labels)
+    cols = zip(*(np.asarray(a)[covered].tolist() for a in annotations))
+    return [
+        [*ann, *p, names[m - 1], u]
+        for ann, p, m, u in zip(
+            cols, post[covered].tolist(), labels[covered].tolist(), unc[covered].tolist()
+        )
+    ]
+
+
 def assemble_joint_result_rows(ds: PairedDataset, results: dict, K: int, L: int):
-    """Per-entity output rows in the input dataset's record order.
+    """Per-entity output rows in the input dataset's row order.
 
     Entities on chromosomes without a successful fit are skipped.
     """
-    gene_names = gene_label_names(K)
-    cpg_names = cpg_label_names(L)
-    sub_by_label = {sub.genes[0].chromosome: sub for sub in split_by_chromosome(ds)}
-
-    gene_lookup = {}
-    cpg_lookup = {}
-    for label, res in results.items():
-        sub = sub_by_label[label]
-        for i, g in enumerate(sub.genes):
-            gene_lookup[g.gene_id] = (
-                res.resp.u_hat[i], gene_names[res.map_gene[i] - 1], res.uncertainty_gene[i]
-            )
-        for i, c in enumerate(sub.cpgs):
-            cpg_lookup[c.cpg_id] = (
-                res.resp.v_hat[i], cpg_names[res.map_cpg[i] - 1], res.uncertainty_cpg[i]
-            )
-
-    gene_rows = []
-    for g in ds.genes:
-        hit = gene_lookup.get(g.gene_id)
-        if hit is None:
-            continue
-        post, label, unc = hit
-        gene_rows.append([g.gene_id, g.chromosome, *post.tolist(), label, unc])
-    cpg_rows = []
-    for c in ds.cpgs:
-        hit = cpg_lookup.get(c.cpg_id)
-        if hit is None:
-            continue
-        post, label, unc = hit
-        cpg_rows.append([c.cpg_id, c.gene_id, c.chromosome, *post.tolist(), label, unc])
+    fitted = [(part, results[part.label]) for part in split_by_chromosome(ds)
+              if part.label in results]
+    gene_rows = result_rows(
+        [ds.gene_ids, ds.chromosomes],
+        [(part.genes, r.resp.u_hat, r.map_gene, r.uncertainty_gene) for part, r in fitted],
+        gene_label_names(K),
+    )
+    cpg_rows = result_rows(
+        [ds.cpg_ids, ds.gene_ids[ds.cpg_gene_idx], ds.chromosomes[ds.cpg_gene_idx]],
+        [(part.cpgs, r.resp.v_hat, r.map_cpg, r.uncertainty_cpg) for part, r in fitted],
+        cpg_label_names(L),
+    )
     return gene_rows, cpg_rows
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jointmix.dataset import CpgRecord, GeneRecord, build_paired_dataset
+from jointmix.dataset import Table, build_paired_dataset
 
 
 def make_dataset(x, cpg_of_gene, y, chromosomes=None, patients=None):
@@ -13,13 +13,16 @@ def make_dataset(x, cpg_of_gene, y, chromosomes=None, patients=None):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(len(cpg_of_gene), -1) if len(cpg_of_gene) else np.zeros((0, x.shape[1]))
     g = x.shape[0]
-    chromosomes = chromosomes or ["1"] * g
+    chromosomes = np.asarray(chromosomes or ["1"] * g, dtype=str)
     patients = patients or [f"P{j + 1}" for j in range(x.shape[1])]
-    genes = [GeneRecord(f"G{i:04d}", chromosomes[i], x[i]) for i in range(g)]
-    cpgs = [
-        CpgRecord(f"C{j:04d}", f"G{int(gi):04d}", chromosomes[int(gi)], y[j])
-        for j, gi in enumerate(cpg_of_gene)
-    ]
+    gene_ids = np.array([f"G{i:04d}" for i in range(g)])
+    parent = np.asarray(cpg_of_gene, dtype=np.intp)
+    genes = Table({"gene_id": gene_ids, "chromosome": chromosomes}, x)
+    cpgs = Table(
+        {"cpg_id": [f"C{j:04d}" for j in range(len(parent))],
+         "gene_id": gene_ids[parent], "chromosome": chromosomes[parent]},
+        y,
+    )
     return build_paired_dataset(genes, cpgs, patients, mode="strict")
 
 

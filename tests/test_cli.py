@@ -18,18 +18,28 @@ def sim_dir(tmp_path_factory):
     return out
 
 
+def preprocess(sim_dir, out, *extra, **inputs):
+    """Run ``preprocess`` on the simulation, any input file replaced by keyword."""
+    files = {name: inputs.get(name, sim_dir / f"{name}.tsv")
+             for name in ("expression_a", "expression_b", "methylation_a", "methylation_b")}
+    flags = [a for name, path in files.items() for a in (f"--{name.replace('_', '-')}", path)]
+    return run("preprocess", *flags, "--out", out, "--force", *extra)
+
+
+def doctored(src, dst, lineno, column, text):
+    """Copy a TSV, replacing one cell (1-based line and column)."""
+    lines = src.read_text().splitlines()
+    parts = lines[lineno - 1].split("\t")
+    parts[column - 1] = text
+    lines[lineno - 1] = "\t".join(parts)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
 @pytest.fixture(scope="module")
 def transformed_dir(sim_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("prep")
-    code = run(
-        "preprocess",
-        "--expression-a", sim_dir / "expression_a.tsv",
-        "--expression-b", sim_dir / "expression_b.tsv",
-        "--methylation-a", sim_dir / "methylation_a.tsv",
-        "--methylation-b", sim_dir / "methylation_b.tsv",
-        "--out", out, "--force",
-    )
-    assert code == 0
+    assert preprocess(sim_dir, out) == 0
     return out
 
 
@@ -72,6 +82,41 @@ class TestPreprocessCommand:
             "--out", tmp_path / "x",
         )
         assert code == 1
+
+    def test_nan_count_names_its_location(self, sim_dir, tmp_path, capsys):
+        bad = doctored(sim_dir / "expression_a.tsv", tmp_path / "expression_a.tsv", 3, 3, "nan")
+        assert preprocess(sim_dir, tmp_path / "out", expression_a=bad) == 1
+        assert f"{bad}:3:3: non-finite value nan" in capsys.readouterr().err
+
+    def test_duplicate_id_in_second_condition_file(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "expression_b.tsv").read_text().splitlines()
+        dup = tmp_path / "expression_b.tsv"
+        dup.write_text("\n".join(lines + [lines[1]]) + "\n")
+        assert preprocess(sim_dir, tmp_path / "out", expression_b=dup) == 1
+        err = capsys.readouterr().err
+        assert str(dup) in err and "'G00001'" in err
+
+    def orphan_inputs(self, sim_dir, tmp_path):
+        """Both methylation files with one extra CpG mapped to an unknown gene."""
+        paths = {}
+        for name in ("methylation_a", "methylation_b"):
+            lines = (sim_dir / f"{name}.tsv").read_text().splitlines()
+            n = len(lines[0].split("\t")) - 3
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text("\n".join(lines + ["C999999\tGXXXXX\t1" + "\t0.5" * n]) + "\n")
+        return paths
+
+    def test_orphan_cpg_strict_fails(self, sim_dir, tmp_path, capsys):
+        inputs = self.orphan_inputs(sim_dir, tmp_path)
+        assert preprocess(sim_dir, tmp_path / "out", **inputs) == 1
+        assert "'C999999' references unknown gene_id 'GXXXXX'" in capsys.readouterr().err
+
+    def test_orphan_cpg_lenient_dropped(self, sim_dir, transformed_dir, tmp_path):
+        inputs = self.orphan_inputs(sim_dir, tmp_path)
+        out = tmp_path / "out"
+        assert preprocess(sim_dir, out, "--mode", "lenient", **inputs) == 0
+        for name in ("expression.tsv", "methylation.tsv"):
+            assert (out / name).read_bytes() == (transformed_dir / name).read_bytes()
 
 
 class TestFitCommand:
@@ -145,6 +190,16 @@ class TestFitCommand:
         model = json.loads((out / "model.json").read_text())
         assert list(model["chromosomes"]) == ["1"]
 
+    def test_non_finite_value_names_its_location(self, transformed_dir, tmp_path, capsys):
+        # data line 4 holds CpG C000004; the first patient is column 4
+        bad = doctored(transformed_dir / "methylation.tsv", tmp_path / "m.tsv", 5, 4, "inf")
+        code = run(
+            "fit", "--expression", transformed_dir / "expression.tsv",
+            "--methylation", bad, "--out", tmp_path / "fit",
+        )
+        assert code == 1
+        assert f"{bad}:5:4: non-finite value inf for patient 'P1'" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one(self, capsys):
         assert run("fit", "--nope") == 1
         assert "usage" in capsys.readouterr().err
@@ -172,6 +227,14 @@ class TestBaselineCommand:
         assert code == 0
         header = (out / "cpg_results.tsv").read_text().splitlines()[0]
         assert "posterior_Mminus" in header
+
+    def test_unconverged_chromosome_logs_warning(self, transformed_dir, tmp_path, caplog):
+        code = run(
+            "baseline", "--input", transformed_dir / "expression.tsv",
+            "--layer", "expression", "--max-iter", 1, "--out", tmp_path / "base",
+        )
+        assert code == 0
+        assert "chromosome 1 did not converge in 1 iterations" in caplog.messages
 
 
 class TestEvaluateCommand:

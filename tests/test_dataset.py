@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from jointmix.dataset import (
-    CpgRecord,
-    GeneRecord,
+    Table,
     build_paired_dataset,
     load_paired_dataset,
     read_expression_table,
@@ -19,8 +18,9 @@ class TestLoadPairedDataset:
         assert ds.n_genes == 3
         assert ds.n_cpgs == 5
         assert ds.n_patients == 2
-        lengths = [len(ds.mapping[g.gene_id]) for g in ds.genes]
+        lengths = [len(ds.gene_cpg_indices(g)) for g in range(ds.n_genes)]
         assert lengths == [3, 2, 0]
+        assert ds.cpg_gene_idx.tolist() == [0, 0, 0, 1, 1]
         np.testing.assert_allclose(ds.x[0], [0.5, -0.25])
         np.testing.assert_allclose(ds.y[4], [1.0, -1.0])
 
@@ -37,6 +37,7 @@ class TestLoadPairedDataset:
         bad.write_text(meth.read_text() + "c6\tGX\t1\t0.0\t0.0\n")
         ds = load_paired_dataset(expr, bad, mode="lenient")
         assert ds.n_cpgs == 5
+        assert "c6" not in ds.cpg_ids.tolist()
 
     def test_duplicate_gene_id(self, tiny_pair_files, tmp_path):
         expr, meth = tiny_pair_files
@@ -73,50 +74,62 @@ class TestLoadPairedDataset:
 
     def test_mapping_totality(self, tiny_pair_files):
         ds = load_paired_dataset(*tiny_pair_files)
-        assert sum(len(v) for v in ds.mapping.values()) == ds.n_cpgs
-        assert sorted(i for v in ds.mapping.values() for i in v) == list(range(ds.n_cpgs))
+        per_gene = [ds.gene_cpg_indices(g).tolist() for g in range(ds.n_genes)]
+        assert sum(len(v) for v in per_gene) == ds.n_cpgs
+        assert sorted(i for v in per_gene for i in v) == list(range(ds.n_cpgs))
+
+
+def gene_table(ids, chromosomes, values):
+    return Table({"gene_id": ids, "chromosome": chromosomes}, values)
+
+
+def cpg_table(ids, gene_ids, chromosomes, values):
+    return Table({"cpg_id": ids, "gene_id": gene_ids, "chromosome": chromosomes}, values)
 
 
 class TestSplitByChromosome:
     def test_two_chromosomes(self, tiny_pair_files):
         ds = load_paired_dataset(*tiny_pair_files)
-        subs = split_by_chromosome(ds)
-        assert [s.genes[0].chromosome for s in subs] == ["1", "7"]
-        assert [s.n_genes for s in subs] == [2, 1]
-        assert [s.n_cpgs for s in subs] == [5, 0]
+        parts = split_by_chromosome(ds)
+        assert [p.label for p in parts] == ["1", "7"]
+        assert [len(p.genes) for p in parts] == [2, 1]
+        assert [len(p.cpgs) for p in parts] == [5, 0]
 
     def test_single_chromosome_identity(self):
-        genes = [GeneRecord("g1", "3", np.array([1.0])), GeneRecord("g2", "3", np.array([2.0]))]
-        cpgs = [CpgRecord("c1", "g1", "3", np.array([0.5]))]
+        genes = gene_table(["g1", "g2"], ["3", "3"], [[1.0], [2.0]])
+        cpgs = cpg_table(["c1"], ["g1"], ["3"], [[0.5]])
         ds = build_paired_dataset(genes, cpgs, ["P1"])
-        (sub,) = split_by_chromosome(ds)
-        assert [g.gene_id for g in sub.genes] == ["g1", "g2"]
-        assert [c.cpg_id for c in sub.cpgs] == ["c1"]
+        (part,) = split_by_chromosome(ds)
+        sub = ds.subset(part.genes, part.cpgs)
+        assert sub.gene_ids.tolist() == ["g1", "g2"]
+        assert sub.cpg_ids.tolist() == ["c1"]
+        assert sub.cpg_gene_idx.tolist() == [0]
 
     def test_many_chromosomes_conserve_counts(self):
         rng = np.random.default_rng(0)
-        genes = [
-            GeneRecord(f"g{i}", str(1 + i % 22), rng.normal(size=2)) for i in range(66)
-        ]
-        ds = build_paired_dataset(genes, [], ["P1", "P2"])
-        subs = split_by_chromosome(ds)
-        assert len(subs) == 22
-        assert sum(s.n_genes for s in subs) == 66
+        genes = gene_table(
+            [f"g{i}" for i in range(66)], [str(1 + i % 22) for i in range(66)],
+            np.vstack([rng.normal(size=2) for _ in range(66)]),
+        )
+        ds = build_paired_dataset(genes, cpg_table([], [], [], np.zeros((0, 2))), ["P1", "P2"])
+        parts = split_by_chromosome(ds)
+        assert len(parts) == 22
+        assert sum(len(p.genes) for p in parts) == 66
 
     def test_partition_conservation(self, tiny_pair_files):
         ds = load_paired_dataset(*tiny_pair_files)
-        subs = split_by_chromosome(ds)
-        gene_ids = sorted(g.gene_id for s in subs for g in s.genes)
-        cpg_ids = sorted(c.cpg_id for s in subs for c in s.cpgs)
-        assert gene_ids == sorted(g.gene_id for g in ds.genes)
-        assert cpg_ids == sorted(c.cpg_id for c in ds.cpgs)
+        subs = [ds.subset(p.genes, p.cpgs) for p in split_by_chromosome(ds)]
+        gene_ids = sorted(g for s in subs for g in s.gene_ids.tolist())
+        cpg_ids = sorted(c for s in subs for c in s.cpg_ids.tolist())
+        assert gene_ids == sorted(ds.gene_ids.tolist())
+        assert cpg_ids == sorted(ds.cpg_ids.tolist())
 
 
 class TestTableFormats:
     def test_value_length_mismatch(self):
-        genes = [GeneRecord("g1", "1", np.array([1.0, 2.0]))]
+        genes = gene_table(["g1"], ["1"], [[1.0, 2.0]])
         with pytest.raises(FormatError):
-            build_paired_dataset(genes, [], ["P1"])
+            build_paired_dataset(genes, cpg_table([], [], [], np.zeros((0, 2))), ["P1"])
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "expr.tsv"
@@ -124,7 +137,7 @@ class TestTableFormats:
         write_expression_table(path, ["a", "b"], ["1", "2"], ["P1", "P2"], values)
         patients, genes = read_expression_table(path)
         assert patients == ["P1", "P2"]
-        np.testing.assert_array_equal(np.vstack([g.values for g in genes]), values)
+        np.testing.assert_array_equal(genes.values, values)
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "expr.tsv"

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from oracle_utils import (
@@ -429,17 +431,13 @@ class TestFit:
 
 class TestFitAllChromosomes:
     def build_two_chrom_dataset(self, rng):
-        from jointmix.dataset import CpgRecord, GeneRecord, build_paired_dataset
-
-        genes, cpgs = [], []
+        x, y = [], []
         for i in range(24):
-            chrom = "1" if i < 12 else "2"
-            genes.append(GeneRecord(f"g{i}", chrom, rng.normal((i % 3 - 1) * 3.0, 1.0, 3)))
+            x.append(rng.normal((i % 3 - 1) * 3.0, 1.0, 3))
             for j in range(2):
-                cpgs.append(
-                    CpgRecord(f"c{i}_{j}", f"g{i}", chrom, rng.normal((j * 2 - 1) * 3.0, 1.0, 3))
-                )
-        return build_paired_dataset(genes, cpgs, ["P1", "P2", "P3"])
+                y.append(rng.normal((j * 2 - 1) * 3.0, 1.0, 3))
+        chromosomes = ["1" if i < 12 else "2" for i in range(24)]
+        return make_dataset(x, np.repeat(np.arange(24), 2), y, chromosomes=chromosomes)
 
     def test_thread_count_does_not_change_results(self):
         rng = np.random.default_rng(17)
@@ -455,11 +453,10 @@ class TestFitAllChromosomes:
     def test_partial_failure_reports_and_continues(self):
         rng = np.random.default_rng(18)
         ds = self.build_two_chrom_dataset(rng)
-        from jointmix.dataset import GeneRecord, build_paired_dataset
-
-        genes = list(ds.genes) + [GeneRecord("tiny1", "9", rng.normal(size=3)),
-                                  GeneRecord("tiny2", "9", rng.normal(size=3))]
-        bigger = build_paired_dataset(genes, list(ds.cpgs), ds.patients)
+        bigger = make_dataset(
+            np.vstack([ds.x, rng.normal(size=(2, 3))]), ds.cpg_gene_idx, ds.y,
+            chromosomes=[*ds.chromosomes.tolist(), "9", "9"],
+        )
         results, failures = fit_all_chromosomes(bigger)
         assert set(results) == {"1", "2"}
         assert set(failures) == {"9"}
@@ -467,17 +464,26 @@ class TestFitAllChromosomes:
 
     def test_fan_out_count(self):
         rng = np.random.default_rng(19)
-        from jointmix.dataset import CpgRecord, GeneRecord, build_paired_dataset
-
-        genes, cpgs = [], []
+        x, y, chromosomes = [], [], []
         for j in range(22):
             for i in range(6):
-                gid = f"g{j}_{i}"
-                genes.append(GeneRecord(gid, f"chr{j + 1}", rng.normal((i % 3 - 1) * 4.0, 1.0, 2)))
-                cpgs.append(CpgRecord(f"c{j}_{i}", gid, f"chr{j + 1}",
-                                      rng.normal((i % 3 - 1) * 4.0, 1.0, 2)))
-        ds = build_paired_dataset(genes, cpgs, ["P1", "P2"])
+                x.append(rng.normal((i % 3 - 1) * 4.0, 1.0, 2))
+                y.append(rng.normal((i % 3 - 1) * 4.0, 1.0, 2))
+                chromosomes.append(f"chr{j + 1}")
+        ds = make_dataset(x, np.arange(132), y, chromosomes=chromosomes)
         results, failures = fit_all_chromosomes(ds, threads=4)
         assert not failures
         assert len(results) == 22
         assert all(results[k].chromosome == k for k in results)
+
+    def test_unconverged_chromosome_logs_warning(self, caplog):
+        rng = np.random.default_rng(20)
+        ds = self.build_two_chrom_dataset(rng)
+        with caplog.at_level(logging.WARNING, logger="jointmix.joint_em"):
+            results, _ = fit_all_chromosomes(ds, outer_max=1)
+        assert not any(r.converged for r in results.values())
+        warned = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
+        assert warned == [
+            "chromosome 1 did not converge in 1 outer iterations",
+            "chromosome 2 did not converge in 1 outer iterations",
+        ]

@@ -1,0 +1,120 @@
+"""Property checks of the table I/O and the chromosome split."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_dataset
+from jointmix.dataset import (
+    load_paired_dataset,
+    read_expression_table,
+    read_methylation_table,
+    split_by_chromosome,
+    write_expression_table,
+    write_methylation_table,
+)
+
+PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+labels = st.text("abcXY12", min_size=1, max_size=3)
+
+
+@st.composite
+def tables(draw):
+    """(ids, gene_ids, chromosomes, patients, values) for a small table."""
+    rows = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(labels, min_size=rows, max_size=rows, unique=True))
+    gene_ids = draw(st.lists(labels, min_size=rows, max_size=rows))
+    chromosomes = draw(st.lists(labels, min_size=rows, max_size=rows))
+    values = np.array(
+        draw(st.lists(finite, min_size=rows * n, max_size=rows * n)), dtype=float
+    ).reshape(rows, n)
+    return ids, gene_ids, chromosomes, [f"P{j + 1}" for j in range(n)], values
+
+
+@st.composite
+def datasets(draw):
+    """A small valid dataset: genes on a few chromosomes, CpGs under them."""
+    g = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3))
+    chromosomes = draw(st.lists(st.sampled_from(["1", "2", "10", "X"]), min_size=g, max_size=g))
+    parents = draw(st.lists(st.integers(0, g - 1), max_size=12))
+    x = draw(st.lists(finite, min_size=g * n, max_size=g * n))
+    y = draw(st.lists(finite, min_size=len(parents) * n, max_size=len(parents) * n))
+    return make_dataset(np.reshape(x, (g, n)), parents, np.reshape(y, (len(parents), n)),
+                        chromosomes=chromosomes)
+
+
+@PROPERTY
+@given(tables())
+def test_expression_table_round_trip_is_exact(tmp_path_factory, table):
+    ids, _, chromosomes, patients, values = table
+    path = tmp_path_factory.mktemp("rt") / "expression.tsv"
+    write_expression_table(path, ids, chromosomes, patients, values)
+    read_patients, t = read_expression_table(path)
+    assert read_patients == patients
+    assert len(t) == len(ids)
+    assert t["gene_id"].tolist() == ids
+    assert t["chromosome"].tolist() == chromosomes
+    assert np.array_equal(t.values, values)
+
+
+@PROPERTY
+@given(tables())
+def test_methylation_table_round_trip_is_exact(tmp_path_factory, table):
+    ids, gene_ids, chromosomes, patients, values = table
+    path = tmp_path_factory.mktemp("rt") / "methylation.tsv"
+    write_methylation_table(path, ids, gene_ids, chromosomes, patients, values)
+    read_patients, t = read_methylation_table(path)
+    assert read_patients == patients
+    assert len(t) == len(ids)
+    assert t["cpg_id"].tolist() == ids
+    assert t["gene_id"].tolist() == gene_ids
+    assert t["chromosome"].tolist() == chromosomes
+    assert np.array_equal(t.values, values)
+
+
+@PROPERTY
+@given(datasets(), st.randoms(use_true_random=False))
+def test_patient_column_order_does_not_change_the_data(tmp_path_factory, ds, rnd):
+    out = tmp_path_factory.mktemp("perm")
+    expr, meth, meth_perm = out / "e.tsv", out / "m.tsv", out / "m_perm.tsv"
+    cpg_gene_ids = ds.gene_ids[ds.cpg_gene_idx]
+    cpg_chroms = ds.chromosomes[ds.cpg_gene_idx]
+    write_expression_table(expr, ds.gene_ids, ds.chromosomes, ds.patients, ds.x)
+    write_methylation_table(meth, ds.cpg_ids, cpg_gene_ids, cpg_chroms, ds.patients, ds.y)
+    order = list(range(ds.n_patients))
+    rnd.shuffle(order)
+    write_methylation_table(meth_perm, ds.cpg_ids, cpg_gene_ids, cpg_chroms,
+                            [ds.patients[j] for j in order], ds.y[:, order])
+    plain = load_paired_dataset(expr, meth)
+    permuted = load_paired_dataset(expr, meth_perm)
+    assert permuted.patients == plain.patients
+    assert np.array_equal(permuted.x, plain.x)
+    assert np.array_equal(permuted.y, plain.y)
+    assert np.array_equal(permuted.cpg_gene_idx, plain.cpg_gene_idx)
+
+
+@PROPERTY
+@given(datasets())
+def test_split_is_a_partition_that_keeps_cpgs_with_their_gene(ds):
+    parts = split_by_chromosome(ds)
+    assert [p.label for p in parts] == sorted(set(ds.chromosomes.tolist()))
+    gene_rows = np.concatenate([p.genes for p in parts])
+    cpg_rows = np.concatenate([p.cpgs for p in parts])
+    assert sorted(gene_rows.tolist()) == list(range(ds.n_genes))
+    assert sorted(cpg_rows.tolist()) == list(range(ds.n_cpgs))
+
+    subs = [ds.subset(p.genes, p.cpgs) for p in parts]
+    x = np.empty_like(ds.x)
+    y = np.empty_like(ds.y)
+    x[gene_rows] = np.concatenate([s.x for s in subs])
+    y[cpg_rows] = np.concatenate([s.y for s in subs])
+    assert np.array_equal(x, ds.x)
+    assert np.array_equal(y, ds.y)
+    for part, sub in zip(parts, subs):
+        assert (sub.chromosomes == part.label).all()
+        assert np.array_equal(sub.gene_ids[sub.cpg_gene_idx],
+                              ds.gene_ids[ds.cpg_gene_idx[part.cpgs]])
