@@ -22,6 +22,7 @@ from .joint_em import (
     _log_clip,
     _one_hot,
     _rank_tail_labels,
+    _softmax_rows,
 )
 
 
@@ -79,9 +80,7 @@ def fit_independent(
         scores = _log_clip(params.weights) + _gauss_row_scores(
             values, params.means, params.variance
         )
-        shift = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shift)
-        resp = e / e.sum(axis=1, keepdims=True)
+        resp = _softmax_rows(scores, lambda i: f"row {i}")
         new_params = IndepParams(*_layer_m_step(values, resp, "independent"))
         delta = float(np.abs(new_params.flatten() - params.flatten()).max())
         params = new_params

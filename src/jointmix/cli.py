@@ -32,7 +32,7 @@ from .dataset import (
     write_expression_table,
     write_methylation_table,
 )
-from .errors import FitError, FormatError, InputError, JointmixError
+from .errors import DuplicateIdError, FitError, FormatError, InputError, JointmixError
 from .evaluate import benchmark, score_labels, simulated_dataset
 from .joint_em import fit, fit_all_chromosomes
 from .preprocess import (
@@ -318,6 +318,8 @@ def _read_truth_table(path):
             entity, layer, label = parts
             if layer not in truth:
                 raise FormatError(f"{path}:{lineno}: unknown layer {layer!r}")
+            if entity in truth[layer]:
+                raise DuplicateIdError(f"{path}:{lineno}: duplicate {layer} id {entity!r}")
             truth[layer][entity] = label
     return truth
 
@@ -332,6 +334,7 @@ def _read_predicted_labels(path, layer):
         id_pos = header.index(id_col)
         lab_pos = header.index("map_label")
         pairs = []
+        seen = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -339,6 +342,9 @@ def _read_predicted_labels(path, layer):
             parts = line.split("\t")
             if len(parts) != len(header):
                 raise FormatError(f"{path}:{lineno}: wrong column count")
+            if parts[id_pos] in seen:
+                raise DuplicateIdError(f"{path}:{lineno}: duplicate {id_col} {parts[id_pos]!r}")
+            seen.add(parts[id_pos])
             pairs.append((parts[id_pos], parts[lab_pos]))
     return pairs
 

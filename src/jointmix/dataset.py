@@ -284,7 +284,8 @@ def split_by_chromosome(ds: PairedDataset) -> list[ChromosomeRows]:
     ]
 
 
-def _format_value(v) -> str:
+def _format_number(v) -> str:
+    """Shortest round-trip text of a number; integral floats lose the ``.0``."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
@@ -299,7 +300,7 @@ def write_expression_table(path, gene_ids, chromosomes, patients, values) -> Non
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(EXPRESSION_FIXED_COLUMNS) + "\t" + "\t".join(patients) + "\n")
         for i, gid in enumerate(gene_ids):
-            row = [gid, chromosomes[i]] + [_format_value(v) for v in values[i]]
+            row = [gid, chromosomes[i]] + [_format_number(v) for v in values[i]]
             fh.write("\t".join(row) + "\n")
 
 
@@ -309,5 +310,5 @@ def write_methylation_table(path, cpg_ids, gene_ids, chromosomes, patients, valu
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(METHYLATION_FIXED_COLUMNS) + "\t" + "\t".join(patients) + "\n")
         for i, cid in enumerate(cpg_ids):
-            row = [cid, gene_ids[i], chromosomes[i]] + [_format_value(v) for v in values[i]]
+            row = [cid, gene_ids[i], chromosomes[i]] + [_format_number(v) for v in values[i]]
             fh.write("\t".join(row) + "\n")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import PairedDataset, split_by_chromosome
+from .dataset import PairedDataset, _format_number, split_by_chromosome
 from .evaluate import BenchmarkResult, MetricReport
 from .simulate import CPG_LABELS, GENE_LABELS
 
@@ -25,11 +25,8 @@ def format_cell(v) -> str:
         return "NA"
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        return str(int(f)) if f.is_integer() else repr(f)
+    if isinstance(v, (float, np.floating, int, np.integer)):
+        return _format_number(v)
     return str(v)
 
 

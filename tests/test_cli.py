@@ -265,6 +265,32 @@ class TestEvaluateCommand:
         )
         assert code == 1
 
+    def test_repeated_truth_id_names_its_line(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "truth.tsv").read_text().splitlines()
+        gene = lines[1].split("\t")[0]
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("\n".join(lines + [lines[1]]) + "\n")
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(f"gene_id\tmap_label\n{gene}\tE0\n")
+        code = run(
+            "evaluate", "--truth", truth, "--predicted", pred,
+            "--layer", "gene", "--out", tmp_path / "ev",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{truth}:{len(lines) + 1}: duplicate gene id {gene!r}" in err
+
+    def test_repeated_predicted_id_names_its_line(self, sim_dir, tmp_path, capsys):
+        gene = (sim_dir / "truth.tsv").read_text().splitlines()[1].split("\t")[0]
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(f"gene_id\tmap_label\n{gene}\tE0\n{gene}\tE+\n")
+        code = run(
+            "evaluate", "--truth", sim_dir / "truth.tsv", "--predicted", pred,
+            "--layer", "gene", "--out", tmp_path / "ev",
+        )
+        assert code == 1
+        assert f"{pred}:3: duplicate gene_id {gene!r}" in capsys.readouterr().err
+
 
 class TestBenchmarkCommand:
     def test_small_benchmark_writes_tables(self, tmp_path):

@@ -13,6 +13,7 @@ from jointmix.baseline import fit_independent
 from jointmix.errors import (
     DegenerateClusterError,
     FitError,
+    NumericalError,
     ParameterError,
     UndefinedColumnError,
 )
@@ -20,6 +21,8 @@ from jointmix.evaluate import simulated_dataset
 from jointmix.joint_em import (
     JointParams,
     Responsibilities,
+    _gauss_row_scores,
+    _softmax_rows,
     e_step_fixed_point,
     exact_gene_posterior,
     expected_complete_loglik,
@@ -62,6 +65,53 @@ def indep_responsibilities(values, weights, means, var):
     shift = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shift)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def scipy_row_scores(values, means, var):
+    """The per-patient ``scipy.stats.norm.logpdf`` loop: reference for the kernel."""
+    from scipy.stats import norm as _norm
+
+    total = np.zeros((values.shape[0], len(means)))
+    for n in range(values.shape[1]):
+        total += _norm.logpdf(values[:, n, None], loc=means, scale=np.sqrt(var))
+    return total
+
+
+def max_reduction_softmax(logits):
+    """The row softmax shifted by ``max(axis=1)``: reference for the column-wise max."""
+    shift = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestScoreKernel:
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 40])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("var", [1e-8, 0.37, 1.0, 123.4])
+    def test_bit_equal_to_scipy(self, n, k, var):
+        rng = np.random.default_rng(1000 * n + k)
+        for scale in (1e-3, 1.0, 1e3):
+            values = rng.normal(0.0, scale, (37, n))
+            means = rng.normal(0.0, scale, k)
+            assert np.array_equal(_gauss_row_scores(values, means, var),
+                                  scipy_row_scores(values, means, var))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
+    def test_softmax_bit_equal_to_max_reduction(self, k):
+        rng = np.random.default_rng(k)
+        logits = rng.normal(0.0, 30.0, (500, k))
+        if k > 1:
+            logits[::7, 0] = -np.inf
+        got = _softmax_rows(logits, str)
+        assert np.array_equal(got, max_reduction_softmax(logits))
+
+    @pytest.mark.parametrize("bad", [[-np.inf, -np.inf, -np.inf], [0.5, np.nan, -1.0]])
+    def test_non_finite_row_names_its_entity(self, bad):
+        logits = np.zeros((4, 3))
+        logits[2] = bad
+        with pytest.raises(NumericalError) as exc:
+            _softmax_rows(logits, lambda i: f"E{i}")
+        assert exc.value.entity == "E2"
 
 
 class TestInitializeQuantile:

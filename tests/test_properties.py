@@ -1,10 +1,11 @@
-"""Property checks of the table I/O and the chromosome split."""
+"""Property checks of the table I/O, the chromosome split and the fits."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, random_mixture_dataset
+from jointmix.baseline import fit_independent
 from jointmix.dataset import (
     load_paired_dataset,
     read_expression_table,
@@ -13,6 +14,8 @@ from jointmix.dataset import (
     write_expression_table,
     write_methylation_table,
 )
+from jointmix.errors import FitError
+from jointmix.joint_em import fit, fit_all_chromosomes
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -118,3 +121,50 @@ def test_split_is_a_partition_that_keeps_cpgs_with_their_gene(ds):
         assert (sub.chromosomes == part.label).all()
         assert np.array_equal(sub.gene_ids[sub.cpg_gene_idx],
                               ds.gene_ids[ds.cpg_gene_idx[part.cpgs]])
+
+
+@st.composite
+def mixtures(draw):
+    """A small dataset drawn from separated gene and CpG mixtures."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_mixture_dataset(rng, n_genes=draw(st.integers(9, 24)),
+                                  n_patients=draw(st.integers(1, 4)),
+                                  max_cpgs=draw(st.integers(1, 4)))
+
+
+def assert_simplex_rows(p):
+    assert ((0.0 <= p) & (p <= 1.0)).all()
+    assert np.abs(p.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-12
+
+
+@PROPERTY
+@given(mixtures())
+def test_posterior_rows_are_simplex_rows(ds):
+    try:
+        res = fit(ds)
+    except FitError:
+        pass
+    else:
+        assert_simplex_rows(res.resp.u_hat)
+        assert_simplex_rows(res.resp.v_hat)
+    for values in (ds.x, ds.y):
+        try:
+            assert_simplex_rows(fit_independent(values).resp)
+        except FitError:
+            pass
+
+
+@PROPERTY
+@given(mixtures(), st.lists(st.sampled_from(["1", "2", "X"]), min_size=24, max_size=24))
+def test_thread_count_does_not_change_results(ds, labels):
+    ds = make_dataset(ds.x, ds.cpg_gene_idx, ds.y, chromosomes=labels[: ds.n_genes])
+    one, one_failed = fit_all_chromosomes(ds, threads=1)
+    two, two_failed = fit_all_chromosomes(ds, threads=2)
+    assert sorted(one) == sorted(two)
+    assert {k: str(e) for k, e in one_failed.items()} == {k: str(e) for k, e in two_failed.items()}
+    for label, res in one.items():
+        other = two[label]
+        assert np.array_equal(res.params.flatten(), other.params.flatten())
+        assert np.array_equal(res.resp.u_hat, other.resp.u_hat)
+        assert np.array_equal(res.resp.v_hat, other.resp.v_hat)
+        assert res.n_outer_iters == other.n_outer_iters
