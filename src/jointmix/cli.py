@@ -44,6 +44,7 @@ from .preprocess import (
 from .reports import (
     cpg_label_names,
     cpg_posterior_columns,
+    format_lines,
     gene_label_names,
     gene_posterior_columns,
     independent_model_payload,
@@ -77,7 +78,7 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, subcommand, params, input_paths, started, threads) -> None:
+def _write_manifest(out_dir, subcommand, params, input_paths, started, threads, **extra) -> None:
     payload = {
         "tool": "jointmix",
         "version": __version__,
@@ -86,6 +87,7 @@ def _write_manifest(out_dir, subcommand, params, input_paths, started, threads) 
         "input_digests": {str(Path(p)): _sha256(p) for p in input_paths},
         "duration_s": round(time.perf_counter() - started, 6),
         "threads": threads,
+        **extra,
     }
     write_json(Path(out_dir) / "manifest.json", payload)
 
@@ -251,6 +253,7 @@ def cmd_fit(args) -> int:
         [args.expression, args.methylation],
         t0,
         args.threads,
+        unconverged=sorted(label for label, r in results.items() if not r.converged),
     )
     if failures:
         return 3 if results else 2
@@ -296,6 +299,7 @@ def cmd_baseline(args) -> int:
         [args.input],
         t0,
         args.threads,
+        unconverged=sorted(label for label, r in fits.items() if not r.converged),
     )
     if failures:
         return 3 if fits else 2
@@ -433,7 +437,9 @@ def cmd_timing(args) -> int:
         raise InputError("--patients must list at least one patient count")
     cfg = SimConfig(n_genes=args.genes, seed=args.seed)
     rows = timing_probe(counts, cfg, repeats=args.repeats)
-    write_tsv(out / "timing.tsv", ["n_patients", "n_genes", "n_cpgs", "seconds"], rows)
+    write_tsv(
+        out / "timing.tsv", ["n_patients", "n_genes", "n_cpgs", "seconds"], format_lines(rows)
+    )
     _write_manifest(
         out,
         "timing",

@@ -13,7 +13,6 @@ scale.
 
 from __future__ import annotations
 
-import array
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,7 +185,18 @@ def build_paired_dataset(genes: Table, cpgs: Table, patients, mode="strict") -> 
 
 
 def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
-    """Parse a TSV with fixed leading columns followed by patient columns."""
+    """Parse a TSV with fixed leading columns followed by patient columns.
+
+    One streaming pass checks the header and each line's column count
+    and keeps the fixed columns; blank lines are skipped and do not shift
+    the line numbers in messages. The values are then read by numpy's C
+    ``loadtxt``, which parses each number with the same routine as
+    ``float()`` (so the arrays are bit for bit the same) without a Python
+    call per value. It accepts decimal and exponent notation, ``inf`` and
+    ``nan`` in any case, a leading sign and surrounding whitespace;
+    unlike ``float()`` it rejects ``_`` between digits and non-ASCII
+    digits. Non-finite values are then rejected with their column.
+    """
     path = Path(path)
     k = len(fixed_columns)
     with open(path, "r", encoding="utf-8") as fh:
@@ -203,23 +213,31 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
             raise FormatError(f"{path}: no patient columns in header")
         if len(set(patients)) != len(patients):
             raise FormatError(f"{path}: duplicate patient column names")
-        fixed, linenos, flat = [], [], array.array("d")
+        width = len(cols)
+        fixed, linenos = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != k + len(patients):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {k + len(patients)} columns, got {len(parts)}"
-                )
-            try:
-                flat.extend([float(v) for v in parts[k:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-            fixed.append(parts[:k])
+            n_cols = line.count("\t") + 1
+            if n_cols != width:
+                raise FormatError(f"{path}:{lineno}: expected {width} columns, got {n_cols}")
+            fixed.append(line.split("\t", k)[:k])
             linenos.append(lineno)
-    values = np.frombuffer(flat, dtype=float).reshape(-1, len(patients))
+    if not linenos:
+        values = np.empty((0, len(patients)))
+    else:
+        try:
+            values = _read_values(path, k, width, skiprows=1)
+        except ValueError as exc:
+            found = _first_unparsable_value(path, k, width)
+            if found is None:
+                raise FormatError(f"{path}: non-numeric value ({exc})") from None
+            lineno, col, text = found
+            raise FormatError(
+                f"{path}:{lineno}:{col + 1}: non-numeric value {text!r} "
+                f"for patient {patients[col - k]!r}"
+            ) from None
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         row, col = divmod(int(bad[0]), len(patients))
@@ -229,6 +247,37 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
         )
     annotations = np.array(fixed, dtype=str).reshape(-1, k)
     return patients, Table(dict(zip(fixed_columns, annotations.T)), values)
+
+
+def _read_values(source, k, width, skiprows) -> np.ndarray:
+    """Columns ``k:width`` of a tab-separated file or list of lines, as floats."""
+    return np.loadtxt(
+        source, delimiter="\t", skiprows=skiprows, usecols=range(k, width), dtype=float,
+        ndmin=2, encoding="utf-8", comments=None,
+    )
+
+
+def _first_unparsable_value(path, k, width):
+    """``(line number, column, text)`` of the first value ``loadtxt`` rejects.
+
+    Each data line is parsed alone, then each column of the first line
+    that fails, so the check is the reader's own; ``None`` if every line
+    parses alone.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.rstrip("\n"):
+                continue
+            try:
+                _read_values([line], k, width, skiprows=0)
+            except ValueError:
+                for col in range(k, width):
+                    try:
+                        _read_values([line], col, col + 1, skiprows=0)
+                    except ValueError:
+                        return lineno, col, line.rstrip("\n").split("\t")[col]
+    return None
 
 
 def read_expression_table(path) -> tuple[list[str], Table]:
@@ -294,21 +343,48 @@ def _format_number(v) -> str:
     return repr(f)
 
 
+# Cells converted to text per block: bounds the temporaries of a write.
+FORMAT_BLOCK_CELLS = 1 << 16
+
+
+def _format_rows(values):
+    """Yield each row of a 2-D array as tab-joined text, by :func:`_format_number`'s rules.
+
+    Rows are converted a block of about ``FORMAT_BLOCK_CELLS`` cells at a
+    time, with one ``str``/``repr`` per cell and no per-cell Python call
+    of our own, so memory does not grow with the table.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        values = values.astype(float, copy=False)
+    step = max(1, FORMAT_BLOCK_CELLS // max(1, values.shape[1]))
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        if block.dtype.kind == "f":
+            integral = np.isfinite(block) & (np.trunc(block) == block)
+            if integral.any():
+                block = block.astype(object)
+                block[integral] = [int(v) for v in block[integral].tolist()]
+        for row in block.tolist():
+            yield "\t".join(map(str, row))
+
+
+def _write_table(path, fixed_columns, annotations, patients, values) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join([*fixed_columns, *patients]) + "\n")
+        fh.writelines(
+            "\t".join([*ann, text]) + "\n"
+            for ann, text in zip(zip(*annotations, strict=True), _format_rows(values), strict=True)
+        )
+
+
 def write_expression_table(path, gene_ids, chromosomes, patients, values) -> None:
     """Write an expression TSV; float values use shortest round-trip form."""
-    values = np.asarray(values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(EXPRESSION_FIXED_COLUMNS) + "\t" + "\t".join(patients) + "\n")
-        for i, gid in enumerate(gene_ids):
-            row = [gid, chromosomes[i]] + [_format_number(v) for v in values[i]]
-            fh.write("\t".join(row) + "\n")
+    _write_table(path, EXPRESSION_FIXED_COLUMNS, (gene_ids, chromosomes), patients, values)
 
 
 def write_methylation_table(path, cpg_ids, gene_ids, chromosomes, patients, values) -> None:
     """Write a methylation TSV; float values use shortest round-trip form."""
-    values = np.asarray(values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(METHYLATION_FIXED_COLUMNS) + "\t" + "\t".join(patients) + "\n")
-        for i, cid in enumerate(cpg_ids):
-            row = [cid, gene_ids[i], chromosomes[i]] + [_format_number(v) for v in values[i]]
-            fh.write("\t".join(row) + "\n")
+    _write_table(
+        path, METHYLATION_FIXED_COLUMNS, (cpg_ids, gene_ids, chromosomes), patients, values
+    )

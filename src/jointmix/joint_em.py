@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataset import PairedDataset, split_by_chromosome
 from .errors import (
@@ -45,6 +44,25 @@ DEFAULT_INIT_QUANTILE = 0.10
 
 # log(sqrt(2 pi)), computed as scipy.stats computes its normal-density constant
 LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+
+
+def logsumexp(a, axis=None, keepdims=False):
+    """``log(sum(exp(a)))`` over ``axis``, shifted by the maximum for stability.
+
+    A non-finite maximum shifts by 0, so a slice of all ``-inf`` gives
+    ``-inf`` (without a warning) and one holding ``inf`` gives ``inf``.
+    ``axis=None`` reduces over every element and returns a scalar.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore"):
+        shift = np.max(a, axis=axis, keepdims=True)
+        shift[~np.isfinite(shift)] = 0.0
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    if keepdims:
+        return out
+    if axis is None:
+        return out.reshape(())[()]
+    return np.squeeze(out, axis=axis)
 
 
 @dataclass

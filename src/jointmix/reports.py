@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import PairedDataset, _format_number, split_by_chromosome
+from .dataset import PairedDataset, _format_number, _format_rows, split_by_chromosome
 from .evaluate import BenchmarkResult, MetricReport
 from .simulate import CPG_LABELS, GENE_LABELS
 
@@ -30,11 +30,16 @@ def format_cell(v) -> str:
     return str(v)
 
 
-def write_tsv(path, header, rows) -> None:
+def format_lines(rows) -> list[str]:
+    """Each row's cells through :func:`format_cell`, tab-joined."""
+    return ["\t".join(map(format_cell, row)) for row in rows]
+
+
+def write_tsv(path, header, lines) -> None:
+    """Write a TSV from its header cells and its already formatted row lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(format_cell(v) for v in row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def write_json(path, payload) -> None:
@@ -99,13 +104,14 @@ def independent_model_payload(K, per_chrom: dict) -> dict:
     return {"model": "independent", "K": int(K), "chromosomes": chroms}
 
 
-def result_rows(annotations, fits, names) -> list[list]:
-    """One layer's result rows in input order, skipping rows no fit covers.
+def result_rows(annotations, fits, names) -> list[str]:
+    """One layer's result lines in input order, skipping rows no fit covers.
 
     ``annotations`` holds the leading per-row columns. Each entry of
     ``fits`` is ``(rows, posteriors, map_labels, uncertainties)`` for
     the input rows one fit covered; map labels are 1-based indices
-    into ``names``.
+    into ``names``. Each line is the tab-joined annotations, posteriors,
+    MAP label name and uncertainty.
     """
     n = len(annotations[0])
     post = np.empty((n, len(names)))
@@ -118,9 +124,12 @@ def result_rows(annotations, fits, names) -> list[list]:
     covered = np.flatnonzero(labels)
     cols = zip(*(np.asarray(a)[covered].tolist() for a in annotations))
     return [
-        [*ann, *p, names[m - 1], u]
+        "\t".join([*ann, p, names[m - 1], u])
         for ann, p, m, u in zip(
-            cols, post[covered].tolist(), labels[covered].tolist(), unc[covered].tolist()
+            cols,
+            _format_rows(post[covered]),
+            labels[covered].tolist(),
+            _format_rows(unc[covered, np.newaxis]),
         )
     ]
 
@@ -174,7 +183,7 @@ def write_metric_report(out_dir, report: MetricReport, layer: str) -> list[Path]
     tsv = out / "evaluation.tsv"
     items = [("layer", layer), ("n", report.tp + report.fp + report.tn + report.fn)]
     items += [(k, v) for k, v in report.as_dict().items()]
-    write_tsv(tsv, ["metric", "value"], items)
+    write_tsv(tsv, ["metric", "value"], format_lines(items))
     js = out / "evaluation.json"
     write_json(js, {"layer": layer, **report.as_dict()})
     return [tsv, js]
@@ -186,13 +195,13 @@ def write_benchmark_tables(out_dir, result: BenchmarkResult) -> list[Path]:
     write_tsv(
         summary_path,
         ["method", "layer", "metric", "mean", "sd", "n"],
-        result.summary_rows,
+        format_lines(result.summary_rows),
     )
     reps_path = out / "benchmark_replicates.tsv"
     write_tsv(
         reps_path,
         ["replicate", "method", "layer", "metric", "value"],
-        result.replicate_rows,
+        format_lines(result.replicate_rows),
     )
     json_path = out / "benchmark.json"
     payload = {

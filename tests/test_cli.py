@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jointmix
 from jointmix.cli import main
 from jointmix.simulate import SimConfig, simulate, write_simulation
 
@@ -34,6 +39,21 @@ def doctored(src, dst, lineno, column, text):
     lines[lineno - 1] = "\t".join(parts)
     dst.write_text("\n".join(lines) + "\n")
     return dst
+
+
+def manifest(out):
+    return json.loads((Path(out) / "manifest.json").read_text())
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(jointmix.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jointmix.cli; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +159,17 @@ class TestFitCommand:
         ]
         assert len(gene_lines) == 1 + 80
         assert (out / "cpg_results.tsv").exists()
-        assert (out / "manifest.json").exists()
+        assert manifest(out)["unconverged"] == []
+
+    def test_manifest_lists_unconverged_chromosomes(self, transformed_dir, tmp_path):
+        out = tmp_path / "fit"
+        code = run(
+            "fit", "--expression", transformed_dir / "expression.tsv",
+            "--methylation", transformed_dir / "methylation.tsv", "--outer-max", 1, "--out", out,
+        )
+        assert code == 0
+        assert manifest(out)["unconverged"] == ["1"]
+        assert len((out / "gene_results.tsv").read_text().splitlines()) == 1 + 80
 
     def test_byte_identical_rerun(self, transformed_dir, tmp_path):
         a = tmp_path / "a"
@@ -200,6 +230,15 @@ class TestFitCommand:
         assert code == 1
         assert f"{bad}:5:4: non-finite value inf for patient 'P1'" in capsys.readouterr().err
 
+    def test_value_float_accepts_but_the_reader_rejects(self, transformed_dir, tmp_path, capsys):
+        bad = doctored(transformed_dir / "methylation.tsv", tmp_path / "m.tsv", 5, 4, "1_0")
+        code = run(
+            "fit", "--expression", transformed_dir / "expression.tsv",
+            "--methylation", bad, "--out", tmp_path / "fit",
+        )
+        assert code == 1
+        assert f"{bad}:5:4: non-numeric value '1_0' for patient 'P1'" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one(self, capsys):
         assert run("fit", "--nope") == 1
         assert "usage" in capsys.readouterr().err
@@ -217,6 +256,7 @@ class TestBaselineCommand:
         assert model["model"] == "independent"
         lines = (out / "gene_results.tsv").read_text().splitlines()
         assert len(lines) == 1 + 80
+        assert manifest(out)["unconverged"] == []
 
     def test_methylation_layer(self, transformed_dir, tmp_path):
         out = tmp_path / "base_m"
@@ -235,6 +275,15 @@ class TestBaselineCommand:
         )
         assert code == 0
         assert "chromosome 1 did not converge in 1 iterations" in caplog.messages
+
+    def test_manifest_lists_unconverged_chromosomes(self, transformed_dir, tmp_path):
+        out = tmp_path / "base"
+        code = run(
+            "baseline", "--input", transformed_dir / "methylation.tsv",
+            "--layer", "methylation", "--max-iter", 1, "--out", out,
+        )
+        assert code == 0
+        assert manifest(out)["unconverged"] == ["1"]
 
 
 class TestEvaluateCommand:

@@ -150,3 +150,53 @@ class TestTableFormats:
         path.write_text("id\tchrom\tP1\ng1\t1\t2\n")
         with pytest.raises(FormatError):
             read_expression_table(path)
+
+
+class TestReaderEdgeCases:
+    HEADER = "gene_id\tchromosome\tP1\tP2\n"
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "expr.tsv"
+        path.write_text(self.HEADER + "\ng1\t1\t0.5\t1\n\n\ng2\t1\t2\tinf\n")
+        with pytest.raises(FormatError) as exc:
+            read_expression_table(path)
+        assert str(exc.value) == f"{path}:6:4: non-finite value inf for patient 'P2'"
+
+    def test_crlf_reads_like_lf(self, tmp_path):
+        text = self.HEADER + "g1\t1\t0.5\t-1e-05\n\ng2\tX\t3\t0.1\n"
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        (p_lf, t_lf), (p_crlf, t_crlf) = read_expression_table(lf), read_expression_table(crlf)
+        assert p_crlf == p_lf == ["P1", "P2"]
+        assert t_crlf.ids.tolist() == t_lf.ids.tolist() == ["g1", "g2"]
+        assert t_crlf["chromosome"].tolist() == ["1", "X"]
+        assert np.array_equal(t_crlf.values, t_lf.values)
+        assert t_lf.values.tolist() == [[0.5, -1e-05], [3.0, 0.1]]
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_without_rows_gives_zero_rows(self, tmp_path, body):
+        path = tmp_path / "expr.tsv"
+        path.write_text(self.HEADER + body)
+        patients, table = read_expression_table(path)
+        assert patients == ["P1", "P2"]
+        assert len(table) == 0
+        assert table.values.shape == (0, 2)
+        assert table.ids.tolist() == []
+
+    @pytest.mark.parametrize("row, got", [("g1\t1\t0.5", 3), ("g1\t1\t0.5\t1\t2", 5)])
+    def test_short_and_long_rows(self, tmp_path, row, got):
+        path = tmp_path / "expr.tsv"
+        path.write_text(self.HEADER + "g0\t1\t0\t0\n\n" + row + "\n")
+        with pytest.raises(FormatError) as exc:
+            read_expression_table(path)
+        assert str(exc.value) == f"{path}:4: expected 4 columns, got {got}"
+
+    @pytest.mark.parametrize("text", ["1_0", "abc", "", "0x10", "１"])
+    def test_value_the_reader_rejects_names_its_line(self, tmp_path, text):
+        # float() accepts "1_0" and the full-width digit; the reader does not
+        path = tmp_path / "expr.tsv"
+        path.write_text(self.HEADER + "g1\t1\t0.5\t1\n\ng2\t1\t2\t" + text + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            read_expression_table(path)
+        assert str(exc.value) == f"{path}:4:4: non-numeric value {text!r} for patient 'P2'"

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from jointmix.joint_em import (
     fit_all_chromosomes,
     gene_given_cpg,
     initialize_quantile,
+    logsumexp,
     m_step,
     map_assign,
     observed_loglik,
@@ -112,6 +114,36 @@ class TestScoreKernel:
         with pytest.raises(NumericalError) as exc:
             _softmax_rows(logits, lambda i: f"E{i}")
         assert exc.value.entity == "E2"
+
+
+class TestLogsumexp:
+    # (shape, axis, keepdims) as exact_gene_posterior and observed_loglik call it
+    CALLS = [((6, 3, 4), 2, False), ((6, 3, 4), 2, True), ((3,), None, False),
+             ((40, 3), 1, False), ((1, 2, 2), 2, True), ((0, 3, 3), 2, False)]
+
+    @pytest.mark.parametrize("shape, axis, keepdims", CALLS)
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_scipy(self, shape, axis, keepdims, scale):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        a = np.random.default_rng(len(shape) + int(scale * 7)).normal(0.0, scale, shape)
+        a.flat[::5] = -np.inf
+        got = logsumexp(a, axis=axis, keepdims=keepdims)
+        want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_all_minus_inf_row_is_minus_inf_without_warning(self):
+        a = np.array([[0.5, -1.0, 2.0], [-np.inf] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = logsumexp(a, axis=1)
+        assert got[1] == -np.inf and np.isfinite(got[0])
+
+    def test_no_axis_returns_a_scalar(self):
+        got = logsumexp(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert np.ndim(got) == 0 and isinstance(got, np.floating)
+        assert got == pytest.approx(np.log(np.exp([0.0, 1.0, 2.0, 3.0]).sum()), rel=1e-15)
 
 
 class TestInitializeQuantile:

@@ -1,12 +1,18 @@
 """Property checks of the table I/O, the chromosome split and the fits."""
 
+import math
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_mixture_dataset
+from jointmix import dataset
 from jointmix.baseline import fit_independent
 from jointmix.dataset import (
+    _format_number,
+    _format_rows,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
@@ -20,6 +26,15 @@ from jointmix.joint_em import fit, fit_all_chromosomes
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# Values whose text is easy to get wrong: signed zeros, the smallest
+# subnormal, the switches to exponent notation, and integral floats (up
+# to 1e300) that are written without their ``.0``.
+edge_finite = st.one_of(
+    finite,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, -1e16, 1e15, 2.0**53, 1e300]),
+    st.floats(-1e300, 1e300).map(math.trunc).map(float),
+)
+edge_floats = st.one_of(edge_finite, st.sampled_from([math.nan, math.inf, -math.inf]))
 labels = st.text("abcXY12", min_size=1, max_size=3)
 
 
@@ -32,7 +47,7 @@ def tables(draw):
     gene_ids = draw(st.lists(labels, min_size=rows, max_size=rows))
     chromosomes = draw(st.lists(labels, min_size=rows, max_size=rows))
     values = np.array(
-        draw(st.lists(finite, min_size=rows * n, max_size=rows * n)), dtype=float
+        draw(st.lists(edge_finite, min_size=rows * n, max_size=rows * n)), dtype=float
     ).reshape(rows, n)
     return ids, gene_ids, chromosomes, [f"P{j + 1}" for j in range(n)], values
 
@@ -48,6 +63,33 @@ def datasets(draw):
     y = draw(st.lists(finite, min_size=len(parents) * n, max_size=len(parents) * n))
     return make_dataset(np.reshape(x, (g, n)), parents, np.reshape(y, (len(parents), n)),
                         chromosomes=chromosomes)
+
+
+@st.composite
+def matrices(draw, cells):
+    rows = draw(st.integers(0, 7))
+    n = draw(st.integers(1, 5))
+    return rows, n, draw(st.lists(cells, min_size=rows * n, max_size=rows * n))
+
+
+@PROPERTY
+@given(matrices(edge_floats), st.integers(1, 9))
+def test_block_formatter_matches_the_scalar_rule_on_floats(matrix, block_cells):
+    rows, n, cells = matrix
+    values = np.array(cells, dtype=float).reshape(rows, n)
+    with mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells):
+        got = list(_format_rows(values))
+    assert got == ["\t".join(_format_number(v) for v in row) for row in values]
+
+
+@PROPERTY
+@given(matrices(st.integers(-(2**63), 2**63 - 1)), st.integers(1, 9))
+def test_block_formatter_matches_the_scalar_rule_on_int64(matrix, block_cells):
+    rows, n, cells = matrix
+    values = np.array(cells, dtype=np.int64).reshape(rows, n)
+    with mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells):
+        got = list(_format_rows(values))
+    assert got == ["\t".join(_format_number(v) for v in row) for row in values]
 
 
 @PROPERTY
