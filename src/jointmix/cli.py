@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .baseline import fit_independent
 from .dataset import (
+    _open_text,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
@@ -34,7 +35,7 @@ from .dataset import (
 )
 from .errors import DuplicateIdError, FitError, FormatError, InputError, JointmixError
 from .evaluate import benchmark, score_labels, simulated_dataset
-from .joint_em import fit, fit_all_chromosomes
+from .joint_em import _run_each, fit, fit_all_chromosomes
 from .preprocess import (
     DEFAULT_BETA_EPS,
     DEFAULT_COUNT_THRESHOLD,
@@ -267,19 +268,20 @@ def cmd_baseline(args) -> int:
     out = _prepare_out(args, [results_name, "model.json", "manifest.json"])
     _, table = (read_expression_table if expression else read_methylation_table)(args.input)
     labels, chrom = np.unique(table["chromosome"], return_inverse=True)
-    fits, failures, covered = {}, {}, []
-    for i, label in enumerate(labels.tolist()):
-        rows = np.flatnonzero(chrom == i)
-        try:
-            res = fit_independent(table.values[rows], K=args.k, q=args.quantile,
-                                  tol=args.tol, max_iter=args.max_iter)
-        except FitError as exc:
-            failures[label] = exc
-            print(f"chromosome {label} failed: {exc}", file=sys.stderr)
+    rows_of = {label: np.flatnonzero(chrom == i) for i, label in enumerate(labels.tolist())}
+    fits, failures = _run_each(
+        lambda rows: fit_independent(table.values[rows], K=args.k, q=args.quantile,
+                                     tol=args.tol, max_iter=args.max_iter),
+        rows_of, args.threads, FitError,
+    )
+    covered = []
+    for label, rows in rows_of.items():
+        if label in failures:
+            print(f"chromosome {label} failed: {failures[label]}", file=sys.stderr)
             continue
+        res = fits[label]
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
-        fits[label] = res
         covered.append((rows, res.resp, res.map_labels, res.uncertainty))
 
     if fits:
@@ -308,7 +310,7 @@ def cmd_baseline(args) -> int:
 
 def _read_truth_table(path):
     truth: dict[str, dict[str, str]] = {"gene": {}, "cpg": {}}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != ["entity_id", "layer", "label"]:
             raise FormatError(f"{path}: expected header entity_id/layer/label")
@@ -330,7 +332,7 @@ def _read_truth_table(path):
 
 def _read_predicted_labels(path, layer):
     id_col = "gene_id" if layer == "gene" else "cpg_id"
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         for col in (id_col, "map_label"):
             if col not in header:
@@ -402,19 +404,18 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def timing_probe(patient_counts, base_cfg: SimConfig, repeats=1, fit_kwargs=None):
+# The same outer iterations and inner sweeps at every patient count.
+TIMING_FIT_BUDGET = dict(outer_max=20, outer_tol=0.0, inner_max=10, inner_tol=0.0)
+
+
+def timing_probe(patient_counts, base_cfg: SimConfig, repeats=1):
     """Simulate and fit at each patient count, reporting fit wall-clock.
 
-    Fits run under a fixed iteration budget (same outer iterations and
-    inner sweeps at every patient count) so the wall-clock reflects
-    per-iteration cost rather than data-dependent convergence speed.
-    Returns rows (n_patients, n_genes, n_cpgs, seconds); seconds is the
-    minimum over ``repeats`` timed fits of the same dataset.
+    Fits run under the fixed ``TIMING_FIT_BUDGET`` so the wall-clock
+    reflects per-iteration cost rather than data-dependent convergence
+    speed. Returns rows (n_patients, n_genes, n_cpgs, seconds); seconds
+    is the minimum over ``repeats`` timed fits of the same dataset.
     """
-    if fit_kwargs is None:
-        fit_kwargs = dict(outer_max=20, outer_tol=0.0, inner_max=10, inner_tol=0.0)
-    else:
-        fit_kwargs = dict(fit_kwargs)
     rows = []
     for n in patient_counts:
         sim = simulate(replace(base_cfg, n_patients=int(n)))
@@ -422,7 +423,7 @@ def timing_probe(patient_counts, base_cfg: SimConfig, repeats=1, fit_kwargs=None
         best = None
         for _ in range(max(1, repeats)):
             started = time.perf_counter()
-            fit(ds, **fit_kwargs)
+            fit(ds, **TIMING_FIT_BUDGET)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
         rows.append((int(n), ds.n_genes, ds.n_cpgs, best))

@@ -13,6 +13,7 @@ scale.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -184,6 +185,31 @@ def build_paired_dataset(genes: Table, cpgs: Table, patients, mode="strict") -> 
     )
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """``path`` opened as UTF-8 text; a byte that does not decode is a FormatError.
+
+    The message names the first line that does not decode, found by
+    reading the file again as bytes and splitting it at the line ends
+    text mode uses (LF, CRLF and CR), so it agrees with the line numbers
+    of every other message.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                lines = raw.read().splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(
+                        f"{path}:{lineno}: not UTF-8 text (byte {line[exc.start]:#04x})"
+                    ) from None
+            raise
+
+
 def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     """Parse a TSV with fixed leading columns followed by patient columns.
 
@@ -199,7 +225,7 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     """
     path = Path(path)
     k = len(fixed_columns)
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header:
             raise FormatError(f"{path}: empty file")

@@ -10,7 +10,6 @@ empty denominator are reported as ``None``, never coerced to 0 or 1.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,13 +17,8 @@ import numpy as np
 from .baseline import compare_partitions, fit_independent
 from .dataset import PairedDataset
 from .errors import JointmixError, ParameterError
-from .joint_em import fit
-from .preprocess import (
-    DEFAULT_BETA_EPS,
-    DEFAULT_COUNT_THRESHOLD,
-    DEFAULT_PSEUDOCOUNT,
-    derive_model_inputs,
-)
+from .joint_em import _run_each, fit
+from .preprocess import derive_model_inputs
 from .simulate import CPG_LABELS, GENE_LABELS, SimConfig, simulate
 
 logger = logging.getLogger(__name__)
@@ -95,17 +89,15 @@ def score_labels(truth, predicted) -> MetricReport:
     return report
 
 
-def simulated_dataset(sim, count_threshold=DEFAULT_COUNT_THRESHOLD,
-                      pseudocount=DEFAULT_PSEUDOCOUNT, beta_eps=DEFAULT_BETA_EPS):
-    """Preprocess one simulation into a model-ready dataset plus truth.
+def simulated_dataset(sim):
+    """Preprocess one simulation with the ``preprocess`` defaults.
 
     Returns ``(ds, gene_truth, cpg_truth)`` restricted to the genes that
     survive low-count filtering (and their CpGs).
     """
     t = sim.truth
     kept_g, x, kept_c, y = derive_model_inputs(
-        sim.counts_a, sim.counts_b, sim.betas_a, sim.betas_b, t.cpg_gene_idx,
-        count_threshold=count_threshold, pseudocount=pseudocount, beta_eps=beta_eps,
+        sim.counts_a, sim.counts_b, sim.betas_a, sim.betas_b, t.cpg_gene_idx
     )
     gene_row = np.full(len(t.gene_ids), -1, dtype=np.intp)
     gene_row[kept_g] = np.arange(len(kept_g))
@@ -129,16 +121,15 @@ class ReplicateScores:
     agreement: dict = field(default_factory=dict)  # layer -> float (ARI joint vs indep)
 
 
-def run_replicate(cfg: SimConfig, methods=KNOWN_METHODS, fit_kwargs=None) -> ReplicateScores:
+def run_replicate(cfg: SimConfig, methods=KNOWN_METHODS) -> ReplicateScores:
     """Simulate, preprocess, fit the requested methods, and score them."""
-    fit_kwargs = dict(fit_kwargs or {})
     sim = simulate(cfg)
     ds, gene_truth, cpg_truth = simulated_dataset(sim)
 
     labels: dict = {}
     scores = ReplicateScores()
     if "joint" in methods:
-        res = fit(ds, **fit_kwargs)
+        res = fit(ds)
         gene_pred = np.array(GENE_LABELS)[res.map_gene - 1]
         cpg_pred = np.array(CPG_LABELS)[res.map_cpg - 1]
         labels["joint"] = {"gene": gene_pred, "cpg": cpg_pred}
@@ -202,50 +193,30 @@ def benchmark(
     methods=KNOWN_METHODS,
     cfg: SimConfig | None = None,
     threads=1,
-    fit_kwargs=None,
 ) -> BenchmarkResult:
-    """Score ``n_datasets`` replicates and aggregate to mean/sd tables.
+    """Score ``n_datasets`` replicates of ``case`` and aggregate to mean/sd tables.
 
-    Replicates are independent and may run on a thread pool; rows are
-    assembled in replicate order, so the output is identical for any
-    thread count. Replicates whose fit fails are recorded in
-    ``failures`` and excluded from the aggregation.
+    Replicates are independent and run on up to ``threads`` pool
+    threads; rows are assembled in replicate order, so the output is
+    identical for any thread count. Replicates whose fit fails are
+    recorded in ``failures`` and excluded from the aggregation.
     """
     if n_datasets < 2:
         raise ParameterError("benchmark needs at least 2 replicates")
     for m in methods:
         if m not in KNOWN_METHODS:
             raise ParameterError(f"unknown method {m!r}")
-    base = cfg if cfg is not None else SimConfig()
-    base = replace(base, case=case) if case is not None else base
-
-    results: list = [None] * n_datasets
-    failures: dict = {}
-
-    def one(r):
-        return run_replicate(replace(base, replicate=base.replicate + r), methods, fit_kwargs)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {r: pool.submit(one, r) for r in range(n_datasets)}
-        for r in range(n_datasets):
-            try:
-                results[r] = futures[r].result()
-            except JointmixError as exc:
-                failures[r] = str(exc)
-    else:
-        for r in range(n_datasets):
-            try:
-                results[r] = one(r)
-            except JointmixError as exc:
-                failures[r] = str(exc)
+    base = replace(cfg if cfg is not None else SimConfig(), case=case)
+    results, failed = _run_each(
+        lambda r: run_replicate(replace(base, replicate=base.replicate + r), methods),
+        {r: r for r in range(n_datasets)}, threads, JointmixError,
+    )
+    failures = {r: str(exc) for r, exc in failed.items()}
     if failures:
         logger.warning("%d of %d replicates failed to fit", len(failures), n_datasets)
 
     rows = []
-    for r, scores in enumerate(results):
-        if scores is None:
-            continue
+    for r, scores in results.items():
         for (method, layer), report in scores.reports.items():
             for metric in METRIC_NAMES:
                 rows.append((r, method, layer, metric, getattr(report, metric)))

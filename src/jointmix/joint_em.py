@@ -115,13 +115,13 @@ class Responsibilities:
     """Posterior membership estimates from one E-step.
 
     ``u_hat``: (G, K) gene posteriors. ``v_hat``: (C, L) CpG posteriors.
-    ``uv_hat``: (C, K, L) joint expectations for each CpG paired with
-    its parent gene, the product of the two converged marginals.
+    The joint expectation of CpG c in CpG cluster l with its parent gene
+    in gene cluster k is the product of the two converged marginals,
+    ``u_hat[cpg_gene_idx[c], k] * v_hat[c, l]``; it is never stored.
     """
 
     u_hat: np.ndarray
     v_hat: np.ndarray
-    uv_hat: np.ndarray
     n_sweeps: int = 0
 
 
@@ -280,8 +280,7 @@ def e_step_fixed_point(
         sweeps = s
         if delta < inner_tol:
             break
-    uv = u[gidx][:, :, np.newaxis] * v[:, np.newaxis, :]
-    return Responsibilities(u_hat=u, v_hat=v, uv_hat=uv, n_sweeps=sweeps)
+    return Responsibilities(u_hat=u, v_hat=v, n_sweeps=sweeps)
 
 
 def exact_gene_posterior(ds: PairedDataset, params: JointParams, gene_index: int):
@@ -329,15 +328,13 @@ def observed_loglik(ds: PairedDataset, params: JointParams) -> float:
     return float(logsumexp(scores, axis=1).sum())
 
 
-def expected_complete_loglik(
-    ds: PairedDataset, u, v, uv, params: JointParams
-) -> float:
+def expected_complete_loglik(ds: PairedDataset, u, v, params: JointParams) -> float:
     """Expected complete-data log-likelihood at fixed responsibilities."""
     q = float((u * _gauss_row_scores(ds.x, params.mu, params.sigma2)).sum())
     q += float(u.sum(axis=0) @ _log_clip(params.tau))
     if ds.n_cpgs:
         q += float((v * _gauss_row_scores(ds.y, params.lam, params.rho2)).sum())
-        q += float(np.einsum("ckl,lk->", uv, _log_clip(params.pi)))
+        q += float(np.einsum("ck,cl,lk->", u[ds.cpg_gene_idx], v, _log_clip(params.pi)))
     return q
 
 
@@ -367,7 +364,7 @@ def _layer_m_step(values: np.ndarray, resp: np.ndarray, layer: str):
     return weights, means, variance
 
 
-def m_step(ds: PairedDataset, u, v, uv) -> JointParams:
+def m_step(ds: PairedDataset, u, v) -> JointParams:
     """Closed-form parameter updates for fixed responsibilities.
 
     Each layer gets its weights, means and pooled variance from
@@ -379,7 +376,9 @@ def m_step(ds: PairedDataset, u, v, uv) -> JointParams:
     tau, mu, sigma2 = _layer_m_step(ds.x, u, "gene")
     _, lam, rho2 = _layer_m_step(ds.y, v, "cpg")
 
-    num = uv.sum(axis=0).T  # (L, K)
+    # summed joint expectations u[gene of c, k] * v[c, l] over CpGs c: einsum
+    # is bit for bit the sum of that (C, K, L) product, a BLAS product is not
+    num = np.einsum("ck,cl->lk", u[ds.cpg_gene_idx], v)
     den = u.T @ ds.cpg_counts.astype(float)
     pi = np.empty((L, K))
     for k in range(K):
@@ -440,10 +439,7 @@ def _relabel_ascending(params: JointParams, resp: Responsibilities):
         rho2=params.rho2,
     )
     resp = Responsibilities(
-        u_hat=resp.u_hat[:, pk],
-        v_hat=resp.v_hat[:, pl],
-        uv_hat=resp.uv_hat[:, pk][:, :, pl],
-        n_sweeps=resp.n_sweeps,
+        u_hat=resp.u_hat[:, pk], v_hat=resp.v_hat[:, pl], n_sweeps=resp.n_sweeps
     )
     return params, resp
 
@@ -481,9 +477,8 @@ def fit(
         u0, v0 = initialize_quantile(ds, K, L, q)
     else:
         u0, v0 = init
-    uv0 = u0[ds.cpg_gene_idx][:, :, np.newaxis] * v0[:, np.newaxis, :]
-    resp = Responsibilities(u_hat=u0, v_hat=v0, uv_hat=uv0, n_sweeps=0)
-    params = m_step(ds, u0, v0, uv0)
+    resp = Responsibilities(u_hat=u0, v_hat=v0)
+    params = m_step(ds, u0, v0)
     if force_independent:
         params = _pin_independent_columns(params, v0)
 
@@ -493,7 +488,7 @@ def fit(
     for t in range(1, outer_max + 1):
         try:
             resp = e_step_fixed_point(ds, params, resp, inner_tol, inner_max)
-            new_params = m_step(ds, resp.u_hat, resp.v_hat, resp.uv_hat)
+            new_params = m_step(ds, resp.u_hat, resp.v_hat)
         except FitError as exc:
             raise FitError(f"outer iteration {t}: {exc}") from exc
         if force_independent:
@@ -521,6 +516,24 @@ def fit(
     )
 
 
+def _run_each(fn, items: dict, threads: int, catch):
+    """``fn(item)`` for every value of ``items`` on up to ``threads`` pool threads.
+
+    Returns ``(results, failures)``, keyed like ``items`` and in its
+    order: a call that raises ``catch`` lands in ``failures`` and does
+    not stop the others; any other exception propagates.
+    """
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(items)))) as pool:
+        futures = {key: pool.submit(fn, item) for key, item in items.items()}
+    results, failures = {}, {}
+    for key, future in futures.items():
+        try:
+            results[key] = future.result()
+        except catch as exc:
+            failures[key] = exc
+    return results, failures
+
+
 def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     """Fit each chromosome independently; failures do not abort siblings.
 
@@ -529,26 +542,7 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     is pure and deterministic, and results are keyed, not ordered.
     """
     subs = {part.label: ds.subset(part.genes, part.cpgs) for part in split_by_chromosome(ds)}
-    results: dict[str, FitResult] = {}
-    failures: dict[str, Exception] = {}
-
-    def run(sub):
-        return fit(sub, **fit_kwargs)
-
-    if threads > 1 and len(subs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {label: pool.submit(run, sub) for label, sub in subs.items()}
-        for label, fut in futures.items():
-            try:
-                results[label] = fut.result()
-            except Exception as exc:  # noqa: BLE001 - reported per chromosome
-                failures[label] = exc
-    else:
-        for label, sub in subs.items():
-            try:
-                results[label] = run(sub)
-            except Exception as exc:  # noqa: BLE001
-                failures[label] = exc
+    results, failures = _run_each(lambda sub: fit(sub, **fit_kwargs), subs, threads, Exception)
     for label, res in results.items():
         res.chromosome = label
         if not res.converged:

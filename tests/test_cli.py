@@ -286,6 +286,33 @@ class TestBaselineCommand:
         assert manifest(out)["unconverged"] == ["1"]
 
 
+    def test_non_utf8_input_names_its_line(self, transformed_dir, tmp_path, capsys):
+        raw = (transformed_dir / "expression.tsv").read_bytes().splitlines(keepends=True)
+        raw[3] = raw[3].replace(b"\t", b"\xe9\t", 1)
+        bad = tmp_path / "expression.tsv"
+        bad.write_bytes(b"".join(raw))
+        code = run("baseline", "--input", bad, "--layer", "expression", "--out", tmp_path / "b")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:4: not UTF-8 text (byte 0xe9)" in err
+        assert "Traceback" not in err
+
+    def test_threads_do_not_change_the_outputs(self, transformed_dir, tmp_path):
+        lines = (transformed_dir / "expression.tsv").read_text().splitlines()
+        rows = [line.split("\t") for line in lines[1:]]
+        for i, row in enumerate(rows):
+            row[1] = "XYZ"[i % 3]
+        expr = tmp_path / "three_chromosomes.tsv"
+        expr.write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            assert run("baseline", "--input", expr, "--layer", "expression",
+                       "--threads", n, "--out", out) == 0
+        assert len(json.loads((outs[0] / "model.json").read_text())["chromosomes"]) == 3
+        for name in ("gene_results.tsv", "model.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestEvaluateCommand:
     def test_scores_fit_against_truth(self, sim_dir, transformed_dir, tmp_path):
         fit_out = tmp_path / "fit"
@@ -339,6 +366,24 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert f"{pred}:3: duplicate gene_id {gene!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_file", ["truth", "predicted"])
+    def test_non_utf8_table_names_its_line(self, sim_dir, tmp_path, capsys, bad_file):
+        lines = (sim_dir / "truth.tsv").read_bytes().splitlines(keepends=True)
+        gene = lines[1].split(b"\t")[0]
+        paths = {"truth": tmp_path / "truth.tsv", "predicted": tmp_path / "pred.tsv"}
+        paths["truth"].write_bytes(b"".join(lines))
+        paths["predicted"].write_bytes(b"gene_id\tmap_label\n" + gene + b"\tE0\n")
+        bad = paths[bad_file]
+        raw = bad.read_bytes().splitlines(keepends=True)
+        raw[1] = raw[1].replace(b"\t", b"\xe9\t", 1)
+        bad.write_bytes(b"".join(raw))
+        code = run("evaluate", "--truth", paths["truth"], "--predicted", paths["predicted"],
+                   "--layer", "gene", "--out", tmp_path / "ev")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:2: not UTF-8 text (byte 0xe9)" in err
+        assert "Traceback" not in err
 
 
 class TestBenchmarkCommand:

@@ -184,6 +184,19 @@ class TestReaderEdgeCases:
         assert table.values.shape == (0, 2)
         assert table.ids.tolist() == []
 
+    @pytest.mark.parametrize("raw, lineno", [
+        (b"gene_id\tchromosome\tP\xe91\tP2\ng1\t1\t0\t0\n", 1),
+        (HEADER.encode() + b"g1\t1\t0\t0\r\n\r\ng\xe92\t1\t0\t0\r\n", 4),
+        (HEADER.encode() + b"g1\t1\t0\t0\rg\xe92\t1\t0\t0\r", 3),
+        (HEADER.encode() + b"g\t1\t0\t0\n" * 3000 + b"g\xe9\t1\t0\t0\n", 3002),
+    ])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, raw, lineno):
+        path = tmp_path / "expr.tsv"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as exc:
+            read_expression_table(path)
+        assert str(exc.value) == f"{path}:{lineno}: not UTF-8 text (byte 0xe9)"
+
     @pytest.mark.parametrize("row, got", [("g1\t1\t0.5", 3), ("g1\t1\t0.5\t1\t2", 5)])
     def test_short_and_long_rows(self, tmp_path, row, got):
         path = tmp_path / "expr.tsv"

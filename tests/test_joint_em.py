@@ -22,6 +22,7 @@ from jointmix.evaluate import simulated_dataset
 from jointmix.joint_em import (
     JointParams,
     Responsibilities,
+    _run_each,
     _gauss_row_scores,
     _softmax_rows,
     e_step_fixed_point,
@@ -53,8 +54,7 @@ def params_for(tau, pi, mu, sigma2, lam, rho2):
 def warm_uniform(ds, k, l):
     u = np.full((ds.n_genes, k), 1.0 / k)
     v = np.full((ds.n_cpgs, l), 1.0 / l)
-    uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
-    return Responsibilities(u_hat=u, v_hat=v, uv_hat=uv)
+    return Responsibilities(u_hat=u, v_hat=v)
 
 
 def indep_responsibilities(values, weights, means, var):
@@ -178,7 +178,38 @@ class TestInitializeQuantile:
             initialize_quantile(ds, q=0.0)
 
 
+def tensor_pi(ds, u, v):
+    """``pi`` from the summed (C, K, L) joint-expectation tensor, built in full."""
+    uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
+    return uv.sum(axis=0).T / (u.T @ ds.cpg_counts.astype(float))
+
+
+def with_cpgless_genes(rng, n_genes, max_cpgs):
+    """1 to ``max_cpgs`` CpGs per gene, except every seventh gene, which has none."""
+    counts = rng.integers(1, max_cpgs + 1, n_genes)
+    counts[::7] = 0
+    parents = np.repeat(np.arange(n_genes), counts)
+    return make_dataset(rng.normal(size=(n_genes, 1)), parents, rng.normal(size=(len(parents), 1)))
+
+
 class TestMStep:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("l", [1, 2, 3, 9])
+    def test_pi_bit_equal_to_summed_tensor(self, k, l):
+        rng = np.random.default_rng(100 * k + l)
+        ds = with_cpgless_genes(rng, 40, 6)
+        u = random_responsibilities(rng, ds.n_genes, k)
+        v = random_responsibilities(rng, ds.n_cpgs, l)
+        assert np.array_equal(m_step(ds, u, v).pi, tensor_pi(ds, u, v))
+
+    def test_pi_bit_equal_to_summed_tensor_at_scale(self):
+        rng = np.random.default_rng(331)
+        ds = with_cpgless_genes(rng, 20_000, 6)
+        assert ds.n_cpgs >= 50_000
+        u = random_responsibilities(rng, ds.n_genes, 3)
+        v = random_responsibilities(rng, ds.n_cpgs, 3)
+        assert np.array_equal(m_step(ds, u, v).pi, tensor_pi(ds, u, v))
+
     def test_tau_counting(self):
         u = np.zeros((4, 3))
         u[0, 0] = u[1, 1] = u[2, 2] = u[3, 1] = 1.0
@@ -188,8 +219,7 @@ class TestMStep:
         v[2, 1] = 1.0
         v[2, 0] = 0.0
         v[3, 2], v[3, 0] = 1.0, 0.0
-        uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
-        params = m_step(ds, u, v, uv)
+        params = m_step(ds, u, v)
         np.testing.assert_allclose(params.tau, [0.25, 0.5, 0.25])
 
     def test_pi_counting(self):
@@ -202,8 +232,7 @@ class TestMStep:
         ds = make_dataset(
             np.zeros((3, 1)), [0, 0, 1, 2], np.array([[0.0], [1.0], [0.0], [1.0]])
         )
-        uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
-        params = m_step(ds, u, v, uv)
+        params = m_step(ds, u, v)
         np.testing.assert_allclose(params.pi[:, 0], [2.0 / 3.0, 1.0 / 3.0])
 
     def test_single_cluster_moments(self):
@@ -212,8 +241,7 @@ class TestMStep:
         )
         u = np.ones((2, 1))
         v = np.ones((2, 1))
-        uv = np.ones((2, 1, 1))
-        params = m_step(ds, u, v, uv)
+        params = m_step(ds, u, v)
         assert params.mu[0] == 2.5
         np.testing.assert_allclose(params.sigma2, 1.25)
 
@@ -222,8 +250,7 @@ class TestMStep:
         ds = random_mixture_dataset(rng, n_genes=12, n_patients=2, max_cpgs=3)
         u = random_responsibilities(rng, ds.n_genes, 3)
         v = random_responsibilities(rng, ds.n_cpgs, 3)
-        uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
-        params = m_step(ds, u, v, uv)
+        params = m_step(ds, u, v)
         mu, s2 = naive_weighted_moments(ds.x, u)
         lam, r2 = naive_weighted_moments(ds.y, v)
         np.testing.assert_allclose(params.mu, mu, atol=1e-10)
@@ -236,9 +263,8 @@ class TestMStep:
         ds = make_dataset(np.array([[1.0], [2.0]]), [0, 1], np.array([[0.0], [1.0]]))
         u = np.array([[1.0, 0.0], [1.0, 0.0]])
         v = np.array([[1.0, 0.0], [0.0, 1.0]])
-        uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
         with pytest.raises(DegenerateClusterError) as exc:
-            m_step(ds, u, v, uv)
+            m_step(ds, u, v)
         assert exc.value.layer == "gene"
         assert exc.value.index == 1
 
@@ -247,9 +273,8 @@ class TestMStep:
         ds = make_dataset(np.array([[0.0], [1.0]]), [1, 1], np.array([[0.0], [5.0]]))
         u = np.array([[1.0, 0.0], [0.0, 1.0]])
         v = np.array([[1.0, 0.0], [0.0, 1.0]])
-        uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
         with caplog.at_level("WARNING"):
-            params = m_step(ds, u, v, uv)
+            params = m_step(ds, u, v)
         np.testing.assert_allclose(params.pi[:, 0], [0.5, 0.5])
         assert any("uniform" in r.message for r in caplog.records)
 
@@ -261,7 +286,6 @@ class TestEStepFixedPoint:
         resp = e_step_fixed_point(ds, params, warm_uniform(ds, 1, 1))
         assert (resp.u_hat == 1.0).all()
         assert (resp.v_hat == 1.0).all()
-        assert (resp.uv_hat == 1.0).all()
 
     def test_childless_gene_symmetric_midpoint(self):
         ds = make_dataset(np.array([[1.0]]), [], [])
@@ -283,21 +307,18 @@ class TestEStepFixedPoint:
         rng = np.random.default_rng(5)
         ds = random_mixture_dataset(rng, n_genes=20, n_patients=2)
         u0, v0 = initialize_quantile(ds)
-        uv0 = u0[ds.cpg_gene_idx][:, :, None] * v0[:, None, :]
-        params = m_step(ds, u0, v0, uv0)
-        resp = e_step_fixed_point(ds, params, Responsibilities(u0, v0, uv0))
+        params = m_step(ds, u0, v0)
+        resp = e_step_fixed_point(ds, params, Responsibilities(u0, v0))
         np.testing.assert_allclose(resp.u_hat.sum(axis=1), 1.0, atol=1e-8)
         np.testing.assert_allclose(resp.v_hat.sum(axis=1), 1.0, atol=1e-8)
-        np.testing.assert_allclose(resp.uv_hat.sum(axis=(1, 2)), 1.0, atol=1e-8)
         assert resp.u_hat.min() >= 0 and resp.u_hat.max() <= 1
 
     def test_fixed_point_stationarity(self):
         rng = np.random.default_rng(6)
         ds = random_mixture_dataset(rng, n_genes=25, n_patients=3)
         u0, v0 = initialize_quantile(ds)
-        uv0 = u0[ds.cpg_gene_idx][:, :, None] * v0[:, None, :]
-        params = m_step(ds, u0, v0, uv0)
-        resp = e_step_fixed_point(ds, params, Responsibilities(u0, v0, uv0), inner_tol=1e-10)
+        params = m_step(ds, u0, v0)
+        resp = e_step_fixed_point(ds, params, Responsibilities(u0, v0), inner_tol=1e-10)
         again = e_step_fixed_point(ds, params, resp, inner_tol=1e-10)
         assert np.abs(again.u_hat - resp.u_hat).max() <= 1e-10
         assert np.abs(again.v_hat - resp.v_hat).max() <= 1e-10
@@ -367,7 +388,6 @@ class TestMapAssign:
     def test_plain_argmax(self):
         resp = Responsibilities(
             u_hat=np.array([[0.1, 0.7, 0.2]]), v_hat=np.zeros((0, 3)),
-            uv_hat=np.zeros((0, 3, 3)),
         )
         g, c, ug, uc = map_assign(resp)
         assert g[0] == 2
@@ -376,7 +396,6 @@ class TestMapAssign:
     def test_tie_breaks_low_index(self):
         resp = Responsibilities(
             u_hat=np.array([[0.5, 0.5, 0.0]]), v_hat=np.zeros((0, 3)),
-            uv_hat=np.zeros((0, 3, 3)),
         )
         g, _, ug, _ = map_assign(resp)
         assert g[0] == 1
@@ -385,7 +404,6 @@ class TestMapAssign:
     def test_one_hot_certain(self):
         resp = Responsibilities(
             u_hat=np.array([[0.0, 1.0, 0.0]]), v_hat=np.array([[1.0, 0.0, 0.0]]),
-            uv_hat=np.zeros((1, 3, 3)),
         )
         g, c, ug, uc = map_assign(resp)
         assert g[0] == 2 and c[0] == 1
@@ -501,14 +519,38 @@ class TestFit:
         ds = random_mixture_dataset(rng, n_genes=20, n_patients=2)
         u = random_responsibilities(rng, ds.n_genes, 3)
         v = random_responsibilities(rng, ds.n_cpgs, 3)
-        uv = u[ds.cpg_gene_idx][:, :, None] * v[:, None, :]
-        fitted = m_step(ds, u, v, uv)
+        fitted = m_step(ds, u, v)
         other = params_for(
             [1 / 3] * 3, np.full((3, 3), 1 / 3), [-1.0, 0.0, 1.0], 1.0, [-1.0, 0.0, 1.0], 1.0
         )
-        assert expected_complete_loglik(ds, u, v, uv, fitted) >= expected_complete_loglik(
-            ds, u, v, uv, other
+        assert expected_complete_loglik(ds, u, v, fitted) >= expected_complete_loglik(
+            ds, u, v, other
         )
+
+
+def fail_on_a(item):
+    if item == "a":
+        raise FitError("no fit for a")
+    return item * 2
+
+
+class TestRunEach:
+    def test_a_failure_does_not_stop_the_others(self):
+        items = {"first": "a", "second": "b", "third": "c"}
+        results, failures = _run_each(fail_on_a, items, 2, FitError)
+        assert results == {"second": "bb", "third": "cc"}
+        assert list(failures) == ["first"] and str(failures["first"]) == "no fit for a"
+
+    def test_an_exception_outside_catch_propagates(self):
+        with pytest.raises(FitError):
+            _run_each(fail_on_a, {1: "b", 2: "a"}, 1, KeyError)
+
+    @pytest.mark.parametrize("threads", [0, 1, 2, 7])
+    def test_results_keyed_like_items_for_any_thread_count(self, threads):
+        items = {9: "x", 3: "a", 5: "y", 1: "z"}
+        results, failures = _run_each(fail_on_a, items, threads, FitError)
+        assert list(results.items()) == [(9, "xx"), (5, "yy"), (1, "zz")]
+        assert list(failures) == [3]
 
 
 class TestFitAllChromosomes:

@@ -1,10 +1,12 @@
 """Property checks of the table I/O, the chromosome split and the fits."""
 
+import itertools
 import math
+import random
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_mixture_dataset
@@ -210,3 +212,43 @@ def test_thread_count_does_not_change_results(ds, labels):
         assert np.array_equal(res.resp.u_hat, other.resp.u_hat)
         assert np.array_equal(res.resp.v_hat, other.resp.v_hat)
         assert res.n_outer_iters == other.n_outer_iters
+
+
+def tied_order(means, want, got):
+    """The column order of ``got`` closest to ``want``, moving only components whose means tie.
+
+    A fit orders its components by ascending mean; two components that
+    collapsed onto one mean come out in an order set by rounding, so
+    only their order may differ between two row orders.
+    """
+    orders = [list(p) for p in itertools.permutations(range(len(means)))
+              if np.abs(means[list(p)] - means).max() <= 1e-9]
+    return min(orders, key=lambda p: np.abs(got[:, p] - want).max(initial=0.0))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(10, 39), st.integers(1, 4), st.randoms())
+# two gene components collapse onto one mean, and this shuffle swaps their order
+@example(1_169_271_180, 34, 1, random.Random(0))
+def test_row_permutation_permutes_the_fit(seed, n_genes, n_patients, shuffler):
+    ds = random_mixture_dataset(np.random.default_rng(seed), n_genes=n_genes,
+                                n_patients=n_patients)
+    genes = list(range(ds.n_genes))
+    cpgs = list(range(ds.n_cpgs))
+    shuffler.shuffle(genes)
+    shuffler.shuffle(cpgs)
+    permuted = make_dataset(ds.x[genes], np.argsort(genes)[ds.cpg_gene_idx[cpgs]], ds.y[cpgs])
+    try:
+        res = fit(ds, outer_tol=1e-12)
+    except FitError:
+        return
+    other = fit(permuted, outer_tol=1e-12)
+    for want, got, means, labels, got_labels in (
+        (res.resp.u_hat[genes], other.resp.u_hat, res.params.mu, res.map_gene[genes],
+         other.map_gene),
+        (res.resp.v_hat[cpgs], other.resp.v_hat, res.params.lam, res.map_cpg[cpgs],
+         other.map_cpg),
+    ):
+        order = tied_order(means, want, got)
+        assert np.abs(got[:, order] - want).max() <= 1e-9
+        assert np.array_equal(np.argsort(order)[got_labels - 1] + 1, labels)
