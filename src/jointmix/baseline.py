@@ -17,6 +17,7 @@ from .joint_em import (
     DEFAULT_INIT_QUANTILE,
     DEFAULT_OUTER_MAX,
     DEFAULT_OUTER_TOL,
+    _LayerBuffers,
     _gauss_row_scores,
     _layer_m_step,
     _log_clip,
@@ -58,7 +59,9 @@ def fit_independent(
 
     Starts from the quantile initialization (or explicit hard
     ``init_labels``), converges when every parameter entry changes by
-    less than ``tol``, and relabels components so means ascend.
+    less than ``tol``, and relabels components so means ascend. One
+    :class:`_LayerBuffers` per call holds the arrays every iteration
+    writes.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -72,16 +75,21 @@ def fit_independent(
     else:
         labels = np.asarray(init_labels, dtype=np.intp)
     resp = _one_hot(labels, K)
-    params = IndepParams(*_layer_m_step(values, resp, "independent"))
+    buf = _LayerBuffers(values, K)
+    params = IndepParams(*_layer_m_step(values, resp, "independent", buf))
 
     converged = False
     iters = 0
     for t in range(1, max_iter + 1):
-        scores = _log_clip(params.weights) + _gauss_row_scores(
-            values, params.means, params.variance
+        # the posteriors overwrite the scores they come from, in buf.scores
+        scores = _gauss_row_scores(
+            values, params.means, params.variance, out=buf.scores, z=buf.z
         )
-        resp = _softmax_rows(scores, lambda i: f"row {i}")
-        new_params = IndepParams(*_layer_m_step(values, resp, "independent"))
+        scores += _log_clip(params.weights)
+        resp = _softmax_rows(
+            scores, lambda i: f"row {i}", out=scores, top=buf.top, total=buf.total
+        )
+        new_params = IndepParams(*_layer_m_step(values, resp, "independent", buf))
         delta = float(np.abs(new_params.flatten() - params.flatten()).max())
         params = new_params
         iters = t

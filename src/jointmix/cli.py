@@ -190,11 +190,38 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _read_pi_file(path) -> list[list[float]]:
+    """The whitespace-separated matrix of ``--pi-file``, one row per line.
+
+    Blank lines and text after ``#`` are skipped. A cell that is not a
+    finite number, or a row whose length differs from the first row's,
+    is a :class:`FormatError` naming ``path:line``; the 3 x 3 shape and
+    the column sums are checked by ``SimConfig.resolve_pi``.
+    """
+    rows = []
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            cells = line.split("#", 1)[0].split()
+            if not cells:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = [float(cell) for cell in cells]
+            except ValueError:
+                raise FormatError(f"{where}: expected numbers, got {line.strip()!r}") from None
+            if not np.isfinite(row).all():
+                raise FormatError(f"{where}: non-finite entry in {line.strip()!r}")
+            if rows and len(row) != len(rows[0]):
+                raise FormatError(f"{where}: {len(row)} entries, expected {len(rows[0])}")
+            rows.append(row)
+    return rows
+
+
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     pi = None
     if args.pi_file:
-        pi = np.loadtxt(args.pi_file).tolist()
+        pi = _read_pi_file(args.pi_file)
     cfg = SimConfig(
         n_genes=args.genes,
         n_patients=args.patients,

@@ -118,6 +118,11 @@ class Responsibilities:
     The joint expectation of CpG c in CpG cluster l with its parent gene
     in gene cluster k is the product of the two converged marginals,
     ``u_hat[cpg_gene_idx[c], k] * v_hat[c, l]``; it is never stored.
+
+    Returned by :func:`e_step_fixed_point` with a workspace passed, the
+    arrays alias that workspace and the next E-step on it overwrites
+    them; each sweep still recomputes the Gaussian scores, on purpose
+    (see there).
     """
 
     u_hat: np.ndarray
@@ -188,42 +193,143 @@ def initialize_quantile(ds: PairedDataset, K=3, L=3, q=DEFAULT_INIT_QUANTILE):
     return u0, v0
 
 
-def _gauss_row_scores(values: np.ndarray, means: np.ndarray, var: float) -> np.ndarray:
+class _LayerBuffers:
+    """The arrays one mixture layer over ``values`` (M, N) with k components writes.
+
+    ``scores`` and ``z`` hold the Gaussian score sums and their
+    per-patient term, ``top`` and ``total`` the softmax row maxima and
+    row sums, ``dev`` and ``dev_sums`` the M-step's squared deviations
+    and their row sums. ``row_sums`` is the loop invariant
+    ``values.sum(axis=1)``.
+    """
+
+    def __init__(self, values: np.ndarray, k: int):
+        m, n = values.shape
+        self.scores = np.empty((m, k))
+        self.z = np.empty((m, k))
+        self.top = np.empty(m)
+        self.total = np.empty(m)
+        self.dev = np.empty((m, n))
+        self.dev_sums = np.empty(m)
+        self.row_sums = values.sum(axis=1)
+
+
+class _Workspace:
+    """Every array the E- and M-steps of one fit write, built once per fit.
+
+    A fit reuses it on every sweep, so no sweep allocates or frees a
+    (C, K) or (C, N) temporary. It is private to one fit and never
+    shared: fits run concurrently on pool threads. ``u`` and ``v`` are
+    ping-pong pairs for the responsibilities, ``gene_to_cpg`` holds
+    ``u @ log(pi).T`` before its gather to the CpGs, ``u_of_cpg`` the
+    gathered ``u[cpg_gene_idx]`` of the M-step, ``flat_gidx`` the index
+    ``cpg_gene_idx * L + l`` of the CpG posteriors flattened row-major
+    (one ``bincount`` sums them per gene and cluster), and
+    ``cpg_counts`` the per-gene CpG counts as floats.
+    """
+
+    def __init__(self, ds: PairedDataset, K: int, L: int):
+        G, C = ds.n_genes, ds.n_cpgs
+        self.gene = _LayerBuffers(ds.x, K)
+        self.cpg = _LayerBuffers(ds.y, L)
+        self.u = (np.empty((G, K)), np.empty((G, K)))
+        self.v = (np.empty((C, L)), np.empty((C, L)))
+        self.gene_to_cpg = np.empty((G, L))
+        self.u_of_cpg = np.empty((C, K))
+        self.flat_gidx = (ds.cpg_gene_idx[:, np.newaxis] * L + np.arange(L)).ravel()
+        self.cpg_counts = ds.cpg_counts.astype(float)
+
+
+def _other(pair, current):
+    """The buffer of ``pair`` that is not ``current``."""
+    return pair[1] if current is pair[0] else pair[0]
+
+
+def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` into ``out``, bit for bit.
+
+    numpy sums a row of fewer than 8 elements one element after the
+    other, so there adding column after column gives the same bits at a
+    fraction of the cost of a reduction along the short last axis. From
+    8 on numpy sums pairwise, and so does this function.
+    """
+    if not 0 < a.shape[1] < 8:
+        return np.sum(a, axis=1, out=out)
+    np.copyto(out, a[:, 0])
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
+    return out
+
+
+def _gauss_row_scores(values: np.ndarray, means: np.ndarray, var: float, out=None, z=None):
     """Summed log N(value; mean_k, var) over the patient axis, shape (M, K).
 
     The arithmetic is ``scipy.stats.norm.logpdf``'s, in its operation
     order, and patients are accumulated one at a time in column order:
     the sums are then bit-for-bit those of the per-patient scipy loop,
     so fitted posteriors and result files stay byte-identical, without
-    scipy's per-call argument checking.
+    scipy's per-call argument checking. The sums go to ``out`` and each
+    patient's term to the scratch ``z``, both (M, K) and allocated when
+    not given.
     """
+    shape = (values.shape[0], len(means))
+    total = np.empty(shape) if out is None else out
+    z = np.empty(shape) if z is None else z
     scale = np.sqrt(var)
     log_scale = np.log(scale)
-    total = np.zeros((values.shape[0], len(means)))
+    total.fill(0.0)
     for n in range(values.shape[1]):
-        z = (values[:, n, np.newaxis] - means) / scale
-        total += (-z**2 / 2.0 - LOG_SQRT_2PI) - log_scale
+        # (-z**2 / 2.0 - LOG_SQRT_2PI) - log_scale with z = (x - mean) / scale,
+        # step by step in place; dividing by -2 is exactly negating, then halving
+        np.subtract(values[:, n, np.newaxis], means, out=z)
+        z /= scale
+        np.square(z, out=z)
+        z /= -2.0
+        z -= LOG_SQRT_2PI
+        z -= log_scale
+        total += z
     return total
 
 
-def _softmax_rows(logits: np.ndarray, entity_ids) -> np.ndarray:
-    """Row-wise softmax; a non-finite row raises for ``entity_ids(row)``."""
-    if logits.shape[0] == 0:
-        return logits.copy()
+def _softmax_rows(logits: np.ndarray, entity_ids, out=None, top=None, total=None):
+    """Row-wise softmax; a non-finite row raises for ``entity_ids(row)``.
+
+    The result goes to ``out``, which may be ``logits`` itself; ``top``
+    and ``total`` take the row maxima and row sums. Each is allocated
+    when not given.
+    """
+    m = logits.shape[0]
+    out = np.empty(logits.shape) if out is None else out
+    top = np.empty(m) if top is None else top
+    total = np.empty(m) if total is None else total
     # a running maximum over the columns is exact in any order and much
     # cheaper than a reduction along the short last axis
-    top = logits[:, 0].copy()
+    np.copyto(top, logits[:, 0])
     for j in range(1, logits.shape[1]):
         np.maximum(top, logits[:, j], out=top)
-    # all-(-inf) rows turn into nan here, which is exactly the signal
-    # the finiteness check below raises on
+    # a row of all -inf, or one holding +inf or nan, turns all nan here;
+    # every other row has entries in [0, 1] and one of exactly 1, so a
+    # row sum in [1, K]: a non-finite row sum marks exactly the bad rows.
+    # Column by column, the (M, 1) operand is not broadcast: numpy would
+    # copy it through buffers, which is slower and allocates.
     with np.errstate(invalid="ignore"):
-        e = np.exp(logits - top[:, np.newaxis])
-        out = e / e.sum(axis=1, keepdims=True)
-    if not np.isfinite(out).all():
-        bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+        for j in range(logits.shape[1]):
+            np.subtract(logits[:, j], top, out=out[:, j])
+        np.exp(out, out=out)
+        _row_sums(out, total)
+        for j in range(out.shape[1]):
+            out[:, j] /= total
+    if not np.isfinite(total).all():
+        bad = int(np.flatnonzero(~np.isfinite(total))[0])
         raise NumericalError(entity_ids(bad))
     return out
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
+    """``np.abs(a - b).max(initial=0.0)``, computed in ``scratch``."""
+    np.subtract(a, b, out=scratch)
+    np.abs(scratch, out=scratch)
+    return scratch.max(initial=0.0)
 
 
 def _log_clip(p: np.ndarray) -> np.ndarray:
@@ -236,6 +342,7 @@ def e_step_fixed_point(
     warm: Responsibilities,
     inner_tol=DEFAULT_INNER_TOL,
     inner_max=DEFAULT_INNER_MAX,
+    work=None,
 ) -> Responsibilities:
     """Alternating responsibility updates until stationarity.
 
@@ -249,12 +356,21 @@ def e_step_fixed_point(
     cost proportional to the number of patients, which acceptance
     criterion 8 (fit time linear in N) requires. Computing them once
     per E-step gives identical results but breaks that criterion.
+
+    Every array a sweep writes lives in ``work``, the fit's
+    :class:`_Workspace`; without one a fresh workspace is built. The
+    arrays of ``warm`` are only read. When ``work`` is passed, the
+    returned ``u_hat`` and ``v_hat`` alias it: the next E-step on the
+    same workspace overwrites them.
     """
-    x, y, gidx = ds.x, ds.y, ds.cpg_gene_idx
+    if work is None:
+        work = _Workspace(ds, params.n_gene_clusters, params.n_cpg_clusters)
+    gidx = ds.cpg_gene_idx
     G = ds.n_genes
     L = params.n_cpg_clusters
     log_tau = _log_clip(params.tau)
     log_pi = _log_clip(params.pi)
+    gene, cpg = work.gene, work.cpg
 
     def gene_id(i):
         return str(ds.gene_ids[i])
@@ -266,16 +382,23 @@ def e_step_fixed_point(
     v = warm.v_hat
     sweeps = 0
     for s in range(1, inner_max + 1):
-        log_px = _gauss_row_scores(x, params.mu, params.sigma2)
-        sv = np.column_stack(
-            [np.bincount(gidx, weights=v[:, l], minlength=G) for l in range(L)]
-        )
-        u_new = _softmax_rows(log_tau + log_px + sv @ log_pi, gene_id)
-        log_py = _gauss_row_scores(y, params.lam, params.rho2)
-        v_new = _softmax_rows(log_py + np.take(u_new @ log_pi.T, gidx, axis=0), cpg_id)
-        delta = max(
-            np.abs(u_new - u).max(initial=0.0), np.abs(v_new - v).max(initial=0.0)
-        )
+        # gene update: softmax(log_tau + log_px + sv @ log_pi)
+        log_px = _gauss_row_scores(ds.x, params.mu, params.sigma2, out=gene.scores, z=gene.z)
+        log_px += log_tau
+        sv = np.bincount(work.flat_gidx, weights=v.ravel(), minlength=G * L).reshape(G, L)
+        u_new = np.matmul(sv, log_pi, out=_other(work.u, u))
+        u_new += log_px
+        _softmax_rows(u_new, gene_id, out=u_new, top=gene.top, total=gene.total)
+        # CpG update: softmax(log_py + (u_new @ log_pi.T)[gidx])
+        log_py = _gauss_row_scores(ds.y, params.lam, params.rho2, out=cpg.scores, z=cpg.z)
+        np.matmul(u_new, log_pi.T, out=work.gene_to_cpg)
+        # the indices were checked when the dataset was built; "clip" spares
+        # the full copy that take(out=...) buffers under the default "raise"
+        v_new = np.take(work.gene_to_cpg, gidx, axis=0, out=_other(work.v, v), mode="clip")
+        v_new += log_py
+        _softmax_rows(v_new, cpg_id, out=v_new, top=cpg.top, total=cpg.total)
+        # the score scratch is free again: it takes the differences
+        delta = max(_max_abs_diff(u_new, u, gene.z), _max_abs_diff(v_new, v, cpg.z))
         u, v = u_new, v_new
         sweeps = s
         if delta < inner_tol:
@@ -338,7 +461,7 @@ def expected_complete_loglik(ds: PairedDataset, u, v, params: JointParams) -> fl
     return q
 
 
-def _layer_m_step(values: np.ndarray, resp: np.ndarray, layer: str):
+def _layer_m_step(values: np.ndarray, resp: np.ndarray, layer: str, buf: _LayerBuffers):
     """Weights, means and pooled variance of one equal-variance layer.
 
     Component variances are estimated per cluster and then pooled; the
@@ -346,7 +469,8 @@ def _layer_m_step(values: np.ndarray, resp: np.ndarray, layer: str):
     pooled value the maximizer of the expected complete-data
     log-likelihood under the equal-variance constraint. A cluster whose
     mass falls below ``MASS_EPS`` raises
-    :class:`DegenerateClusterError` for ``layer``.
+    :class:`DegenerateClusterError` for ``layer``. The deviations are
+    formed in ``buf``, the layer's :class:`_LayerBuffers`.
     """
     m, k = resp.shape
     n = values.shape[1]
@@ -355,31 +479,36 @@ def _layer_m_step(values: np.ndarray, resp: np.ndarray, layer: str):
         if mass[j] < MASS_EPS:
             raise DegenerateClusterError(layer, j)
     weights = mass / m
-    means = (resp.T @ values.sum(axis=1)) / (n * mass)
+    means = (resp.T @ buf.row_sums) / (n * mass)
     var_j = np.empty(k)
     for j in range(k):
-        dev = values - means[j]
-        var_j[j] = (resp[:, j] @ (dev * dev).sum(axis=1)) / (n * mass[j])
+        dev = np.subtract(values, means[j], out=buf.dev)
+        np.multiply(dev, dev, out=dev)
+        var_j[j] = (resp[:, j] @ _row_sums(dev, buf.dev_sums)) / (n * mass[j])
     variance = max(float(weights @ var_j), VARIANCE_FLOOR)
     return weights, means, variance
 
 
-def m_step(ds: PairedDataset, u, v) -> JointParams:
+def m_step(ds: PairedDataset, u, v, work=None) -> JointParams:
     """Closed-form parameter updates for fixed responsibilities.
 
     Each layer gets its weights, means and pooled variance from
     :func:`_layer_m_step`; ``pi`` is the CpG-cluster mass per gene
-    cluster over that cluster's CpG count.
+    cluster over that cluster's CpG count. The scratch arrays live in
+    ``work``, the fit's :class:`_Workspace`, built when not given.
     """
     K = u.shape[1]
     L = v.shape[1]
-    tau, mu, sigma2 = _layer_m_step(ds.x, u, "gene")
-    _, lam, rho2 = _layer_m_step(ds.y, v, "cpg")
+    if work is None:
+        work = _Workspace(ds, K, L)
+    tau, mu, sigma2 = _layer_m_step(ds.x, u, "gene", work.gene)
+    _, lam, rho2 = _layer_m_step(ds.y, v, "cpg", work.cpg)
 
     # summed joint expectations u[gene of c, k] * v[c, l] over CpGs c: einsum
     # is bit for bit the sum of that (C, K, L) product, a BLAS product is not
-    num = np.einsum("ck,cl->lk", u[ds.cpg_gene_idx], v)
-    den = u.T @ ds.cpg_counts.astype(float)
+    u_of_cpg = np.take(u, ds.cpg_gene_idx, axis=0, out=work.u_of_cpg, mode="clip")
+    num = np.einsum("ck,cl->lk", u_of_cpg, v)
+    den = u.T @ work.cpg_counts
     pi = np.empty((L, K))
     for k in range(K):
         if den[k] < MASS_EPS:
@@ -465,6 +594,10 @@ def fit(
     both mean vectors ascend, making cluster 1 the down-shifted state,
     2 the null state and 3 the up-shifted state.
 
+    Every E- and M-step writes into one :class:`_Workspace` built for
+    this call; the ``init`` arrays are only read, and the returned
+    responsibilities share no memory with the workspace.
+
     ``force_independent`` pins all columns of ``pi`` equal after every
     M-step, reducing the model to two independent mixtures (test hook).
     """
@@ -476,9 +609,11 @@ def fit(
     if init is None:
         u0, v0 = initialize_quantile(ds, K, L, q)
     else:
-        u0, v0 = init
+        # float, as the gathers into the workspace do not cast
+        u0, v0 = (np.asarray(r, dtype=float) for r in init)
+    work = _Workspace(ds, K, L)
     resp = Responsibilities(u_hat=u0, v_hat=v0)
-    params = m_step(ds, u0, v0)
+    params = m_step(ds, u0, v0, work=work)
     if force_independent:
         params = _pin_independent_columns(params, v0)
 
@@ -487,8 +622,8 @@ def fit(
     iters = 0
     for t in range(1, outer_max + 1):
         try:
-            resp = e_step_fixed_point(ds, params, resp, inner_tol, inner_max)
-            new_params = m_step(ds, resp.u_hat, resp.v_hat)
+            resp = e_step_fixed_point(ds, params, resp, inner_tol, inner_max, work=work)
+            new_params = m_step(ds, resp.u_hat, resp.v_hat, work=work)
         except FitError as exc:
             raise FitError(f"outer iteration {t}: {exc}") from exc
         if force_independent:

@@ -83,6 +83,28 @@ class TestSimulateCommand:
         assert run("simulate", "--genes", 30, "--out", out) == 1
         assert run("simulate", "--genes", 30, "--out", out, "--force") == 0
 
+    def test_pi_file_is_read_as_its_matrix(self, tmp_path):
+        pi = tmp_path / "pi.txt"
+        pi.write_text("# gene clusters in columns\n0.8 0.1 0.1\n\n0.1 0.8 0.1\n0.1 0.1 0.8\n")
+        out = tmp_path / "sim"
+        assert run("simulate", "--genes", 30, "--pi-file", pi, "--out", out) == 0
+        assert manifest(out)["parameters"]["pi"] == np.loadtxt(pi).tolist()
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"0.1 \xe9 0.1\n", "not UTF-8 text (byte 0xe9)"),
+        (b"0.1 abc 0.1\n", "expected numbers, got '0.1 abc 0.1'"),
+        (b"0.1 nan 0.1\n", "non-finite entry"),
+        (b"0.1 0.1\n", "2 entries, expected 3"),
+    ])
+    def test_bad_pi_file_names_its_line(self, tmp_path, capsys, bad_line, message):
+        pi = tmp_path / "pi.txt"
+        pi.write_bytes(b"0.8 0.1 0.1\n" + bad_line + b"0.1 0.1 0.8\n")
+        code = run("simulate", "--genes", 30, "--pi-file", pi, "--out", tmp_path / "sim")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{pi}:2: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestPreprocessCommand:
     def test_outputs_model_ready_tables(self, transformed_dir):

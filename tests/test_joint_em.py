@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,8 +23,12 @@ from jointmix.evaluate import simulated_dataset
 from jointmix.joint_em import (
     JointParams,
     Responsibilities,
-    _run_each,
+    _LayerBuffers,
+    _Workspace,
     _gauss_row_scores,
+    _layer_m_step,
+    _row_sums,
+    _run_each,
     _softmax_rows,
     e_step_fixed_point,
     exact_gene_posterior,
@@ -79,6 +84,34 @@ def scipy_row_scores(values, means, var):
     return total
 
 
+def reference_softmax(logits, entity_ids):
+    """The row softmax as it was before it wrote in place: reference for the buffers."""
+    if logits.shape[0] == 0:
+        return logits.copy()
+    top = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(logits - top[:, np.newaxis])
+        out = e / e.sum(axis=1, keepdims=True)
+    if not np.isfinite(out).all():
+        bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+        raise NumericalError(entity_ids(bad))
+    return out
+
+
+def reference_layer_moments(values, resp):
+    """Means and per-cluster variances with allocated temporaries: reference for the buffers."""
+    n = values.shape[1]
+    mass = resp.sum(axis=0)
+    means = (resp.T @ values.sum(axis=1)) / (n * mass)
+    var_j = np.empty(resp.shape[1])
+    for j in range(resp.shape[1]):
+        dev = values - means[j]
+        var_j[j] = (resp[:, j] @ (dev * dev).sum(axis=1)) / (n * mass[j])
+    return means, max(float((mass / len(values)) @ var_j), 1e-8)
+
+
 def max_reduction_softmax(logits):
     """The row softmax shifted by ``max(axis=1)``: reference for the column-wise max."""
     shift = logits - logits.max(axis=1, keepdims=True)
@@ -114,6 +147,63 @@ class TestScoreKernel:
         with pytest.raises(NumericalError) as exc:
             _softmax_rows(logits, lambda i: f"E{i}")
         assert exc.value.entity == "E2"
+
+    def test_kernel_buffers_give_the_same_bits(self):
+        rng = np.random.default_rng(77)
+        values = rng.normal(0.0, 3.0, (53, 4))
+        means = np.array([-2.0, 0.1, 2.5])
+        out, z = np.full((53, 3), np.nan), np.full((53, 3), np.nan)
+        got = _gauss_row_scores(values, means, 0.7, out=out, z=z)
+        assert got is out
+        assert np.array_equal(got, scipy_row_scores(values, means, 0.7))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_row_sums_bit_equal_to_sum(self, k):
+        rng = np.random.default_rng(40 + k)
+        a = rng.normal(0.0, 1.0, (300, k)) * 10.0 ** rng.integers(-8, 8, (300, k))
+        assert np.array_equal(_row_sums(a, np.empty(300)), a.sum(axis=1))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_softmax_bit_equal_to_reference(self, k, in_place):
+        rng = np.random.default_rng(200 + k)
+        logits = rng.normal(0.0, 30.0, (400, k))
+        if k > 1:
+            logits[::5, 0] = -np.inf
+            logits[1::9, k - 1] -= 800.0  # exp underflows to subnormals and zeros
+        expected = reference_softmax(logits, str)
+        out = logits if in_place else np.empty_like(logits)
+        got = _softmax_rows(logits, str, out=out, top=np.empty(400), total=np.empty(400))
+        assert got is out
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("bad", ["all -inf", "+inf", "nan"])
+    def test_non_finite_rows_name_the_reference_entity(self, k, bad):
+        rng = np.random.default_rng(300 + k)
+        logits = rng.normal(0.0, 5.0, (12, k))
+        for row in (7, 3, 10):
+            if bad == "all -inf":
+                logits[row] = -np.inf
+            else:
+                logits[row, row % k] = np.inf if bad == "+inf" else np.nan
+        with pytest.raises(NumericalError) as ref:
+            reference_softmax(logits.copy(), lambda i: f"E{i}")
+        with pytest.raises(NumericalError) as got:
+            _softmax_rows(logits, lambda i: f"E{i}", out=logits)
+        assert got.value.entity == ref.value.entity == "E3"
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 40])
+    def test_layer_m_step_buffers_give_the_same_bits(self, n):
+        rng = np.random.default_rng(500 + n)
+        values = rng.normal(0.0, 2.0, (70, n))
+        resp = random_responsibilities(rng, 70, 3)
+        buf = _LayerBuffers(values, 3)
+        for _ in range(2):  # a second call on the same buffers, as a fit makes
+            _, means, variance = _layer_m_step(values, resp, "gene", buf)
+            ref_means, ref_variance = reference_layer_moments(values, resp)
+            assert np.array_equal(means, ref_means)
+            assert variance == ref_variance
 
 
 class TestLogsumexp:
@@ -347,6 +437,70 @@ class TestEStepFixedPoint:
         assert np.abs(resp.v_hat - v_ref).max() < 1e-8
 
 
+class TestWorkspace:
+    """One fit's buffers: same bits, no writes into inputs, no per-sweep allocation."""
+
+    @staticmethod
+    def case3_start():
+        ds, _, _ = simulated_dataset(simulate(SimConfig(case=3)))
+        u0, v0 = initialize_quantile(ds)
+        return ds, m_step(ds, u0, v0), Responsibilities(u0, v0)
+
+    def test_e_step_with_workspace_is_bit_identical(self):
+        ds, params, warm = self.case3_start()
+        work = _Workspace(ds, 3, 3)
+        for inner_max in (1, 2, 7):
+            plain = e_step_fixed_point(ds, params, warm, inner_tol=0.0, inner_max=inner_max)
+            shared = e_step_fixed_point(
+                ds, params, warm, inner_tol=0.0, inner_max=inner_max, work=work
+            )
+            assert np.array_equal(plain.u_hat, shared.u_hat)
+            assert np.array_equal(plain.v_hat, shared.v_hat)
+            assert plain.n_sweeps == shared.n_sweeps == inner_max
+            assert any(shared.u_hat is buf for buf in work.u)
+            assert any(shared.v_hat is buf for buf in work.v)
+
+    def test_e_step_only_reads_its_warm_input(self):
+        ds, params, warm = self.case3_start()
+        work = _Workspace(ds, 3, 3)
+        first = e_step_fixed_point(ds, params, warm, inner_tol=0.0, inner_max=3, work=work)
+        kept = first.u_hat.copy(), first.v_hat.copy()
+        u0, v0 = warm.u_hat.copy(), warm.v_hat.copy()
+        # a warm start from a workspace's own result is read, not written, by sweep 1
+        again = e_step_fixed_point(ds, params, first, inner_tol=0.0, inner_max=1, work=work)
+        assert again.u_hat is not first.u_hat and again.v_hat is not first.v_hat
+        assert np.array_equal(first.u_hat, kept[0]) and np.array_equal(first.v_hat, kept[1])
+        e_step_fixed_point(ds, params, warm, inner_tol=0.0, inner_max=4, work=work)
+        e_step_fixed_point(ds, params, warm, inner_tol=0.0, inner_max=4)
+        assert np.array_equal(warm.u_hat, u0) and np.array_equal(warm.v_hat, v0)
+
+    def test_fit_only_reads_its_init(self):
+        rng = np.random.default_rng(23)
+        ds = random_mixture_dataset(rng, n_genes=30, n_patients=3)
+        u0, v0 = initialize_quantile(ds)
+        u_kept, v_kept = u0.copy(), v0.copy()
+        res = fit(ds, init=(u0, v0), outer_max=5)
+        assert np.array_equal(u0, u_kept) and np.array_equal(v0, v_kept)
+        assert not np.shares_memory(res.resp.u_hat, u0)
+        assert not np.shares_memory(res.resp.v_hat, v0)
+
+    def test_sweeps_and_m_step_allocate_less_than_one_cpg_array(self):
+        ds, params, warm = self.case3_start()
+        work = _Workspace(ds, 3, 3)
+        resp = e_step_fixed_point(ds, params, warm, inner_tol=0.0, inner_max=5, work=work)
+        m_step(ds, resp.u_hat, resp.v_hat, work=work)
+        tracemalloc.start()
+        try:
+            resp = e_step_fixed_point(ds, params, resp, inner_tol=0.0, inner_max=5, work=work)
+            m_step(ds, resp.u_hat, resp.v_hat, work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resp.n_sweeps == 5
+        # one (C, L) float64 array; allocating E-step temporaries peaked near 1.2 MB
+        assert peak < ds.n_cpgs * 3 * 8
+
+
 class TestExactGenePosterior:
     def test_childless_gene_is_plain_mixture(self):
         ds = make_dataset(np.array([[0.7, -0.2]]), [], [])
@@ -573,6 +727,24 @@ class TestFitAllChromosomes:
         for label in r1:
             assert np.array_equal(r1[label].params.flatten(), r2[label].params.flatten())
             assert np.array_equal(r1[label].resp.u_hat, r2[label].resp.u_hat)
+
+    def test_concurrent_fits_of_the_same_data_match_serial_fits(self):
+        rng = np.random.default_rng(22)
+        one = self.build_two_chrom_dataset(rng).subset(np.arange(12), np.arange(24))
+        twice = make_dataset(
+            np.vstack([one.x, one.x]), np.concatenate([one.cpg_gene_idx, one.cpg_gene_idx + 12]),
+            np.vstack([one.y, one.y]), chromosomes=["1"] * 12 + ["2"] * 12,
+        )
+        serial, _ = fit_all_chromosomes(twice, threads=1)
+        for threads in (1, 2):
+            results, failures = fit_all_chromosomes(twice, threads=threads)
+            assert not failures
+            for res in (results["1"], results["2"], serial["2"]):
+                ref = serial["1"]
+                assert np.array_equal(res.params.flatten(), ref.params.flatten())
+                assert np.array_equal(res.resp.u_hat, ref.resp.u_hat)
+                assert np.array_equal(res.resp.v_hat, ref.resp.v_hat)
+                assert np.array_equal(res.param_change_trace, ref.param_change_trace)
 
     def test_partial_failure_reports_and_continues(self):
         rng = np.random.default_rng(18)
