@@ -1,9 +1,10 @@
 """Independent per-layer Gaussian mixture: the no-coupling reference.
 
 Each row of the input matrix is one entity with N conditionally iid
-observations; components share a single pooled variance. Initialization,
-convergence rule, component relabelling and MAP conventions mirror the
-joint model so the two are directly comparable.
+observations; components share a single pooled variance. The fit runs
+the joint model's EM outer loop with its initialization, convergence
+rule and MAP conventions, and relabels components the same way, so the
+two are directly comparable; only its E-step is its own.
 """
 
 from __future__ import annotations
@@ -12,17 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, ParameterError
 from .joint_em import (
     DEFAULT_INIT_QUANTILE,
     DEFAULT_OUTER_MAX,
     DEFAULT_OUTER_TOL,
     _LayerBuffers,
+    _em,
     _gauss_row_scores,
     _layer_m_step,
     _log_clip,
-    _one_hot,
-    _rank_tail_labels,
+    _map_layer,
+    _quantile_start,
     _softmax_rows,
 )
 
@@ -53,63 +55,46 @@ def fit_independent(
     q=DEFAULT_INIT_QUANTILE,
     tol=DEFAULT_OUTER_TOL,
     max_iter=DEFAULT_OUTER_MAX,
-    init_labels=None,
 ) -> IndepFitResult:
     """EM for a K-component equal-variance Gaussian mixture over rows.
 
-    Starts from the quantile initialization (or explicit hard
-    ``init_labels``), converges when every parameter entry changes by
-    less than ``tol``, and relabels components so means ascend. One
-    :class:`_LayerBuffers` per call holds the arrays every iteration
-    writes.
+    Runs the joint fit's outer loop, :func:`joint_em._em`, from the same
+    quantile start and with the same stopping rule, but with this
+    model's own E-step, a softmax of ``log weights + scores`` per row.
+    Components are then relabelled so means ascend. K below 1 is a
+    :class:`ParameterError`. One :class:`_LayerBuffers` per call holds
+    the arrays every iteration writes.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise FitError("values must be a 2-d matrix (entities x patients)")
+    if K < 1:
+        raise ParameterError(f"K must be at least 1, got {K}")
+    resp = _quantile_start(values, K, q)
     m = values.shape[0]
     if m < K:
         raise FitError(f"cannot fit {K} clusters to {m} rows")
-
-    if init_labels is None:
-        labels = _rank_tail_labels(values, K, q)
-    else:
-        labels = np.asarray(init_labels, dtype=np.intp)
-    resp = _one_hot(labels, K)
     buf = _LayerBuffers(values, K)
-    params = IndepParams(*_layer_m_step(values, resp, "independent", buf))
 
-    converged = False
-    iters = 0
-    for t in range(1, max_iter + 1):
+    def e_step(params, _):
         # the posteriors overwrite the scores they come from, in buf.scores
-        scores = _gauss_row_scores(
-            values, params.means, params.variance, out=buf.scores, z=buf.z
-        )
+        scores = _gauss_row_scores(values, params.means, params.variance, out=buf.scores, z=buf.z)
         scores += _log_clip(params.weights)
-        resp = _softmax_rows(
-            scores, lambda i: f"row {i}", out=scores, top=buf.top, total=buf.total
-        )
-        new_params = IndepParams(*_layer_m_step(values, resp, "independent", buf))
-        delta = float(np.abs(new_params.flatten() - params.flatten()).max())
-        params = new_params
-        iters = t
-        if delta < tol:
-            converged = True
-            break
+        return _softmax_rows(scores, lambda i: f"row {i}", out=scores, top=buf.top, total=buf.total)
 
+    def m_step(resp):
+        return IndepParams(*_layer_m_step(values, resp, "independent", buf))
+
+    params, resp, trace, converged = _em(e_step, m_step, resp, tol, max_iter)
     order = np.argsort(params.means, kind="stable")
-    params = IndepParams(
-        weights=params.weights[order], means=params.means[order], variance=params.variance
-    )
     resp = resp[:, order]
-    map_labels = resp.argmax(axis=1) + 1
-    uncertainty = 1.0 - resp.max(axis=1)
+    map_labels, uncertainty = _map_layer(resp)
     return IndepFitResult(
-        params=params,
+        params=IndepParams(params.weights[order], params.means[order], params.variance),
         resp=resp,
         map_labels=map_labels,
         uncertainty=uncertainty,
-        n_iters=iters,
+        n_iters=len(trace),
         converged=converged,
     )
 

@@ -43,13 +43,11 @@ from .preprocess import (
     derive_model_inputs,
 )
 from .reports import (
-    cpg_label_names,
-    cpg_posterior_columns,
     format_lines,
-    gene_label_names,
-    gene_posterior_columns,
     independent_model_payload,
+    label_names,
     result_rows,
+    results_header,
     write_benchmark_tables,
     write_json,
     write_joint_results,
@@ -312,11 +310,10 @@ def cmd_baseline(args) -> int:
         covered.append((rows, res.resp, res.map_labels, res.uncertainty))
 
     if fits:
-        names = gene_label_names(args.k) if expression else cpg_label_names(args.k)
-        post_cols = gene_posterior_columns(args.k) if expression else cpg_posterior_columns(args.k)
+        names = label_names("gene" if expression else "cpg", args.k)
         write_tsv(
             out / results_name,
-            [*table.columns, *post_cols, "map_label", "uncertainty"],
+            results_header(table.columns, names),
             result_rows(list(table.columns.values()), covered, names),
         )
         write_json(out / "model.json", independent_model_payload(args.k, fits))

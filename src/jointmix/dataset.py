@@ -28,6 +28,9 @@ logger = logging.getLogger(__name__)
 
 EXPRESSION_FIXED_COLUMNS = ("gene_id", "chromosome")
 METHYLATION_FIXED_COLUMNS = ("cpg_id", "gene_id", "chromosome")
+# Largest magnitude of a table value: the fits square values and sum the
+# squares, which must stay finite.
+MAX_ABS_VALUE = 1e100
 
 
 @dataclass
@@ -221,7 +224,8 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     call per value. It accepts decimal and exponent notation, ``inf`` and
     ``nan`` in any case, a leading sign and surrounding whitespace;
     unlike ``float()`` it rejects ``_`` between digits and non-ASCII
-    digits. Non-finite values are then rejected with their column.
+    digits. Values that are not finite or exceed ``MAX_ABS_VALUE`` in
+    magnitude are then rejected with their column.
     """
     path = Path(path)
     k = len(fixed_columns)
@@ -264,12 +268,16 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
                 f"{path}:{lineno}:{col + 1}: non-numeric value {text!r} "
                 f"for patient {patients[col - k]!r}"
             ) from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        row, col = divmod(int(bad[0]), len(patients))
+    # max and min allocate nothing; a nan makes both comparisons fail
+    if not (values.max(initial=-np.inf) <= MAX_ABS_VALUE
+            and values.min(initial=np.inf) >= -MAX_ABS_VALUE):
+        bad = int(np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0])
+        row, col = divmod(bad, len(patients))
+        v = float(values[row, col])
+        what = (f"non-finite value {v!r}" if not np.isfinite(v)
+                else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
         raise FormatError(
-            f"{path}:{linenos[row]}:{k + col + 1}: non-finite value "
-            f"{float(values[row, col])!r} for patient {patients[col]!r}"
+            f"{path}:{linenos[row]}:{k + col + 1}: {what} for patient {patients[col]!r}"
         )
     annotations = np.array(fixed, dtype=str).reshape(-1, k)
     return patients, Table(dict(zip(fixed_columns, annotations.T)), values)

@@ -144,38 +144,30 @@ class FitResult:
     chromosome: str | None = None
 
 
-def _rank_tail_labels(values: np.ndarray, k: int, q: float) -> np.ndarray:
-    """Hard labels by ranking row means: bottom q-fraction -> 0, top -> k-1.
+def _quantile_start(values: np.ndarray, k: int, q: float) -> np.ndarray:
+    """One-hot start of one layer's k clusters from its ranked row means.
 
-    Ties break by input order (stable sort). The tail size is
-    max(1, floor(q*m)) so the extreme clusters are never empty.
+    The bottom q-fraction of rows starts in cluster 0, the top one in
+    cluster k-1 and the rest in between, split evenly; k = 2 splits at
+    the median and k = 1 takes every row. Ties break by input order
+    (stable sort). The tail size is max(1, floor(q*m)), so the extreme
+    clusters are never empty. A ``q`` outside (0, 0.5) is a
+    :class:`ParameterError`.
     """
+    if not 0.0 < q < 0.5:
+        raise ParameterError(f"init quantile must lie in (0, 0.5), got {q}")
     m = values.shape[0]
-    means = values.mean(axis=1)
-    order = np.argsort(means, kind="stable")
-    labels = np.empty(m, dtype=np.intp)
-    if k == 1:
-        labels[:] = 0
-        return labels
-    n_tail = max(1, int(q * m))
+    order = np.argsort(values.mean(axis=1), kind="stable")
+    labels = np.zeros(m, dtype=np.intp)
     if k == 2:
-        half = m // 2
-        labels[order[:half]] = 0
-        labels[order[half:]] = 1
-        return labels
-    labels[order] = 1
-    labels[order[:n_tail]] = 0
-    labels[order[m - n_tail:]] = k - 1
-    if k > 3:
-        interior = order[n_tail: m - n_tail]
-        for j, block in enumerate(np.array_split(interior, k - 2)):
+        labels[order[m // 2:]] = 1
+    elif k > 2:
+        n_tail = max(1, int(q * m))
+        labels[order[m - n_tail:]] = k - 1
+        for j, block in enumerate(np.array_split(order[n_tail: m - n_tail], k - 2)):
             labels[block] = 1 + j
-    return labels
-
-
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(labels), k))
-    out[np.arange(len(labels)), labels] = 1.0
+    out = np.zeros((m, k))
+    out[np.arange(m), labels] = 1.0
     return out
 
 
@@ -186,11 +178,7 @@ def initialize_quantile(ds: PairedDataset, K=3, L=3, q=DEFAULT_INIT_QUANTILE):
     the highest q-fraction in cluster K, the rest in the middle; CpGs
     are ranked the same way into L clusters.
     """
-    if not 0.0 < q < 0.5:
-        raise ParameterError(f"init quantile must lie in (0, 0.5), got {q}")
-    u0 = _one_hot(_rank_tail_labels(ds.x, K, q), K)
-    v0 = _one_hot(_rank_tail_labels(ds.y, L, q), L)
-    return u0, v0
+    return _quantile_start(ds.x, K, q), _quantile_start(ds.y, L, q)
 
 
 class _LayerBuffers:
@@ -522,19 +510,21 @@ def m_step(ds: PairedDataset, u, v, work=None) -> JointParams:
     return JointParams(tau=tau, pi=pi, mu=mu, sigma2=sigma2, lam=lam, rho2=rho2)
 
 
-def map_assign(resp: Responsibilities):
-    """MAP labels (1-based) and assignment uncertainties for both layers.
+def _map_layer(r: np.ndarray):
+    """MAP labels (1-based) and assignment uncertainties of one layer's posteriors.
 
     Ties resolve to the lowest index; uncertainty is one minus the
     winning posterior.
     """
-    def one_layer(r):
-        if not len(r):
-            return np.zeros(0, dtype=np.intp), np.zeros(0)
-        return r.argmax(axis=1) + 1, 1.0 - r.max(axis=1)
+    if not len(r):
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    return r.argmax(axis=1) + 1, 1.0 - r.max(axis=1)
 
-    map_gene, unc_gene = one_layer(resp.u_hat)
-    map_cpg, unc_cpg = one_layer(resp.v_hat)
+
+def map_assign(resp: Responsibilities):
+    """:func:`_map_layer` of both layers: MAP labels, then uncertainties."""
+    map_gene, unc_gene = _map_layer(resp.u_hat)
+    map_cpg, unc_cpg = _map_layer(resp.v_hat)
     return map_gene, map_cpg, unc_gene, unc_cpg
 
 
@@ -573,6 +563,33 @@ def _relabel_ascending(params: JointParams, resp: Responsibilities):
     return params, resp
 
 
+def _em(e_step, m_step, resp, tol, max_iter):
+    """The EM outer loop of every fit: M-step, then E- and M-steps in turn.
+
+    ``m_step(resp)`` returns parameters with a ``flatten()`` method and
+    ``e_step(params, resp)`` the next responsibilities. From
+    ``m_step(resp)`` the loop runs until the largest absolute change of
+    any parameter entry falls below ``tol``, or for ``max_iter``
+    iterations. A :class:`FitError` in iteration t is raised again as
+    ``outer iteration t: ...``. Returns ``(params, resp, trace,
+    converged)``; ``trace`` holds each iteration's parameter change.
+    """
+    params = m_step(resp)
+    trace = []
+    for t in range(1, max_iter + 1):
+        try:
+            resp = e_step(params, resp)
+            new_params = m_step(resp)
+        except FitError as exc:
+            raise FitError(f"outer iteration {t}: {exc}") from exc
+        delta = float(np.abs(new_params.flatten() - params.flatten()).max())
+        trace.append(delta)
+        params = new_params
+        if delta < tol:
+            return params, resp, trace, True
+    return params, resp, trace, False
+
+
 def fit(
     ds: PairedDataset,
     K=3,
@@ -588,11 +605,12 @@ def fit(
     """Fit the joint model by EM. Deterministic: no randomness anywhere.
 
     Starts from the quantile initialization (or an explicit hard
-    ``init`` pair), alternates E and M steps, and stops once the
-    largest absolute change across all parameter entries falls below
-    ``outer_tol``. After convergence, components are relabelled so
-    both mean vectors ascend, making cluster 1 the down-shifted state,
-    2 the null state and 3 the up-shifted state.
+    ``init`` pair) and runs :func:`_em` with the fixed-point E-step
+    until the largest absolute change across all parameter entries
+    falls below ``outer_tol``. After convergence, components
+    are relabelled so both mean vectors ascend, making cluster 1 the
+    down-shifted state, 2 the null state and 3 the up-shifted state.
+    K or L below 1 is a :class:`ParameterError`.
 
     Every E- and M-step writes into one :class:`_Workspace` built for
     this call; the ``init`` arrays are only read, and the returned
@@ -601,41 +619,30 @@ def fit(
     ``force_independent`` pins all columns of ``pi`` equal after every
     M-step, reducing the model to two independent mixtures (test hook).
     """
-    if ds.n_genes < K:
-        raise FitError(f"cannot fit {K} gene clusters to {ds.n_genes} genes")
-    if ds.n_cpgs < L:
-        raise FitError(f"cannot fit {L} CpG clusters to {ds.n_cpgs} CpG sites")
-
+    for name, n in (("K", K), ("L", L)):
+        if n < 1:
+            raise ParameterError(f"{name} must be at least 1, got {n}")
     if init is None:
         u0, v0 = initialize_quantile(ds, K, L, q)
     else:
         # float, as the gathers into the workspace do not cast
         u0, v0 = (np.asarray(r, dtype=float) for r in init)
+    if ds.n_genes < K:
+        raise FitError(f"cannot fit {K} gene clusters to {ds.n_genes} genes")
+    if ds.n_cpgs < L:
+        raise FitError(f"cannot fit {L} CpG clusters to {ds.n_cpgs} CpG sites")
     work = _Workspace(ds, K, L)
-    resp = Responsibilities(u_hat=u0, v_hat=v0)
-    params = m_step(ds, u0, v0, work=work)
-    if force_independent:
-        params = _pin_independent_columns(params, v0)
 
-    trace = []
-    converged = False
-    iters = 0
-    for t in range(1, outer_max + 1):
-        try:
-            resp = e_step_fixed_point(ds, params, resp, inner_tol, inner_max, work=work)
-            new_params = m_step(ds, resp.u_hat, resp.v_hat, work=work)
-        except FitError as exc:
-            raise FitError(f"outer iteration {t}: {exc}") from exc
-        if force_independent:
-            new_params = _pin_independent_columns(new_params, resp.v_hat)
-        delta = float(np.abs(new_params.flatten() - params.flatten()).max())
-        trace.append(delta)
-        params = new_params
-        iters = t
-        if delta < outer_tol:
-            converged = True
-            break
+    def e_step(params, resp):
+        return e_step_fixed_point(ds, params, resp, inner_tol, inner_max, work=work)
 
+    def pinned_m_step(resp):
+        params = m_step(ds, resp.u_hat, resp.v_hat, work=work)
+        return _pin_independent_columns(params, resp.v_hat) if force_independent else params
+
+    params, resp, trace, converged = _em(
+        e_step, pinned_m_step, Responsibilities(u_hat=u0, v_hat=v0), outer_tol, outer_max
+    )
     params, resp = _relabel_ascending(params, resp)
     map_gene, map_cpg, unc_gene, unc_cpg = map_assign(resp)
     return FitResult(
@@ -645,7 +652,7 @@ def fit(
         map_cpg=map_cpg,
         uncertainty_gene=unc_gene,
         uncertainty_cpg=unc_cpg,
-        n_outer_iters=iters,
+        n_outer_iters=len(trace),
         converged=converged,
         param_change_trace=np.array(trace),
     )
@@ -672,12 +679,14 @@ def _run_each(fn, items: dict, threads: int, catch):
 def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     """Fit each chromosome independently; failures do not abort siblings.
 
-    Returns ``(results, failures)``, both keyed by chromosome label.
+    Returns ``(results, failures)``, both keyed by chromosome label. A
+    :class:`FitError` lands in ``failures``; any other error, such as a
+    :class:`ParameterError`, propagates.
     Output is identical for any thread count: each per-chromosome fit
     is pure and deterministic, and results are keyed, not ordered.
     """
     subs = {part.label: ds.subset(part.genes, part.cpgs) for part in split_by_chromosome(ds)}
-    results, failures = _run_each(lambda sub: fit(sub, **fit_kwargs), subs, threads, Exception)
+    results, failures = _run_each(lambda sub: fit(sub, **fit_kwargs), subs, threads, FitError)
     for label, res in results.items():
         res.chromosome = label
         if not res.converged:

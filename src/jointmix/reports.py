@@ -12,12 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import PairedDataset, _format_number, _format_rows, split_by_chromosome
+from .dataset import (
+    EXPRESSION_FIXED_COLUMNS,
+    METHYLATION_FIXED_COLUMNS,
+    PairedDataset,
+    _format_number,
+    _format_rows,
+    split_by_chromosome,
+)
 from .evaluate import BenchmarkResult, MetricReport
 from .simulate import CPG_LABELS, GENE_LABELS
-
-GENE_POSTERIOR_COLUMNS = ("posterior_Eminus", "posterior_E0", "posterior_Eplus")
-CPG_POSTERIOR_COLUMNS = ("posterior_Mminus", "posterior_M0", "posterior_Mplus")
 
 
 def format_cell(v) -> str:
@@ -46,24 +50,24 @@ def write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def gene_label_names(k: int) -> list[str]:
-    return list(GENE_LABELS) if k == 3 else [f"E{i + 1}" for i in range(k)]
+def label_names(layer: str, k: int) -> list[str]:
+    """MAP label names of the ``"gene"`` or ``"cpg"`` layer with ``k`` states.
+
+    At k = 3 they are the simulated states (E-, E0, E+ or M-, M0, M+);
+    otherwise the layer's letter numbered from 1 (E1, E2, ...).
+    """
+    states = GENE_LABELS if layer == "gene" else CPG_LABELS
+    return list(states) if k == 3 else [f"{states[0][0]}{i + 1}" for i in range(k)]
 
 
-def cpg_label_names(l: int) -> list[str]:
-    return list(CPG_LABELS) if l == 3 else [f"M{i + 1}" for i in range(l)]
+def results_header(columns, names) -> list[str]:
+    """A result TSV's header: ``columns``, one posterior per state name, the MAP columns.
 
-
-def gene_posterior_columns(k: int) -> list[str]:
-    if k == 3:
-        return list(GENE_POSTERIOR_COLUMNS)
-    return [f"posterior_E{i + 1}" for i in range(k)]
-
-
-def cpg_posterior_columns(l: int) -> list[str]:
-    if l == 3:
-        return list(CPG_POSTERIOR_COLUMNS)
-    return [f"posterior_M{i + 1}" for i in range(l)]
+    ``E-`` gives ``posterior_Eminus``, ``E+`` ``posterior_Eplus`` and
+    ``E2`` ``posterior_E2``.
+    """
+    posteriors = [f"posterior_{n.replace('-', 'minus').replace('+', 'plus')}" for n in names]
+    return [*columns, *posteriors, "map_label", "uncertainty"]
 
 
 def joint_params_payload(result) -> dict:
@@ -144,12 +148,12 @@ def assemble_joint_result_rows(ds: PairedDataset, results: dict, K: int, L: int)
     gene_rows = result_rows(
         [ds.gene_ids, ds.chromosomes],
         [(part.genes, r.resp.u_hat, r.map_gene, r.uncertainty_gene) for part, r in fitted],
-        gene_label_names(K),
+        label_names("gene", K),
     )
     cpg_rows = result_rows(
         [ds.cpg_ids, ds.gene_ids[ds.cpg_gene_idx], ds.chromosomes[ds.cpg_gene_idx]],
         [(part.cpgs, r.resp.v_hat, r.map_cpg, r.uncertainty_cpg) for part, r in fitted],
-        cpg_label_names(L),
+        label_names("cpg", L),
     )
     return gene_rows, cpg_rows
 
@@ -159,23 +163,15 @@ def write_joint_results(out_dir, ds, results, K, L) -> list[Path]:
     gene_rows, cpg_rows = assemble_joint_result_rows(ds, results, K, L)
     gene_path = out / "gene_results.tsv"
     write_tsv(
-        gene_path,
-        ["gene_id", "chromosome", *gene_posterior_columns(K), "map_label", "uncertainty"],
-        gene_rows,
+        gene_path, results_header(EXPRESSION_FIXED_COLUMNS, label_names("gene", K)), gene_rows
     )
     cpg_path = out / "cpg_results.tsv"
     write_tsv(
-        cpg_path,
-        ["cpg_id", "gene_id", "chromosome", *cpg_posterior_columns(L), "map_label", "uncertainty"],
-        cpg_rows,
+        cpg_path, results_header(METHYLATION_FIXED_COLUMNS, label_names("cpg", L)), cpg_rows
     )
     model_path = out / "model.json"
     write_json(model_path, joint_model_payload(K, L, results))
     return [gene_path, cpg_path, model_path]
-
-
-def metric_report_payload(report: MetricReport) -> dict:
-    return report.as_dict()
 
 
 def write_metric_report(out_dir, report: MetricReport, layer: str) -> list[Path]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from jointmix.baseline import compare_partitions, fit_independent
-from jointmix.errors import FitError
+from jointmix.errors import DegenerateClusterError, FitError, ParameterError
+from jointmix.joint_em import _layer_m_step, _LayerBuffers
 
 
 class TestFitIndependent:
@@ -38,11 +39,30 @@ class TestFitIndependent:
         with pytest.raises(FitError):
             fit_independent(np.zeros((2, 2)), K=3)
 
-    def test_empty_initial_cluster_raises(self):
+    def test_empty_cluster_is_degenerate_in_the_m_step(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=(6, 2))
-        with pytest.raises(FitError):
-            fit_independent(values, K=2, init_labels=np.zeros(6, dtype=int))
+        resp = np.zeros((6, 3))
+        resp[:, [0, 2]] = 0.5
+        with pytest.raises(DegenerateClusterError) as exc:
+            _layer_m_step(values, resp, "independent", _LayerBuffers(values, 3))
+        assert (exc.value.layer, exc.value.index) == ("independent", 1)
+
+    def test_max_iter_zero_reports_no_iterations(self):
+        values = np.random.default_rng(6).normal(size=(20, 2))
+        res = fit_independent(values, K=3, max_iter=0)
+        assert res.n_iters == 0
+        assert not res.converged
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_cluster_count_below_one(self, K):
+        with pytest.raises(ParameterError, match=f"K must be at least 1, got {K}"):
+            fit_independent(np.zeros((4, 2)), K=K)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.7, -0.1])
+    def test_quantile_outside_the_open_interval(self, q):
+        with pytest.raises(ParameterError, match=f"got {q}"):
+            fit_independent(np.zeros((4, 2)), K=3, q=q)
 
 
 class TestComparePartitions:

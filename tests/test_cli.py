@@ -335,6 +335,77 @@ class TestBaselineCommand:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def fit_argv(data, command, expression=None):
+    """``fit`` or ``baseline`` argv on the preprocessed tables, the expression table replaceable."""
+    expression = expression or data / "expression.tsv"
+    if command == "fit":
+        return ["fit", "--expression", expression, "--methylation", data / "methylation.tsv"]
+    return ["baseline", "--input", expression, "--layer", "expression"]
+
+
+class TestFitAndBaselineAlike:
+    @pytest.mark.parametrize("command, flags, message", [
+        (command, flags, message)
+        for command in ("fit", "baseline")
+        for flags, message in [
+            (("--k", 0), "K must be at least 1, got 0"),
+            (("--k", -1), "K must be at least 1, got -1"),
+            (("--l", 0), "L must be at least 1, got 0"),
+            (("--quantile", 0), "init quantile must lie in (0, 0.5), got 0.0"),
+            (("--quantile", 0.5), "init quantile must lie in (0, 0.5), got 0.5"),
+            (("--quantile", 0.7), "init quantile must lie in (0, 0.5), got 0.7"),
+        ]
+        if command == "fit" or flags[0] != "--l"
+    ])
+    def test_parameter_out_of_range_is_one_input_error(
+        self, transformed_dir, tmp_path, capsys, command, flags, message
+    ):
+        code = run(*fit_argv(transformed_dir, command), *flags, "--out", tmp_path / "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command", ["fit", "baseline"])
+    @pytest.mark.parametrize("value", ["1e300", "-1e300"])
+    def test_huge_value_is_an_input_error_at_its_cell(
+        self, transformed_dir, tmp_path, capsys, command, value
+    ):
+        # data line 5 holds gene G00005; the first patient is column 3
+        bad = doctored(transformed_dir / "expression.tsv", tmp_path / "e.tsv", 6, 3, value)
+        code = run(*fit_argv(transformed_dir, command, bad), "--out", tmp_path / "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {bad}:6:3: value {float(value)!r} outside [-1e+100, 1e+100] for patient 'P1'"
+        ]
+
+    @pytest.mark.parametrize("command", ["fit", "baseline"])
+    @pytest.mark.parametrize("value", ["1e100", "-1e100"])
+    def test_value_at_the_bound_fits(self, transformed_dir, tmp_path, capsys, command, value):
+        bad = doctored(transformed_dir / "expression.tsv", tmp_path / "e.tsv", 6, 3, value)
+        assert run(*fit_argv(transformed_dir, command, bad), "--out", tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_baseline_header_at_k_2(self, transformed_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run(*fit_argv(transformed_dir, "baseline"), "--k", 2, "--out", out) == 0
+        assert (out / "gene_results.tsv").read_text().splitlines()[0].split("\t") == [
+            "gene_id", "chromosome", "posterior_E1", "posterior_E2", "map_label", "uncertainty",
+        ]
+
+    def test_fit_headers_at_l_4(self, transformed_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run(*fit_argv(transformed_dir, "fit"), "--l", 4, "--out", out) == 0
+        assert (out / "gene_results.tsv").read_text().splitlines()[0].split("\t") == [
+            "gene_id", "chromosome", "posterior_Eminus", "posterior_E0", "posterior_Eplus",
+            "map_label", "uncertainty",
+        ]
+        assert (out / "cpg_results.tsv").read_text().splitlines()[0].split("\t") == [
+            "cpg_id", "gene_id", "chromosome", "posterior_M1", "posterior_M2", "posterior_M3",
+            "posterior_M4", "map_label", "uncertainty",
+        ]
+
+
 class TestEvaluateCommand:
     def test_scores_fit_against_truth(self, sim_dir, transformed_dir, tmp_path):
         fit_out = tmp_path / "fit"

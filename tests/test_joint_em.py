@@ -25,8 +25,10 @@ from jointmix.joint_em import (
     Responsibilities,
     _LayerBuffers,
     _Workspace,
+    _em,
     _gauss_row_scores,
     _layer_m_step,
+    _quantile_start,
     _row_sums,
     _run_each,
     _softmax_rows,
@@ -266,6 +268,20 @@ class TestInitializeQuantile:
             initialize_quantile(ds, q=0.5)
         with pytest.raises(ParameterError):
             initialize_quantile(ds, q=0.0)
+
+    @pytest.mark.parametrize("k, counts", [(1, [10]), (2, [5, 5]), (4, [1, 4, 4, 1]),
+                                           (5, [1, 3, 3, 2, 1])])
+    def test_other_cluster_counts(self, k, counts):
+        values = np.arange(10.0)[::-1, None]
+        start = _quantile_start(values, k, 0.10)
+        assert start.sum(axis=0).tolist() == counts
+        # clusters follow the ranked means: the largest row starts in the last one
+        labels = start.argmax(axis=1)
+        assert np.all(np.diff(labels) <= 0) and labels[0] == k - 1
+
+    def test_odd_row_count_puts_the_median_row_up(self):
+        start = _quantile_start(np.arange(5.0)[:, None], 2, 0.10)
+        assert start.argmax(axis=1).tolist() == [0, 0, 1, 1, 1]
 
 
 def tensor_pi(ds, u, v):
@@ -661,6 +677,13 @@ class TestFit:
         with pytest.raises(FitError):
             fit(ds, K=3, L=3)
 
+    @pytest.mark.parametrize("K, L, bad", [(0, 3, "K"), (-1, 3, "K"), (3, 0, "L")])
+    def test_cluster_count_below_one(self, K, L, bad):
+        rng = np.random.default_rng(3)
+        ds = random_mixture_dataset(rng, n_genes=10, n_patients=2)
+        with pytest.raises(ParameterError, match=f"{bad} must be at least 1, got {min(K, L)}"):
+            fit(ds, K=K, L=L)
+
     def test_observed_loglik_finite_diagnostic(self):
         rng = np.random.default_rng(13)
         ds = random_mixture_dataset(rng, n_genes=15, n_patients=2)
@@ -680,6 +703,62 @@ class TestFit:
         assert expected_complete_loglik(ds, u, v, fitted) >= expected_complete_loglik(
             ds, u, v, other
         )
+
+
+class TestEm:
+    """The outer loop on arrays: an array is its own ``flatten()``able parameter."""
+
+    def test_converges_on_a_contraction(self):
+        params, resp, trace, converged = _em(
+            lambda params, resp: params / 2, lambda resp: resp, np.array([1.0, -4.0]),
+            tol=1e-3, max_iter=100,
+        )
+        # the change in iteration t is 4 / 2**t, first below 1e-3 at t = 12
+        assert converged
+        assert trace == [4.0 / 2**t for t in range(1, 13)]
+        assert params.tolist() == [2.0**-12, -4.0 * 2.0**-12]
+        assert resp is params
+
+    def test_trace_has_one_entry_per_iteration(self):
+        calls = []
+
+        def e_step(params, resp):
+            calls.append(params)
+            return params + 1.0
+
+        _, _, trace, converged = _em(e_step, lambda resp: resp, np.zeros(2), 0.5, 7)
+        assert not converged
+        assert len(trace) == len(calls) == 7
+
+    def test_max_iter_zero_returns_the_first_m_step(self):
+        resp0 = np.array([1.0, 2.0])
+        params, resp, trace, converged = _em(
+            lambda params, resp: pytest.fail("no E-step expected"), lambda resp: 3 * resp,
+            resp0, 1e-5, 0,
+        )
+        assert params.tolist() == [3.0, 6.0]
+        assert resp is resp0
+        assert trace == [] and not converged
+
+    def test_a_fit_error_names_its_iteration(self):
+        def e_step(params, resp):
+            if resp[0] == 2.0:
+                raise DegenerateClusterError("gene", 1)
+            return resp + 1.0
+
+        with pytest.raises(FitError) as exc:
+            _em(e_step, lambda resp: resp, np.zeros(1), 0.0, 10)
+        assert str(exc.value) == (
+            "outer iteration 3: degenerate gene cluster 1: total responsibility below threshold"
+        )
+        assert isinstance(exc.value.__cause__, DegenerateClusterError)
+
+    def test_an_error_in_the_first_m_step_is_not_renamed(self):
+        def m_step(resp):
+            raise DegenerateClusterError("cpg", 0)
+
+        with pytest.raises(DegenerateClusterError):
+            _em(lambda params, resp: resp, m_step, np.zeros(1), 0.0, 10)
 
 
 def fail_on_a(item):

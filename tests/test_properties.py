@@ -6,6 +6,7 @@ import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from conftest import make_dataset, random_mixture_dataset
 from jointmix import dataset
 from jointmix.baseline import fit_independent
 from jointmix.dataset import (
+    MAX_ABS_VALUE,
     _format_number,
     _format_rows,
     load_paired_dataset,
@@ -22,7 +24,7 @@ from jointmix.dataset import (
     write_expression_table,
     write_methylation_table,
 )
-from jointmix.errors import FitError
+from jointmix.errors import FitError, FormatError
 from jointmix.joint_em import fit, fit_all_chromosomes
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
@@ -37,6 +39,20 @@ edge_finite = st.one_of(
     st.floats(-1e300, 1e300).map(math.trunc).map(float),
 )
 edge_floats = st.one_of(edge_finite, st.sampled_from([math.nan, math.inf, -math.inf]))
+# The same kinds of values, as far as the table reader accepts them: up
+# to MAX_ABS_VALUE in magnitude, the bound itself included.
+readable = st.one_of(
+    st.floats(-MAX_ABS_VALUE, MAX_ABS_VALUE),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, -1e16, 1e15, 2.0**53,
+                     MAX_ABS_VALUE, -MAX_ABS_VALUE]),
+    st.floats(-MAX_ABS_VALUE, MAX_ABS_VALUE).map(math.trunc).map(float),
+)
+# What it rejects: nan, the infinities and every float beyond the bound.
+unreadable = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=MAX_ABS_VALUE, exclude_min=True, allow_infinity=False),
+    st.floats(max_value=-MAX_ABS_VALUE, exclude_max=True, allow_infinity=False),
+)
 labels = st.text("abcXY12", min_size=1, max_size=3)
 
 
@@ -49,20 +65,20 @@ def tables(draw):
     gene_ids = draw(st.lists(labels, min_size=rows, max_size=rows))
     chromosomes = draw(st.lists(labels, min_size=rows, max_size=rows))
     values = np.array(
-        draw(st.lists(edge_finite, min_size=rows * n, max_size=rows * n)), dtype=float
+        draw(st.lists(readable, min_size=rows * n, max_size=rows * n)), dtype=float
     ).reshape(rows, n)
     return ids, gene_ids, chromosomes, [f"P{j + 1}" for j in range(n)], values
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, values=finite):
     """A small valid dataset: genes on a few chromosomes, CpGs under them."""
     g = draw(st.integers(1, 8))
     n = draw(st.integers(1, 3))
     chromosomes = draw(st.lists(st.sampled_from(["1", "2", "10", "X"]), min_size=g, max_size=g))
     parents = draw(st.lists(st.integers(0, g - 1), max_size=12))
-    x = draw(st.lists(finite, min_size=g * n, max_size=g * n))
-    y = draw(st.lists(finite, min_size=len(parents) * n, max_size=len(parents) * n))
+    x = draw(st.lists(values, min_size=g * n, max_size=g * n))
+    y = draw(st.lists(values, min_size=len(parents) * n, max_size=len(parents) * n))
     return make_dataset(np.reshape(x, (g, n)), parents, np.reshape(y, (len(parents), n)),
                         chromosomes=chromosomes)
 
@@ -124,7 +140,26 @@ def test_methylation_table_round_trip_is_exact(tmp_path_factory, table):
 
 
 @PROPERTY
-@given(datasets(), st.randoms(use_true_random=False))
+@given(tables(), st.data())
+def test_a_value_beyond_the_bound_is_rejected_with_its_cell(tmp_path_factory, table, data):
+    ids, _, chromosomes, patients, values = table
+    if not len(ids):
+        return
+    row = data.draw(st.integers(0, len(ids) - 1))
+    col = data.draw(st.integers(0, len(patients) - 1))
+    values[row, col] = data.draw(unreadable)
+    path = tmp_path_factory.mktemp("bound") / "expression.tsv"
+    write_expression_table(path, ids, chromosomes, patients, values)
+    with pytest.raises(FormatError) as exc:
+        read_expression_table(path)
+    first = np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0]
+    line, column = divmod(int(first), len(patients))
+    assert str(exc.value).startswith(f"{path}:{line + 2}:{column + 3}: ")
+    assert str(exc.value).endswith(f" for patient {patients[column]!r}")
+
+
+@PROPERTY
+@given(datasets(readable), st.randoms(use_true_random=False))
 def test_patient_column_order_does_not_change_the_data(tmp_path_factory, ds, rnd):
     out = tmp_path_factory.mktemp("perm")
     expr, meth, meth_perm = out / "e.tsv", out / "m.tsv", out / "m_perm.tsv"
