@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ParameterError
+from .errors import FitError
 from .joint_em import (
     DEFAULT_INIT_QUANTILE,
     DEFAULT_OUTER_MAX,
@@ -25,6 +25,7 @@ from .joint_em import (
     _log_clip,
     _map_layer,
     _quantile_start,
+    _require_at_least,
     _softmax_rows,
 )
 
@@ -68,8 +69,7 @@ def fit_independent(
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise FitError("values must be a 2-d matrix (entities x patients)")
-    if K < 1:
-        raise ParameterError(f"K must be at least 1, got {K}")
+    _require_at_least("K", K, 1)
     resp = _quantile_start(values, K, q)
     m = values.shape[0]
     if m < K:

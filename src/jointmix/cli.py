@@ -21,19 +21,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, joint_em
 from .baseline import fit_independent
 from .dataset import (
     _open_text,
+    align_patients,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
-    require_unique,
+    read_predicted_labels,
+    read_truth_table,
     resolve_cpg_parents,
     write_expression_table,
     write_methylation_table,
 )
-from .errors import DuplicateIdError, FitError, FormatError, InputError, JointmixError
+from .errors import FitError, FormatError, InputError, JointmixError
 from .evaluate import benchmark, score_labels, simulated_dataset
 from .joint_em import _run_each, fit, fit_all_chromosomes
 from .preprocess import (
@@ -114,11 +116,7 @@ def _aligned_condition_pair(path_a, path_b, reader):
     """
     patients_a, a = reader(path_a)
     patients_b, b = reader(path_b)
-    if set(patients_a) != set(patients_b):
-        raise FormatError(f"patient columns differ between {path_a} and {path_b}")
-    order = [patients_b.index(p) for p in patients_a]
-    require_unique(a.ids, f"identifier in {path_a}:")
-    require_unique(b.ids, f"identifier in {path_b}:")
+    order = align_patients(path_a, patients_a, path_b, patients_b)
     row_of = {rid: i for i, rid in enumerate(b.ids.tolist())}
     rows_b = np.array([row_of.get(rid, -1) for rid in a.ids.tolist()], dtype=np.intp)
     if len(a) != len(b) or (rows_b < 0).any():
@@ -141,9 +139,7 @@ def cmd_preprocess(args) -> int:
     mpatients, cpgs, betas_a, betas_b = _aligned_condition_pair(
         args.methylation_a, args.methylation_b, read_methylation_table
     )
-    if set(mpatients) != set(patients):
-        raise FormatError("patient columns differ between expression and methylation files")
-    morder = [mpatients.index(p) for p in patients]
+    morder = align_patients(args.expression_a, patients, args.methylation_a, mpatients)
     kept, gene_idx = resolve_cpg_parents(genes, cpgs, args.mode)
     betas_a = betas_a[np.ix_(kept, morder)]
     betas_b = betas_b[np.ix_(kept, morder)]
@@ -332,58 +328,11 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _read_truth_table(path):
-    truth: dict[str, dict[str, str]] = {"gene": {}, "cpg": {}}
-    with _open_text(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["entity_id", "layer", "label"]:
-            raise FormatError(f"{path}: expected header entity_id/layer/label")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 columns")
-            entity, layer, label = parts
-            if layer not in truth:
-                raise FormatError(f"{path}:{lineno}: unknown layer {layer!r}")
-            if entity in truth[layer]:
-                raise DuplicateIdError(f"{path}:{lineno}: duplicate {layer} id {entity!r}")
-            truth[layer][entity] = label
-    return truth
-
-
-def _read_predicted_labels(path, layer):
-    id_col = "gene_id" if layer == "gene" else "cpg_id"
-    with _open_text(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        for col in (id_col, "map_label"):
-            if col not in header:
-                raise FormatError(f"{path}: missing column {col!r}")
-        id_pos = header.index(id_col)
-        lab_pos = header.index("map_label")
-        pairs = []
-        seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(header):
-                raise FormatError(f"{path}:{lineno}: wrong column count")
-            if parts[id_pos] in seen:
-                raise DuplicateIdError(f"{path}:{lineno}: duplicate {id_col} {parts[id_pos]!r}")
-            seen.add(parts[id_pos])
-            pairs.append((parts[id_pos], parts[lab_pos]))
-    return pairs
-
-
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["evaluation.tsv", "evaluation.json", "manifest.json"])
-    truth = _read_truth_table(args.truth)[args.layer]
-    pairs = _read_predicted_labels(args.predicted, args.layer)
+    truth = read_truth_table(args.truth)[args.layer]
+    pairs = read_predicted_labels(args.predicted, args.layer)
     missing = [i for i, _ in pairs if i not in truth]
     if missing:
         raise InputError(
@@ -522,11 +471,11 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
     p.add_argument("--k", type=int, default=3, help="gene clusters")
     p.add_argument("--l", type=int, default=3, help="CpG clusters")
-    p.add_argument("--quantile", type=float, default=0.10)
-    p.add_argument("--outer-tol", type=float, default=1e-5)
-    p.add_argument("--outer-max", type=int, default=500)
-    p.add_argument("--inner-tol", type=float, default=1e-6)
-    p.add_argument("--inner-max", type=int, default=50)
+    p.add_argument("--quantile", type=float, default=joint_em.DEFAULT_INIT_QUANTILE)
+    p.add_argument("--outer-tol", type=float, default=joint_em.DEFAULT_OUTER_TOL)
+    p.add_argument("--outer-max", type=int, default=joint_em.DEFAULT_OUTER_MAX)
+    p.add_argument("--inner-tol", type=float, default=joint_em.DEFAULT_INNER_TOL)
+    p.add_argument("--inner-max", type=int, default=joint_em.DEFAULT_INNER_MAX)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("baseline", parents=[common],
@@ -534,9 +483,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--layer", choices=["expression", "methylation"], required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--quantile", type=float, default=0.10)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--quantile", type=float, default=joint_em.DEFAULT_INIT_QUANTILE)
+    p.add_argument("--tol", type=float, default=joint_em.DEFAULT_OUTER_TOL)
+    p.add_argument("--max-iter", type=int, default=joint_em.DEFAULT_OUTER_MAX)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", parents=[common],
@@ -579,7 +528,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FitError as exc:
@@ -588,9 +537,6 @@ def main(argv=None) -> int:
     except JointmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import contextlib
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -116,18 +117,6 @@ class PairedDataset:
         )
 
 
-def require_unique(ids, what) -> None:
-    """Raise :class:`DuplicateIdError` naming the first repeated id."""
-    ids = np.asarray(ids).tolist()
-    if len(set(ids)) == len(ids):
-        return
-    seen = set()
-    for i in ids:
-        if i in seen:
-            raise DuplicateIdError(f"duplicate {what} {i!r}")
-        seen.add(i)
-
-
 def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
     """Match each CpG to its parent gene under the strict/lenient policy.
 
@@ -161,9 +150,8 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
 def build_paired_dataset(genes: Table, cpgs: Table, patients, mode="strict") -> PairedDataset:
     """Validate a gene table and a CpG table and pair them.
 
-    Ids must be unique within each table and every table must have one
-    value column per patient. ``mode`` is the CpG→gene policy of
-    :func:`resolve_cpg_parents`.
+    Every table must have one value column per patient; repeated ids are
+    left to the table readers. ``mode`` is the CpG→gene policy of :func:`resolve_cpg_parents`.
     """
     n = len(patients)
     if n < 1:
@@ -174,8 +162,6 @@ def build_paired_dataset(genes: Table, cpgs: Table, patients, mode="strict") -> 
         width = table.values.shape[1]
         if width != n:
             raise FormatError(f"{what} table has {width} value columns, expected {n}")
-    require_unique(genes["gene_id"], "gene_id")
-    require_unique(cpgs["cpg_id"], "cpg_id")
     kept, parents = resolve_cpg_parents(genes, cpgs, mode)
     return PairedDataset(
         patients=list(patients),
@@ -192,59 +178,42 @@ def build_paired_dataset(genes: Table, cpgs: Table, patients, mode="strict") -> 
 def _open_text(path):
     """``path`` opened as UTF-8 text; a byte that does not decode is a FormatError.
 
-    The message names the first line that does not decode, found by
-    reading the file again as bytes and splitting it at the line ends
-    text mode uses (LF, CRLF and CR), so it agrees with the line numbers
-    of every other message.
+    The message names the line of the first such byte, counting the line
+    ends text mode uses (LF, CRLF and CR), so it agrees with the line
+    numbers of every other message.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                lines = raw.read().splitlines()
-            for lineno, line in enumerate(lines, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise FormatError(
-                        f"{path}:{lineno}: not UTF-8 text (byte {line[exc.start]:#04x})"
-                    ) from None
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = len((raw[: exc.start] + b".").splitlines())
+                raise FormatError(
+                    f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x})"
+                ) from None
             raise
 
 
-def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
-    """Parse a TSV with fixed leading columns followed by patient columns.
+def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str, ...]]]:
+    """The header cells, data line numbers and data rows of a TSV.
 
-    One streaming pass checks the header and each line's column count
-    and keeps the fixed columns; blank lines are skipped and do not shift
-    the line numbers in messages. The values are then read by numpy's C
-    ``loadtxt``, which parses each number with the same routine as
-    ``float()`` (so the arrays are bit for bit the same) without a Python
-    call per value. It accepts decimal and exponent notation, ``inf`` and
-    ``nan`` in any case, a leading sign and surrounding whitespace;
-    unlike ``float()`` it rejects ``_`` between digits and non-ASCII
-    digits. Values that are not finite or exceed ``MAX_ABS_VALUE`` in
-    magnitude are then rejected with their column.
+    ``check_header(cells)`` raises a :class:`FormatError` for a header it
+    rejects, else returns the indices (two or more) of the cells each row
+    keeps, as a tuple; a line is split no further than the last of them.
+    Blank lines are skipped but counted, the header being line 1; a line
+    with another cell count than the header's is a FormatError.
     """
-    path = Path(path)
-    k = len(fixed_columns)
     with _open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header:
             raise FormatError(f"{path}: empty file")
-        cols = header.split("\t")
-        if tuple(cols[:k]) != tuple(fixed_columns):
-            raise FormatError(
-                f"{path}: header must start with {list(fixed_columns)}, got {cols[:k]}"
-            )
-        patients = cols[k:]
-        if not patients:
-            raise FormatError(f"{path}: no patient columns in header")
-        if len(set(patients)) != len(patients):
-            raise FormatError(f"{path}: duplicate patient column names")
-        width = len(cols)
-        fixed, linenos = [], []
+        cells = header.split("\t")
+        columns = check_header(cells)
+        keep, last, width = itemgetter(*columns), max(columns) + 1, len(cells)
+        linenos, rows = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -252,22 +221,56 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
             n_cols = line.count("\t") + 1
             if n_cols != width:
                 raise FormatError(f"{path}:{lineno}: expected {width} columns, got {n_cols}")
-            fixed.append(line.split("\t", k)[:k])
+            rows.append(keep(line.split("\t", last)))
             linenos.append(lineno)
+    return cells, linenos, rows
+
+
+def _require_unique(path, numbered_ids, what) -> None:
+    """An id repeated among ``(line number, id)`` pairs is a DuplicateIdError naming its line."""
+    seen = set()
+    for lineno, i in numbered_ids:
+        if i in seen:
+            raise DuplicateIdError(f"{path}:{lineno}: duplicate {what} {i!r}")
+        seen.add(i)
+
+
+def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
+    """Parse a TSV with fixed leading columns followed by patient columns.
+
+    :func:`_read_tsv` checks the lines and keeps the fixed columns, whose
+    first column, the row id, must not repeat. The values are then read
+    by numpy's C ``loadtxt``, which parses each number with the same
+    routine as ``float()`` (so the arrays are bit for bit the same)
+    without a Python call per value. It accepts decimal and exponent
+    notation, ``inf`` and ``nan`` in any case, a leading sign and
+    surrounding whitespace; unlike ``float()`` it rejects ``_`` between
+    digits and non-ASCII digits. Values that are not finite or exceed
+    ``MAX_ABS_VALUE`` in magnitude are then rejected with their column.
+    """
+    k = len(fixed_columns)
+
+    def check_header(cols):
+        if tuple(cols[:k]) != tuple(fixed_columns):
+            raise FormatError(
+                f"{path}: header must start with {list(fixed_columns)}, got {cols[:k]}"
+            )
+        if len(cols) == k:
+            raise FormatError(f"{path}: no patient columns in header")
+        if len(set(cols[k:])) != len(cols) - k:
+            raise FormatError(f"{path}: duplicate patient column names")
+        return range(k)
+
+    cols, linenos, fixed = _read_tsv(path, check_header)
+    patients, width = cols[k:], len(cols)
+    _require_unique(path, zip(linenos, [row[0] for row in fixed]), fixed_columns[0])
     if not linenos:
         values = np.empty((0, len(patients)))
     else:
         try:
             values = _read_values(path, k, width, skiprows=1)
         except ValueError as exc:
-            found = _first_unparsable_value(path, k, width)
-            if found is None:
-                raise FormatError(f"{path}: non-numeric value ({exc})") from None
-            lineno, col, text = found
-            raise FormatError(
-                f"{path}:{lineno}:{col + 1}: non-numeric value {text!r} "
-                f"for patient {patients[col - k]!r}"
-            ) from None
+            _raise_unparsable(path, k, patients, exc)
     # max and min allocate nothing; a nan makes both comparisons fail
     if not (values.max(initial=-np.inf) <= MAX_ABS_VALUE
             and values.min(initial=np.inf) >= -MAX_ABS_VALUE):
@@ -291,27 +294,27 @@ def _read_values(source, k, width, skiprows) -> np.ndarray:
     )
 
 
-def _first_unparsable_value(path, k, width):
-    """``(line number, column, text)`` of the first value ``loadtxt`` rejects.
+def _raise_unparsable(path, k, patients, exc):
+    """Raise the :class:`FormatError` for the first value ``loadtxt`` rejects.
 
-    Each data line is parsed alone, then each column of the first line
-    that fails, so the check is the reader's own; ``None`` if every line
-    parses alone.
+    Each data line is parsed alone, then each column of the first line that
+    fails, so the check is the reader's own; ``exc`` is named if none fails.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.rstrip("\n"):
-                continue
-            try:
-                _read_values([line], k, width, skiprows=0)
-            except ValueError:
-                for col in range(k, width):
-                    try:
-                        _read_values([line], col, col + 1, skiprows=0)
-                    except ValueError:
-                        return lineno, col, line.rstrip("\n").split("\t")[col]
-    return None
+    _, linenos, rows = _read_tsv(path, lambda cells: range(len(cells)))
+    for lineno, row in zip(linenos, rows):
+        line = "\t".join(row)
+        try:
+            _read_values([line], k, len(row), skiprows=0)
+        except ValueError:
+            for col in range(k, len(row)):
+                try:
+                    _read_values([line], col, col + 1, skiprows=0)
+                except ValueError:
+                    raise FormatError(
+                        f"{path}:{lineno}:{col + 1}: non-numeric value {row[col]!r} "
+                        f"for patient {patients[col - k]!r}"
+                    ) from None
+    raise FormatError(f"{path}: non-numeric value ({exc})") from None
 
 
 def read_expression_table(path) -> tuple[list[str], Table]:
@@ -324,22 +327,62 @@ def read_methylation_table(path) -> tuple[list[str], Table]:
     return _parse_table(path, METHYLATION_FIXED_COLUMNS)
 
 
+def align_patients(path_a, patients_a, path_b, patients_b) -> list[int]:
+    """The column order that puts ``patients_b`` in the order of ``patients_a``.
+
+    Other patient sets are a FormatError naming both paths and the patients that differ.
+    """
+    differ = sorted(set(patients_a) ^ set(patients_b))
+    if differ:
+        raise FormatError(f"patient columns differ between {path_a} and {path_b}: {differ}")
+    return [patients_b.index(p) for p in patients_a]
+
+
+def read_truth_table(path) -> dict[str, dict[str, str]]:
+    """``truth.tsv`` (entity_id, layer, label) as ``{layer: {id: label}}``, layer gene or cpg."""
+    def check_header(cells):
+        if cells != ["entity_id", "layer", "label"]:
+            raise FormatError(f"{path}: expected header entity_id/layer/label")
+        return 0, 1, 2
+
+    _, linenos, rows = _read_tsv(path, check_header)
+    truth: dict[str, dict[str, str]] = {"gene": {}, "cpg": {}}
+    for lineno, (entity, layer, label) in zip(linenos, rows):
+        if layer not in truth:
+            raise FormatError(f"{path}:{lineno}: unknown layer {layer!r}")
+        truth[layer][entity] = label
+    if sum(map(len, truth.values())) < len(rows):  # an id repeats within a layer
+        for layer in truth:
+            mine = ((n, entity) for n, (entity, of, _) in zip(linenos, rows) if of == layer)
+            _require_unique(path, mine, f"{layer} id")
+    return truth
+
+
+def read_predicted_labels(path, layer) -> list[tuple[str, str]]:
+    """``(id, map_label)`` per row of a ``gene`` or ``cpg`` layer results table, in order."""
+    id_col = "gene_id" if layer == "gene" else "cpg_id"
+
+    def check_header(cells):
+        for col in (id_col, "map_label"):
+            if col not in cells:
+                raise FormatError(f"{path}: missing column {col!r}")
+        return cells.index(id_col), cells.index("map_label")
+
+    _, linenos, pairs = _read_tsv(path, check_header)
+    _require_unique(path, zip(linenos, [i for i, _ in pairs]), id_col)
+    return pairs
+
+
 def load_paired_dataset(expression_path, methylation_path, mode="strict") -> PairedDataset:
     """Load and pair the two tables, aligning patients by header name.
 
-    Patient columns are matched by name, not position; the methylation
-    columns are reordered to the expression order. Disjoint or unequal
-    header sets are a format error.
+    Patient columns are matched by name, not position, with
+    :func:`align_patients`; the methylation columns take the expression order.
     """
     expr_patients, genes = read_expression_table(expression_path)
     meth_patients, cpgs = read_methylation_table(methylation_path)
-    if set(expr_patients) != set(meth_patients):
-        missing = sorted(set(expr_patients) ^ set(meth_patients))
-        raise FormatError(
-            f"patient columns differ between {expression_path} and {methylation_path}: {missing}"
-        )
+    order = align_patients(expression_path, expr_patients, methylation_path, meth_patients)
     if meth_patients != expr_patients:
-        order = [meth_patients.index(p) for p in expr_patients]
         cpgs = Table(cpgs.columns, cpgs.values[:, order])
     return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)
 

@@ -563,6 +563,12 @@ def _relabel_ascending(params: JointParams, resp: Responsibilities):
     return params, resp
 
 
+def _require_at_least(name, value, least) -> None:
+    """Raise :class:`ParameterError` unless ``value >= least``; nan never is."""
+    if not value >= least:
+        raise ParameterError(f"{name} must be at least {least}, got {value}")
+
+
 def _em(e_step, m_step, resp, tol, max_iter):
     """The EM outer loop of every fit: M-step, then E- and M-steps in turn.
 
@@ -573,7 +579,10 @@ def _em(e_step, m_step, resp, tol, max_iter):
     iterations. A :class:`FitError` in iteration t is raised again as
     ``outer iteration t: ...``. Returns ``(params, resp, trace,
     converged)``; ``trace`` holds each iteration's parameter change.
+    A negative ``max_iter`` or a negative or nan ``tol`` is a ParameterError.
     """
+    _require_at_least("outer iteration limit", max_iter, 0)
+    _require_at_least("outer tolerance", tol, 0)
     params = m_step(resp)
     trace = []
     for t in range(1, max_iter + 1):
@@ -610,7 +619,8 @@ def fit(
     falls below ``outer_tol``. After convergence, components
     are relabelled so both mean vectors ascend, making cluster 1 the
     down-shifted state, 2 the null state and 3 the up-shifted state.
-    K or L below 1 is a :class:`ParameterError`.
+    K, L or ``inner_max`` below 1 and a negative or nan ``inner_tol`` are
+    a :class:`ParameterError`, as are the outer settings :func:`_em` rejects.
 
     Every E- and M-step writes into one :class:`_Workspace` built for
     this call; the ``init`` arrays are only read, and the returned
@@ -619,9 +629,9 @@ def fit(
     ``force_independent`` pins all columns of ``pi`` equal after every
     M-step, reducing the model to two independent mixtures (test hook).
     """
-    for name, n in (("K", K), ("L", L)):
-        if n < 1:
-            raise ParameterError(f"{name} must be at least 1, got {n}")
+    for name, value, least in (("K", K, 1), ("L", L, 1), ("inner iteration limit", inner_max, 1),
+                               ("inner tolerance", inner_tol, 0)):
+        _require_at_least(name, value, least)
     if init is None:
         u0, v0 = initialize_quantile(ds, K, L, q)
     else:

@@ -130,14 +130,6 @@ class TestPreprocessCommand:
         assert preprocess(sim_dir, tmp_path / "out", expression_a=bad) == 1
         assert f"{bad}:3:3: non-finite value nan" in capsys.readouterr().err
 
-    def test_duplicate_id_in_second_condition_file(self, sim_dir, tmp_path, capsys):
-        lines = (sim_dir / "expression_b.tsv").read_text().splitlines()
-        dup = tmp_path / "expression_b.tsv"
-        dup.write_text("\n".join(lines + [lines[1]]) + "\n")
-        assert preprocess(sim_dir, tmp_path / "out", expression_b=dup) == 1
-        err = capsys.readouterr().err
-        assert str(dup) in err and "'G00001'" in err
-
     def orphan_inputs(self, sim_dir, tmp_path):
         """Both methylation files with one extra CpG mapped to an unknown gene."""
         paths = {}
@@ -346,7 +338,9 @@ def fit_argv(data, command, expression=None):
 class TestFitAndBaselineAlike:
     @pytest.mark.parametrize("command, flags, message", [
         (command, flags, message)
-        for command in ("fit", "baseline")
+        for command, max_flag, tol_flag in [
+            ("fit", "--outer-max", "--outer-tol"), ("baseline", "--max-iter", "--tol"),
+        ]
         for flags, message in [
             (("--k", 0), "K must be at least 1, got 0"),
             (("--k", -1), "K must be at least 1, got -1"),
@@ -354,8 +348,14 @@ class TestFitAndBaselineAlike:
             (("--quantile", 0), "init quantile must lie in (0, 0.5), got 0.0"),
             (("--quantile", 0.5), "init quantile must lie in (0, 0.5), got 0.5"),
             (("--quantile", 0.7), "init quantile must lie in (0, 0.5), got 0.7"),
+            ((max_flag, -1), "outer iteration limit must be at least 0, got -1"),
+            ((tol_flag, -0.5), "outer tolerance must be at least 0, got -0.5"),
+            ((tol_flag, "nan"), "outer tolerance must be at least 0, got nan"),
+            (("--inner-max", 0), "inner iteration limit must be at least 1, got 0"),
+            (("--inner-tol", -1), "inner tolerance must be at least 0, got -1.0"),
+            (("--inner-tol", "nan"), "inner tolerance must be at least 0, got nan"),
         ]
-        if command == "fit" or flags[0] != "--l"
+        if command == "fit" or flags[0] not in ("--l", "--inner-max", "--inner-tol")
     ])
     def test_parameter_out_of_range_is_one_input_error(
         self, transformed_dir, tmp_path, capsys, command, flags, message
@@ -434,32 +434,6 @@ class TestEvaluateCommand:
         )
         assert code == 1
 
-    def test_repeated_truth_id_names_its_line(self, sim_dir, tmp_path, capsys):
-        lines = (sim_dir / "truth.tsv").read_text().splitlines()
-        gene = lines[1].split("\t")[0]
-        truth = tmp_path / "truth.tsv"
-        truth.write_text("\n".join(lines + [lines[1]]) + "\n")
-        pred = tmp_path / "pred.tsv"
-        pred.write_text(f"gene_id\tmap_label\n{gene}\tE0\n")
-        code = run(
-            "evaluate", "--truth", truth, "--predicted", pred,
-            "--layer", "gene", "--out", tmp_path / "ev",
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"{truth}:{len(lines) + 1}: duplicate gene id {gene!r}" in err
-
-    def test_repeated_predicted_id_names_its_line(self, sim_dir, tmp_path, capsys):
-        gene = (sim_dir / "truth.tsv").read_text().splitlines()[1].split("\t")[0]
-        pred = tmp_path / "pred.tsv"
-        pred.write_text(f"gene_id\tmap_label\n{gene}\tE0\n{gene}\tE+\n")
-        code = run(
-            "evaluate", "--truth", sim_dir / "truth.tsv", "--predicted", pred,
-            "--layer", "gene", "--out", tmp_path / "ev",
-        )
-        assert code == 1
-        assert f"{pred}:3: duplicate gene_id {gene!r}" in capsys.readouterr().err
-
     @pytest.mark.parametrize("bad_file", ["truth", "predicted"])
     def test_non_utf8_table_names_its_line(self, sim_dir, tmp_path, capsys, bad_file):
         lines = (sim_dir / "truth.tsv").read_bytes().splitlines(keepends=True)
@@ -505,3 +479,91 @@ class TestTimingCommand:
         assert lines[0].split("\t") == ["n_patients", "n_genes", "n_cpgs", "seconds"]
         assert len(lines) == 2
         assert float(lines[1].split("\t")[3]) > 0
+
+
+def with_repeated_first_row(src, dst):
+    """Copy a TSV, ending it with a blank line, a CRLF line and a repeat of its first data row.
+
+    Returns the repeat's line number and its first two cells.
+    """
+    lines = src.read_text().splitlines()
+    text = "\n".join(lines[:-1]) + "\n\n" + lines[-1] + "\r\n" + lines[1] + "\n"
+    dst.parent.mkdir(exist_ok=True)
+    dst.write_bytes(text.encode())
+    return len(lines) + 2, lines[1].split("\t")[:2]
+
+
+def swap_patient(src, dst, old="P1", new="Q1"):
+    """Copy a TSV with one patient column renamed in its header."""
+    lines = src.read_text().splitlines()
+    lines[0] = "\t".join(new if c == old else c for c in lines[0].split("\t"))
+    dst.parent.mkdir(exist_ok=True)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+CONDITION_FILES = ("expression_a", "expression_b", "methylation_a", "methylation_b")
+
+
+class TestInputTables:
+    """Every reader of every subcommand checks its table the same way."""
+
+    def inputs(self, sim_dir, transformed_dir, tmp_path):
+        truth = sim_dir / "truth.tsv"
+        genes = [line.split("\t")[0] for line in truth.read_text().splitlines()[1:3]]
+        predicted = tmp_path / "pred.tsv"
+        predicted.write_text(f"gene_id\tmap_label\n{genes[0]}\tE0\n{genes[1]}\tE+\n")
+        return {
+            **{name: sim_dir / f"{name}.tsv" for name in CONDITION_FILES},
+            "expression": transformed_dir / "expression.tsv",
+            "methylation": transformed_dir / "methylation.tsv",
+            "truth": truth,
+            "predicted": predicted,
+        }
+
+    def run_with(self, sim_dir, command, files, out):
+        if command == "preprocess":
+            return preprocess(sim_dir, out, **{name: files[name] for name in CONDITION_FILES})
+        if command == "fit":
+            return run("fit", "--expression", files["expression"],
+                       "--methylation", files["methylation"], "--out", out)
+        if command == "baseline":
+            return run("baseline", "--input", files["expression"], "--layer", "expression",
+                       "--out", out)
+        return run("evaluate", "--truth", files["truth"], "--predicted", files["predicted"],
+                   "--layer", "gene", "--out", out)
+
+    @pytest.mark.parametrize("command, name", [
+        ("preprocess", "expression_a"), ("preprocess", "expression_b"),
+        ("preprocess", "methylation_a"), ("preprocess", "methylation_b"),
+        ("fit", "expression"), ("fit", "methylation"), ("baseline", "expression"),
+        ("evaluate", "truth"), ("evaluate", "predicted"),
+    ])
+    def test_repeated_id_names_the_line_of_the_repeat(
+        self, sim_dir, transformed_dir, tmp_path, capsys, command, name
+    ):
+        files = self.inputs(sim_dir, transformed_dir, tmp_path)
+        bad = tmp_path / "bad" / files[name].name
+        lineno, (rid, second) = with_repeated_first_row(files[name], bad)
+        what = {"truth": f"{second} id", "predicted": "gene_id"}.get(
+            name, "cpg_id" if name.startswith("methylation") else "gene_id")
+        assert self.run_with(sim_dir, command, {**files, name: bad}, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {bad}:{lineno}: duplicate {what} {rid!r}"]
+
+    @pytest.mark.parametrize("command, renamed, reference", [
+        ("fit", ["methylation"], "expression"),
+        ("preprocess", ["expression_b"], "expression_a"),
+        ("preprocess", ["methylation_a", "methylation_b"], "expression_a"),
+    ])
+    def test_patient_mismatch_names_both_files_and_the_patients(
+        self, sim_dir, transformed_dir, tmp_path, capsys, command, renamed, reference
+    ):
+        files = self.inputs(sim_dir, transformed_dir, tmp_path)
+        for name in renamed:
+            files[name] = swap_patient(files[name], tmp_path / "bad" / files[name].name)
+        assert self.run_with(sim_dir, command, files, tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: patient columns differ between {files[reference]} and {files[renamed[0]]}: "
+            "['P1', 'Q1']"
+        ]
