@@ -79,15 +79,38 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, subcommand, params, input_paths, started, threads, **extra) -> None:
+def _common_parser() -> _Parser:
+    """The flags every subcommand accepts; they set up a run and are not its parameters."""
+    common = _Parser(add_help=False)
+    common.add_argument("--out", help="output directory (required)")
+    common.add_argument("--threads", type=int, default=1, help="max worker threads")
+    common.add_argument("--seed", type=int, default=0, help="base random seed")
+    common.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    common.add_argument(
+        "--log-level", default="warning",
+        choices=["debug", "info", "warning", "error"], help="stderr log level",
+    )
+    return common
+
+
+_NOT_OWN = {"subcommand", "func", *(action.dest for action in _common_parser()._actions)}
+
+
+def _own_flags(args, *leave_out) -> dict:
+    """The values of the subcommand's own flags by destination, less ``leave_out``."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_OWN and k not in leave_out}
+
+
+def _write_manifest(out_dir, args, input_paths, started, parameters=None, **extra) -> None:
+    """Write ``manifest.json``; ``parameters`` default to the subcommand's own flags."""
     payload = {
         "tool": "jointmix",
         "version": __version__,
-        "subcommand": subcommand,
-        "parameters": params,
+        "subcommand": args.subcommand,
+        "parameters": _own_flags(args) if parameters is None else parameters,
         "input_digests": {str(Path(p)): _sha256(p) for p in input_paths},
         "duration_s": round(time.perf_counter() - started, 6),
-        "threads": threads,
+        "threads": args.threads,
         **extra,
     }
     write_json(Path(out_dir) / "manifest.json", payload)
@@ -120,13 +143,19 @@ def _aligned_condition_pair(path_a, path_b, reader):
     row_of = {rid: i for i, rid in enumerate(b.ids.tolist())}
     rows_b = np.array([row_of.get(rid, -1) for rid in a.ids.tolist()], dtype=np.intp)
     if len(a) != len(b) or (rows_b < 0).any():
-        raise FormatError(f"row sets differ between {path_a} and {path_b}")
-    mismatch = np.zeros(len(a), dtype=bool)
+        only_a, only_b = a.ids[rows_b < 0], b.ids[~np.isin(b.ids, a.ids)]
+        lacking, rid = (path_b, only_a[0]) if len(only_a) else (path_a, only_b[0])
+        raise FormatError(
+            f"row sets differ between {path_a} and {path_b}: {lacking} lacks {str(rid)!r}"
+        )
     for name, col in a.columns.items():
-        mismatch |= col != b[name][rows_b]
-    if mismatch.any():
-        rid = str(a.ids[np.flatnonzero(mismatch)[0]])
-        raise FormatError(f"annotation mismatch for {rid!r} between condition files")
+        differ = np.flatnonzero(col != b[name][rows_b])
+        if len(differ):
+            row = differ[0]
+            raise FormatError(
+                f"annotation mismatch for {str(a.ids[row])!r} between {path_a} and {path_b}: "
+                f"{name} {str(col[row])!r} against {str(b[name][rows_b[row]])!r}"
+            )
     return patients_a, a, a.values, np.ascontiguousarray(b.values[rows_b][:, order])
 
 
@@ -164,23 +193,8 @@ def cmd_preprocess(args) -> int:
         patients,
         y,
     )
-    _write_manifest(
-        out,
-        "preprocess",
-        {
-            "expression_a": str(args.expression_a),
-            "expression_b": str(args.expression_b),
-            "methylation_a": str(args.methylation_a),
-            "methylation_b": str(args.methylation_b),
-            "mode": args.mode,
-            "count_threshold": args.count_threshold,
-            "pseudocount": args.pseudocount,
-            "beta_eps": args.beta_eps,
-        },
-        [args.expression_a, args.expression_b, args.methylation_a, args.methylation_b],
-        t0,
-        args.threads,
-    )
+    inputs = [args.expression_a, args.expression_b, args.methylation_a, args.methylation_b]
+    _write_manifest(out, args, inputs, t0)
     return 0
 
 
@@ -235,46 +249,24 @@ def cmd_simulate(args) -> int:
         out = _prepare_out(args, names + ["manifest.json"])
         for r, sim in enumerate(replicate_batch(cfg, args.replicates)):
             write_simulation(sim, out / f"rep{r:03d}")
-    _write_manifest(
-        out,
-        "simulate",
-        {**cfg.to_dict(), "replicates": args.replicates},
-        [args.pi_file] if args.pi_file else [],
-        t0,
-        args.threads,
-    )
+    inputs = [args.pi_file] if args.pi_file else []
+    _write_manifest(out, args, inputs, t0, {**cfg.to_dict(), "replicates": args.replicates})
     return 0
-
-
-def _fit_kwargs(args) -> dict:
-    return dict(
-        K=args.k,
-        L=args.l,
-        q=args.quantile,
-        outer_tol=args.outer_tol,
-        outer_max=args.outer_max,
-        inner_tol=args.inner_tol,
-        inner_max=args.inner_max,
-    )
 
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["model.json", "gene_results.tsv", "cpg_results.tsv", "manifest.json"])
     ds = load_paired_dataset(args.expression, args.methylation, mode=args.mode)
-    results, failures = fit_all_chromosomes(ds, threads=args.threads, **_fit_kwargs(args))
+    results, failures = fit_all_chromosomes(
+        ds, threads=args.threads, **_own_flags(args, "expression", "methylation", "mode")
+    )
     for label in sorted(failures):
         print(f"chromosome {label} failed: {failures[label]}", file=sys.stderr)
     if results:
-        write_joint_results(out, ds, results, args.k, args.l)
+        write_joint_results(out, ds, results, args.K, args.L)
     _write_manifest(
-        out,
-        "fit",
-        {"expression": str(args.expression), "methylation": str(args.methylation),
-         "mode": args.mode, **_fit_kwargs(args)},
-        [args.expression, args.methylation],
-        t0,
-        args.threads,
+        out, args, [args.expression, args.methylation], t0,
         unconverged=sorted(label for label, r in results.items() if not r.converged),
     )
     if failures:
@@ -314,13 +306,7 @@ def cmd_baseline(args) -> int:
         )
         write_json(out / "model.json", independent_model_payload(args.k, fits))
     _write_manifest(
-        out,
-        "baseline",
-        {"input": str(args.input), "layer": args.layer, "k": args.k,
-         "quantile": args.quantile, "tol": args.tol, "max_iter": args.max_iter},
-        [args.input],
-        t0,
-        args.threads,
+        out, args, [args.input], t0,
         unconverged=sorted(label for label, r in fits.items() if not r.converged),
     )
     if failures:
@@ -332,22 +318,17 @@ def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["evaluation.tsv", "evaluation.json", "manifest.json"])
     truth = read_truth_table(args.truth)[args.layer]
-    pairs = read_predicted_labels(args.predicted, args.layer)
-    missing = [i for i, _ in pairs if i not in truth]
-    if missing:
+    linenos, pairs = read_predicted_labels(args.predicted, args.layer)
+    unknown = [(lineno, i) for lineno, (i, _) in zip(linenos, pairs) if i not in truth]
+    if unknown:
+        lineno, rid = unknown[0]
         raise InputError(
-            f"{len(missing)} predicted ids missing from truth (first: {missing[0]!r})"
+            f"{args.predicted}:{lineno}: {args.layer} id {rid!r} is not in {args.truth} "
+            f"({len(unknown)} predicted ids missing from truth)"
         )
     report = score_labels([truth[i] for i, _ in pairs], [lab for _, lab in pairs])
     write_metric_report(out, report, args.layer)
-    _write_manifest(
-        out,
-        "evaluate",
-        {"truth": str(args.truth), "predicted": str(args.predicted), "layer": args.layer},
-        [args.truth, args.predicted],
-        t0,
-        args.threads,
-    )
+    _write_manifest(out, args, [args.truth, args.predicted], t0)
     return 0
 
 
@@ -364,13 +345,7 @@ def cmd_benchmark(args) -> int:
     )
     write_benchmark_tables(out, result)
     _write_manifest(
-        out,
-        "benchmark",
-        {"case": args.case, "replicates": args.replicates, "methods": list(methods),
-         "genes": args.genes, "patients": args.patients, "seed": args.seed},
-        [],
-        t0,
-        args.threads,
+        out, args, [], t0, {**_own_flags(args), "methods": list(methods), "seed": args.seed}
     )
     if result.failures and len(result.failures) == args.replicates:
         return 2
@@ -414,15 +389,7 @@ def cmd_timing(args) -> int:
     write_tsv(
         out / "timing.tsv", ["n_patients", "n_genes", "n_cpgs", "seconds"], format_lines(rows)
     )
-    _write_manifest(
-        out,
-        "timing",
-        {"patients": counts, "genes": args.genes, "seed": args.seed,
-         "repeats": args.repeats},
-        [],
-        t0,
-        args.threads,
-    )
+    _write_manifest(out, args, [], t0, {**_own_flags(args), "patients": counts, "seed": args.seed})
     return 0
 
 
@@ -430,16 +397,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="jointmix", description=__doc__)
     parser.add_argument("--version", action="version", version=f"jointmix {__version__}")
 
-    common = _Parser(add_help=False)
-    common.add_argument("--out", help="output directory (required)")
-    common.add_argument("--threads", type=int, default=1, help="max worker threads")
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
-    common.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    common.add_argument(
-        "--log-level", default="warning",
-        choices=["debug", "info", "warning", "error"], help="stderr log level",
-    )
-
+    common = _common_parser()
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("preprocess", parents=[common],
@@ -469,9 +427,10 @@ def build_parser() -> _Parser:
     p.add_argument("--expression", required=True)
     p.add_argument("--methylation", required=True)
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
-    p.add_argument("--k", type=int, default=3, help="gene clusters")
-    p.add_argument("--l", type=int, default=3, help="CpG clusters")
-    p.add_argument("--quantile", type=float, default=joint_em.DEFAULT_INIT_QUANTILE)
+    p.add_argument("--k", dest="K", type=int, default=3, help="gene clusters")
+    p.add_argument("--l", dest="L", type=int, default=3, help="CpG clusters")
+    p.add_argument("--quantile", dest="q", metavar="QUANTILE", type=float,
+                   default=joint_em.DEFAULT_INIT_QUANTILE)
     p.add_argument("--outer-tol", type=float, default=joint_em.DEFAULT_OUTER_TOL)
     p.add_argument("--outer-max", type=int, default=joint_em.DEFAULT_OUTER_MAX)
     p.add_argument("--inner-tol", type=float, default=joint_em.DEFAULT_INNER_TOL)

@@ -358,8 +358,8 @@ def read_truth_table(path) -> dict[str, dict[str, str]]:
     return truth
 
 
-def read_predicted_labels(path, layer) -> list[tuple[str, str]]:
-    """``(id, map_label)`` per row of a ``gene`` or ``cpg`` layer results table, in order."""
+def read_predicted_labels(path, layer) -> tuple[list[int], list[tuple[str, str]]]:
+    """Line numbers and ``(id, map_label)`` rows of a ``gene`` or ``cpg`` layer results table."""
     id_col = "gene_id" if layer == "gene" else "cpg_id"
 
     def check_header(cells):
@@ -370,7 +370,7 @@ def read_predicted_labels(path, layer) -> list[tuple[str, str]]:
 
     _, linenos, pairs = _read_tsv(path, check_header)
     _require_unique(path, zip(linenos, [i for i, _ in pairs]), id_col)
-    return pairs
+    return linenos, pairs
 
 
 def load_paired_dataset(expression_path, methylation_path, mode="strict") -> PairedDataset:

@@ -141,7 +141,6 @@ class FitResult:
     n_outer_iters: int
     converged: bool
     param_change_trace: np.ndarray
-    chromosome: str | None = None
 
 
 def _quantile_start(values: np.ndarray, k: int, q: float) -> np.ndarray:
@@ -698,7 +697,6 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     subs = {part.label: ds.subset(part.genes, part.cpgs) for part in split_by_chromosome(ds)}
     results, failures = _run_each(lambda sub: fit(sub, **fit_kwargs), subs, threads, FitError)
     for label, res in results.items():
-        res.chromosome = label
         if not res.converged:
             logger.warning(
                 "chromosome %s did not converge in %d outer iterations", label, res.n_outer_iters

@@ -152,6 +152,29 @@ class TestPreprocessCommand:
         for name in ("expression.tsv", "methylation.tsv"):
             assert (out / name).read_bytes() == (transformed_dir / name).read_bytes()
 
+    def test_missing_row_names_the_id_and_both_files(self, sim_dir, tmp_path, capsys):
+        lines = (sim_dir / "expression_b.tsv").read_text().splitlines()
+        bad = tmp_path / "expression_b.tsv"
+        bad.write_text("\n".join(lines[:-1]) + "\n")
+        assert preprocess(sim_dir, tmp_path / "out", expression_b=bad) == 1
+        gene = lines[-1].split("\t")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: row sets differ between {sim_dir / 'expression_a.tsv'} and {bad}: "
+            f"{bad} lacks {gene!r}"
+        ]
+
+    def test_annotation_mismatch_names_the_column_and_both_files(
+        self, sim_dir, tmp_path, capsys
+    ):
+        line = (sim_dir / "expression_b.tsv").read_text().splitlines()[2]
+        gene, chrom = line.split("\t")[:2]
+        bad = doctored(sim_dir / "expression_b.tsv", tmp_path / "expression_b.tsv", 3, 2, "X")
+        assert preprocess(sim_dir, tmp_path / "out", expression_b=bad) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: annotation mismatch for {gene!r} between {sim_dir / 'expression_a.tsv'} "
+            f"and {bad}: chromosome {chrom!r} against 'X'"
+        ]
+
 
 class TestFitCommand:
     def test_happy_path(self, transformed_dir, tmp_path):
@@ -425,7 +448,7 @@ class TestEvaluateCommand:
         assert -1.0 <= payload["ari"] <= 1.0
         assert payload["tp"] + payload["fp"] + payload["tn"] + payload["fn"] == 80
 
-    def test_unknown_id_is_input_error(self, sim_dir, tmp_path):
+    def test_unknown_id_is_input_error(self, sim_dir, tmp_path, capsys):
         pred = tmp_path / "pred.tsv"
         pred.write_text("gene_id\tmap_label\nNOPE\tE0\n")
         code = run(
@@ -433,6 +456,10 @@ class TestEvaluateCommand:
             "--layer", "gene", "--out", tmp_path / "ev",
         )
         assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pred}:2: gene id 'NOPE' is not in {sim_dir / 'truth.tsv'} "
+            "(1 predicted ids missing from truth)"
+        ]
 
     @pytest.mark.parametrize("bad_file", ["truth", "predicted"])
     def test_non_utf8_table_names_its_line(self, sim_dir, tmp_path, capsys, bad_file):
@@ -479,6 +506,78 @@ class TestTimingCommand:
         assert lines[0].split("\t") == ["n_patients", "n_genes", "n_cpgs", "seconds"]
         assert len(lines) == 2
         assert float(lines[1].split("\t")[3]) > 0
+
+
+PI_ROWS = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+
+
+def manifest_case(command, sim_dir, transformed_dir, tmp_path):
+    """A run of ``command`` with every flag off its default.
+
+    Returns its flags, the ``parameters`` its manifest records and its
+    number of input files.
+    """
+    if command == "simulate":
+        pi = tmp_path / "pi.txt"
+        pi.write_text("".join(" ".join(map(str, row)) + "\n" for row in PI_ROWS))
+        flags = ["--case", 2, "--pi-file", pi, "--genes", 30, "--patients", 3,
+                 "--replicates", 2, "--seed", 4]
+        return flags, {**SimConfig().to_dict(), "n_genes": 30, "n_patients": 3, "case": 2,
+                       "pi": PI_ROWS, "seed": 4, "replicates": 2}, 1
+    if command == "preprocess":
+        files = {name: str(sim_dir / f"{name}.tsv") for name in CONDITION_FILES}
+        flags = [a for name, path in files.items() for a in (f"--{name.replace('_', '-')}", path)]
+        return flags + ["--mode", "lenient", "--count-threshold", 3, "--pseudocount", 0.25,
+                        "--beta-eps", 0.001], {
+            **files, "mode": "lenient", "count_threshold": 3, "pseudocount": 0.25,
+            "beta_eps": 0.001}, 4
+    if command == "fit":
+        expression = str(transformed_dir / "expression.tsv")
+        methylation = str(transformed_dir / "methylation.tsv")
+        return ["--expression", expression, "--methylation", methylation, "--mode", "lenient",
+                "--k", 2, "--l", 4, "--quantile", 0.2, "--outer-tol", 1e-4, "--outer-max", 7,
+                "--inner-tol", 1e-5, "--inner-max", 30], {
+            "expression": expression, "methylation": methylation, "mode": "lenient", "K": 2,
+            "L": 4, "q": 0.2, "outer_tol": 1e-4, "outer_max": 7, "inner_tol": 1e-5,
+            "inner_max": 30}, 2
+    if command == "baseline":
+        methylation = str(transformed_dir / "methylation.tsv")
+        return ["--input", methylation, "--layer", "methylation", "--k", 2, "--quantile", 0.2,
+                "--tol", 1e-4, "--max-iter", 3], {
+            "input": methylation, "layer": "methylation", "k": 2, "quantile": 0.2,
+            "tol": 1e-4, "max_iter": 3}, 1
+    if command == "evaluate":
+        truth = sim_dir / "truth.tsv"
+        cpg = next(line.split("\t")[0] for line in truth.read_text().splitlines()
+                   if line.split("\t")[1] == "cpg")
+        predicted = tmp_path / "pred.tsv"
+        predicted.write_text(f"cpg_id\tmap_label\n{cpg}\tM0\n")
+        return ["--truth", truth, "--predicted", predicted, "--layer", "cpg"], {
+            "truth": str(truth), "predicted": str(predicted), "layer": "cpg"}, 2
+    if command == "benchmark":
+        return ["--case", 2, "--replicates", 3, "--methods", "independent, joint",
+                "--genes", 30, "--patients", 3, "--seed", 9], {
+            "case": 2, "replicates": 3, "methods": ["independent", "joint"], "genes": 30,
+            "patients": 3, "seed": 9}, 0
+    assert command == "timing"
+    return ["--patients", "3,5", "--genes", 30, "--repeats", 2, "--seed", 7], {
+        "patients": [3, 5], "genes": 30, "repeats": 2, "seed": 7}, 0
+
+
+@pytest.mark.parametrize("command", [
+    "simulate", "preprocess", "fit", "baseline", "evaluate", "benchmark", "timing",
+])
+def test_manifest_records_the_subcommands_flags(
+    sim_dir, transformed_dir, tmp_path, command
+):
+    flags, parameters, n_inputs = manifest_case(command, sim_dir, transformed_dir, tmp_path)
+    out = tmp_path / "out"
+    assert run(command, *flags, "--threads", 2, "--out", out) == 0
+    recorded = manifest(out)
+    assert recorded["subcommand"] == command
+    assert recorded["threads"] == 2
+    assert recorded["parameters"] == parameters
+    assert len(recorded["input_digests"]) == n_inputs
 
 
 def with_repeated_first_row(src, dst):
