@@ -50,6 +50,20 @@ class IndepFitResult:
     converged: bool
 
 
+def _e_step(values: np.ndarray, params: IndepParams, buf: _LayerBuffers) -> np.ndarray:
+    """Row posteriors, a softmax of ``log weights + scores``, in ``buf.scores``.
+
+    The posteriors overwrite the scores they come from; the weights are
+    added one column at a time, as :func:`joint_em._gauss_row_scores`
+    explains.
+    """
+    scores = _gauss_row_scores(values, params.means, params.variance, out=buf.scores, z=buf.z)
+    log_weights = _log_clip(params.weights)
+    for j in range(len(log_weights)):
+        scores[:, j] += log_weights[j]
+    return _softmax_rows(scores, lambda i: f"row {i}", out=scores, top=buf.top, total=buf.total)
+
+
 def fit_independent(
     values,
     K=3,
@@ -76,16 +90,12 @@ def fit_independent(
         raise FitError(f"cannot fit {K} clusters to {m} rows")
     buf = _LayerBuffers(values, K)
 
-    def e_step(params, _):
-        # the posteriors overwrite the scores they come from, in buf.scores
-        scores = _gauss_row_scores(values, params.means, params.variance, out=buf.scores, z=buf.z)
-        scores += _log_clip(params.weights)
-        return _softmax_rows(scores, lambda i: f"row {i}", out=scores, top=buf.top, total=buf.total)
-
     def m_step(resp):
         return IndepParams(*_layer_m_step(values, resp, "independent", buf))
 
-    params, resp, trace, converged = _em(e_step, m_step, resp, tol, max_iter)
+    params, resp, trace, converged = _em(
+        lambda params, _: _e_step(values, params, buf), m_step, resp, tol, max_iter
+    )
     order = np.argsort(params.means, kind="stable")
     resp = resp[:, order]
     map_labels, uncertainty = _map_layer(resp)

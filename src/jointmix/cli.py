@@ -381,9 +381,16 @@ def timing_probe(patient_counts, base_cfg: SimConfig, repeats=1):
 def cmd_timing(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["timing.tsv", "manifest.json"])
-    counts = [int(s) for s in args.patients.split(",") if s.strip()]
+    counts = []
+    for cell in filter(None, (s.strip() for s in args.patients.split(","))):
+        try:
+            counts.append(int(cell))
+        except ValueError:
+            raise InputError(f"--patients: {cell!r} is not a whole number") from None
     if not counts:
         raise InputError("--patients must list at least one patient count")
+    if args.repeats < 1:
+        raise InputError(f"--repeats must be at least 1, got {args.repeats}")
     cfg = SimConfig(n_genes=args.genes, seed=args.seed)
     rows = timing_probe(counts, cfg, repeats=args.repeats)
     write_tsv(

@@ -199,14 +199,21 @@ def benchmark(
     Replicates are independent and run on up to ``threads`` pool
     threads; rows are assembled in replicate order, so the output is
     identical for any thread count. Replicates whose fit fails are
-    recorded in ``failures`` and excluded from the aggregation.
+    recorded in ``failures`` and excluded from the aggregation. An
+    empty ``methods``, an unknown or repeated method and a ``cfg`` that
+    ``SimConfig.validate`` rejects are a :class:`ParameterError`.
     """
     if n_datasets < 2:
         raise ParameterError("benchmark needs at least 2 replicates")
-    for m in methods:
+    if not methods:
+        raise ParameterError("benchmark needs at least one method")
+    for i, m in enumerate(methods):
         if m not in KNOWN_METHODS:
             raise ParameterError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ParameterError(f"method {m!r} is listed twice")
     base = replace(cfg if cfg is not None else SimConfig(), case=case)
+    base.validate()
     results, failed = _run_each(
         lambda r: run_replicate(replace(base, replicate=base.replicate + r), methods),
         {r: r for r in range(n_datasets)}, threads, JointmixError,

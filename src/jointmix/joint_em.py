@@ -248,6 +248,20 @@ def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)``, bit for bit.
+
+    For a C-contiguous ``a`` of at least 2 columns numpy adds the rows
+    one after the other, as ``einsum`` does, but ``einsum`` does it
+    without the reduction's short inner loop over the columns. A single
+    column numpy sums pairwise, and a Fortran-ordered ``a`` column by
+    column; there the reduction itself is used.
+    """
+    if a.shape[1] >= 2 and a.flags.c_contiguous:
+        return np.einsum("ck->k", a)
+    return a.sum(axis=0)
+
+
 def _gauss_row_scores(values: np.ndarray, means: np.ndarray, var: float, out=None, z=None):
     """Summed log N(value; mean_k, var) over the patient axis, shape (M, K).
 
@@ -258,6 +272,12 @@ def _gauss_row_scores(values: np.ndarray, means: np.ndarray, var: float, out=Non
     scipy's per-call argument checking. The sums go to ``out`` and each
     patient's term to the scratch ``z``, both (M, K) and allocated when
     not given.
+
+    No operand of an (M, K) operation here, or in the E-steps that add
+    log-weights to these scores, is broadcast: a (K,) or (M, 1) operand
+    sends every row through numpy's iterator buffers, which is slower
+    and allocates. Each is applied one column ``[:, j]`` at a time, a
+    contiguous pass with a scalar or a vector of the column's length.
     """
     shape = (values.shape[0], len(means))
     total = np.empty(shape) if out is None else out
@@ -268,7 +288,8 @@ def _gauss_row_scores(values: np.ndarray, means: np.ndarray, var: float, out=Non
     for n in range(values.shape[1]):
         # (-z**2 / 2.0 - LOG_SQRT_2PI) - log_scale with z = (x - mean) / scale,
         # step by step in place; dividing by -2 is exactly negating, then halving
-        np.subtract(values[:, n, np.newaxis], means, out=z)
+        for j in range(len(means)):
+            np.subtract(values[:, n], means[j], out=z[:, j])
         z /= scale
         np.square(z, out=z)
         z /= -2.0
@@ -296,7 +317,9 @@ def _softmax_rows(logits: np.ndarray, entity_ids, out=None, top=None, total=None
         np.maximum(top, logits[:, j], out=top)
     # a row of all -inf, or one holding +inf or nan, turns all nan here;
     # every other row has entries in [0, 1] and one of exactly 1, so a
-    # row sum in [1, K]: a non-finite row sum marks exactly the bad rows.
+    # row sum in [1, K]: a non-finite row sum marks exactly the bad rows,
+    # and the sum of the row sums, which cannot overflow, is non-finite
+    # exactly when one of them is.
     # Column by column, the (M, 1) operand is not broadcast: numpy would
     # copy it through buffers, which is slower and allocates.
     with np.errstate(invalid="ignore"):
@@ -306,7 +329,7 @@ def _softmax_rows(logits: np.ndarray, entity_ids, out=None, top=None, total=None
         _row_sums(out, total)
         for j in range(out.shape[1]):
             out[:, j] /= total
-    if not np.isfinite(total).all():
+    if not np.isfinite(total.sum()):
         bad = int(np.flatnonzero(~np.isfinite(total))[0])
         raise NumericalError(entity_ids(bad))
     return out
@@ -371,7 +394,8 @@ def e_step_fixed_point(
     for s in range(1, inner_max + 1):
         # gene update: softmax(log_tau + log_px + sv @ log_pi)
         log_px = _gauss_row_scores(ds.x, params.mu, params.sigma2, out=gene.scores, z=gene.z)
-        log_px += log_tau
+        for k in range(len(log_tau)):
+            log_px[:, k] += log_tau[k]
         sv = np.bincount(work.flat_gidx, weights=v.ravel(), minlength=G * L).reshape(G, L)
         u_new = np.matmul(sv, log_pi, out=_other(work.u, u))
         u_new += log_px
@@ -461,7 +485,7 @@ def _layer_m_step(values: np.ndarray, resp: np.ndarray, layer: str, buf: _LayerB
     """
     m, k = resp.shape
     n = values.shape[1]
-    mass = resp.sum(axis=0)
+    mass = _column_sums(resp)
     for j in range(k):
         if mass[j] < MASS_EPS:
             raise DegenerateClusterError(layer, j)

@@ -81,6 +81,9 @@ class SimConfig:
     replicate: int = 0
 
     def validate(self) -> None:
+        for name in ("n_genes", "n_patients"):
+            if not getattr(self, name) >= 1:
+                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.prop_down + self.prop_up >= 1.0:
             raise ParameterError("prop_down + prop_up must be < 1")
         if self.cpg_min > self.cpg_max or self.cpg_min < 0:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from jointmix.baseline import compare_partitions, fit_independent
+from jointmix.baseline import IndepParams, _e_step, compare_partitions, fit_independent
 from jointmix.errors import DegenerateClusterError, FitError, ParameterError
+from jointmix.evaluate import simulated_dataset
 from jointmix.joint_em import _layer_m_step, _LayerBuffers
+from jointmix.simulate import SimConfig, simulate
 
 
 class TestFitIndependent:
@@ -53,6 +57,23 @@ class TestFitIndependent:
         res = fit_independent(values, K=3, max_iter=0)
         assert res.n_iters == 0
         assert not res.converged
+
+    @pytest.mark.parametrize("layer", ["gene", "cpg"])
+    def test_e_step_on_its_buffers_allocates_almost_nothing(self, layer):
+        ds, _, _ = simulated_dataset(simulate(SimConfig(case=3)))
+        values = ds.x if layer == "gene" else ds.y
+        buf = _LayerBuffers(values, 3)
+        params = IndepParams(np.array([0.2, 0.6, 0.2]), np.array([-1.5, 0.0, 1.5]), 0.4)
+        _e_step(values, params, buf)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            resp = _e_step(values, params, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resp is buf.scores
+        assert peak - before < 4096
 
     @pytest.mark.parametrize("K", [0, -1])
     def test_cluster_count_below_one(self, K):

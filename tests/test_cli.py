@@ -83,6 +83,13 @@ class TestSimulateCommand:
         assert run("simulate", "--genes", 30, "--out", out) == 1
         assert run("simulate", "--genes", 30, "--out", out, "--force") == 0
 
+    @pytest.mark.parametrize("flag, name", [("--genes", "n_genes"), ("--patients", "n_patients")])
+    def test_no_genes_or_patients_is_one_input_error(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "sim"
+        assert run("simulate", flag, 0, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {name} must be at least 1, got 0"]
+        assert not out.exists()
+
     def test_pi_file_is_read_as_its_matrix(self, tmp_path):
         pi = tmp_path / "pi.txt"
         pi.write_text("# gene clusters in columns\n0.8 0.1 0.1\n\n0.1 0.8 0.1\n0.1 0.1 0.8\n")
@@ -494,6 +501,20 @@ class TestBenchmarkCommand:
         assert (out / "benchmark_replicates.tsv").exists()
         assert json.loads((out / "benchmark.json").read_text())["n_replicates"] == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", ","], "benchmark needs at least one method"),
+        (["--methods", "joint,joint"], "method 'joint' is listed twice"),
+        (["--genes", 0], "n_genes must be at least 1, got 0"),
+        (["--patients", 0], "n_patients must be at least 1, got 0"),
+    ])
+    def test_bad_flag_is_one_input_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bench"
+        code = run("benchmark", "--replicates", 2, "--genes", 20, *flags, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (out / "benchmark_summary.tsv").exists()
+
 
 class TestTimingCommand:
     def test_single_patient_count_single_row(self, tmp_path):
@@ -506,6 +527,21 @@ class TestTimingCommand:
         assert lines[0].split("\t") == ["n_patients", "n_genes", "n_cpgs", "seconds"]
         assert len(lines) == 2
         assert float(lines[1].split("\t")[3]) > 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--patients", "4,x"], "--patients: 'x' is not a whole number"),
+        (["--patients", "4, 2.5"], "--patients: '2.5' is not a whole number"),
+        (["--repeats", 0], "--repeats must be at least 1, got 0"),
+        (["--repeats", -2], "--repeats must be at least 1, got -2"),
+        (["--patients", "4,0"], "n_patients must be at least 1, got 0"),
+        (["--genes", 0], "n_genes must be at least 1, got 0"),
+    ])
+    def test_bad_flag_is_one_input_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "timing"
+        assert run("timing", "--patients", "4", "--genes", 20, *flags, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not (out / "timing.tsv").exists()
 
 
 PI_ROWS = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]

@@ -117,3 +117,16 @@ class TestBenchmark:
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             benchmark(1, 2, methods=("joint", "magic"))
+
+    @pytest.mark.parametrize("methods, message", [
+        ((), "at least one method"),
+        (("joint", "joint"), "method 'joint' is listed twice"),
+        (("independent", "joint", "independent"), "method 'independent' is listed twice"),
+    ])
+    def test_empty_or_repeated_methods_rejected(self, methods, message):
+        with pytest.raises(ParameterError, match=message):
+            benchmark(1, 2, methods=methods, cfg=SimConfig(n_genes=20))
+
+    def test_invalid_config_rejected_before_any_replicate(self):
+        with pytest.raises(ParameterError, match="n_genes must be at least 1, got 0"):
+            benchmark(1, 2, cfg=SimConfig(n_genes=0))

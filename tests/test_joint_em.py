@@ -25,6 +25,7 @@ from jointmix.joint_em import (
     Responsibilities,
     _LayerBuffers,
     _Workspace,
+    _column_sums,
     _em,
     _gauss_row_scores,
     _layer_m_step,
@@ -164,6 +165,37 @@ class TestScoreKernel:
         rng = np.random.default_rng(40 + k)
         a = rng.normal(0.0, 1.0, (300, k)) * 10.0 ** rng.integers(-8, 8, (300, k))
         assert np.array_equal(_row_sums(a, np.empty(300)), a.sum(axis=1))
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("layout", ["C", "F", "row-strided"])
+    def test_column_sums_bit_equal_to_sum(self, k, layout):
+        rng = np.random.default_rng(60 + k)
+        for m in (1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193):
+            a = rng.normal(0.0, 1.0, (2 * m, k)) * 10.0 ** rng.integers(-8, 8, (2 * m, k))
+            if layout == "C":
+                a = a[:m]
+            elif layout == "F":
+                a = np.asfortranarray(a[:m])
+            else:
+                a = a[::2]
+            assert np.array_equal(_column_sums(a), a.sum(axis=0)), m
+
+    @pytest.mark.parametrize("layer", ["gene", "cpg"])
+    def test_kernel_with_buffers_allocates_almost_nothing(self, layer):
+        ds, _, _ = simulated_dataset(simulate(SimConfig(case=3)))
+        values = ds.x if layer == "gene" else ds.y
+        buf = _LayerBuffers(values, 3)
+        means = np.array([-1.5, 0.0, 1.5])
+        _gauss_row_scores(values, means, 0.4, out=buf.scores, z=buf.z)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _gauss_row_scores(values, means, 0.4, out=buf.scores, z=buf.z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a broadcast subtract buffered about 132 KB per call at the CpG layer
+        assert peak - before < 4096
 
     @pytest.mark.parametrize("k", range(1, 10))
     @pytest.mark.parametrize("in_place", [False, True])

@@ -26,6 +26,12 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SimConfig(prop_down=0.6, prop_up=0.5).validate()
 
+    @pytest.mark.parametrize("name", ["n_genes", "n_patients"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_needs_at_least_one_gene_and_patient(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be at least 1, got {value}$"):
+            SimConfig(**{name: value}).validate()
+
     def test_explicit_pi_must_normalize(self):
         cfg = SimConfig(pi=[[0.5, 0.5, 0.5]] * 3)
         with pytest.raises(ParameterError):
