@@ -12,6 +12,7 @@ from .evaluate import MetricReport, benchmark, binary_metrics, three_class_ari
 from .joint_em import (
     FitResult,
     JointParams,
+    LayerFit,
     Responsibilities,
     e_step_fixed_point,
     exact_gene_posterior,
@@ -20,7 +21,6 @@ from .joint_em import (
     gene_given_cpg,
     initialize_quantile,
     m_step,
-    map_assign,
     observed_loglik,
 )
 from .simulate import SimConfig, SimData, SimTruth, replicate_batch, simulate, write_simulation
@@ -29,6 +29,7 @@ __all__ = [
     "FitResult",
     "IndepParams",
     "JointParams",
+    "LayerFit",
     "MetricReport",
     "PairedDataset",
     "Responsibilities",
@@ -47,7 +48,6 @@ __all__ = [
     "initialize_quantile",
     "load_paired_dataset",
     "m_step",
-    "map_assign",
     "observed_loglik",
     "replicate_batch",
     "simulate",

@@ -3,8 +3,9 @@
 Each row of the input matrix is one entity with N conditionally iid
 observations; components share a single pooled variance. The fit runs
 the joint model's EM outer loop with its initialization, convergence
-rule and MAP conventions, and relabels components the same way, so the
-two are directly comparable; only its E-step is its own.
+rule, and relabels components and takes MAP labels through the same
+``joint_em._layer_fit``, so both fits yield the same ``LayerFit`` and
+are directly comparable; only its E-step is its own.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from .joint_em import (
     DEFAULT_INIT_QUANTILE,
     DEFAULT_OUTER_MAX,
     DEFAULT_OUTER_TOL,
+    LayerFit,
     _LayerBuffers,
     _em,
     _gauss_row_scores,
+    _layer_fit,
     _layer_m_step,
     _log_clip,
-    _map_layer,
     _quantile_start,
     _require_at_least,
     _softmax_rows,
@@ -43,9 +45,7 @@ class IndepParams:
 @dataclass
 class IndepFitResult:
     params: IndepParams
-    resp: np.ndarray
-    map_labels: np.ndarray
-    uncertainty: np.ndarray
+    layer: LayerFit
     n_iters: int
     converged: bool
 
@@ -96,17 +96,9 @@ def fit_independent(
     params, resp, trace, converged = _em(
         lambda params, _: _e_step(values, params, buf), m_step, resp, tol, max_iter
     )
-    order = np.argsort(params.means, kind="stable")
-    resp = resp[:, order]
-    map_labels, uncertainty = _map_layer(resp)
-    return IndepFitResult(
-        params=IndepParams(params.weights[order], params.means[order], params.variance),
-        resp=resp,
-        map_labels=map_labels,
-        uncertainty=uncertainty,
-        n_iters=len(trace),
-        converged=converged,
-    )
+    order, layer = _layer_fit(params.means, resp)
+    params = IndepParams(params.weights[order], params.means[order], params.variance)
+    return IndepFitResult(params, layer, len(trace), converged)
 
 
 def compare_partitions(labels_a, labels_b) -> float:

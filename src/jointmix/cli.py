@@ -295,7 +295,7 @@ def cmd_baseline(args) -> int:
         res = fits[label]
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
-        covered.append((rows, res.resp, res.map_labels, res.uncertainty))
+        covered.append((rows, res.layer))
 
     if fits:
         names = label_names("gene" if expression else "cpg", args.k)

@@ -126,23 +126,20 @@ def run_replicate(cfg: SimConfig, methods=KNOWN_METHODS) -> ReplicateScores:
     sim = simulate(cfg)
     ds, gene_truth, cpg_truth = simulated_dataset(sim)
 
-    labels: dict = {}
-    scores = ReplicateScores()
+    layers: dict = {}  # method -> (gene LayerFit, CpG LayerFit)
     if "joint" in methods:
         res = fit(ds)
-        gene_pred = np.array(GENE_LABELS)[res.map_gene - 1]
-        cpg_pred = np.array(CPG_LABELS)[res.map_cpg - 1]
-        labels["joint"] = {"gene": gene_pred, "cpg": cpg_pred}
-        scores.reports[("joint", "gene")] = score_labels(gene_truth, gene_pred)
-        scores.reports[("joint", "cpg")] = score_labels(cpg_truth, cpg_pred)
+        layers["joint"] = (res.gene, res.cpg)
     if "independent" in methods:
-        res_x = fit_independent(ds.x, K=3)
-        res_y = fit_independent(ds.y, K=3)
-        gene_pred = np.array(GENE_LABELS)[res_x.map_labels - 1]
-        cpg_pred = np.array(CPG_LABELS)[res_y.map_labels - 1]
-        labels["independent"] = {"gene": gene_pred, "cpg": cpg_pred}
-        scores.reports[("independent", "gene")] = score_labels(gene_truth, gene_pred)
-        scores.reports[("independent", "cpg")] = score_labels(cpg_truth, cpg_pred)
+        layers["independent"] = tuple(fit_independent(v, K=3).layer for v in (ds.x, ds.y))
+    labels: dict = {}
+    scores = ReplicateScores()
+    for method, (gene, cpg) in layers.items():
+        gene_pred = np.array(GENE_LABELS)[gene.map_labels - 1]
+        cpg_pred = np.array(CPG_LABELS)[cpg.map_labels - 1]
+        labels[method] = {"gene": gene_pred, "cpg": cpg_pred}
+        scores.reports[(method, "gene")] = score_labels(gene_truth, gene_pred)
+        scores.reports[(method, "cpg")] = score_labels(cpg_truth, cpg_pred)
     if "joint" in labels and "independent" in labels:
         for layer in ("gene", "cpg"):
             scores.agreement[layer] = compare_partitions(

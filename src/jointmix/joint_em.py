@@ -131,13 +131,27 @@ class Responsibilities:
 
 
 @dataclass
+class LayerFit:
+    """One fitted mixture layer, its components in ascending order of their means.
+
+    ``resp``: (M, k) posteriors. ``map_labels``: 1-based MAP labels.
+    ``uncertainty``: one minus the winning posterior. Built only by
+    :func:`_layer_fit`, for the joint fit's gene and CpG layers and for
+    the independent baseline alike.
+    """
+
+    resp: np.ndarray
+    map_labels: np.ndarray
+    uncertainty: np.ndarray
+
+
+@dataclass
 class FitResult:
+    """A joint fit: relabelled ``params``, the ``gene`` and ``cpg`` layers, the EM record."""
+
     params: JointParams
-    resp: Responsibilities
-    map_gene: np.ndarray
-    map_cpg: np.ndarray
-    uncertainty_gene: np.ndarray
-    uncertainty_cpg: np.ndarray
+    gene: LayerFit
+    cpg: LayerFit
     n_outer_iters: int
     converged: bool
     param_change_trace: np.ndarray
@@ -533,22 +547,17 @@ def m_step(ds: PairedDataset, u, v, work=None) -> JointParams:
     return JointParams(tau=tau, pi=pi, mu=mu, sigma2=sigma2, lam=lam, rho2=rho2)
 
 
-def _map_layer(r: np.ndarray):
-    """MAP labels (1-based) and assignment uncertainties of one layer's posteriors.
+def _layer_fit(means: np.ndarray, resp: np.ndarray):
+    """The components of one layer in ascending order of ``means``, and its :class:`LayerFit`.
 
-    Ties resolve to the lowest index; uncertainty is one minus the
-    winning posterior.
+    Returns ``(order, layer)``: ``order`` is the stable ``argsort`` of
+    ``means``, which the caller applies to the layer's parameters, and
+    ``layer`` holds ``resp`` with its columns in that order, the MAP
+    labels (1-based, ties to the lowest index) and the uncertainties.
     """
-    if not len(r):
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    return r.argmax(axis=1) + 1, 1.0 - r.max(axis=1)
-
-
-def map_assign(resp: Responsibilities):
-    """:func:`_map_layer` of both layers: MAP labels, then uncertainties."""
-    map_gene, unc_gene = _map_layer(resp.u_hat)
-    map_cpg, unc_cpg = _map_layer(resp.v_hat)
-    return map_gene, map_cpg, unc_gene, unc_cpg
+    order = np.argsort(means, kind="stable")
+    resp = resp[:, order]
+    return order, LayerFit(resp, resp.argmax(axis=1) + 1, 1.0 - resp.max(axis=1))
 
 
 def gene_given_cpg(params: JointParams) -> np.ndarray:
@@ -566,24 +575,6 @@ def _pin_independent_columns(params: JointParams, v_hat: np.ndarray) -> JointPar
     p = v_hat.sum(axis=0) / v_hat.shape[0]
     params.pi = np.tile(p[:, np.newaxis], (1, params.n_gene_clusters))
     return params
-
-
-def _relabel_ascending(params: JointParams, resp: Responsibilities):
-    """Reorder components so gene means and CpG means are both ascending."""
-    pk = np.argsort(params.mu, kind="stable")
-    pl = np.argsort(params.lam, kind="stable")
-    params = JointParams(
-        tau=params.tau[pk],
-        pi=params.pi[np.ix_(pl, pk)],
-        mu=params.mu[pk],
-        sigma2=params.sigma2,
-        lam=params.lam[pl],
-        rho2=params.rho2,
-    )
-    resp = Responsibilities(
-        u_hat=resp.u_hat[:, pk], v_hat=resp.v_hat[:, pl], n_sweeps=resp.n_sweeps
-    )
-    return params, resp
 
 
 def _require_at_least(name, value, least) -> None:
@@ -639,15 +630,15 @@ def fit(
     Starts from the quantile initialization (or an explicit hard
     ``init`` pair) and runs :func:`_em` with the fixed-point E-step
     until the largest absolute change across all parameter entries
-    falls below ``outer_tol``. After convergence, components
-    are relabelled so both mean vectors ascend, making cluster 1 the
-    down-shifted state, 2 the null state and 3 the up-shifted state.
+    falls below ``outer_tol``. After convergence, :func:`_layer_fit`
+    relabels the components so both mean vectors ascend, making cluster 1
+    the down-shifted state, 2 the null state and 3 the up-shifted state.
     K, L or ``inner_max`` below 1 and a negative or nan ``inner_tol`` are
     a :class:`ParameterError`, as are the outer settings :func:`_em` rejects.
 
     Every E- and M-step writes into one :class:`_Workspace` built for
-    this call; the ``init`` arrays are only read, and the returned
-    responsibilities share no memory with the workspace.
+    this call; the ``init`` arrays are only read, and the posteriors of
+    the returned layers share no memory with the workspace.
 
     ``force_independent`` pins all columns of ``pi`` equal after every
     M-step, reducing the model to two independent mixtures (test hook).
@@ -676,19 +667,17 @@ def fit(
     params, resp, trace, converged = _em(
         e_step, pinned_m_step, Responsibilities(u_hat=u0, v_hat=v0), outer_tol, outer_max
     )
-    params, resp = _relabel_ascending(params, resp)
-    map_gene, map_cpg, unc_gene, unc_cpg = map_assign(resp)
-    return FitResult(
-        params=params,
-        resp=resp,
-        map_gene=map_gene,
-        map_cpg=map_cpg,
-        uncertainty_gene=unc_gene,
-        uncertainty_cpg=unc_cpg,
-        n_outer_iters=len(trace),
-        converged=converged,
-        param_change_trace=np.array(trace),
+    pk, gene = _layer_fit(params.mu, resp.u_hat)
+    pl, cpg = _layer_fit(params.lam, resp.v_hat)
+    params = JointParams(
+        tau=params.tau[pk],
+        pi=params.pi[np.ix_(pl, pk)],
+        mu=params.mu[pk],
+        sigma2=params.sigma2,
+        lam=params.lam[pl],
+        rho2=params.rho2,
     )
+    return FitResult(params, gene, cpg, len(trace), converged, np.array(trace))
 
 
 def _run_each(fn, items: dict, threads: int, catch):

@@ -112,19 +112,19 @@ def result_rows(annotations, fits, names) -> list[str]:
     """One layer's result lines in input order, skipping rows no fit covers.
 
     ``annotations`` holds the leading per-row columns. Each entry of
-    ``fits`` is ``(rows, posteriors, map_labels, uncertainties)`` for
-    the input rows one fit covered; map labels are 1-based indices
-    into ``names``. Each line is the tab-joined annotations, posteriors,
-    MAP label name and uncertainty.
+    ``fits`` is ``(rows, layer)``: the input rows one fit covered and
+    its :class:`~jointmix.joint_em.LayerFit`, whose map labels are
+    1-based indices into ``names``. Each line is the tab-joined
+    annotations, posteriors, MAP label name and uncertainty.
     """
     n = len(annotations[0])
     post = np.empty((n, len(names)))
     labels = np.zeros(n, dtype=np.intp)
     unc = np.empty(n)
-    for rows, p, m, u in fits:
-        post[rows] = p
-        labels[rows] = m
-        unc[rows] = u
+    for rows, layer in fits:
+        post[rows] = layer.resp
+        labels[rows] = layer.map_labels
+        unc[rows] = layer.uncertainty
     covered = np.flatnonzero(labels)
     cols = zip(*(np.asarray(a)[covered].tolist() for a in annotations))
     return [
@@ -147,12 +147,12 @@ def assemble_joint_result_rows(ds: PairedDataset, results: dict, K: int, L: int)
               if part.label in results]
     gene_rows = result_rows(
         [ds.gene_ids, ds.chromosomes],
-        [(part.genes, r.resp.u_hat, r.map_gene, r.uncertainty_gene) for part, r in fitted],
+        [(part.genes, r.gene) for part, r in fitted],
         label_names("gene", K),
     )
     cpg_rows = result_rows(
         [ds.cpg_ids, ds.gene_ids[ds.cpg_gene_idx], ds.chromosomes[ds.cpg_gene_idx]],
-        [(part.cpgs, r.resp.v_hat, r.map_cpg, r.uncertainty_cpg) for part, r in fitted],
+        [(part.cpgs, r.cpg) for part, r in fitted],
         label_names("cpg", L),
     )
     return gene_rows, cpg_rows

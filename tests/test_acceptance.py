@@ -127,8 +127,8 @@ def test_criterion_05_pinned_pi_equivalence():
         ref_y = fit_independent(ds.y, K=3, tol=1e-11, max_iter=20000)
         worst = max(
             worst,
-            np.abs(res.resp.u_hat - ref_x.resp).max(),
-            np.abs(res.resp.v_hat - ref_y.resp).max(),
+            np.abs(res.gene.resp - ref_x.layer.resp).max(),
+            np.abs(res.cpg.resp - ref_y.layer.resp).max(),
         )
     report(5, worst < 1e-6,
            "pinned-pi joint vs independent responsibilities, worst |diff| = %.2e (< 1e-6)" % worst)

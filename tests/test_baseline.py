@@ -18,7 +18,7 @@ class TestFitIndependent:
         values = np.vstack([lo, hi])
         res = fit_independent(values, K=2)
         assert res.converged
-        off_target = np.concatenate([res.resp[:30, 1], res.resp[30:, 0]])
+        off_target = np.concatenate([res.layer.resp[:30, 1], res.layer.resp[30:, 0]])
         assert off_target.max() < 1e-6
 
     def test_single_component_mle(self):
@@ -36,8 +36,8 @@ class TestFitIndependent:
         )
         res = fit_independent(values, K=3)
         assert np.all(np.diff(res.params.means) > 0)
-        assert set(res.map_labels[:20]) == {3}
-        assert set(res.map_labels[20:40]) == {1}
+        assert set(res.layer.map_labels[:20]) == {3}
+        assert set(res.layer.map_labels[20:40]) == {1}
 
     def test_too_few_rows(self):
         with pytest.raises(FitError):

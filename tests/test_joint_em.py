@@ -28,6 +28,7 @@ from jointmix.joint_em import (
     _column_sums,
     _em,
     _gauss_row_scores,
+    _layer_fit,
     _layer_m_step,
     _quantile_start,
     _row_sums,
@@ -42,7 +43,6 @@ from jointmix.joint_em import (
     initialize_quantile,
     logsumexp,
     m_step,
-    map_assign,
     observed_loglik,
 )
 from jointmix.simulate import SimConfig, simulate
@@ -529,8 +529,8 @@ class TestWorkspace:
         u_kept, v_kept = u0.copy(), v0.copy()
         res = fit(ds, init=(u0, v0), outer_max=5)
         assert np.array_equal(u0, u_kept) and np.array_equal(v0, v_kept)
-        assert not np.shares_memory(res.resp.u_hat, u0)
-        assert not np.shares_memory(res.resp.v_hat, v0)
+        assert not np.shares_memory(res.gene.resp, u0)
+        assert not np.shares_memory(res.cpg.resp, v0)
 
     def test_sweeps_and_m_step_allocate_less_than_one_cpg_array(self):
         ds, params, warm = self.case3_start()
@@ -586,30 +586,32 @@ class TestExactGenePosterior:
         np.testing.assert_allclose(v, v_bf, atol=1e-10)
 
 
-class TestMapAssign:
+class TestLayerFit:
+    ASCENDING = np.array([-1.0, 0.0, 1.0])
+
     def test_plain_argmax(self):
-        resp = Responsibilities(
-            u_hat=np.array([[0.1, 0.7, 0.2]]), v_hat=np.zeros((0, 3)),
-        )
-        g, c, ug, uc = map_assign(resp)
-        assert g[0] == 2
-        np.testing.assert_allclose(ug[0], 0.3)
+        _, layer = _layer_fit(self.ASCENDING, np.array([[0.1, 0.7, 0.2]]))
+        assert layer.map_labels[0] == 2
+        np.testing.assert_allclose(layer.uncertainty[0], 0.3)
 
     def test_tie_breaks_low_index(self):
-        resp = Responsibilities(
-            u_hat=np.array([[0.5, 0.5, 0.0]]), v_hat=np.zeros((0, 3)),
-        )
-        g, _, ug, _ = map_assign(resp)
-        assert g[0] == 1
-        assert ug[0] == 0.5
+        _, layer = _layer_fit(self.ASCENDING, np.array([[0.5, 0.5, 0.0]]))
+        assert layer.map_labels[0] == 1
+        assert layer.uncertainty[0] == 0.5
 
     def test_one_hot_certain(self):
-        resp = Responsibilities(
-            u_hat=np.array([[0.0, 1.0, 0.0]]), v_hat=np.array([[1.0, 0.0, 0.0]]),
-        )
-        g, c, ug, uc = map_assign(resp)
-        assert g[0] == 2 and c[0] == 1
-        assert ug[0] == 0.0 and uc[0] == 0.0
+        _, gene = _layer_fit(self.ASCENDING, np.array([[0.0, 1.0, 0.0]]))
+        _, cpg = _layer_fit(self.ASCENDING, np.array([[1.0, 0.0, 0.0]]))
+        assert gene.map_labels[0] == 2 and cpg.map_labels[0] == 1
+        assert gene.uncertainty[0] == 0.0 and cpg.uncertainty[0] == 0.0
+
+    def test_columns_follow_ascending_means_stably(self):
+        resp = np.array([[0.6, 0.1, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
+        order, layer = _layer_fit(np.array([2.0, 0.0, 1.0, 0.0]), resp)
+        assert order.tolist() == [1, 3, 2, 0]
+        assert np.array_equal(layer.resp, resp[:, [1, 3, 2, 0]])
+        assert layer.map_labels.tolist() == [4, 2]
+        assert not np.shares_memory(layer.resp, resp)
 
 
 class TestGeneGivenCpg:
@@ -664,7 +666,7 @@ class TestFit:
         assert len(res.param_change_trace) == 0
         u0, _ = initialize_quantile(ds)
         perm = np.argsort(res.params.mu)  # relabel-safe comparison
-        assert set(map(tuple, res.resp.u_hat)) == set(map(tuple, u0[:, perm]))
+        assert set(map(tuple, res.gene.resp)) == set(map(tuple, u0[:, perm]))
 
     def test_pinned_pi_matches_independent_baseline(self):
         rng = np.random.default_rng(9)
@@ -672,8 +674,12 @@ class TestFit:
         res = fit(ds, force_independent=True, outer_tol=1e-11, outer_max=5000)
         ref_x = fit_independent(ds.x, K=3, tol=1e-11, max_iter=5000)
         ref_y = fit_independent(ds.y, K=3, tol=1e-11, max_iter=5000)
-        assert np.abs(res.resp.u_hat - ref_x.resp).max() < 1e-8
-        assert np.abs(res.resp.v_hat - ref_y.resp).max() < 1e-8
+        for layer, ref in ((res.gene, ref_x), (res.cpg, ref_y)):
+            assert np.abs(layer.resp - ref.layer.resp).max() < 1e-8
+            assert np.array_equal(layer.map_labels, ref.layer.map_labels)
+            assert np.abs(layer.uncertainty - ref.layer.uncertainty).max() < 1e-8
+        assert np.abs(res.params.mu - ref_x.params.means).max() < 1e-8
+        assert np.abs(res.params.lam - ref_y.params.means).max() < 1e-8
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(12)
@@ -681,8 +687,8 @@ class TestFit:
         r1 = fit(ds)
         r2 = fit(ds)
         assert np.array_equal(r1.params.flatten(), r2.params.flatten())
-        assert np.array_equal(r1.resp.u_hat, r2.resp.u_hat)
-        assert np.array_equal(r1.map_cpg, r2.map_cpg)
+        assert np.array_equal(r1.gene.resp, r2.gene.resp)
+        assert np.array_equal(r1.cpg.map_labels, r2.cpg.map_labels)
         assert r1.n_outer_iters == r2.n_outer_iters
 
     def test_label_permutation_equivariance(self):
@@ -693,16 +699,16 @@ class TestFit:
         res_a = fit(ds, init=(u0, v0))
         res_b = fit(ds, init=(u0[:, perm], v0[:, perm]))
         np.testing.assert_allclose(res_a.params.flatten(), res_b.params.flatten(), atol=1e-9)
-        assert np.array_equal(res_a.map_gene, res_b.map_gene)
-        assert np.array_equal(res_a.map_cpg, res_b.map_cpg)
+        assert np.array_equal(res_a.gene.map_labels, res_b.gene.map_labels)
+        assert np.array_equal(res_a.cpg.map_labels, res_b.cpg.map_labels)
 
     def test_uncertainty_bounds(self):
         rng = np.random.default_rng(31)
         ds = random_mixture_dataset(rng, n_genes=20, n_patients=2)
         res = fit(ds)
-        assert res.uncertainty_gene.min() >= 0
-        assert res.uncertainty_gene.max() <= 1 - 1.0 / 3.0 + 1e-12
-        assert res.uncertainty_cpg.max() <= 1 - 1.0 / 3.0 + 1e-12
+        assert res.gene.uncertainty.min() >= 0
+        assert res.gene.uncertainty.max() <= 1 - 1.0 / 3.0 + 1e-12
+        assert res.cpg.uncertainty.max() <= 1 - 1.0 / 3.0 + 1e-12
 
     def test_too_few_genes(self):
         ds = make_dataset(np.zeros((2, 1)), [0, 0, 1], np.array([[0.0], [1.0], [2.0]]))
@@ -837,7 +843,7 @@ class TestFitAllChromosomes:
         assert sorted(r1) == sorted(r2)
         for label in r1:
             assert np.array_equal(r1[label].params.flatten(), r2[label].params.flatten())
-            assert np.array_equal(r1[label].resp.u_hat, r2[label].resp.u_hat)
+            assert np.array_equal(r1[label].gene.resp, r2[label].gene.resp)
 
     def test_concurrent_fits_of_the_same_data_match_serial_fits(self):
         rng = np.random.default_rng(22)
@@ -853,8 +859,8 @@ class TestFitAllChromosomes:
             for res in (results["1"], results["2"], serial["2"]):
                 ref = serial["1"]
                 assert np.array_equal(res.params.flatten(), ref.params.flatten())
-                assert np.array_equal(res.resp.u_hat, ref.resp.u_hat)
-                assert np.array_equal(res.resp.v_hat, ref.resp.v_hat)
+                assert np.array_equal(res.gene.resp, ref.gene.resp)
+                assert np.array_equal(res.cpg.resp, ref.cpg.resp)
                 assert np.array_equal(res.param_change_trace, ref.param_change_trace)
 
     def test_partial_failure_reports_and_continues(self):

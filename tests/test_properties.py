@@ -224,11 +224,11 @@ def test_posterior_rows_are_simplex_rows(ds):
     except FitError:
         pass
     else:
-        assert_simplex_rows(res.resp.u_hat)
-        assert_simplex_rows(res.resp.v_hat)
+        assert_simplex_rows(res.gene.resp)
+        assert_simplex_rows(res.cpg.resp)
     for values in (ds.x, ds.y):
         try:
-            assert_simplex_rows(fit_independent(values).resp)
+            assert_simplex_rows(fit_independent(values).layer.resp)
         except FitError:
             pass
 
@@ -244,8 +244,8 @@ def test_thread_count_does_not_change_results(ds, labels):
     for label, res in one.items():
         other = two[label]
         assert np.array_equal(res.params.flatten(), other.params.flatten())
-        assert np.array_equal(res.resp.u_hat, other.resp.u_hat)
-        assert np.array_equal(res.resp.v_hat, other.resp.v_hat)
+        assert np.array_equal(res.gene.resp, other.gene.resp)
+        assert np.array_equal(res.cpg.resp, other.cpg.resp)
         assert res.n_outer_iters == other.n_outer_iters
 
 
@@ -279,10 +279,10 @@ def test_row_permutation_permutes_the_fit(seed, n_genes, n_patients, shuffler):
         return
     other = fit(permuted, outer_tol=1e-12)
     for want, got, means, labels, got_labels in (
-        (res.resp.u_hat[genes], other.resp.u_hat, res.params.mu, res.map_gene[genes],
-         other.map_gene),
-        (res.resp.v_hat[cpgs], other.resp.v_hat, res.params.lam, res.map_cpg[cpgs],
-         other.map_cpg),
+        (res.gene.resp[genes], other.gene.resp, res.params.mu, res.gene.map_labels[genes],
+         other.gene.map_labels),
+        (res.cpg.resp[cpgs], other.cpg.resp, res.params.lam, res.cpg.map_labels[cpgs],
+         other.cpg.map_labels),
     ):
         order = tied_order(means, want, got)
         assert np.abs(got[:, order] - want).max() <= 1e-9
