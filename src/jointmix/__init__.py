@@ -8,7 +8,7 @@ from .dataset import (
     load_paired_dataset,
     split_by_chromosome,
 )
-from .evaluate import MetricReport, benchmark, binary_metrics, three_class_ari
+from .evaluate import MetricReport, benchmark, score_labels
 from .joint_em import (
     FitResult,
     JointParams,
@@ -37,7 +37,6 @@ __all__ = [
     "SimData",
     "SimTruth",
     "benchmark",
-    "binary_metrics",
     "compare_partitions",
     "e_step_fixed_point",
     "exact_gene_posterior",
@@ -50,9 +49,9 @@ __all__ = [
     "m_step",
     "observed_loglik",
     "replicate_batch",
+    "score_labels",
     "simulate",
     "split_by_chromosome",
-    "three_class_ari",
     "write_simulation",
     "__version__",
 ]

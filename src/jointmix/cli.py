@@ -280,6 +280,8 @@ def cmd_baseline(args) -> int:
     results_name = "gene_results.tsv" if expression else "cpg_results.tsv"
     out = _prepare_out(args, [results_name, "model.json", "manifest.json"])
     _, table = (read_expression_table if expression else read_methylation_table)(args.input)
+    if not len(table):
+        raise InputError(f"{args.input}: no data rows")
     labels, chrom = np.unique(table["chromosome"], return_inverse=True)
     rows_of = {label: np.flatnonzero(chrom == i) for i, label in enumerate(labels.tolist())}
     fits, failures = _run_each(
@@ -319,6 +321,8 @@ def cmd_evaluate(args) -> int:
     out = _prepare_out(args, ["evaluation.tsv", "evaluation.json", "manifest.json"])
     truth = read_truth_table(args.truth)[args.layer]
     linenos, pairs = read_predicted_labels(args.predicted, args.layer)
+    if not pairs:
+        raise InputError(f"{args.predicted}: no data rows")
     unknown = [(lineno, i) for lineno, (i, _) in zip(linenos, pairs) if i not in truth]
     if unknown:
         lineno, rid = unknown[0]

@@ -380,6 +380,8 @@ def load_paired_dataset(expression_path, methylation_path, mode="strict") -> Pai
     :func:`align_patients`; the methylation columns take the expression order.
     """
     expr_patients, genes = read_expression_table(expression_path)
+    if not len(genes):
+        raise FormatError(f"{expression_path}: no data rows")
     meth_patients, cpgs = read_methylation_table(methylation_path)
     order = align_patients(expression_path, expr_patients, methylation_path, meth_patients)
     if meth_patients != expr_patients:

@@ -10,7 +10,7 @@ empty denominator are reported as ``None``, never coerced to 0 or 1.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,26 +40,27 @@ class MetricReport:
     fdr: float | None
     sensitivity: float | None
     specificity: float | None
-    ari: float | None = None
+    ari: float
 
     def as_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "fdr": self.fdr, "sensitivity": self.sensitivity,
-            "specificity": self.specificity, "ari": self.ari,
-        }
+        return asdict(self)
 
 
 def _ratio(num, den):
     return num / den if den > 0 else None
 
 
-def binary_metrics(truth, predicted) -> MetricReport:
-    """Differential-vs-null collapse and its 2x2 table rates."""
+def score_labels(truth, predicted) -> MetricReport:
+    """Score one labelling: the differential-vs-null 2x2 table, its rates and the ARI.
+
+    Labels of unequal length, or none at all, are a :class:`ParameterError`.
+    """
     t = np.asarray(truth)
     p = np.asarray(predicted)
     if t.shape != p.shape:
         raise ParameterError("truth and prediction differ in length")
+    if not t.size:
+        raise ParameterError("no labels to score")
     t_pos = ~np.isin(t, list(NULL_LABELS))
     p_pos = ~np.isin(p, list(NULL_LABELS))
     tp = int(np.sum(t_pos & p_pos))
@@ -71,22 +72,8 @@ def binary_metrics(truth, predicted) -> MetricReport:
         fdr=_ratio(fp, tp + fp),
         sensitivity=_ratio(tp, tp + fn),
         specificity=_ratio(tn, tn + fp),
+        ari=compare_partitions(t, p),
     )
-
-
-def three_class_ari(truth, predicted) -> float:
-    """ARI over the full three-class partitions."""
-    t = np.asarray(truth)
-    p = np.asarray(predicted)
-    if t.shape != p.shape:
-        raise ParameterError("truth and prediction differ in length")
-    return compare_partitions(t, p)
-
-
-def score_labels(truth, predicted) -> MetricReport:
-    report = binary_metrics(truth, predicted)
-    report.ari = three_class_ari(truth, predicted)
-    return report
 
 
 def simulated_dataset(sim):
@@ -113,16 +100,13 @@ def simulated_dataset(sim):
     return ds, t.gene_labels[kept_g], t.cpg_labels[kept_c]
 
 
-@dataclass
-class ReplicateScores:
-    """Named label vectors and metric reports for one replicate."""
+def run_replicate(cfg: SimConfig, methods=KNOWN_METHODS) -> list:
+    """Simulate, preprocess, fit the requested methods and score them.
 
-    reports: dict = field(default_factory=dict)  # (method, layer) -> MetricReport
-    agreement: dict = field(default_factory=dict)  # layer -> float (ARI joint vs indep)
-
-
-def run_replicate(cfg: SimConfig, methods=KNOWN_METHODS) -> ReplicateScores:
-    """Simulate, preprocess, fit the requested methods, and score them."""
+    Returns ``(method, layer, metric, value)`` rows: the
+    ``METRIC_NAMES`` of each layer of each fitted method, joint before
+    independent, then the two joint-vs-independent ARIs when both ran.
+    """
     sim = simulate(cfg)
     ds, gene_truth, cpg_truth = simulated_dataset(sim)
 
@@ -132,20 +116,21 @@ def run_replicate(cfg: SimConfig, methods=KNOWN_METHODS) -> ReplicateScores:
         layers["joint"] = (res.gene, res.cpg)
     if "independent" in methods:
         layers["independent"] = tuple(fit_independent(v, K=3).layer for v in (ds.x, ds.y))
-    labels: dict = {}
-    scores = ReplicateScores()
-    for method, (gene, cpg) in layers.items():
-        gene_pred = np.array(GENE_LABELS)[gene.map_labels - 1]
-        cpg_pred = np.array(CPG_LABELS)[cpg.map_labels - 1]
-        labels[method] = {"gene": gene_pred, "cpg": cpg_pred}
-        scores.reports[(method, "gene")] = score_labels(gene_truth, gene_pred)
-        scores.reports[(method, "cpg")] = score_labels(cpg_truth, cpg_pred)
-    if "joint" in labels and "independent" in labels:
-        for layer in ("gene", "cpg"):
-            scores.agreement[layer] = compare_partitions(
-                labels["joint"][layer], labels["independent"][layer]
-            )
-    return scores
+    truths = (("gene", GENE_LABELS, gene_truth), ("cpg", CPG_LABELS, cpg_truth))
+    labels: dict = {}  # (method, layer) -> predicted labels
+    rows = []
+    for method, fits in layers.items():
+        for (layer, names, truth), lf in zip(truths, fits):
+            labels[method, layer] = np.array(names)[lf.map_labels - 1]
+            report = score_labels(truth, labels[method, layer])
+            rows += [(method, layer, metric, getattr(report, metric)) for metric in METRIC_NAMES]
+    if len(layers) == 2:
+        rows += [
+            (AGREEMENT_METHOD, layer, "ari",
+             compare_partitions(labels["joint", layer], labels["independent", layer]))
+            for layer in ("gene", "cpg")
+        ]
+    return rows
 
 
 @dataclass
@@ -219,16 +204,9 @@ def benchmark(
     if failures:
         logger.warning("%d of %d replicates failed to fit", len(failures), n_datasets)
 
-    rows = []
-    for r, scores in results.items():
-        for (method, layer), report in scores.reports.items():
-            for metric in METRIC_NAMES:
-                rows.append((r, method, layer, metric, getattr(report, metric)))
-        for layer, value in scores.agreement.items():
-            rows.append((r, AGREEMENT_METHOD, layer, "ari", value))
-
+    rows = [(r, *row) for r, replicate in results.items() for row in replicate]
     combos = [(m, lay, met) for m in methods for lay in ("gene", "cpg") for met in METRIC_NAMES]
-    if len(set(methods) & {"joint", "independent"}) == 2:
+    if set(methods) == set(KNOWN_METHODS):
         combos += [(AGREEMENT_METHOD, "gene", "ari"), (AGREEMENT_METHOD, "cpg", "ari")]
     summary = _aggregate(rows, combos)
     return BenchmarkResult(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataDomainError
+from .errors import DataDomainError, ParameterError
 
 DEFAULT_COUNT_THRESHOLD = 5
 DEFAULT_PSEUDOCOUNT = 0.5
@@ -99,8 +99,14 @@ def derive_model_inputs(
     Returns ``(kept_genes, x, kept_cpgs, y)`` where ``kept_genes`` and
     ``kept_cpgs`` index into the input rows (CpGs of filtered-out genes
     are removed), ``x`` holds log-fold changes for the retained genes
-    and ``y`` holds M-value differences for the retained CpGs.
+    and ``y`` holds M-value differences for the retained CpGs. A
+    ``pseudocount`` that is not finite and above 0, or a ``beta_eps``
+    outside (0, 0.5), is a :class:`ParameterError`.
     """
+    if not 0 < pseudocount < np.inf:
+        raise ParameterError(f"pseudocount must be finite and above 0, got {pseudocount}")
+    if not 0 < beta_eps < 0.5:
+        raise ParameterError(f"beta_eps must lie in (0, 0.5), got {beta_eps}")
     counts_a = np.asarray(counts_a)
     counts_b = np.asarray(counts_b)
     kept_genes = filter_low_counts(counts_a, counts_b, count_threshold)

@@ -182,6 +182,27 @@ class TestPreprocessCommand:
             f"and {bad}: chromosome {chrom!r} against 'X'"
         ]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--pseudocount", 0, "--beta-eps", 0], "pseudocount must be finite and above 0, got 0.0"),
+        (["--pseudocount", -1], "pseudocount must be finite and above 0, got -1.0"),
+        (["--pseudocount", "nan"], "pseudocount must be finite and above 0, got nan"),
+        (["--pseudocount", "inf"], "pseudocount must be finite and above 0, got inf"),
+        (["--beta-eps", 0], "beta_eps must lie in (0, 0.5), got 0.0"),
+        (["--beta-eps", 0.5], "beta_eps must lie in (0, 0.5), got 0.5"),
+        (["--beta-eps", 0.7], "beta_eps must lie in (0, 0.5), got 0.7"),
+        (["--beta-eps", "nan"], "beta_eps must lie in (0, 0.5), got nan"),
+    ])
+    def test_transform_parameter_out_of_range_is_one_input_error(
+        self, sim_dir, tmp_path, capsys, flags, message
+    ):
+        # a zero count and a zero beta: the inputs a zero pseudocount or eps would make infinite
+        expr = doctored(sim_dir / "expression_a.tsv", tmp_path / "ea.tsv", 2, 3, "0")
+        meth = doctored(sim_dir / "methylation_a.tsv", tmp_path / "ma.tsv", 2, 4, "0")
+        out = tmp_path / "prep"
+        assert preprocess(sim_dir, out, *flags, expression_a=expr, methylation_a=meth) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(p.name for p in out.iterdir()) == []
+
 
 class TestFitCommand:
     def test_happy_path(self, transformed_dir, tmp_path):
@@ -416,6 +437,22 @@ class TestFitAndBaselineAlike:
         assert run(*fit_argv(transformed_dir, command, bad), "--out", tmp_path / "out") == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command, layer", [
+        ("fit", "expression"), ("baseline", "expression"), ("baseline", "methylation"),
+    ])
+    def test_table_without_rows_is_one_input_error(
+        self, transformed_dir, tmp_path, capsys, command, layer
+    ):
+        src = transformed_dir / f"{layer}.tsv"
+        empty = tmp_path / src.name
+        empty.write_text(src.read_text().splitlines()[0] + "\n")
+        argv = (fit_argv(transformed_dir, "fit", empty) if command == "fit"
+                else ["baseline", "--input", empty, "--layer", layer])
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {empty}: no data rows"]
+        assert sorted(p.name for p in out.iterdir()) == []
+
     def test_baseline_header_at_k_2(self, transformed_dir, tmp_path):
         out = tmp_path / "out"
         assert run(*fit_argv(transformed_dir, "baseline"), "--k", 2, "--out", out) == 0
@@ -468,6 +505,18 @@ class TestEvaluateCommand:
             "(1 predicted ids missing from truth)"
         ]
 
+    def test_predicted_table_without_rows_is_input_error(self, sim_dir, tmp_path, capsys):
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("gene_id\tmap_label\n")
+        out = tmp_path / "ev"
+        code = run(
+            "evaluate", "--truth", sim_dir / "truth.tsv", "--predicted", pred,
+            "--layer", "gene", "--out", out,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {pred}: no data rows"]
+        assert sorted(p.name for p in out.iterdir()) == []
+
     @pytest.mark.parametrize("bad_file", ["truth", "predicted"])
     def test_non_utf8_table_names_its_line(self, sim_dir, tmp_path, capsys, bad_file):
         lines = (sim_dir / "truth.tsv").read_bytes().splitlines(keepends=True)
@@ -500,6 +549,29 @@ class TestBenchmarkCommand:
         assert len(lines) > 8
         assert (out / "benchmark_replicates.tsv").exists()
         assert json.loads((out / "benchmark.json").read_text())["n_replicates"] == 2
+
+    def test_replicate_rows_put_joint_first_and_summary_follows_methods(self, tmp_path):
+        out = tmp_path / "bench"
+        code = run(
+            "benchmark", "--case", 2, "--replicates", 2, "--genes", 60,
+            "--methods", "independent,joint", "--out", out,
+        )
+        assert code == 0
+
+        def keys(name, first, last):
+            lines = (out / name).read_text().splitlines()[1:]
+            return [tuple(line.split("\t")[first:last]) for line in lines]
+
+        metrics = ["fdr", "sensitivity", "specificity", "ari"]
+        per_method = [(layer, metric) for layer in ("gene", "cpg") for metric in metrics]
+        agreement = [("joint_vs_independent", layer, "ari") for layer in ("gene", "cpg")]
+        replicate = [(m, *key) for m in ("joint", "independent") for key in per_method]
+        assert keys("benchmark_replicates.tsv", 0, 4) == [
+            (str(r), *key) for r in range(2) for key in replicate + agreement
+        ]
+        assert keys("benchmark_summary.tsv", 0, 3) == [
+            (m, *key) for m in ("independent", "joint") for key in per_method
+        ] + agreement
 
     @pytest.mark.parametrize("flags, message", [
         (["--methods", ","], "benchmark needs at least one method"),

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from jointmix.errors import ParameterError
-from jointmix.evaluate import (
-    benchmark,
-    binary_metrics,
-    score_labels,
-    three_class_ari,
-)
+from jointmix.evaluate import benchmark, score_labels
 from jointmix.simulate import SimConfig
 
 
 class TestBinaryMetrics:
+    """``score_labels``' differential-vs-null counts and rates."""
+
     def test_perfect_prediction(self):
         truth = ["E-", "E0", "E+", "E0"]
-        rep = binary_metrics(truth, truth)
+        rep = score_labels(truth, truth)
         assert rep.fdr == 0.0
         assert rep.sensitivity == 1.0
         assert rep.specificity == 1.0
@@ -23,12 +20,12 @@ class TestBinaryMetrics:
     def test_one_false_discovery_in_ten(self):
         truth = ["E-"] * 9 + ["E0"] + ["E0"] * 10
         pred = ["E+"] * 10 + ["E0"] * 10
-        rep = binary_metrics(truth, pred)
+        rep = score_labels(truth, pred)
         assert rep.fdr == pytest.approx(0.1)
 
     def test_all_null_sensitivity_undefined(self):
         truth = ["M0", "M0", "M0"]
-        rep = binary_metrics(truth, truth)
+        rep = score_labels(truth, truth)
         assert rep.sensitivity is None
         assert rep.specificity == 1.0
         assert rep.fdr is None
@@ -40,27 +37,33 @@ class TestBinaryMetrics:
         swap = {"E-": "E+", "E+": "E-", "E0": "E0"}
         truth_s = np.array([swap[t] for t in truth])
         pred_s = np.array([swap[p] for p in pred])
-        a = binary_metrics(truth, pred)
-        b = binary_metrics(truth_s, pred_s)
+        a = score_labels(truth, pred)
+        b = score_labels(truth_s, pred_s)
         assert a.as_dict() == b.as_dict()
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            binary_metrics(["E0"], ["E0", "E0"])
+            score_labels(["E0"], ["E0", "E0"])
+
+    def test_no_labels_rejected(self):
+        with pytest.raises(ParameterError, match="no labels to score"):
+            score_labels([], [])
 
 
 class TestThreeClassAri:
+    """``score_labels``' ARI over the full three-class partitions."""
+
     def test_identical(self):
         labels = ["E-", "E0", "E+", "E0"]
-        assert three_class_ari(labels, labels) == 1.0
+        assert score_labels(labels, labels).ari == 1.0
 
     def test_renamed_clusters_still_one(self):
         truth = ["E-", "E-", "E0", "E+"]
         pred = ["E+", "E+", "E-", "E0"]
-        assert three_class_ari(truth, pred) == pytest.approx(1.0)
+        assert score_labels(truth, pred).ari == pytest.approx(1.0)
 
     def test_hand_contingency_value(self):
-        assert three_class_ari([1, 1, 2, 2], [1, 2, 1, 2]) == pytest.approx(-0.5)
+        assert score_labels([1, 1, 2, 2], [1, 2, 1, 2]).ari == pytest.approx(-0.5)
 
     def test_score_labels_attaches_ari(self):
         rep = score_labels(["E-", "E0"], ["E-", "E0"])

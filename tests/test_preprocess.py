@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from jointmix.errors import DataDomainError
+from jointmix.errors import DataDomainError, ParameterError
 from jointmix.preprocess import (
     beta_to_mvalue,
     counts_to_logcpm,
@@ -143,3 +145,30 @@ class TestPipeline:
         assert list(kept_c) == [0, 3]
         assert x.shape == (2, 2)
         assert y.shape == (2, 2)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"pseudocount": 0}, "pseudocount must be finite and above 0, got 0"),
+        ({"pseudocount": -0.5}, "pseudocount must be finite and above 0, got -0.5"),
+        ({"pseudocount": float("nan")}, "pseudocount must be finite and above 0, got nan"),
+        ({"pseudocount": float("inf")}, "pseudocount must be finite and above 0, got inf"),
+        ({"beta_eps": 0}, "beta_eps must lie in (0, 0.5), got 0"),
+        ({"beta_eps": 0.5}, "beta_eps must lie in (0, 0.5), got 0.5"),
+        ({"beta_eps": 0.7}, "beta_eps must lie in (0, 0.5), got 0.7"),
+        ({"beta_eps": float("nan")}, "beta_eps must lie in (0, 0.5), got nan"),
+    ])
+    def test_derive_model_inputs_rejects_transform_parameters(self, kwargs, message):
+        # a zero count and a zero beta, which the rejected values would make infinite
+        counts = np.array([[0, 100], [50, 50]])
+        betas = np.array([[0.0, 0.4], [0.6, 1.0]])
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            derive_model_inputs(counts, counts, betas, betas, np.array([0, 1]), **kwargs)
+
+    def test_derive_model_inputs_finite_just_inside_the_ranges(self):
+        counts = np.array([[0, 100], [50, 50]])
+        betas = np.array([[0.0, 0.4], [0.6, 1.0]])
+        _, x, _, y = derive_model_inputs(
+            counts, counts + 1, betas, betas[::-1], np.array([0, 1]),
+            pseudocount=1e-300, beta_eps=0.499,
+        )
+        assert np.isfinite(x).all() and np.isfinite(y).all()
+        assert (y != 0).any()
