@@ -6,7 +6,10 @@ parameters, input digests and wall-clock duration; data outputs are
 byte-reproducible given identical inputs and seed, for any ``--threads``
 value. Exit codes: 0 success, 1 input/validation error, 2 numerical or
 convergence failure, 3 partial per-chromosome failure with the
-remaining outputs written.
+remaining outputs written. An input table without data rows is an input
+error, and so is a ``preprocess`` run that keeps no gene or no CpG.
+``fit`` and ``baseline`` log their non-convergence warnings first, then
+print one failure line per failed chromosome, each in label order.
 """
 
 from __future__ import annotations
@@ -254,6 +257,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _finish_fits(out, args, input_paths, started, results, failures) -> int:
+    """End a per-chromosome fit command once its results are written.
+
+    Prints a ``chromosome ... failed`` line per failure in label order,
+    writes the manifest with the unconverged labels and returns the exit
+    code: 0, 3 if some chromosomes failed, 2 if all did.
+    """
+    for label in sorted(failures):
+        print(f"chromosome {label} failed: {failures[label]}", file=sys.stderr)
+    _write_manifest(
+        out, args, input_paths, started,
+        unconverged=sorted(label for label, r in results.items() if not r.converged),
+    )
+    if failures:
+        return 3 if results else 2
+    return 0
+
+
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["model.json", "gene_results.tsv", "cpg_results.tsv", "manifest.json"])
@@ -261,17 +282,9 @@ def cmd_fit(args) -> int:
     results, failures = fit_all_chromosomes(
         ds, threads=args.threads, **_own_flags(args, "expression", "methylation", "mode")
     )
-    for label in sorted(failures):
-        print(f"chromosome {label} failed: {failures[label]}", file=sys.stderr)
     if results:
         write_joint_results(out, ds, results, args.K, args.L)
-    _write_manifest(
-        out, args, [args.expression, args.methylation], t0,
-        unconverged=sorted(label for label, r in results.items() if not r.converged),
-    )
-    if failures:
-        return 3 if results else 2
-    return 0
+    return _finish_fits(out, args, [args.expression, args.methylation], t0, results, failures)
 
 
 def cmd_baseline(args) -> int:
@@ -280,8 +293,6 @@ def cmd_baseline(args) -> int:
     results_name = "gene_results.tsv" if expression else "cpg_results.tsv"
     out = _prepare_out(args, [results_name, "model.json", "manifest.json"])
     _, table = (read_expression_table if expression else read_methylation_table)(args.input)
-    if not len(table):
-        raise InputError(f"{args.input}: no data rows")
     labels, chrom = np.unique(table["chromosome"], return_inverse=True)
     rows_of = {label: np.flatnonzero(chrom == i) for i, label in enumerate(labels.tolist())}
     fits, failures = _run_each(
@@ -289,31 +300,19 @@ def cmd_baseline(args) -> int:
                                      tol=args.tol, max_iter=args.max_iter),
         rows_of, args.threads, FitError,
     )
-    covered = []
-    for label, rows in rows_of.items():
-        if label in failures:
-            print(f"chromosome {label} failed: {failures[label]}", file=sys.stderr)
-            continue
-        res = fits[label]
+    for label, res in fits.items():
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
-        covered.append((rows, res.layer))
-
     if fits:
         names = label_names("gene" if expression else "cpg", args.k)
         write_tsv(
             out / results_name,
             results_header(table.columns, names),
-            result_rows(list(table.columns.values()), covered, names),
+            result_rows(list(table.columns.values()),
+                        [(rows_of[label], res.layer) for label, res in fits.items()], names),
         )
         write_json(out / "model.json", independent_model_payload(args.k, fits))
-    _write_manifest(
-        out, args, [args.input], t0,
-        unconverged=sorted(label for label, r in fits.items() if not r.converged),
-    )
-    if failures:
-        return 3 if fits else 2
-    return 0
+    return _finish_fits(out, args, [args.input], t0, fits, failures)
 
 
 def cmd_evaluate(args) -> int:
@@ -321,8 +320,6 @@ def cmd_evaluate(args) -> int:
     out = _prepare_out(args, ["evaluation.tsv", "evaluation.json", "manifest.json"])
     truth = read_truth_table(args.truth)[args.layer]
     linenos, pairs = read_predicted_labels(args.predicted, args.layer)
-    if not pairs:
-        raise InputError(f"{args.predicted}: no data rows")
     unknown = [(lineno, i) for lineno, (i, _) in zip(linenos, pairs) if i not in truth]
     if unknown:
         lineno, rid = unknown[0]

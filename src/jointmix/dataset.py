@@ -204,7 +204,8 @@ def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str,
     rejects, else returns the indices (two or more) of the cells each row
     keeps, as a tuple; a line is split no further than the last of them.
     Blank lines are skipped but counted, the header being line 1; a line
-    with another cell count than the header's is a FormatError.
+    with another cell count than the header's, or a table without data
+    lines, is a FormatError.
     """
     with _open_text(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -223,6 +224,8 @@ def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str,
                 raise FormatError(f"{path}:{lineno}: expected {width} columns, got {n_cols}")
             rows.append(keep(line.split("\t", last)))
             linenos.append(lineno)
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
     return cells, linenos, rows
 
 
@@ -264,16 +267,12 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     cols, linenos, fixed = _read_tsv(path, check_header)
     patients, width = cols[k:], len(cols)
     _require_unique(path, zip(linenos, [row[0] for row in fixed]), fixed_columns[0])
-    if not linenos:
-        values = np.empty((0, len(patients)))
-    else:
-        try:
-            values = _read_values(path, k, width, skiprows=1)
-        except ValueError as exc:
-            _raise_unparsable(path, k, patients, exc)
+    try:
+        values = _read_values(path, k, width, skiprows=1)
+    except ValueError as exc:
+        _raise_unparsable(path, k, patients, exc)
     # max and min allocate nothing; a nan makes both comparisons fail
-    if not (values.max(initial=-np.inf) <= MAX_ABS_VALUE
-            and values.min(initial=np.inf) >= -MAX_ABS_VALUE):
+    if not (values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
         bad = int(np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0])
         row, col = divmod(bad, len(patients))
         v = float(values[row, col])
@@ -282,7 +281,7 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
         raise FormatError(
             f"{path}:{linenos[row]}:{k + col + 1}: {what} for patient {patients[col]!r}"
         )
-    annotations = np.array(fixed, dtype=str).reshape(-1, k)
+    annotations = np.array(fixed, dtype=str)
     return patients, Table(dict(zip(fixed_columns, annotations.T)), values)
 
 
@@ -380,8 +379,6 @@ def load_paired_dataset(expression_path, methylation_path, mode="strict") -> Pai
     :func:`align_patients`; the methylation columns take the expression order.
     """
     expr_patients, genes = read_expression_table(expression_path)
-    if not len(genes):
-        raise FormatError(f"{expression_path}: no data rows")
     meth_patients, cpgs = read_methylation_table(methylation_path)
     order = align_patients(expression_path, expr_patients, methylation_path, meth_patients)
     if meth_patients != expr_patients:

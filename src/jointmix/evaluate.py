@@ -86,15 +86,13 @@ def simulated_dataset(sim):
     kept_g, x, kept_c, y = derive_model_inputs(
         sim.counts_a, sim.counts_b, sim.betas_a, sim.betas_b, t.cpg_gene_idx
     )
-    gene_row = np.full(len(t.gene_ids), -1, dtype=np.intp)
-    gene_row[kept_g] = np.arange(len(kept_g))
     ds = PairedDataset(
         patients=list(sim.patients),
         gene_ids=np.asarray(t.gene_ids, dtype=str)[kept_g],
         chromosomes=np.full(len(kept_g), "1"),
         x=x,
         cpg_ids=np.asarray(t.cpg_ids, dtype=str)[kept_c],
-        cpg_gene_idx=gene_row[t.cpg_gene_idx[kept_c]],
+        cpg_gene_idx=np.searchsorted(kept_g, t.cpg_gene_idx[kept_c]),
         y=y,
     )
     return ds, t.gene_labels[kept_g], t.cpg_labels[kept_c]

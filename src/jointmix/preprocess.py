@@ -101,7 +101,8 @@ def derive_model_inputs(
     are removed), ``x`` holds log-fold changes for the retained genes
     and ``y`` holds M-value differences for the retained CpGs. A
     ``pseudocount`` that is not finite and above 0, or a ``beta_eps``
-    outside (0, 0.5), is a :class:`ParameterError`.
+    outside (0, 0.5), is a :class:`ParameterError`; keeping no gene or
+    no CpG is a :class:`DataDomainError`.
     """
     if not 0 < pseudocount < np.inf:
         raise ParameterError(f"pseudocount must be finite and above 0, got {pseudocount}")
@@ -110,20 +111,21 @@ def derive_model_inputs(
     counts_a = np.asarray(counts_a)
     counts_b = np.asarray(counts_b)
     kept_genes = filter_low_counts(counts_a, counts_b, count_threshold)
+    if not len(kept_genes):
+        raise DataDomainError(
+            f"no gene has a total count above the count threshold {count_threshold}"
+        )
     keep_mask = np.zeros(counts_a.shape[0], dtype=bool)
     keep_mask[kept_genes] = True
+    kept_cpgs = np.flatnonzero(keep_mask[np.asarray(cpg_gene_idx, dtype=np.intp)])
+    if not len(kept_cpgs):
+        raise DataDomainError("no CpG is left: none maps to a gene that passed filtering")
     fa = counts_a[kept_genes]
     fb = counts_b[kept_genes]
     x = logfold_change(
         counts_to_logcpm(fa, total_count_library_sizes(fa), pseudocount),
         counts_to_logcpm(fb, total_count_library_sizes(fb), pseudocount),
     )
-
-    cpg_gene_idx = np.asarray(cpg_gene_idx, dtype=np.intp)
-    if cpg_gene_idx.size:
-        kept_cpgs = np.flatnonzero(keep_mask[cpg_gene_idx])
-    else:
-        kept_cpgs = np.array([], dtype=np.intp)
     y = mvalue_difference(
         beta_to_mvalue(np.asarray(betas_a)[kept_cpgs], beta_eps),
         beta_to_mvalue(np.asarray(betas_b)[kept_cpgs], beta_eps),

@@ -45,14 +45,37 @@ def manifest(out):
     return json.loads((Path(out) / "manifest.json").read_text())
 
 
-def test_cli_import_leaves_scipy_out():
+def run_python(*argv):
+    """``python *argv`` in a child process that imports this checkout's ``jointmix``."""
     src = str(Path(jointmix.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, jointmix.cli; assert 'scipy' not in sys.modules"],
-        env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], env=env, capture_output=True, text=True
     )
+
+
+def with_two_genes_on(data, tmp_path, label):
+    """Copies of the preprocessed tables with the first two genes and their CpGs on ``label``.
+
+    Two genes are too few for three clusters, so chromosome ``label`` cannot be fitted.
+    """
+    moved = {line.split("\t")[0] for line in
+             (data / "expression.tsv").read_text().splitlines()[1:3]}
+    paths = []
+    for name, gene_col in (("expression", 0), ("methylation", 1)):
+        lines = (data / f"{name}.tsv").read_text().splitlines()
+        rows = [line.split("\t") for line in lines[1:]]
+        for row in rows:
+            if row[gene_col] in moved:
+                row[gene_col + 1] = label
+        paths.append(tmp_path / f"{name}.tsv")
+        paths[-1].write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
+    return paths
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = run_python("-c", "import sys, jointmix.cli; assert 'scipy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -182,6 +205,32 @@ class TestPreprocessCommand:
             f"and {bad}: chromosome {chrom!r} against 'X'"
         ]
 
+    def test_no_gene_above_the_count_threshold_is_one_input_error(
+        self, sim_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "prep"
+        assert preprocess(sim_dir, out, "--count-threshold", 100000000) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no gene has a total count above the count threshold 100000000"
+        ]
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    def test_lenient_mode_that_keeps_no_cpg_is_one_input_error(self, sim_dir, tmp_path, capsys):
+        inputs = {}
+        for name in ("methylation_a", "methylation_b"):
+            lines = (sim_dir / f"{name}.tsv").read_text().splitlines()
+            rows = [line.split("\t") for line in lines[1:]]
+            for row in rows:
+                row[1] = "GXXXXX"
+            inputs[name] = tmp_path / f"{name}.tsv"
+            inputs[name].write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
+        out = tmp_path / "prep"
+        assert preprocess(sim_dir, out, "--mode", "lenient", **inputs) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no CpG is left: none maps to a gene that passed filtering"
+        ]
+        assert sorted(p.name for p in out.iterdir()) == []
+
     @pytest.mark.parametrize("flags, message", [
         (["--pseudocount", 0, "--beta-eps", 0], "pseudocount must be finite and above 0, got 0.0"),
         (["--pseudocount", -1], "pseudocount must be finite and above 0, got -1.0"),
@@ -258,32 +307,6 @@ class TestFitCommand:
         )
         assert code == 1
         assert "P4" in capsys.readouterr().err
-
-    def test_partial_chromosome_failure(self, transformed_dir, tmp_path, capsys):
-        expr = (transformed_dir / "expression.tsv").read_text().splitlines()
-        # move two genes to a chromosome of their own: too few for K=3
-        doctored = [expr[0]]
-        for i, line in enumerate(expr[1:]):
-            parts = line.split("\t")
-            if i < 2:
-                parts[1] = "99"
-            doctored.append("\t".join(parts))
-        expr_path = tmp_path / "expression_two_chrom.tsv"
-        expr_path.write_text("\n".join(doctored) + "\n")
-        meth = (transformed_dir / "methylation.tsv").read_text().splitlines()
-        moved = {line.split("\t")[0] for line in doctored[1:3]}
-        kept = [meth[0]] + [l for l in meth[1:] if l.split("\t")[1] not in moved]
-        meth_path = tmp_path / "methylation_two_chrom.tsv"
-        meth_path.write_text("\n".join(kept) + "\n")
-
-        out = tmp_path / "fit_partial"
-        code = run("fit", "--expression", expr_path, "--methylation", meth_path, "--out", out)
-        assert code == 3
-        assert "99" in capsys.readouterr().err
-        gene_lines = (out / "gene_results.tsv").read_text().splitlines()
-        assert len(gene_lines) == 1 + 78
-        model = json.loads((out / "model.json").read_text())
-        assert list(model["chromosomes"]) == ["1"]
 
     def test_non_finite_value_names_its_location(self, transformed_dir, tmp_path, capsys):
         # data line 4 holds CpG C000004; the first patient is column 4
@@ -378,11 +401,12 @@ class TestBaselineCommand:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def fit_argv(data, command, expression=None):
-    """``fit`` or ``baseline`` argv on the preprocessed tables, the expression table replaceable."""
+def fit_argv(data, command, expression=None, methylation=None):
+    """``fit`` or ``baseline`` argv on the preprocessed tables, either table replaceable."""
     expression = expression or data / "expression.tsv"
     if command == "fit":
-        return ["fit", "--expression", expression, "--methylation", data / "methylation.tsv"]
+        methylation = methylation or data / "methylation.tsv"
+        return ["fit", "--expression", expression, "--methylation", methylation]
     return ["baseline", "--input", expression, "--layer", "expression"]
 
 
@@ -437,21 +461,52 @@ class TestFitAndBaselineAlike:
         assert run(*fit_argv(transformed_dir, command, bad), "--out", tmp_path / "out") == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("command, layer", [
-        ("fit", "expression"), ("baseline", "expression"), ("baseline", "methylation"),
+    @pytest.mark.parametrize("command, failure", [
+        ("fit", "cannot fit 3 gene clusters to 2 genes"),
+        ("baseline", "cannot fit 3 clusters to 2 rows"),
     ])
-    def test_table_without_rows_is_one_input_error(
-        self, transformed_dir, tmp_path, capsys, command, layer
+    def test_partial_chromosome_failure(
+        self, transformed_dir, tmp_path, capsys, command, failure
     ):
-        src = transformed_dir / f"{layer}.tsv"
-        empty = tmp_path / src.name
-        empty.write_text(src.read_text().splitlines()[0] + "\n")
-        argv = (fit_argv(transformed_dir, "fit", empty) if command == "fit"
-                else ["baseline", "--input", empty, "--layer", layer])
+        tables = with_two_genes_on(transformed_dir, tmp_path, "99")
         out = tmp_path / "out"
-        assert run(*argv, "--out", out) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {empty}: no data rows"]
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert run(*fit_argv(transformed_dir, command, *tables), "--out", out) == 3
+        assert capsys.readouterr().err.splitlines() == [f"chromosome 99 failed: {failure}"]
+        assert len((out / "gene_results.tsv").read_text().splitlines()) == 1 + 78
+        assert list(json.loads((out / "model.json").read_text())["chromosomes"]) == ["1"]
+        assert manifest(out)["unconverged"] == []
+
+    @pytest.mark.parametrize("command, failure", [
+        ("fit", "cannot fit 81 gene clusters to 80 genes"),
+        ("baseline", "cannot fit 81 clusters to 80 rows"),
+    ])
+    def test_every_chromosome_failed(self, transformed_dir, tmp_path, capsys, command, failure):
+        out = tmp_path / "out"
+        assert run(*fit_argv(transformed_dir, command), "--k", 81, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [f"chromosome 1 failed: {failure}"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert manifest(out)["unconverged"] == []
+
+    @pytest.mark.parametrize("command, flags, lines", [
+        ("fit", ["--outer-max", 1], [
+            "WARNING jointmix.joint_em: chromosome 1 did not converge in 1 outer iterations",
+            "chromosome 0 failed: cannot fit 3 gene clusters to 2 genes",
+        ]),
+        ("baseline", ["--max-iter", 1], [
+            "WARNING jointmix.cli: chromosome 1 did not converge in 1 iterations",
+            "chromosome 0 failed: cannot fit 3 clusters to 2 rows",
+        ]),
+    ])
+    def test_warnings_come_before_failure_lines(
+        self, transformed_dir, tmp_path, command, flags, lines
+    ):
+        # chromosome 0 fails and sorts before chromosome 1, which does not converge
+        tables = with_two_genes_on(transformed_dir, tmp_path, "0")
+        proc = run_python("-c", "import sys, jointmix.cli; sys.exit(jointmix.cli.main())",
+                          *fit_argv(transformed_dir, command, *tables), *flags,
+                          "--out", tmp_path / "out")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == lines
 
     def test_baseline_header_at_k_2(self, transformed_dir, tmp_path):
         out = tmp_path / "out"
@@ -728,15 +783,15 @@ class TestInputTables:
             "predicted": predicted,
         }
 
-    def run_with(self, sim_dir, command, files, out):
+    def run_with(self, sim_dir, command, files, out, layer="expression"):
+        """Run ``command`` on ``files``; ``baseline`` fits the table of ``layer``."""
         if command == "preprocess":
             return preprocess(sim_dir, out, **{name: files[name] for name in CONDITION_FILES})
         if command == "fit":
             return run("fit", "--expression", files["expression"],
                        "--methylation", files["methylation"], "--out", out)
         if command == "baseline":
-            return run("baseline", "--input", files["expression"], "--layer", "expression",
-                       "--out", out)
+            return run("baseline", "--input", files[layer], "--layer", layer, "--out", out)
         return run("evaluate", "--truth", files["truth"], "--predicted", files["predicted"],
                    "--layer", "gene", "--out", out)
 
@@ -757,6 +812,24 @@ class TestInputTables:
         assert self.run_with(sim_dir, command, {**files, name: bad}, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {bad}:{lineno}: duplicate {what} {rid!r}"]
+
+    @pytest.mark.parametrize("command, name", [
+        *(("preprocess", name) for name in CONDITION_FILES),
+        ("fit", "expression"), ("fit", "methylation"),
+        ("baseline", "expression"), ("baseline", "methylation"),
+        ("evaluate", "truth"),
+    ])
+    def test_table_without_rows_is_one_input_error(
+        self, sim_dir, transformed_dir, tmp_path, capsys, command, name
+    ):
+        files = self.inputs(sim_dir, transformed_dir, tmp_path)
+        empty = tmp_path / "empty" / files[name].name
+        empty.parent.mkdir()
+        empty.write_text(files[name].read_text().splitlines()[0] + "\n")
+        out = tmp_path / "out"
+        assert self.run_with(sim_dir, command, {**files, name: empty}, out, layer=name) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {empty}: no data rows"]
+        assert sorted(p.name for p in out.iterdir()) == []
 
     @pytest.mark.parametrize("command, renamed, reference", [
         ("fit", ["methylation"], "expression"),

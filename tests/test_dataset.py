@@ -175,14 +175,12 @@ class TestReaderEdgeCases:
         assert t_lf.values.tolist() == [[0.5, -1e-05], [3.0, 0.1]]
 
     @pytest.mark.parametrize("body", ["", "\n\n"])
-    def test_header_without_rows_gives_zero_rows(self, tmp_path, body):
+    def test_header_without_rows_is_a_format_error(self, tmp_path, body):
         path = tmp_path / "expr.tsv"
         path.write_text(self.HEADER + body)
-        patients, table = read_expression_table(path)
-        assert patients == ["P1", "P2"]
-        assert len(table) == 0
-        assert table.values.shape == (0, 2)
-        assert table.ids.tolist() == []
+        with pytest.raises(FormatError) as exc:
+            read_expression_table(path)
+        assert str(exc.value) == f"{path}: no data rows"
 
     @pytest.mark.parametrize("raw, lineno", [
         (b"gene_id\tchromosome\tP\xe91\tP2\ng1\t1\t0\t0\n", 1),

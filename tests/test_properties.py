@@ -90,6 +90,13 @@ def matrices(draw, cells):
     return rows, n, draw(st.lists(cells, min_size=rows * n, max_size=rows * n))
 
 
+def assert_no_data_rows(read, *paths):
+    """``read(*paths)`` rejects the last path, a table with a header and no data lines."""
+    with pytest.raises(FormatError) as exc:
+        read(*paths)
+    assert str(exc.value) == f"{paths[-1]}: no data rows"
+
+
 @PROPERTY
 @given(matrices(edge_floats), st.integers(1, 9))
 def test_block_formatter_matches_the_scalar_rule_on_floats(matrix, block_cells):
@@ -116,6 +123,9 @@ def test_expression_table_round_trip_is_exact(tmp_path_factory, table):
     ids, _, chromosomes, patients, values = table
     path = tmp_path_factory.mktemp("rt") / "expression.tsv"
     write_expression_table(path, ids, chromosomes, patients, values)
+    if not ids:
+        assert_no_data_rows(read_expression_table, path)
+        return
     read_patients, t = read_expression_table(path)
     assert read_patients == patients
     assert len(t) == len(ids)
@@ -130,6 +140,9 @@ def test_methylation_table_round_trip_is_exact(tmp_path_factory, table):
     ids, gene_ids, chromosomes, patients, values = table
     path = tmp_path_factory.mktemp("rt") / "methylation.tsv"
     write_methylation_table(path, ids, gene_ids, chromosomes, patients, values)
+    if not ids:
+        assert_no_data_rows(read_methylation_table, path)
+        return
     read_patients, t = read_methylation_table(path)
     assert read_patients == patients
     assert len(t) == len(ids)
@@ -171,6 +184,10 @@ def test_patient_column_order_does_not_change_the_data(tmp_path_factory, ds, rnd
     rnd.shuffle(order)
     write_methylation_table(meth_perm, ds.cpg_ids, cpg_gene_ids, cpg_chroms,
                             [ds.patients[j] for j in order], ds.y[:, order])
+    if not ds.n_cpgs:
+        for path in (meth, meth_perm):
+            assert_no_data_rows(load_paired_dataset, expr, path)
+        return
     plain = load_paired_dataset(expr, meth)
     permuted = load_paired_dataset(expr, meth_perm)
     assert permuted.patients == plain.patients
