@@ -1,8 +1,11 @@
 """Single executable exposing the full workflow.
 
 Subcommands: preprocess, simulate, fit, baseline, evaluate, benchmark,
-timing. Every run writes a ``manifest.json`` recording resolved
-parameters, input digests and wall-clock duration; data outputs are
+timing. Every subcommand takes ``--out``, ``--force`` and
+``--log-level``; ``simulate``, ``benchmark`` and ``timing`` also take
+``--seed``, and ``fit``, ``baseline`` and ``benchmark`` ``--threads``.
+Every run writes a ``manifest.json`` recording resolved parameters,
+input digests and wall-clock duration; data outputs are
 byte-reproducible given identical inputs and seed, for any ``--threads``
 value. Exit codes: 0 success, 1 input/validation error, 2 numerical or
 convergence failure, 3 partial per-chromosome failure with the
@@ -86,8 +89,6 @@ def _common_parser() -> _Parser:
     """The flags every subcommand accepts; they set up a run and are not its parameters."""
     common = _Parser(add_help=False)
     common.add_argument("--out", help="output directory (required)")
-    common.add_argument("--threads", type=int, default=1, help="max worker threads")
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
     common.add_argument("--force", action="store_true", help="overwrite existing outputs")
     common.add_argument(
         "--log-level", default="warning",
@@ -113,7 +114,6 @@ def _write_manifest(out_dir, args, input_paths, started, parameters=None, **extr
         "parameters": _own_flags(args) if parameters is None else parameters,
         "input_digests": {str(Path(p)): _sha256(p) for p in input_paths},
         "duration_s": round(time.perf_counter() - started, 6),
-        "threads": args.threads,
         **extra,
     }
     write_json(Path(out_dir) / "manifest.json", payload)
@@ -280,7 +280,7 @@ def cmd_fit(args) -> int:
     out = _prepare_out(args, ["model.json", "gene_results.tsv", "cpg_results.tsv", "manifest.json"])
     ds = load_paired_dataset(args.expression, args.methylation, mode=args.mode)
     results, failures = fit_all_chromosomes(
-        ds, threads=args.threads, **_own_flags(args, "expression", "methylation", "mode")
+        ds, **_own_flags(args, "expression", "methylation", "mode")
     )
     if results:
         write_joint_results(out, ds, results, args.K, args.L)
@@ -345,9 +345,7 @@ def cmd_benchmark(args) -> int:
         args.case, args.replicates, methods=methods, cfg=cfg, threads=args.threads
     )
     write_benchmark_tables(out, result)
-    _write_manifest(
-        out, args, [], t0, {**_own_flags(args), "methods": list(methods), "seed": args.seed}
-    )
+    _write_manifest(out, args, [], t0, {**_own_flags(args), "methods": list(methods)})
     if result.failures and len(result.failures) == args.replicates:
         return 2
     return 0
@@ -397,7 +395,7 @@ def cmd_timing(args) -> int:
     write_tsv(
         out / "timing.tsv", ["n_patients", "n_genes", "n_cpgs", "seconds"], format_lines(rows)
     )
-    _write_manifest(out, args, [], t0, {**_own_flags(args), "patients": counts, "seed": args.seed})
+    _write_manifest(out, args, [], t0, {**_own_flags(args), "patients": counts})
     return 0
 
 
@@ -422,12 +420,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="generate synthetic raw datasets with truth labels")
-    p.add_argument("--out-dir", dest="out", help=argparse.SUPPRESS)
     p.add_argument("--case", type=int, choices=[1, 2, 3], default=1)
     p.add_argument("--pi-file", help="explicit 3x3 dependency matrix (whitespace table)")
     p.add_argument("--genes", type=int, default=500)
     p.add_argument("--patients", type=int, default=4)
     p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", parents=[common],
@@ -443,6 +441,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outer-max", type=int, default=joint_em.DEFAULT_OUTER_MAX)
     p.add_argument("--inner-tol", type=float, default=joint_em.DEFAULT_INNER_TOL)
     p.add_argument("--inner-max", type=int, default=joint_em.DEFAULT_INNER_MAX)
+    p.add_argument("--threads", type=int, default=1, help="max worker threads")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("baseline", parents=[common],
@@ -453,6 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--quantile", type=float, default=joint_em.DEFAULT_INIT_QUANTILE)
     p.add_argument("--tol", type=float, default=joint_em.DEFAULT_OUTER_TOL)
     p.add_argument("--max-iter", type=int, default=joint_em.DEFAULT_OUTER_MAX)
+    p.add_argument("--threads", type=int, default=1, help="max worker threads")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", parents=[common],
@@ -469,6 +469,8 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="joint,independent")
     p.add_argument("--genes", type=int, default=500)
     p.add_argument("--patients", type=int, default=4)
+    p.add_argument("--threads", type=int, default=1, help="max worker threads")
+    p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("timing", parents=[common],
@@ -476,6 +478,7 @@ def build_parser() -> _Parser:
     p.add_argument("--patients", default="4,40", help="comma-separated patient counts")
     p.add_argument("--genes", type=int, default=500)
     p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.set_defaults(func=cmd_timing)
 
     return parser

@@ -121,9 +121,9 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
     """Match each CpG to its parent gene under the strict/lenient policy.
 
     A CpG whose gene_id names no gene, or whose chromosome differs from
-    its gene's, raises :class:`MappingError` in ``strict`` mode and is
-    dropped with a warning in ``lenient`` mode. Returns ``(kept,
-    parents)``: the kept CpG rows and, for each, its gene's row.
+    its gene's, raises :class:`MappingError` in ``strict`` mode; ``lenient``
+    mode drops them all with one warning naming their number and the first.
+    Returns ``(kept, parents)``: the kept CpG rows and, for each, its gene's row.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -131,7 +131,8 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
     parents = np.array([row_of.get(g, -1) for g in cpgs["gene_id"].tolist()], dtype=np.intp)
     ok = parents >= 0
     ok[ok] = genes["chromosome"][parents[ok]] == cpgs["chromosome"][ok]
-    for j in np.flatnonzero(~ok):
+    bad = np.flatnonzero(~ok)
+    for j in bad[:1]:
         cpg_id, gene_id, chrom = (str(cpgs[c][j]) for c in METHYLATION_FIXED_COLUMNS)
         if parents[j] < 0:
             problem = f"CpG {cpg_id!r} references unknown gene_id {gene_id!r}"
@@ -142,7 +143,7 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
             )
         if mode == "strict":
             raise MappingError(problem)
-        logger.warning("%s; dropping it (lenient mode)", problem)
+        logger.warning("dropping %d CpG(s) (lenient mode); the first: %s", len(bad), problem)
     kept = np.flatnonzero(ok)
     return kept, parents[kept]
 

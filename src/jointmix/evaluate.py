@@ -180,8 +180,8 @@ def benchmark(
     threads; rows are assembled in replicate order, so the output is
     identical for any thread count. Replicates whose fit fails are
     recorded in ``failures`` and excluded from the aggregation. An
-    empty ``methods``, an unknown or repeated method and a ``cfg`` that
-    ``SimConfig.validate`` rejects are a :class:`ParameterError`.
+    empty ``methods``, an unknown or repeated method, ``threads`` below 1
+    and a ``cfg`` ``SimConfig.validate`` rejects are a :class:`ParameterError`.
     """
     if n_datasets < 2:
         raise ParameterError("benchmark needs at least 2 replicates")

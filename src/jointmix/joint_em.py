@@ -519,8 +519,9 @@ def m_step(ds: PairedDataset, u, v, work=None) -> JointParams:
 
     Each layer gets its weights, means and pooled variance from
     :func:`_layer_m_step`; ``pi`` is the CpG-cluster mass per gene
-    cluster over that cluster's CpG count. The scratch arrays live in
-    ``work``, the fit's :class:`_Workspace`, built when not given.
+    cluster over that cluster's CpG count, uniform where that count is
+    below ``MASS_EPS``. The scratch arrays live in ``work``, the fit's
+    :class:`_Workspace`, built when not given.
     """
     K = u.shape[1]
     L = v.shape[1]
@@ -537,9 +538,6 @@ def m_step(ds: PairedDataset, u, v, work=None) -> JointParams:
     pi = np.empty((L, K))
     for k in range(K):
         if den[k] < MASS_EPS:
-            logger.warning(
-                "gene cluster %d has no CpG mass; resetting its pi column to uniform", k
-            )
             pi[:, k] = 1.0 / L
         else:
             pi[:, k] = num[:, k] / den[k]
@@ -669,6 +667,9 @@ def fit(
     )
     pk, gene = _layer_fit(params.mu, resp.u_hat)
     pl, cpg = _layer_fit(params.lam, resp.v_hat)
+    # the final M-step's reset test, logged once per fit: the M-step runs every iteration
+    for label in np.flatnonzero((resp.u_hat.T @ work.cpg_counts)[pk] < MASS_EPS) + 1:
+        logger.warning("gene cluster %d has no CpG mass; its pi column is uniform", label)
     params = JointParams(
         tau=params.tau[pk],
         pi=params.pi[np.ix_(pl, pk)],
@@ -685,8 +686,10 @@ def _run_each(fn, items: dict, threads: int, catch):
 
     Returns ``(results, failures)``, keyed like ``items`` and in its
     order: a call that raises ``catch`` lands in ``failures`` and does
-    not stop the others; any other exception propagates.
+    not stop the others; any other exception propagates. ``threads``
+    below 1 is a :class:`ParameterError`, raised before any call.
     """
+    _require_at_least("threads", threads, 1)
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(items)))) as pool:
         futures = {key: pool.submit(fn, item) for key, item in items.items()}
     results, failures = {}, {}

@@ -23,12 +23,17 @@ def sim_dir(tmp_path_factory):
     return out
 
 
-def preprocess(sim_dir, out, *extra, **inputs):
-    """Run ``preprocess`` on the simulation, any input file replaced by keyword."""
+def preprocess_argv(sim_dir, out, *extra, **inputs):
+    """``preprocess`` argv on the simulation, any input file replaced by keyword."""
     files = {name: inputs.get(name, sim_dir / f"{name}.tsv")
              for name in ("expression_a", "expression_b", "methylation_a", "methylation_b")}
     flags = [a for name, path in files.items() for a in (f"--{name.replace('_', '-')}", path)]
-    return run("preprocess", *flags, "--out", out, "--force", *extra)
+    return ["preprocess", *flags, "--out", out, "--force", *extra]
+
+
+def preprocess(sim_dir, out, *extra, **inputs):
+    """Run ``preprocess`` on the simulation, any input file replaced by keyword."""
+    return run(*preprocess_argv(sim_dir, out, *extra, **inputs))
 
 
 def doctored(src, dst, lineno, column, text):
@@ -161,13 +166,15 @@ class TestPreprocessCommand:
         assert f"{bad}:3:3: non-finite value nan" in capsys.readouterr().err
 
     def orphan_inputs(self, sim_dir, tmp_path):
-        """Both methylation files with one extra CpG mapped to an unknown gene."""
+        """Both methylation files with two extra CpGs mapped to unknown genes."""
         paths = {}
         for name in ("methylation_a", "methylation_b"):
             lines = (sim_dir / f"{name}.tsv").read_text().splitlines()
             n = len(lines[0].split("\t")) - 3
+            orphans = [f"{cpg}\t{gene}\t1" + "\t0.5" * n
+                       for cpg, gene in (("C999999", "GXXXXX"), ("C999998", "GYYYYY"))]
             paths[name] = tmp_path / f"{name}.tsv"
-            paths[name].write_text("\n".join(lines + ["C999999\tGXXXXX\t1" + "\t0.5" * n]) + "\n")
+            paths[name].write_text("\n".join(lines + orphans) + "\n")
         return paths
 
     def test_orphan_cpg_strict_fails(self, sim_dir, tmp_path, capsys):
@@ -175,10 +182,14 @@ class TestPreprocessCommand:
         assert preprocess(sim_dir, tmp_path / "out", **inputs) == 1
         assert "'C999999' references unknown gene_id 'GXXXXX'" in capsys.readouterr().err
 
-    def test_orphan_cpg_lenient_dropped(self, sim_dir, transformed_dir, tmp_path):
+    def test_orphan_cpg_lenient_dropped(self, sim_dir, transformed_dir, tmp_path, caplog):
         inputs = self.orphan_inputs(sim_dir, tmp_path)
         out = tmp_path / "out"
         assert preprocess(sim_dir, out, "--mode", "lenient", **inputs) == 0
+        assert caplog.messages == [
+            "dropping 2 CpG(s) (lenient mode); the first: "
+            "CpG 'C999999' references unknown gene_id 'GXXXXX'"
+        ]
         for name in ("expression.tsv", "methylation.tsv"):
             assert (out / name).read_bytes() == (transformed_dir / name).read_bytes()
 
@@ -215,7 +226,7 @@ class TestPreprocessCommand:
         ]
         assert sorted(p.name for p in out.iterdir()) == []
 
-    def test_lenient_mode_that_keeps_no_cpg_is_one_input_error(self, sim_dir, tmp_path, capsys):
+    def test_lenient_mode_that_keeps_no_cpg_is_one_input_error(self, sim_dir, tmp_path):
         inputs = {}
         for name in ("methylation_a", "methylation_b"):
             lines = (sim_dir / f"{name}.tsv").read_text().splitlines()
@@ -225,9 +236,13 @@ class TestPreprocessCommand:
             inputs[name] = tmp_path / f"{name}.tsv"
             inputs[name].write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
         out = tmp_path / "prep"
-        assert preprocess(sim_dir, out, "--mode", "lenient", **inputs) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: no CpG is left: none maps to a gene that passed filtering"
+        proc = run_python("-c", "import sys, jointmix.cli; sys.exit(jointmix.cli.main())",
+                          *preprocess_argv(sim_dir, out, "--mode", "lenient", **inputs))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"WARNING jointmix.dataset: dropping {len(rows)} CpG(s) (lenient mode); the first: "
+            f"CpG {rows[0][0]!r} references unknown gene_id 'GXXXXX'",
+            "error: no CpG is left: none maps to a gene that passed filtering",
         ]
         assert sorted(p.name for p in out.iterdir()) == []
 
@@ -699,16 +714,16 @@ def manifest_case(command, sim_dir, transformed_dir, tmp_path):
         methylation = str(transformed_dir / "methylation.tsv")
         return ["--expression", expression, "--methylation", methylation, "--mode", "lenient",
                 "--k", 2, "--l", 4, "--quantile", 0.2, "--outer-tol", 1e-4, "--outer-max", 7,
-                "--inner-tol", 1e-5, "--inner-max", 30], {
+                "--inner-tol", 1e-5, "--inner-max", 30, "--threads", 2], {
             "expression": expression, "methylation": methylation, "mode": "lenient", "K": 2,
             "L": 4, "q": 0.2, "outer_tol": 1e-4, "outer_max": 7, "inner_tol": 1e-5,
-            "inner_max": 30}, 2
+            "inner_max": 30, "threads": 2}, 2
     if command == "baseline":
         methylation = str(transformed_dir / "methylation.tsv")
         return ["--input", methylation, "--layer", "methylation", "--k", 2, "--quantile", 0.2,
-                "--tol", 1e-4, "--max-iter", 3], {
+                "--tol", 1e-4, "--max-iter", 3, "--threads", 2], {
             "input": methylation, "layer": "methylation", "k": 2, "quantile": 0.2,
-            "tol": 1e-4, "max_iter": 3}, 1
+            "tol": 1e-4, "max_iter": 3, "threads": 2}, 1
     if command == "evaluate":
         truth = sim_dir / "truth.tsv"
         cpg = next(line.split("\t")[0] for line in truth.read_text().splitlines()
@@ -719,9 +734,9 @@ def manifest_case(command, sim_dir, transformed_dir, tmp_path):
             "truth": str(truth), "predicted": str(predicted), "layer": "cpg"}, 2
     if command == "benchmark":
         return ["--case", 2, "--replicates", 3, "--methods", "independent, joint",
-                "--genes", 30, "--patients", 3, "--seed", 9], {
+                "--genes", 30, "--patients", 3, "--threads", 2, "--seed", 9], {
             "case": 2, "replicates": 3, "methods": ["independent", "joint"], "genes": 30,
-            "patients": 3, "seed": 9}, 0
+            "patients": 3, "threads": 2, "seed": 9}, 0
     assert command == "timing"
     return ["--patients", "3,5", "--genes", 30, "--repeats", 2, "--seed", 7], {
         "patients": [3, 5], "genes": 30, "repeats": 2, "seed": 7}, 0
@@ -735,12 +750,42 @@ def test_manifest_records_the_subcommands_flags(
 ):
     flags, parameters, n_inputs = manifest_case(command, sim_dir, transformed_dir, tmp_path)
     out = tmp_path / "out"
-    assert run(command, *flags, "--threads", 2, "--out", out) == 0
+    assert run(command, *flags, "--out", out) == 0
     recorded = manifest(out)
     assert recorded["subcommand"] == command
-    assert recorded["threads"] == 2
+    assert "threads" not in recorded
     assert recorded["parameters"] == parameters
     assert len(recorded["input_digests"]) == n_inputs
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--seed") for command in ("preprocess", "fit", "baseline", "evaluate")),
+    *((command, "--threads") for command in ("preprocess", "simulate", "evaluate", "timing")),
+    ("simulate", "--out-dir"),
+])
+def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(
+    sim_dir, transformed_dir, tmp_path, capsys, command, flag
+):
+    flags, _, _ = manifest_case(command, sim_dir, transformed_dir, tmp_path)
+    out = tmp_path / "out"
+    assert run(command, *flags, flag, 2, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: unrecognized arguments: {flag} 2"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("argv", [
+    lambda data: fit_argv(data, "fit"),
+    lambda data: fit_argv(data, "baseline"),
+    lambda data: ["benchmark", "--replicates", 2, "--genes", 30],
+], ids=["fit", "baseline", "benchmark"])
+def test_threads_below_one_is_one_input_error(transformed_dir, tmp_path, capsys, argv, threads):
+    out = tmp_path / "out"
+    assert run(*argv(transformed_dir), "--threads", threads, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: threads must be at least 1, got {threads}"
+    ]
+    assert list(out.iterdir()) == []
 
 
 def with_repeated_first_row(src, dst):

@@ -414,7 +414,7 @@ class TestMStep:
         with caplog.at_level("WARNING"):
             params = m_step(ds, u, v)
         np.testing.assert_allclose(params.pi[:, 0], [0.5, 0.5])
-        assert any("uniform" in r.message for r in caplog.records)
+        assert not caplog.records  # fit logs the reset once, not every M-step
 
 
 class TestEStepFixedPoint:
@@ -722,6 +722,19 @@ class TestFit:
         with pytest.raises(ParameterError, match=f"{bad} must be at least 1, got {min(K, L)}"):
             fit(ds, K=K, L=L)
 
+    def test_a_gene_cluster_without_cpg_mass_warns_once(self, caplog):
+        # the up-shifted genes carry no CpGs, so their cluster has no CpG
+        # mass in every outer iteration of a fit that does not converge
+        rng = np.random.default_rng(0)
+        x = rng.normal(np.repeat([-3.0, 0.0, 3.0], [10, 40, 10])[:, None], 0.3, (60, 4))
+        parents = np.repeat(np.arange(50), 5)
+        y = rng.normal(0.0, 1.0, (250, 4)) - 2.0 * (parents < 10)[:, None]
+        with caplog.at_level(logging.WARNING, logger="jointmix.joint_em"):
+            res = fit(make_dataset(x, parents, y))
+        assert not res.converged
+        np.testing.assert_array_equal(res.params.pi[:, 2], 1 / 3)
+        assert caplog.messages == ["gene cluster 3 has no CpG mass; its pi column is uniform"]
+
     def test_observed_loglik_finite_diagnostic(self):
         rng = np.random.default_rng(13)
         ds = random_mixture_dataset(rng, n_genes=15, n_patients=2)
@@ -816,7 +829,14 @@ class TestRunEach:
         with pytest.raises(FitError):
             _run_each(fail_on_a, {1: "b", 2: "a"}, 1, KeyError)
 
-    @pytest.mark.parametrize("threads", [0, 1, 2, 7])
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_is_a_parameter_error(self, threads):
+        calls = []
+        with pytest.raises(ParameterError, match=f"threads must be at least 1, got {threads}"):
+            _run_each(calls.append, {1: "a"}, threads, FitError)
+        assert calls == []
+
+    @pytest.mark.parametrize("threads", [1, 2, 7])
     def test_results_keyed_like_items_for_any_thread_count(self, threads):
         items = {9: "x", 3: "a", 5: "y", 1: "z"}
         results, failures = _run_each(fail_on_a, items, threads, FitError)

@@ -71,12 +71,12 @@ def tables(draw):
 
 
 @st.composite
-def datasets(draw, values=finite):
+def datasets(draw, values=finite, min_cpgs=0):
     """A small valid dataset: genes on a few chromosomes, CpGs under them."""
     g = draw(st.integers(1, 8))
     n = draw(st.integers(1, 3))
     chromosomes = draw(st.lists(st.sampled_from(["1", "2", "10", "X"]), min_size=g, max_size=g))
-    parents = draw(st.lists(st.integers(0, g - 1), max_size=12))
+    parents = draw(st.lists(st.integers(0, g - 1), min_size=min_cpgs, max_size=12))
     x = draw(st.lists(values, min_size=g * n, max_size=g * n))
     y = draw(st.lists(values, min_size=len(parents) * n, max_size=len(parents) * n))
     return make_dataset(np.reshape(x, (g, n)), parents, np.reshape(y, (len(parents), n)),
@@ -172,7 +172,7 @@ def test_a_value_beyond_the_bound_is_rejected_with_its_cell(tmp_path_factory, ta
 
 
 @PROPERTY
-@given(datasets(readable), st.randoms(use_true_random=False))
+@given(datasets(readable, min_cpgs=1), st.randoms(use_true_random=False))
 def test_patient_column_order_does_not_change_the_data(tmp_path_factory, ds, rnd):
     out = tmp_path_factory.mktemp("perm")
     expr, meth, meth_perm = out / "e.tsv", out / "m.tsv", out / "m_perm.tsv"
@@ -184,10 +184,6 @@ def test_patient_column_order_does_not_change_the_data(tmp_path_factory, ds, rnd
     rnd.shuffle(order)
     write_methylation_table(meth_perm, ds.cpg_ids, cpg_gene_ids, cpg_chroms,
                             [ds.patients[j] for j in order], ds.y[:, order])
-    if not ds.n_cpgs:
-        for path in (meth, meth_perm):
-            assert_no_data_rows(load_paired_dataset, expr, path)
-        return
     plain = load_paired_dataset(expr, meth)
     permuted = load_paired_dataset(expr, meth_perm)
     assert permuted.patients == plain.patients
