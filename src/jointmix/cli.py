@@ -3,7 +3,8 @@
 Subcommands: preprocess, simulate, fit, baseline, evaluate, benchmark,
 timing. Every subcommand takes ``--out``, ``--force`` and
 ``--log-level``; ``simulate``, ``benchmark`` and ``timing`` also take
-``--seed``, and ``fit``, ``baseline`` and ``benchmark`` ``--threads``.
+``--seed``, and ``fit``, ``baseline`` and ``benchmark`` ``--threads``,
+the most worker processes that fit chromosomes or replicates at once.
 Every run writes a ``manifest.json`` recording resolved parameters,
 input digests and wall-clock duration; data outputs are
 byte-reproducible given identical inputs and seed, for any ``--threads``
@@ -43,7 +44,7 @@ from .dataset import (
 )
 from .errors import FitError, FormatError, InputError, JointmixError
 from .evaluate import benchmark, score_labels, simulated_dataset
-from .joint_em import _run_each, fit, fit_all_chromosomes
+from .joint_em import _require_at_least, _run_each, fit, fit_all_chromosomes
 from .preprocess import (
     DEFAULT_BETA_EPS,
     DEFAULT_COUNT_THRESHOLD,
@@ -53,7 +54,9 @@ from .preprocess import (
 from .reports import (
     format_lines,
     independent_model_payload,
+    joint_result_lines,
     label_names,
+    place_lines,
     result_rows,
     results_header,
     write_benchmark_tables,
@@ -278,12 +281,13 @@ def _finish_fits(out, args, input_paths, started, results, failures) -> int:
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["model.json", "gene_results.tsv", "cpg_results.tsv", "manifest.json"])
+    _require_at_least("threads", args.threads, 1)
     ds = load_paired_dataset(args.expression, args.methylation, mode=args.mode)
-    results, failures = fit_all_chromosomes(
-        ds, **_own_flags(args, "expression", "methylation", "mode")
+    results, failures, lines = fit_all_chromosomes(
+        ds, render=joint_result_lines, **_own_flags(args, "expression", "methylation", "mode")
     )
     if results:
-        write_joint_results(out, ds, results, args.K, args.L)
+        write_joint_results(out, ds, results, lines, args.K, args.L)
     return _finish_fits(out, args, [args.expression, args.methylation], t0, results, failures)
 
 
@@ -292,24 +296,27 @@ def cmd_baseline(args) -> int:
     expression = args.layer == "expression"
     results_name = "gene_results.tsv" if expression else "cpg_results.tsv"
     out = _prepare_out(args, [results_name, "model.json", "manifest.json"])
+    _require_at_least("threads", args.threads, 1)
     _, table = (read_expression_table if expression else read_methylation_table)(args.input)
     labels, chrom = np.unique(table["chromosome"], return_inverse=True)
     rows_of = {label: np.flatnonzero(chrom == i) for i, label in enumerate(labels.tolist())}
-    fits, failures = _run_each(
-        lambda rows: fit_independent(table.values[rows], K=args.k, q=args.quantile,
-                                     tol=args.tol, max_iter=args.max_iter),
-        rows_of, args.threads, FitError,
-    )
+    names = label_names("gene" if expression else "cpg", args.k)
+
+    def fit_rows(rows):
+        res = fit_independent(table.values[rows], K=args.k, q=args.quantile,
+                              tol=args.tol, max_iter=args.max_iter)
+        return res, result_rows([col[rows] for col in table.columns.values()], res.layer, names)
+
+    done, failures = _run_each(fit_rows, rows_of, args.threads, FitError)
+    fits = {label: res for label, (res, _) in done.items()}
     for label, res in fits.items():
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
     if fits:
-        names = label_names("gene" if expression else "cpg", args.k)
         write_tsv(
             out / results_name,
             results_header(table.columns, names),
-            result_rows(list(table.columns.values()),
-                        [(rows_of[label], res.layer) for label, res in fits.items()], names),
+            place_lines(len(table), [(rows_of[label], lines) for label, (_, lines) in done.items()]),
         )
         write_json(out / "model.json", independent_model_payload(args.k, fits))
     return _finish_fits(out, args, [args.input], t0, fits, failures)
@@ -441,7 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outer-max", type=int, default=joint_em.DEFAULT_OUTER_MAX)
     p.add_argument("--inner-tol", type=float, default=joint_em.DEFAULT_INNER_TOL)
     p.add_argument("--inner-max", type=int, default=joint_em.DEFAULT_INNER_MAX)
-    p.add_argument("--threads", type=int, default=1, help="max worker threads")
+    p.add_argument("--threads", type=int, default=1, help="max worker processes")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("baseline", parents=[common],
@@ -452,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--quantile", type=float, default=joint_em.DEFAULT_INIT_QUANTILE)
     p.add_argument("--tol", type=float, default=joint_em.DEFAULT_OUTER_TOL)
     p.add_argument("--max-iter", type=int, default=joint_em.DEFAULT_OUTER_MAX)
-    p.add_argument("--threads", type=int, default=1, help="max worker threads")
+    p.add_argument("--threads", type=int, default=1, help="max worker processes")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("evaluate", parents=[common],
@@ -469,7 +476,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="joint,independent")
     p.add_argument("--genes", type=int, default=500)
     p.add_argument("--patients", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1, help="max worker threads")
+    p.add_argument("--threads", type=int, default=1, help="max worker processes")
     p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.set_defaults(func=cmd_benchmark)
 

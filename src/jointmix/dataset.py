@@ -68,8 +68,8 @@ class PairedDataset:
     ``gene_ids``, ``chromosomes`` and the rows of ``x`` (G, N) describe
     the genes; ``cpg_ids``, ``cpg_gene_idx`` and the rows of ``y`` (C, N)
     describe the CpGs, ``cpg_gene_idx[j]`` being the row of CpG j's
-    gene. Instances are treated as read-only after construction and are
-    safe to share across threads.
+    gene. Instances are treated as read-only after construction, so
+    forked worker processes read the parent's copy.
     """
 
     patients: list[str]

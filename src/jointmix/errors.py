@@ -2,7 +2,9 @@
 
 Two branches matter for the CLI exit codes: ``InputError`` (bad files,
 bad flags, broken gene/CpG mapping) and ``FitError`` (numerical or
-convergence trouble while fitting).
+convergence trouble while fitting). Every error survives pickling with
+its type, message and attributes, so one raised in a worker process
+reaches the parent intact.
 """
 
 
@@ -52,6 +54,9 @@ class DegenerateClusterError(FitError):
             message or f"degenerate {layer} cluster {index}: total responsibility below threshold"
         )
 
+    def __reduce__(self):
+        return type(self), (self.layer, self.index, str(self))
+
 
 class NumericalError(FitError):
     """Non-finite quantity encountered; carries the offending entity id."""
@@ -59,6 +64,9 @@ class NumericalError(FitError):
     def __init__(self, entity, message=None):
         self.entity = entity
         super().__init__(message or f"non-finite responsibility for {entity}")
+
+    def __reduce__(self):
+        return type(self), (self.entity, str(self))
 
 
 class UndefinedColumnError(FitError):

@@ -176,9 +176,10 @@ def benchmark(
 ) -> BenchmarkResult:
     """Score ``n_datasets`` replicates of ``case`` and aggregate to mean/sd tables.
 
-    Replicates are independent and run on up to ``threads`` pool
-    threads; rows are assembled in replicate order, so the output is
-    identical for any thread count. Replicates whose fit fails are
+    Replicates are independent and run on up to ``threads`` worker
+    processes (see :func:`~jointmix.joint_em._run_each`); rows are
+    assembled in replicate order, so the output is identical for any
+    worker count. Replicates whose fit fails are
     recorded in ``failures`` and excluded from the aggregation. An
     empty ``methods``, an unknown or repeated method, ``threads`` below 1
     and a ``cfg`` ``SimConfig.validate`` rejects are a :class:`ParameterError`.

@@ -17,7 +17,7 @@ a test oracle and as an observed-likelihood diagnostic.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +147,12 @@ class LayerFit:
 
 @dataclass
 class FitResult:
-    """A joint fit: relabelled ``params``, the ``gene`` and ``cpg`` layers, the EM record."""
+    """A joint fit: relabelled ``params``, the ``gene`` and ``cpg`` layers, the EM record.
+
+    ``no_cpg_mass`` holds the 1-based labels of the gene clusters that
+    carry no CpG mass at the final M-step, so that their ``pi`` column
+    is uniform.
+    """
 
     params: JointParams
     gene: LayerFit
@@ -155,6 +160,7 @@ class FitResult:
     n_outer_iters: int
     converged: bool
     param_change_trace: np.ndarray
+    no_cpg_mass: list[int]
 
 
 def _quantile_start(values: np.ndarray, k: int, q: float) -> np.ndarray:
@@ -219,9 +225,8 @@ class _Workspace:
     """Every array the E- and M-steps of one fit write, built once per fit.
 
     A fit reuses it on every sweep, so no sweep allocates or frees a
-    (C, K) or (C, N) temporary. It is private to one fit and never
-    shared: fits run concurrently on pool threads. ``u`` and ``v`` are
-    ping-pong pairs for the responsibilities, ``gene_to_cpg`` holds
+    (C, K) or (C, N) temporary. It is private to one fit. ``u`` and
+    ``v`` are ping-pong pairs for the responsibilities, ``gene_to_cpg`` holds
     ``u @ log(pi).T`` before its gather to the CpGs, ``u_of_cpg`` the
     gathered ``u[cpg_gene_idx]`` of the M-step, ``flat_gidx`` the index
     ``cpg_gene_idx * L + l`` of the CpG posteriors flattened row-major
@@ -667,9 +672,8 @@ def fit(
     )
     pk, gene = _layer_fit(params.mu, resp.u_hat)
     pl, cpg = _layer_fit(params.lam, resp.v_hat)
-    # the final M-step's reset test, logged once per fit: the M-step runs every iteration
-    for label in np.flatnonzero((resp.u_hat.T @ work.cpg_counts)[pk] < MASS_EPS) + 1:
-        logger.warning("gene cluster %d has no CpG mass; its pi column is uniform", label)
+    # the final M-step's reset test: the M-step runs every iteration
+    no_cpg_mass = (np.flatnonzero((resp.u_hat.T @ work.cpg_counts)[pk] < MASS_EPS) + 1).tolist()
     params = JointParams(
         tau=params.tau[pk],
         pi=params.pi[np.ix_(pl, pk)],
@@ -678,43 +682,109 @@ def fit(
         lam=params.lam[pl],
         rho2=params.rho2,
     )
-    return FitResult(params, gene, cpg, len(trace), converged, np.array(trace))
+    return FitResult(params, gene, cpg, len(trace), converged, np.array(trace), no_cpg_mass)
+
+
+# The (fn, items) of the pool a worker process serves; set only in workers.
+_work = None
+
+
+def _work_on(fn, items) -> None:
+    """Worker initializer: a forked worker inherits ``fn`` and ``items``, never pickled."""
+    global _work
+    _work = fn, items
+
+
+def _call(key):
+    """``fn(items[key])`` in a worker, for the ``fn`` and ``items`` it was started with."""
+    fn, items = _work
+    return fn(items[key])
 
 
 def _run_each(fn, items: dict, threads: int, catch):
-    """``fn(item)`` for every value of ``items`` on up to ``threads`` pool threads.
+    """``fn(item)`` for every value of ``items``, on up to ``threads`` worker processes.
 
     Returns ``(results, failures)``, keyed like ``items`` and in its
     order: a call that raises ``catch`` lands in ``failures`` and does
-    not stop the others; any other exception propagates. ``threads``
-    below 1 is a :class:`ParameterError`, raised before any call.
+    not stop the others; any other exception propagates, with the calls
+    not yet started cancelled. ``threads`` below 1 is a
+    :class:`ParameterError`, raised before any call.
+
+    The pool has ``min(threads, len(items), usable CPUs)`` workers; with
+    one, the calls run in this process, one after the other. Workers are
+    forked, so they inherit ``fn`` and ``items``, and only keys, results
+    and exceptions cross the pipe: a result and an exception must pickle.
+    Every worker is joined before this function returns or raises.
     """
     _require_at_least("threads", threads, 1)
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(items)))) as pool:
-        futures = {key: pool.submit(fn, item) for key, item in items.items()}
     results, failures = {}, {}
-    for key, future in futures.items():
-        try:
-            results[key] = future.result()
-        except catch as exc:
-            failures[key] = exc
+    workers = min(threads, len(items))
+    if workers > 1:
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        for key, item in items.items():
+            try:
+                results[key] = fn(item)
+            except catch as exc:
+                failures[key] = exc
+        return results, failures
+    # imported only for a pool: every run would pay them, in memory and start-up time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_work_on, initargs=(fn, items),
+    )
+    try:
+        futures = {key: pool.submit(_call, key) for key in items}
+        for key, future in futures.items():
+            try:
+                results[key] = future.result()
+            except catch as exc:
+                failures[key] = exc
+    finally:
+        pool.shutdown(cancel_futures=True)
     return results, failures
 
 
-def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
+def fit_all_chromosomes(ds: PairedDataset, threads=1, render=None, **fit_kwargs):
     """Fit each chromosome independently; failures do not abort siblings.
 
-    Returns ``(results, failures)``, both keyed by chromosome label. A
-    :class:`FitError` lands in ``failures``; any other error, such as a
-    :class:`ParameterError`, propagates.
-    Output is identical for any thread count: each per-chromosome fit
-    is pure and deterministic, and results are keyed, not ordered.
+    Returns ``(results, failures)``, both keyed by chromosome label in
+    sorted label order. A :class:`FitError` lands in ``failures``; any
+    other error, such as a :class:`ParameterError`, propagates. Up to
+    ``threads`` worker processes fit the chromosomes (see
+    :func:`_run_each`). With ``render``, the worker that fits a
+    chromosome also calls ``render(sub, result)`` on the chromosome's
+    dataset and its fit, and a third dict, keyed like ``results``,
+    holds those values.
+
+    The warnings are logged here, never in a worker, chromosome by
+    chromosome in label order: each gene cluster without CpG mass, then
+    a non-convergence. Output is identical for any worker count: each
+    per-chromosome fit is pure and deterministic, and results are keyed,
+    not ordered.
     """
-    subs = {part.label: ds.subset(part.genes, part.cpgs) for part in split_by_chromosome(ds)}
-    results, failures = _run_each(lambda sub: fit(sub, **fit_kwargs), subs, threads, FitError)
+
+    def fit_one(part):
+        sub = ds.subset(part.genes, part.cpgs)
+        res = fit(sub, **fit_kwargs)
+        return res, None if render is None else render(sub, res)
+
+    parts = {part.label: part for part in split_by_chromosome(ds)}
+    done, failures = _run_each(fit_one, parts, threads, FitError)
+    results = {label: res for label, (res, _) in done.items()}
     for label, res in results.items():
+        for cluster in res.no_cpg_mass:
+            logger.warning(
+                "chromosome %s: gene cluster %d has no CpG mass; its pi column is uniform",
+                label, cluster,
+            )
         if not res.converged:
             logger.warning(
                 "chromosome %s did not converge in %d outer iterations", label, res.n_outer_iters
             )
-    return results, failures
+    if render is None:
+        return results, failures
+    return results, failures, {label: rendered for label, (_, rendered) in done.items()}

@@ -108,59 +108,71 @@ def independent_model_payload(K, per_chrom: dict) -> dict:
     return {"model": "independent", "K": int(K), "chromosomes": chroms}
 
 
-def result_rows(annotations, fits, names) -> list[str]:
-    """One layer's result lines in input order, skipping rows no fit covers.
+def result_rows(annotations, layer, names) -> list[str]:
+    """One fitted layer's result lines, one per row of ``annotations``, in their order.
 
-    ``annotations`` holds the leading per-row columns. Each entry of
-    ``fits`` is ``(rows, layer)``: the input rows one fit covered and
-    its :class:`~jointmix.joint_em.LayerFit`, whose map labels are
+    ``annotations`` holds the leading per-row columns and ``layer`` the
+    rows' :class:`~jointmix.joint_em.LayerFit`, whose map labels are
     1-based indices into ``names``. Each line is the tab-joined
     annotations, posteriors, MAP label name and uncertainty.
     """
-    n = len(annotations[0])
-    post = np.empty((n, len(names)))
-    labels = np.zeros(n, dtype=np.intp)
-    unc = np.empty(n)
-    for rows, layer in fits:
-        post[rows] = layer.resp
-        labels[rows] = layer.map_labels
-        unc[rows] = layer.uncertainty
-    covered = np.flatnonzero(labels)
-    cols = zip(*(np.asarray(a)[covered].tolist() for a in annotations))
     return [
         "\t".join([*ann, p, names[m - 1], u])
         for ann, p, m, u in zip(
-            cols,
-            _format_rows(post[covered]),
-            labels[covered].tolist(),
-            _format_rows(unc[covered, np.newaxis]),
+            zip(*(np.asarray(a).tolist() for a in annotations)),
+            _format_rows(layer.resp),
+            layer.map_labels.tolist(),
+            _format_rows(layer.uncertainty[:, np.newaxis]),
         )
     ]
 
 
-def assemble_joint_result_rows(ds: PairedDataset, results: dict, K: int, L: int):
+def place_lines(n, parts) -> list[str]:
+    """The lines of several row subsets of an n-row table, in table order.
+
+    Each entry of ``parts`` is ``(rows, lines)``: the table rows one
+    subset holds, and its lines in that order. Rows no part holds are
+    skipped.
+    """
+    placed = [None] * n
+    for rows, lines in parts:
+        for i, line in zip(rows.tolist(), lines, strict=True):
+            placed[i] = line
+    return [line for line in placed if line is not None]
+
+
+def joint_result_lines(ds: PairedDataset, result) -> tuple[list[str], list[str]]:
+    """The gene and the CpG result lines of one joint fit of ``ds``, in its row order."""
+    return (
+        result_rows([ds.gene_ids, ds.chromosomes], result.gene,
+                    label_names("gene", result.params.n_gene_clusters)),
+        result_rows([ds.cpg_ids, ds.gene_ids[ds.cpg_gene_idx], ds.chromosomes[ds.cpg_gene_idx]],
+                    result.cpg, label_names("cpg", result.params.n_cpg_clusters)),
+    )
+
+
+def assemble_joint_result_rows(ds: PairedDataset, lines: dict):
     """Per-entity output rows in the input dataset's row order.
 
-    Entities on chromosomes without a successful fit are skipped.
+    ``lines`` maps a chromosome label to the :func:`joint_result_lines`
+    of its fit. Entities on chromosomes without a successful fit are
+    skipped.
     """
-    fitted = [(part, results[part.label]) for part in split_by_chromosome(ds)
-              if part.label in results]
-    gene_rows = result_rows(
-        [ds.gene_ids, ds.chromosomes],
-        [(part.genes, r.gene) for part, r in fitted],
-        label_names("gene", K),
-    )
-    cpg_rows = result_rows(
-        [ds.cpg_ids, ds.gene_ids[ds.cpg_gene_idx], ds.chromosomes[ds.cpg_gene_idx]],
-        [(part.cpgs, r.cpg) for part, r in fitted],
-        label_names("cpg", L),
-    )
+    fitted = [(part, lines[part.label]) for part in split_by_chromosome(ds)
+              if part.label in lines]
+    gene_rows = place_lines(ds.n_genes, [(part.genes, genes) for part, (genes, _) in fitted])
+    cpg_rows = place_lines(ds.n_cpgs, [(part.cpgs, cpgs) for part, (_, cpgs) in fitted])
     return gene_rows, cpg_rows
 
 
-def write_joint_results(out_dir, ds, results, K, L) -> list[Path]:
+def write_joint_results(out_dir, ds, results, lines, K, L) -> list[Path]:
+    """Write the joint fit's result tables and ``model.json``.
+
+    ``lines`` maps each label of ``results`` to the
+    :func:`joint_result_lines` of its fit.
+    """
     out = Path(out_dir)
-    gene_rows, cpg_rows = assemble_joint_result_rows(ds, results, K, L)
+    gene_rows, cpg_rows = assemble_joint_result_rows(ds, lines)
     gene_path = out / "gene_results.tsv"
     write_tsv(
         gene_path, results_header(EXPRESSION_FIXED_COLUMNS, label_names("gene", K)), gene_rows

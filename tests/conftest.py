@@ -1,7 +1,16 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from jointmix.dataset import Table, build_paired_dataset
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a worker process running: every pool must join its workers."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def make_dataset(x, cpg_of_gene, y, chromosomes=None, patients=None):

@@ -311,6 +311,40 @@ class TestFitCommand:
         for name in ("model.json", "gene_results.tsv", "cpg_results.tsv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_worker_count_does_not_change_outputs_or_stderr(self, transformed_dir, tmp_path):
+        # three interleaved chromosomes and one too small to fit, in a child process
+        # so that stderr holds every line, the workers' included
+        def relabel(name, id_column, chrom_column, chrom_of):
+            lines = (transformed_dir / name).read_text().splitlines()
+            rows = [line.split("\t") for line in lines[1:]]
+            for i, row in enumerate(rows):
+                row[chrom_column] = chrom_of(i, row[id_column])
+            path = tmp_path / name
+            path.write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
+            return path, rows
+
+        expr, genes = relabel("expression.tsv", 0, 1,
+                              lambda i, _: "W" if i in (5, 40) else "XYZ"[i % 3])
+        chrom_of = {row[0]: row[1] for row in genes}
+        meth, _ = relabel("methylation.tsv", 1, 2, lambda i, gene: chrom_of[gene])
+        procs = {}
+        for n in (1, 2):
+            procs[n] = run_python("-m", "jointmix.cli", "fit", "--expression", expr,
+                                  "--methylation", meth, "--outer-max", 5, "--threads", n,
+                                  "--out", tmp_path / f"threads{n}")
+            assert procs[n].returncode == 3, procs[n].stderr
+        err = procs[1].stderr.splitlines()
+        assert procs[2].stderr.splitlines() == err
+        assert err[-1].startswith("chromosome W failed: ") and len(err) > 1
+        assert err[:-1] == sorted(err[:-1]) and all("did not converge" in line for line in err[:-1])
+        for name in ("gene_results.tsv", "cpg_results.tsv", "model.json"):
+            assert (tmp_path / "threads1" / name).read_bytes() == (
+                tmp_path / "threads2" / name).read_bytes()
+        fitted = (tmp_path / "threads2" / "gene_results.tsv").read_text().splitlines()[1:]
+        assert [line.split("\t")[0] for line in fitted] == [
+            row[0] for row in genes if row[1] != "W"
+        ]
+
     def test_missing_patient_column_names_it(self, transformed_dir, tmp_path, capsys):
         broken = tmp_path / "methylation_broken.tsv"
         lines = (transformed_dir / "methylation.tsv").read_text().splitlines()
@@ -778,7 +812,10 @@ def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(
     lambda data: fit_argv(data, "fit"),
     lambda data: fit_argv(data, "baseline"),
     lambda data: ["benchmark", "--replicates", 2, "--genes", 30],
-], ids=["fit", "baseline", "benchmark"])
+    # checked before any input is opened
+    lambda data: fit_argv(data, "fit", expression=data / "missing.tsv"),
+    lambda data: fit_argv(data, "baseline", expression=data / "missing.tsv"),
+], ids=["fit", "baseline", "benchmark", "fit-missing-input", "baseline-missing-input"])
 def test_threads_below_one_is_one_input_error(transformed_dir, tmp_path, capsys, argv, threads):
     out = tmp_path / "out"
     assert run(*argv(transformed_dir), "--threads", threads, "--out", out) == 1

@@ -1,4 +1,7 @@
+import concurrent.futures
 import logging
+import multiprocessing
+import os
 import tracemalloc
 import warnings
 
@@ -730,10 +733,16 @@ class TestFit:
         parents = np.repeat(np.arange(50), 5)
         y = rng.normal(0.0, 1.0, (250, 4)) - 2.0 * (parents < 10)[:, None]
         with caplog.at_level(logging.WARNING, logger="jointmix.joint_em"):
-            res = fit(make_dataset(x, parents, y))
+            results, _ = fit_all_chromosomes(make_dataset(x, parents, y))
+        res = results["1"]
         assert not res.converged
         np.testing.assert_array_equal(res.params.pi[:, 2], 1 / 3)
-        assert caplog.messages == ["gene cluster 3 has no CpG mass; its pi column is uniform"]
+        assert res.no_cpg_mass == [3]
+        # logged once, by fit_all_chromosomes and not by fit, naming the chromosome
+        assert caplog.messages == [
+            "chromosome 1: gene cluster 3 has no CpG mass; its pi column is uniform",
+            "chromosome 1 did not converge in 500 outer iterations",
+        ]
 
     def test_observed_loglik_finite_diagnostic(self):
         rng = np.random.default_rng(13)
@@ -818,16 +827,67 @@ def fail_on_a(item):
     return item * 2
 
 
+def degenerate_on_a(item):
+    if item == "a":
+        raise DegenerateClusterError("cpg", 2)
+    return item * 2
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set how many CPUs ``_run_each`` sees as usable, whatever the host has."""
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    set_cpus(2)
+    return set_cpus
+
+
 class TestRunEach:
+    def test_a_degenerate_cluster_in_a_worker_lands_in_failures_intact(self, usable_cpus):
+        items = {"first": "a", "second": "b"}
+        results, failures = _run_each(degenerate_on_a, items, 2, FitError)
+        assert results == {"second": "bb"}
+        exc = failures["first"]
+        assert type(exc) is DegenerateClusterError and (exc.layer, exc.index) == ("cpg", 2)
+        assert str(exc) == "degenerate cpg cluster 2: total responsibility below threshold"
+
+    @pytest.mark.parametrize("cpus, n_items, threads, workers", [
+        (2, 2, 2, 2), (1, 2, 2, 1), (2, 1, 2, 1), (2, 3, 1, 1), (2, 3, 8, 2), (4, 3, 8, 3),
+    ])
+    def test_workers_are_forked_only_for_two_items_on_two_cpus(
+        self, usable_cpus, monkeypatch, cpus, n_items, threads, workers
+    ):
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        usable_cpus(cpus)
+        results, _ = _run_each(lambda item: os.getpid(), dict.fromkeys(range(n_items)), threads,
+                               FitError)
+        assert len(results) == n_items
+        if workers == 1:
+            assert started == [] and set(results.values()) == {os.getpid()}
+        else:
+            assert started == [workers] and os.getpid() not in results.values()
+
     def test_a_failure_does_not_stop_the_others(self):
         items = {"first": "a", "second": "b", "third": "c"}
         results, failures = _run_each(fail_on_a, items, 2, FitError)
         assert results == {"second": "bb", "third": "cc"}
         assert list(failures) == ["first"] and str(failures["first"]) == "no fit for a"
 
-    def test_an_exception_outside_catch_propagates(self):
-        with pytest.raises(FitError):
-            _run_each(fail_on_a, {1: "b", 2: "a"}, 1, KeyError)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_exception_outside_catch_propagates(self, usable_cpus, threads):
+        with pytest.raises(FitError) as exc:
+            _run_each(fail_on_a, {1: "b", 2: "a", 3: "c"}, threads, KeyError)
+        assert type(exc.value) is FitError and str(exc.value) == "no fit for a"
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_is_a_parameter_error(self, threads):
