@@ -80,6 +80,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser, which reports an argument it does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        if rest:
+            self.error(f"unrecognized arguments: {' '.join(rest)}")
+        return namespace, rest
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -185,20 +195,11 @@ def cmd_preprocess(args) -> int:
         pseudocount=args.pseudocount,
         beta_eps=args.beta_eps,
     )
-    write_expression_table(
-        out / "expression.tsv",
-        genes["gene_id"][kept_g].tolist(),
-        genes["chromosome"][kept_g].tolist(),
-        patients,
-        x,
-    )
+    write_expression_table(out / "expression.tsv",
+                           *(col[kept_g] for col in genes.columns.values()), patients, x)
     cpg_rows = kept[kept_c]
-    write_methylation_table(
-        out / "methylation.tsv",
-        *(cpgs[name][cpg_rows].tolist() for name in cpgs.columns),
-        patients,
-        y,
-    )
+    write_methylation_table(out / "methylation.tsv",
+                            *(col[cpg_rows] for col in cpgs.columns.values()), patients, y)
     inputs = [args.expression_a, args.expression_b, args.methylation_a, args.methylation_b]
     _write_manifest(out, args, inputs, t0)
     return 0
@@ -411,7 +412,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"jointmix {__version__}")
 
     common = _common_parser()
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("preprocess", parents=[common],
                        help="raw condition pairs -> log-fold changes and M-value differences")

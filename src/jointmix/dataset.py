@@ -420,48 +420,62 @@ def _format_number(v) -> str:
     return repr(f)
 
 
-# Cells converted to text per block: bounds the temporaries of a write.
-FORMAT_BLOCK_CELLS = 1 << 16
+# Cells per rendered block: bounds the temporaries of a write, while one
+# ``%`` parse of the block's template serves all of its rows.
+FORMAT_BLOCK_CELLS = 1 << 14
 
 
-def _format_rows(values):
-    """Yield each row of a 2-D array as tab-joined text, by :func:`_format_number`'s rules.
+def _render_blocks(columns):
+    """Yield the rows of ``columns`` as text, about ``FORMAT_BLOCK_CELLS`` cells a block.
 
-    Rows are converted a block of about ``FORMAT_BLOCK_CELLS`` cells at a
-    time, with one ``str``/``repr`` per cell and no per-cell Python call
-    of our own, so memory does not grow with the table.
+    A column is a 1-D sequence of strings, written as they are, or a 2-D
+    numeric array, written by :func:`_format_number`'s rules. Cells are
+    tab-separated and each row ends in a newline. A block fills one
+    object array, integral floats made ``int``, and is rendered by one
+    ``%`` on a template of ``%s`` and ``%r`` fields alone: no Python call
+    of ours per row or cell, and no data in the template.
     """
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        values = values.astype(float, copy=False)
-    step = max(1, FORMAT_BLOCK_CELLS // max(1, values.shape[1]))
-    for start in range(0, len(values), step):
-        block = values[start : start + step]
-        if block.dtype.kind == "f":
-            integral = np.isfinite(block) & (np.trunc(block) == block)
-            if integral.any():
-                block = block.astype(object)
-                block[integral] = [int(v) for v in block[integral].tolist()]
-        for row in block.tolist():
-            yield "\t".join(map(str, row))
+    widths = [col.shape[1] if isinstance(col, np.ndarray) and col.ndim == 2 else None
+              for col in columns]
+    (n_rows,) = {len(col) for col in columns}  # a ValueError unless all are one length
+    template = "\t".join("%s" if w is None else "\t".join(["%r"] * w) for w in widths)
+    width = sum(1 if w is None else w for w in widths)
+    step = max(1, FORMAT_BLOCK_CELLS // max(1, width))
+    for start in range(0, n_rows, step):
+        rows = min(step, n_rows - start)
+        cells = np.empty((rows, width), dtype=object)
+        j = 0
+        for col, w in zip(columns, widths):
+            block = col[start : start + rows]
+            if w is None:
+                cells[:, j] = block
+                j += 1
+                continue
+            if block.dtype.kind not in "iu":
+                block = block.astype(float, copy=False)
+            target = cells[:, j : j + w]
+            target[...] = block
+            if block.dtype.kind == "f":
+                integral = np.isfinite(block) & (np.trunc(block) == block)
+                target[integral] = list(map(int, block[integral].tolist()))
+            j += w
+        yield ((template + "\n") * rows) % tuple(cells.ravel().tolist())
 
 
-def _write_table(path, fixed_columns, annotations, patients, values) -> None:
+def _write_table(path, header, columns) -> None:
+    """Write a TSV: the ``header`` cells, then the rows :func:`_render_blocks` renders."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join([*fixed_columns, *patients]) + "\n")
-        fh.writelines(
-            "\t".join([*ann, text]) + "\n"
-            for ann, text in zip(zip(*annotations, strict=True), _format_rows(values), strict=True)
-        )
+        fh.write("\t".join(header) + "\n")
+        fh.writelines(_render_blocks(columns))
 
 
 def write_expression_table(path, gene_ids, chromosomes, patients, values) -> None:
     """Write an expression TSV; float values use shortest round-trip form."""
-    _write_table(path, EXPRESSION_FIXED_COLUMNS, (gene_ids, chromosomes), patients, values)
+    header = [*EXPRESSION_FIXED_COLUMNS, *patients]
+    _write_table(path, header, [gene_ids, chromosomes, np.asarray(values)])
 
 
 def write_methylation_table(path, cpg_ids, gene_ids, chromosomes, patients, values) -> None:
     """Write a methylation TSV; float values use shortest round-trip form."""
-    _write_table(
-        path, METHYLATION_FIXED_COLUMNS, (cpg_ids, gene_ids, chromosomes), patients, values
-    )
+    header = [*METHYLATION_FIXED_COLUMNS, *patients]
+    _write_table(path, header, [cpg_ids, gene_ids, chromosomes, np.asarray(values)])

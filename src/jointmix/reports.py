@@ -2,7 +2,8 @@
 
 All writers are deterministic: rows follow input order (or replicate
 order), floats are written in shortest round-trip form, and undefined
-ratios appear as ``NA`` in TSVs and ``null`` in JSON.
+ratios appear as ``NA`` in TSVs and ``null`` in JSON. The result tables
+are rendered by :func:`~jointmix.dataset._render_blocks`, as every data table is.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .dataset import (
     METHYLATION_FIXED_COLUMNS,
     PairedDataset,
     _format_number,
-    _format_rows,
+    _render_blocks,
     split_by_chromosome,
 )
 from .evaluate import BenchmarkResult, MetricReport
@@ -116,15 +117,9 @@ def result_rows(annotations, layer, names) -> list[str]:
     1-based indices into ``names``. Each line is the tab-joined
     annotations, posteriors, MAP label name and uncertainty.
     """
-    return [
-        "\t".join([*ann, p, names[m - 1], u])
-        for ann, p, m, u in zip(
-            zip(*(np.asarray(a).tolist() for a in annotations)),
-            _format_rows(layer.resp),
-            layer.map_labels.tolist(),
-            _format_rows(layer.uncertainty[:, np.newaxis]),
-        )
-    ]
+    columns = [*annotations, layer.resp, np.array(names, dtype=object)[layer.map_labels - 1],
+               layer.uncertainty[:, np.newaxis]]
+    return [line for block in _render_blocks(columns) for line in block.split("\n")[:-1]]
 
 
 def place_lines(n, parts) -> list[str]:

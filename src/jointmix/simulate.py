@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import write_expression_table, write_methylation_table
+from .dataset import _write_table, write_expression_table, write_methylation_table
 from .errors import ParameterError
 
 GENE_LABELS = ("E-", "E0", "E+")
@@ -238,29 +238,17 @@ def write_simulation(sim: SimData, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t = sim.truth
-    chrom_genes = ["1"] * len(t.gene_ids)
-    chrom_cpgs = ["1"] * len(t.cpg_ids)
+    genes, cpgs = len(t.gene_ids), len(t.cpg_ids)
     cpg_gene_ids = [t.gene_ids[i] for i in t.cpg_gene_idx]
-    paths = []
-    for name, values in (("expression_a.tsv", sim.counts_a), ("expression_b.tsv", sim.counts_b)):
-        p = out / name
-        write_expression_table(p, t.gene_ids, chrom_genes, sim.patients, values)
-        paths.append(p)
-    for name, values in (("methylation_a.tsv", sim.betas_a), ("methylation_b.tsv", sim.betas_b)):
-        p = out / name
-        write_methylation_table(p, t.cpg_ids, cpg_gene_ids, chrom_cpgs, sim.patients, values)
-        paths.append(p)
-
-    truth_path = out / "truth.tsv"
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        fh.write("entity_id\tlayer\tlabel\n")
-        for gid, lab in zip(t.gene_ids, t.gene_labels):
-            fh.write(f"{gid}\tgene\t{lab}\n")
-        for cid, lab in zip(t.cpg_ids, t.cpg_labels):
-            fh.write(f"{cid}\tcpg\t{lab}\n")
-    paths.append(truth_path)
-
-    cfg_path = out / "sim_config.json"
-    cfg_path.write_text(json.dumps(sim.config.to_dict(), indent=2, sort_keys=True) + "\n")
-    paths.append(cfg_path)
+    paths = [out / f"{name}.tsv" for name in
+             ("expression_a", "expression_b", "methylation_a", "methylation_b", "truth")]
+    for path, values in zip(paths, (sim.counts_a, sim.counts_b)):
+        write_expression_table(path, t.gene_ids, ["1"] * genes, sim.patients, values)
+    for path, values in zip(paths[2:], (sim.betas_a, sim.betas_b)):
+        write_methylation_table(path, t.cpg_ids, cpg_gene_ids, ["1"] * cpgs, sim.patients, values)
+    _write_table(paths[4], ["entity_id", "layer", "label"],
+                 [[*t.gene_ids, *t.cpg_ids], ["gene"] * genes + ["cpg"] * cpgs,
+                  np.concatenate([t.gene_labels, t.cpg_labels])])
+    paths.append(out / "sim_config.json")
+    paths[-1].write_text(json.dumps(sim.config.to_dict(), indent=2, sort_keys=True) + "\n")
     return paths

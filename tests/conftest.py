@@ -3,7 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from jointmix.dataset import Table, build_paired_dataset
+from jointmix.dataset import Table, _format_number, build_paired_dataset
 
 
 @pytest.fixture(autouse=True)
@@ -11,6 +11,22 @@ def no_child_process_left():
     """Fail a test that leaves a worker process running: every pool must join its workers."""
     yield
     assert multiprocessing.active_children() == []
+
+
+def scalar_lines(columns):
+    """Each row of ``columns`` cell by cell: strings as they are, numbers by ``_format_number``.
+
+    The reference for the block renderer: a column is a 1-D sequence of
+    strings or a 2-D number array.
+    """
+    return [
+        "\t".join(
+            cell
+            for col in columns
+            for cell in ([_format_number(v) for v in col[i]] if np.ndim(col) == 2 else [col[i]])
+        )
+        for i in range(len(columns[0]))
+    ]
 
 
 def make_dataset(x, cpg_of_gene, y, chromosomes=None, patients=None):

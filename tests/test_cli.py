@@ -776,9 +776,10 @@ def manifest_case(command, sim_dir, transformed_dir, tmp_path):
         "patients": [3, 5], "genes": 30, "repeats": 2, "seed": 7}, 0
 
 
-@pytest.mark.parametrize("command", [
-    "simulate", "preprocess", "fit", "baseline", "evaluate", "benchmark", "timing",
-])
+SUBCOMMANDS = ("simulate", "preprocess", "fit", "baseline", "evaluate", "benchmark", "timing")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_manifest_records_the_subcommands_flags(
     sim_dir, transformed_dir, tmp_path, command
 ):
@@ -796,6 +797,7 @@ def test_manifest_records_the_subcommands_flags(
     *((command, "--seed") for command in ("preprocess", "fit", "baseline", "evaluate")),
     *((command, "--threads") for command in ("preprocess", "simulate", "evaluate", "timing")),
     ("simulate", "--out-dir"),
+    *((command, "--bogus") for command in SUBCOMMANDS),
 ])
 def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(
     sim_dir, transformed_dir, tmp_path, capsys, command, flag
@@ -803,7 +805,10 @@ def test_a_flag_the_subcommand_does_not_take_is_a_usage_error(
     flags, _, _ = manifest_case(command, sim_dir, transformed_dir, tmp_path)
     out = tmp_path / "out"
     assert run(command, *flags, flag, 2, "--out", out) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: unrecognized arguments: {flag} 2"
+    err = capsys.readouterr().err
+    # the subcommand's own usage, which lists its flags
+    assert err.startswith(f"usage: jointmix {command} [-h] [--out OUT] [--force]")
+    assert err.splitlines()[-1] == f"error: unrecognized arguments: {flag} 2"
     assert not out.exists()
 
 

@@ -1,0 +1,192 @@
+"""Every data TSV of ``simulate``, ``preprocess``, ``fit`` and ``baseline``, byte for byte.
+
+Each table the commands write is rebuilt from its in-memory arrays by
+``reference_tsv``, which formats one cell at a time by the scalar rule
+``_format_number``, and compared with the file. The input spreads its
+genes over three interleaved chromosomes, so the per-chromosome fits
+are placed back in input order.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import scalar_lines
+from jointmix.baseline import fit_independent
+from jointmix.cli import main
+from jointmix.dataset import (
+    load_paired_dataset,
+    read_expression_table,
+    read_methylation_table,
+    split_by_chromosome,
+)
+from jointmix.joint_em import fit_all_chromosomes
+from jointmix.preprocess import derive_model_inputs
+from jointmix.simulate import SimConfig, replicate_batch
+
+GENE_POSTERIORS = ["posterior_Eminus", "posterior_E0", "posterior_Eplus"]
+CPG_POSTERIORS = ["posterior_Mminus", "posterior_M0", "posterior_Mplus"]
+CHROMOSOMES = ["2", "X", "1"]
+# High enough to drop some of the simulated genes and their CpGs.
+COUNT_THRESHOLD = 60000
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def reference_tsv(header, columns) -> bytes:
+    """A TSV written cell by cell, by :func:`conftest.scalar_lines`."""
+    return "".join(line + "\n" for line in ["\t".join(header), *scalar_lines(columns)]).encode()
+
+
+def raw_tables(sim, gene_chrom):
+    """The simulation's four raw tables and its truth table, as ``{file name: bytes}``."""
+    t = sim.truth
+    cpg_gene_ids = [t.gene_ids[i] for i in t.cpg_gene_idx]
+    cpg_chrom = [gene_chrom[i] for i in t.cpg_gene_idx]
+    tables = {}
+    for cond in "ab":
+        tables[f"expression_{cond}.tsv"] = reference_tsv(
+            ["gene_id", "chromosome", *sim.patients],
+            [t.gene_ids, gene_chrom, getattr(sim, f"counts_{cond}")],
+        )
+        tables[f"methylation_{cond}.tsv"] = reference_tsv(
+            ["cpg_id", "gene_id", "chromosome", *sim.patients],
+            [t.cpg_ids, cpg_gene_ids, cpg_chrom, getattr(sim, f"betas_{cond}")],
+        )
+    tables["truth.tsv"] = reference_tsv(
+        ["entity_id", "layer", "label"],
+        [[*t.gene_ids, *t.cpg_ids], ["gene"] * len(t.gene_ids) + ["cpg"] * len(t.cpg_ids),
+         [*t.gene_labels, *t.cpg_labels]],
+    )
+    return tables
+
+
+def assert_files(out, expected):
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def result_columns(n_rows, parts, layers, names):
+    """Posteriors, MAP label names and uncertainties of per-chromosome fits, in input order.
+
+    ``parts`` holds each chromosome's input rows and ``layers`` its fitted layer.
+    """
+    resp = np.full((n_rows, len(names)), np.nan)
+    labels = np.empty(n_rows, dtype=object)
+    uncertainty = np.full((n_rows, 1), np.nan)
+    for rows, layer in zip(parts, layers):
+        resp[rows] = layer.resp
+        labels[rows] = [names[m - 1] for m in layer.map_labels.tolist()]
+        uncertainty[rows, 0] = layer.uncertainty
+    return [resp, labels, uncertainty]
+
+
+@pytest.fixture(scope="module")
+def sim():
+    return next(replicate_batch(SimConfig(n_genes=90, seed=11), 1))
+
+
+@pytest.fixture(scope="module")
+def gene_chrom(sim):
+    return [CHROMOSOMES[i % 3] for i in range(len(sim.truth.gene_ids))]
+
+
+@pytest.fixture(scope="module")
+def raw_dir(sim, gene_chrom, tmp_path_factory):
+    out = tmp_path_factory.mktemp("raw")
+    for name, data in raw_tables(sim, gene_chrom).items():
+        (out / name).write_bytes(data)
+    return out
+
+
+@pytest.fixture(scope="module")
+def prep_dir(raw_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("prep")
+    flags = [a for name in ("expression_a", "expression_b", "methylation_a", "methylation_b")
+             for a in (f"--{name.replace('_', '-')}", raw_dir / f"{name}.tsv")]
+    assert run("preprocess", *flags, "--count-threshold", COUNT_THRESHOLD, "--out", out) == 0
+    return out
+
+
+def test_simulate_writes_the_arrays_it_draws(tmp_path):
+    cfg = SimConfig(n_genes=40, n_patients=3, case=2, seed=7)
+    assert run("simulate", "--genes", 40, "--patients", 3, "--case", 2, "--seed", 7,
+               "--out", tmp_path / "one") == 0
+    assert run("simulate", "--genes", 40, "--patients", 3, "--case", 2, "--seed", 7,
+               "--replicates", 2, "--out", tmp_path / "two") == 0
+    sims = list(replicate_batch(cfg, 2))
+    assert_files(tmp_path / "one", raw_tables(sims[0], ["1"] * 40))
+    for r, sim in enumerate(sims):
+        assert_files(tmp_path / "two" / f"rep{r:03d}", raw_tables(sim, ["1"] * 40))
+
+
+def test_preprocess_writes_the_model_inputs_it_derives(sim, gene_chrom, prep_dir):
+    t = sim.truth
+    kept_g, x, kept_c, y = derive_model_inputs(
+        sim.counts_a.astype(float), sim.counts_b.astype(float), sim.betas_a, sim.betas_b,
+        t.cpg_gene_idx, count_threshold=COUNT_THRESHOLD,
+    )
+    assert 0 < len(kept_g) < len(t.gene_ids)
+    gene_ids, chrom = np.array(t.gene_ids), np.array(gene_chrom)
+    parent = t.cpg_gene_idx[kept_c]
+    assert_files(prep_dir, {
+        "expression.tsv": reference_tsv(
+            ["gene_id", "chromosome", *sim.patients], [gene_ids[kept_g], chrom[kept_g], x]
+        ),
+        "methylation.tsv": reference_tsv(
+            ["cpg_id", "gene_id", "chromosome", *sim.patients],
+            [np.array(t.cpg_ids)[kept_c], gene_ids[parent], chrom[parent], y],
+        ),
+    })
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fit_writes_the_layers_it_fits(prep_dir, tmp_path, threads):
+    out = tmp_path / "fit"
+    assert run("fit", "--expression", prep_dir / "expression.tsv",
+               "--methylation", prep_dir / "methylation.tsv",
+               "--threads", threads, "--out", out) == 0
+    ds = load_paired_dataset(prep_dir / "expression.tsv", prep_dir / "methylation.tsv")
+    results, failures = fit_all_chromosomes(ds)
+    parts = split_by_chromosome(ds)
+    assert failures == {} and sorted(results) == sorted(CHROMOSOMES) == [p.label for p in parts]
+    fits = [results[p.label] for p in parts]
+    parent = ds.cpg_gene_idx
+    assert_files(out, {
+        "gene_results.tsv": reference_tsv(
+            ["gene_id", "chromosome", *GENE_POSTERIORS, "map_label", "uncertainty"],
+            [ds.gene_ids, ds.chromosomes,
+             *result_columns(ds.n_genes, [p.genes for p in parts], [r.gene for r in fits],
+                             ["E-", "E0", "E+"])],
+        ),
+        "cpg_results.tsv": reference_tsv(
+            ["cpg_id", "gene_id", "chromosome", *CPG_POSTERIORS, "map_label", "uncertainty"],
+            [ds.cpg_ids, ds.gene_ids[parent], ds.chromosomes[parent],
+             *result_columns(ds.n_cpgs, [p.cpgs for p in parts], [r.cpg for r in fits],
+                             ["M-", "M0", "M+"])],
+        ),
+    })
+
+
+@pytest.mark.parametrize("layer, reader, results, posteriors, names", [
+    ("expression", read_expression_table, "gene_results.tsv", GENE_POSTERIORS,
+     ["E-", "E0", "E+"]),
+    ("methylation", read_methylation_table, "cpg_results.tsv", CPG_POSTERIORS,
+     ["M-", "M0", "M+"]),
+])
+def test_baseline_writes_the_layer_it_fits(
+    prep_dir, tmp_path, layer, reader, results, posteriors, names
+):
+    out = tmp_path / "baseline"
+    assert run("baseline", "--input", prep_dir / f"{layer}.tsv", "--layer", layer,
+               "--threads", 2, "--out", out) == 0
+    _, table = reader(prep_dir / f"{layer}.tsv")
+    parts = [np.flatnonzero(table["chromosome"] == label) for label in sorted(CHROMOSOMES)]
+    fits = [fit_independent(table.values[rows]).layer for rows in parts]
+    assert_files(out, {
+        results: reference_tsv(
+            [*table.columns, *posteriors, "map_label", "uncertainty"],
+            [*table.columns.values(), *result_columns(len(table), parts, fits, names)],
+        ),
+    })

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_mixture_dataset
+from conftest import make_dataset, random_mixture_dataset, scalar_lines
 from jointmix import dataset
 from jointmix.baseline import fit_independent
 from jointmix.dataset import (
     MAX_ABS_VALUE,
     _format_number,
-    _format_rows,
+    _render_blocks,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
@@ -97,24 +97,71 @@ def assert_no_data_rows(read, *paths):
     assert str(exc.value) == f"{paths[-1]}: no data rows"
 
 
+def rendered_lines(columns, block_cells):
+    """The lines :func:`_render_blocks` makes of ``columns`` with blocks of ``block_cells``.
+
+    Checks that every block is non-empty, ends in a newline and holds no
+    more rows than ``block_cells`` allows.
+    """
+    width = sum(np.shape(col)[1] if np.ndim(col) == 2 else 1 for col in columns)
+    with mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells):
+        blocks = list(_render_blocks(columns))
+    assert all(0 < block.count("\n") <= max(1, block_cells // width) for block in blocks)
+    assert all(block.endswith("\n") for block in blocks)
+    return [line for block in blocks for line in block.split("\n")[:-1]]
+
+
 @PROPERTY
 @given(matrices(edge_floats), st.integers(1, 9))
-def test_block_formatter_matches_the_scalar_rule_on_floats(matrix, block_cells):
+def test_block_renderer_matches_the_scalar_rule_on_floats(matrix, block_cells):
     rows, n, cells = matrix
     values = np.array(cells, dtype=float).reshape(rows, n)
-    with mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells):
-        got = list(_format_rows(values))
-    assert got == ["\t".join(_format_number(v) for v in row) for row in values]
+    assert rendered_lines([values], block_cells) == scalar_lines([values])
 
 
 @PROPERTY
 @given(matrices(st.integers(-(2**63), 2**63 - 1)), st.integers(1, 9))
-def test_block_formatter_matches_the_scalar_rule_on_int64(matrix, block_cells):
+def test_block_renderer_matches_the_scalar_rule_on_int64(matrix, block_cells):
     rows, n, cells = matrix
     values = np.array(cells, dtype=np.int64).reshape(rows, n)
-    with mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells):
-        got = list(_format_rows(values))
-    assert got == ["\t".join(_format_number(v) for v in row) for row in values]
+    assert rendered_lines([values], block_cells) == scalar_lines([values])
+
+
+# Text that a ``%`` template would misread if it were ever put into one.
+string_cells = st.lists(
+    st.sampled_from(["%", "%s", "%%", "%r", "%(x)s", "\\", "\\t", "é", "λ", "中", "a", " "]),
+    max_size=4,
+).map("".join)
+
+
+@st.composite
+def mixed_columns(draw):
+    """String columns and float and int64 blocks of one length, in any order."""
+    rows = draw(st.integers(0, 6))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["str", "float", "int64"]), min_size=1, max_size=5)):
+        if kind == "str":
+            col = draw(st.lists(string_cells, min_size=rows, max_size=rows))
+            columns.append(np.array(col, dtype=str) if draw(st.booleans()) else col)
+            continue
+        n = draw(st.integers(1, 3))
+        if kind == "float":
+            cells = st.one_of(edge_floats, st.sampled_from([-0.0, 1e16, 1e22, math.nan, math.inf]))
+        else:
+            cells = st.integers(-(2**63), 2**63 - 1)
+        values = draw(st.lists(cells, min_size=rows * n, max_size=rows * n))
+        columns.append(np.array(values, dtype=float if kind == "float" else np.int64)
+                       .reshape(rows, n))
+    return columns
+
+
+@PROPERTY
+@given(mixed_columns(), st.integers(1, 9))
+@example([[], np.zeros((0, 2)), np.zeros((0, 1), dtype=np.int64)], 1)
+@example([["%s", "中%%"], np.array([[-0.0, 1e16], [1e22, math.inf]]), np.array(["\\", "%r"]),
+          np.array([[2**63 - 1], [-(2**63)]], dtype=np.int64)], 2)
+def test_block_renderer_matches_the_scalar_rule_on_mixed_columns(columns, block_cells):
+    assert rendered_lines(columns, block_cells) == scalar_lines(columns)
 
 
 @PROPERTY
