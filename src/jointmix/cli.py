@@ -31,6 +31,8 @@ import numpy as np
 from . import __version__, joint_em
 from .baseline import fit_independent
 from .dataset import (
+    _data_line,
+    _located,
     _open_text,
     align_patients,
     load_paired_dataset,
@@ -42,7 +44,14 @@ from .dataset import (
     write_expression_table,
     write_methylation_table,
 )
-from .errors import FitError, FormatError, InputError, JointmixError
+from .errors import (
+    DataDomainError,
+    FitError,
+    FormatError,
+    InputError,
+    JointmixError,
+    MappingError,
+)
 from .evaluate import benchmark, score_labels, simulated_dataset
 from .joint_em import _require_at_least, _run_each, fit, fit_all_chromosomes
 from .preprocess import (
@@ -145,19 +154,39 @@ def _prepare_out(args, filenames) -> Path:
     return out
 
 
-def _aligned_condition_pair(path_a, path_b, reader):
+def _read_in_domain(path, reader, outside, what):
+    """``reader(path)``; a value for which ``outside`` holds is a DataDomainError naming its cell.
+
+    The message describes the value as ``what.format(value)``.
+    """
+    patients, table = reader(path)
+    rows, cols = np.nonzero(outside(table.values))
+    if len(rows):
+        row, col = int(rows[0]), int(cols[0])
+        raise DataDomainError(
+            f"{path}:{_data_line(path, row)}:{len(table.columns) + col + 1}: "
+            f"{what.format(float(table.values[row, col]))} for patient {patients[col]!r}"
+        )
+    return patients, table
+
+
+def _aligned_condition_pair(path_a, path_b, reader, outside, what):
     """Read one omics layer's two condition files and align rows/columns.
 
-    Rows align by identifier (first column), patients by header name;
-    identifier sets and the other annotation columns must agree.
-    Returns the patients and table of file A and both value matrices
-    in file A's row and column order.
+    A value for which ``outside`` holds is rejected at its cell (see
+    :func:`_read_in_domain`). Rows align by identifier (first column),
+    patients by header name; identifier sets and the other annotation
+    columns must agree. Returns the patients and table of file A and
+    both value matrices in file A's row and column order.
     """
-    patients_a, a = reader(path_a)
-    patients_b, b = reader(path_b)
+    patients_a, a = _read_in_domain(path_a, reader, outside, what)
+    patients_b, b = _read_in_domain(path_b, reader, outside, what)
     order = align_patients(path_a, patients_a, path_b, patients_b)
-    row_of = {rid: i for i, rid in enumerate(b.ids.tolist())}
-    rows_b = np.array([row_of.get(rid, -1) for rid in a.ids.tolist()], dtype=np.intp)
+    if np.array_equal(a.ids, b.ids):  # the rows in one order: no id to look up
+        rows_b = np.arange(len(b))
+    else:
+        row_of = {rid: i for i, rid in enumerate(b.ids.tolist())}
+        rows_b = np.array([row_of.get(rid, -1) for rid in a.ids.tolist()], dtype=np.intp)
     if len(a) != len(b) or (rows_b < 0).any():
         only_a, only_b = a.ids[rows_b < 0], b.ids[~np.isin(b.ids, a.ids)]
         lacking, rid = (path_b, only_a[0]) if len(only_a) else (path_a, only_b[0])
@@ -179,13 +208,18 @@ def cmd_preprocess(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["expression.tsv", "methylation.tsv", "manifest.json"])
     patients, genes, counts_a, counts_b = _aligned_condition_pair(
-        args.expression_a, args.expression_b, read_expression_table
+        args.expression_a, args.expression_b, read_expression_table,
+        lambda v: v < 0, "negative count {!r}",
     )
     mpatients, cpgs, betas_a, betas_b = _aligned_condition_pair(
-        args.methylation_a, args.methylation_b, read_methylation_table
+        args.methylation_a, args.methylation_b, read_methylation_table,
+        lambda v: (v < 0) | (v > 1), "beta value {!r} outside [0, 1]",
     )
     morder = align_patients(args.expression_a, patients, args.methylation_a, mpatients)
-    kept, gene_idx = resolve_cpg_parents(genes, cpgs, args.mode)
+    try:
+        kept, gene_idx = resolve_cpg_parents(genes, cpgs, args.mode)
+    except MappingError as exc:
+        raise _located(exc, args.methylation_a) from None
     betas_a = betas_a[np.ix_(kept, morder)]
     betas_b = betas_b[np.ix_(kept, morder)]
 
@@ -326,7 +360,7 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["evaluation.tsv", "evaluation.json", "manifest.json"])
-    truth = read_truth_table(args.truth)[args.layer]
+    truth = read_truth_table(args.truth, args.layer)
     linenos, pairs = read_predicted_labels(args.predicted, args.layer)
     unknown = [(lineno, i) for lineno, (i, _) in zip(linenos, pairs) if i not in truth]
     if unknown:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -124,6 +126,7 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
     its gene's, raises :class:`MappingError` in ``strict`` mode; ``lenient``
     mode drops them all with one warning naming their number and the first.
     Returns ``(kept, parents)``: the kept CpG rows and, for each, its gene's row.
+    The error carries the CpG's row for :func:`_located`.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -142,7 +145,7 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
                 f"{gene_id!r} is on {str(genes['chromosome'][parents[j]])!r}"
             )
         if mode == "strict":
-            raise MappingError(problem)
+            raise MappingError(problem, int(j))
         logger.warning("dropping %d CpG(s) (lenient mode); the first: %s", len(bad), problem)
     kept = np.flatnonzero(ok)
     return kept, parents[kept]
@@ -198,21 +201,28 @@ def _open_text(path):
             raise
 
 
+def _read_header(fh, path) -> list[str]:
+    """The cells of the first line of the open table ``fh``; an empty line is a FormatError."""
+    header = fh.readline().rstrip("\n")
+    if not header:
+        raise FormatError(f"{path}: empty file")
+    return header.split("\t")
+
+
 def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str, ...]]]:
-    """The header cells, data line numbers and data rows of a TSV.
+    """The header cells, data line numbers and data rows of a TSV, by a Python line loop.
 
     ``check_header(cells)`` raises a :class:`FormatError` for a header it
     rejects, else returns the indices (two or more) of the cells each row
     keeps, as a tuple; a line is split no further than the last of them.
     Blank lines are skipped but counted, the header being line 1; a line
     with another cell count than the header's, or a table without data
-    lines, is a FormatError.
+    lines, is a FormatError. The data tables and ``truth.tsv`` are read
+    by :func:`_load_rows`; for them this loop runs only to name the line
+    of a fault.
     """
     with _open_text(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if not header:
-            raise FormatError(f"{path}: empty file")
-        cells = header.split("\t")
+        cells = _read_header(fh, path)
         columns = check_header(cells)
         keep, last, width = itemgetter(*columns), max(columns) + 1, len(cells)
         linenos, rows = [], []
@@ -230,6 +240,32 @@ def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str,
     return cells, linenos, rows
 
 
+def _load_rows(path, line_dtype) -> tuple[list[str], np.ndarray | None]:
+    """The header cells of a TSV and its data lines as one structured array, None if rejected.
+
+    ``line_dtype(cells)`` raises a :class:`FormatError` for a header it
+    rejects, else returns the structured dtype of a line, with a field
+    for each cell. The data lines are then read by one pass of
+    ``loadtxt``, which rejects a line with another cell count, a value
+    that does not parse, a byte that is not UTF-8 and a table without
+    data lines. Blank lines are skipped. An ``object`` field keeps its
+    cell's text as it is: nothing is stripped, ``#`` and ``"`` are
+    literal, and no fixed width cuts it short. The caller names the
+    fault of a rejected table with the line loop of :func:`_read_tsv`.
+    """
+    with _open_text(path) as fh:
+        cells = _read_header(fh, path)
+    dtype = line_dtype(cells)
+    with warnings.catch_warnings():
+        # a table without data lines warns "input contained no data"
+        warnings.simplefilter("error", UserWarning)
+        try:
+            return cells, np.loadtxt(path, delimiter="\t", skiprows=1, dtype=dtype, ndmin=1,
+                                     encoding="utf-8", comments=None)
+        except (ValueError, UserWarning):  # a UnicodeDecodeError is a ValueError
+            return cells, None
+
+
 def _require_unique(path, numbered_ids, what) -> None:
     """An id repeated among ``(line number, id)`` pairs is a DuplicateIdError naming its line."""
     seen = set()
@@ -239,22 +275,30 @@ def _require_unique(path, numbered_ids, what) -> None:
         seen.add(i)
 
 
+def _unnamed_fault(path) -> FormatError:
+    """The error for a table that the C pass rejects and the line loop finds no fault in."""
+    return FormatError(f"{path}: rejected by the table reader, no line at fault")
+
+
 def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     """Parse a TSV with fixed leading columns followed by patient columns.
 
-    :func:`_read_tsv` checks the lines and keeps the fixed columns, whose
-    first column, the row id, must not repeat. The values are then read
-    by numpy's C ``loadtxt``, which parses each number with the same
-    routine as ``float()`` (so the arrays are bit for bit the same)
+    The header must start with ``fixed_columns`` and name one or more
+    patients, each once. The data lines are read by one pass of numpy's
+    C ``loadtxt`` (:func:`_load_rows`), with an ``object`` field per
+    fixed column and a float per patient. It parses each number with the
+    same routine as ``float()``, so the values are bit for bit the same,
     without a Python call per value. It accepts decimal and exponent
     notation, ``inf`` and ``nan`` in any case, a leading sign and
     surrounding whitespace; unlike ``float()`` it rejects ``_`` between
-    digits and non-ASCII digits. Values that are not finite or exceed
-    ``MAX_ABS_VALUE`` in magnitude are then rejected with their column.
+    digits and non-ASCII digits. The row id, the first fixed column,
+    must not repeat, and a value that is not finite or exceeds
+    ``MAX_ABS_VALUE`` in magnitude is rejected. Only that pass accepts a
+    table; :func:`_raise_table_fault` names the fault of one it rejects.
     """
     k = len(fixed_columns)
 
-    def check_header(cols):
+    def line_dtype(cols):
         if tuple(cols[:k]) != tuple(fixed_columns):
             raise FormatError(
                 f"{path}: header must start with {list(fixed_columns)}, got {cols[:k]}"
@@ -263,27 +307,50 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
             raise FormatError(f"{path}: no patient columns in header")
         if len(set(cols[k:])) != len(cols) - k:
             raise FormatError(f"{path}: duplicate patient column names")
-        return range(k)
+        return [*((name, object) for name in fixed_columns), ("values", float, (len(cols) - k,))]
 
-    cols, linenos, fixed = _read_tsv(path, check_header)
-    patients, width = cols[k:], len(cols)
+    cols, rows = _load_rows(path, line_dtype)
+    patients = cols[k:]
+    if rows is not None:
+        ids, values = rows[fixed_columns[0]].tolist(), rows["values"]
+        # max and min allocate nothing; a nan makes both comparisons fail
+        if (len(set(ids)) == len(ids)
+                and values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
+            # one block, in the width a row-wise np.array(..., dtype=str) gives every column
+            width = max(1, *(max(map(len, rows[name])) for name in fixed_columns))
+            annotations = np.empty((k, len(rows)), dtype=f"<U{width}")
+            for i, name in enumerate(fixed_columns):
+                annotations[i] = rows[name]
+                rows[name] = None  # frees the column's str objects before the next is filled
+            return patients, Table(dict(zip(fixed_columns, annotations)),
+                                   np.ascontiguousarray(values))
+    _raise_table_fault(path, fixed_columns, patients)
+
+
+def _raise_table_fault(path, fixed_columns, patients):
+    """Raise the :class:`FormatError` for the first fault of a table that ``_parse_table`` rejects.
+
+    The lines are read again by :func:`_read_tsv`, which names a line
+    with another cell count; then come a repeated id, a value ``loadtxt``
+    cannot parse alone and a value beyond ``MAX_ABS_VALUE``, each named
+    by its line and, for a value, its column.
+    """
+    k = len(fixed_columns)
+    _, linenos, fixed = _read_tsv(path, lambda cells: range(k))
     _require_unique(path, zip(linenos, [row[0] for row in fixed]), fixed_columns[0])
     try:
-        values = _read_values(path, k, width, skiprows=1)
+        values = _read_values(path, k, k + len(patients), skiprows=1)
     except ValueError as exc:
         _raise_unparsable(path, k, patients, exc)
-    # max and min allocate nothing; a nan makes both comparisons fail
-    if not (values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
-        bad = int(np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0])
-        row, col = divmod(bad, len(patients))
+    for bad in np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[:1]:
+        row, col = divmod(int(bad), len(patients))
         v = float(values[row, col])
         what = (f"non-finite value {v!r}" if not np.isfinite(v)
                 else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
         raise FormatError(
             f"{path}:{linenos[row]}:{k + col + 1}: {what} for patient {patients[col]!r}"
         )
-    annotations = np.array(fixed, dtype=str)
-    return patients, Table(dict(zip(fixed_columns, annotations.T)), values)
+    raise _unnamed_fault(path)
 
 
 def _read_values(source, k, width, skiprows) -> np.ndarray:
@@ -317,6 +384,20 @@ def _raise_unparsable(path, k, patients, exc):
     raise FormatError(f"{path}: non-numeric value ({exc})") from None
 
 
+def _data_line(path, row) -> int:
+    """The line number of 0-based data row ``row`` of an accepted table, for a message.
+
+    The C pass keeps no line numbers, so the line loop of :func:`_read_tsv` counts them.
+    """
+    _, linenos, _ = _read_tsv(path, lambda cells: (0, 1))
+    return linenos[row]
+
+
+def _located(exc: MappingError, path) -> MappingError:
+    """``exc``, about a row of the CpG table read from ``path``, naming the file and line."""
+    return MappingError(f"{path}:{_data_line(path, exc.row)}: {exc}", exc.row)
+
+
 def read_expression_table(path) -> tuple[list[str], Table]:
     """Read an expression TSV: gene_id, chromosome, then patient columns."""
     return _parse_table(path, EXPRESSION_FIXED_COLUMNS)
@@ -338,24 +419,51 @@ def align_patients(path_a, patients_a, path_b, patients_b) -> list[int]:
     return [patients_b.index(p) for p in patients_a]
 
 
-def read_truth_table(path) -> dict[str, dict[str, str]]:
-    """``truth.tsv`` (entity_id, layer, label) as ``{layer: {id: label}}``, layer gene or cpg."""
-    def check_header(cells):
-        if cells != ["entity_id", "layer", "label"]:
-            raise FormatError(f"{path}: expected header entity_id/layer/label")
-        return 0, 1, 2
+TRUTH_COLUMNS = ("entity_id", "layer", "label")
+TRUTH_LAYERS = ("gene", "cpg")
 
-    _, linenos, rows = _read_tsv(path, check_header)
-    truth: dict[str, dict[str, str]] = {"gene": {}, "cpg": {}}
-    for lineno, (entity, layer, label) in zip(linenos, rows):
-        if layer not in truth:
-            raise FormatError(f"{path}:{lineno}: unknown layer {layer!r}")
-        truth[layer][entity] = label
-    if sum(map(len, truth.values())) < len(rows):  # an id repeats within a layer
-        for layer in truth:
-            mine = ((n, entity) for n, (entity, of, _) in zip(linenos, rows) if of == layer)
-            _require_unique(path, mine, f"{layer} id")
-    return truth
+
+def read_truth_table(path, layer) -> dict[str, str]:
+    """The ``{id: label}`` of one layer, ``gene`` or ``cpg``, of ``truth.tsv`` (entity_id, layer, label).
+
+    The whole table is read by one C pass (:func:`_load_rows`) and
+    checked: every row's layer must be ``gene`` or ``cpg``, and no id may
+    repeat within its layer. Only the rows of ``layer`` are kept.
+    :func:`_raise_truth_fault` names the fault of a table this rejects.
+    """
+    def line_dtype(cells):
+        if tuple(cells) != TRUTH_COLUMNS:
+            raise FormatError(f"{path}: expected header entity_id/layer/label")
+        return [(name, object) for name in TRUTH_COLUMNS]
+
+    _, rows = _load_rows(path, line_dtype)
+    if rows is not None:
+        ids, layers = rows["entity_id"], rows["layer"]
+        mine = layers == layer
+        if set(layers[~mine].tolist()) <= set(TRUTH_LAYERS) - {layer}:
+            # one str per distinct label, not one per row
+            truth = dict(zip(ids[mine].tolist(), map(sys.intern, rows["label"][mine].tolist())))
+            other_ids = ids[~mine].tolist()
+            if len(truth) == mine.sum() and len(set(other_ids)) == len(other_ids):
+                return truth
+    _raise_truth_fault(path)
+
+
+def _raise_truth_fault(path):
+    """Raise the :class:`FormatError` for the first fault of a ``truth.tsv`` that ``read_truth_table`` rejects.
+
+    After the faults :func:`_read_tsv` names come the first line with an
+    unknown layer, then the first repeated gene id, then the first
+    repeated CpG id.
+    """
+    _, linenos, rows = _read_tsv(path, lambda cells: range(len(TRUTH_COLUMNS)))
+    for lineno, (_, of, _) in zip(linenos, rows):
+        if of not in TRUTH_LAYERS:
+            raise FormatError(f"{path}:{lineno}: unknown layer {of!r}")
+    for layer in TRUTH_LAYERS:
+        mine = ((n, entity) for n, (entity, of, _) in zip(linenos, rows) if of == layer)
+        _require_unique(path, mine, f"{layer} id")
+    raise _unnamed_fault(path)
 
 
 def read_predicted_labels(path, layer) -> tuple[list[int], list[tuple[str, str]]]:
@@ -384,7 +492,10 @@ def load_paired_dataset(expression_path, methylation_path, mode="strict") -> Pai
     order = align_patients(expression_path, expr_patients, methylation_path, meth_patients)
     if meth_patients != expr_patients:
         cpgs = Table(cpgs.columns, cpgs.values[:, order])
-    return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)
+    try:
+        return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)
+    except MappingError as exc:
+        raise _located(exc, methylation_path) from None
 
 
 class ChromosomeRows(NamedTuple):

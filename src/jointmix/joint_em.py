@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -687,12 +688,29 @@ def fit(
 
 # The (fn, items) of the pool a worker process serves; set only in workers.
 _work = None
+# prctl(2) option: the signal a process gets when its parent ends (Linux).
+_PR_SET_PDEATHSIG = 1
 
 
-def _work_on(fn, items) -> None:
-    """Worker initializer: a forked worker inherits ``fn`` and ``items``, never pickled."""
+def _work_on(fn, items, parent) -> None:
+    """Worker initializer: a forked worker inherits ``fn`` and ``items``, never pickled.
+
+    The worker also ends with its ``parent`` process, however that ends:
+    a worker waiting on the pool's task pipe would otherwise wait for
+    good, as every forked worker holds the pipe's write end too. Linux
+    sends it ``SIGKILL`` when the parent goes (``PR_SET_PDEATHSIG``); a
+    parent already gone before that was set ends it here.
+    """
+    import ctypes  # only in a worker
+
     global _work
     _work = fn, items
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _call(key):
@@ -714,7 +732,8 @@ def _run_each(fn, items: dict, threads: int, catch):
     one, the calls run in this process, one after the other. Workers are
     forked, so they inherit ``fn`` and ``items``, and only keys, results
     and exceptions cross the pipe: a result and an exception must pickle.
-    Every worker is joined before this function returns or raises.
+    Every worker is joined before this function returns or raises, and
+    ends with this process if it is killed.
     """
     _require_at_least("threads", threads, 1)
     results, failures = {}, {}
@@ -734,7 +753,7 @@ def _run_each(fn, items: dict, threads: int, catch):
 
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_work_on, initargs=(fn, items),
+        initializer=_work_on, initargs=(fn, items, os.getpid()),
     )
     try:
         futures = {key: pool.submit(_call, key) for key in items}

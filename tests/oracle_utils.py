@@ -5,10 +5,16 @@ loops, math.log/exp) and deliberately shares no code paths with the
 package internals it checks.
 """
 
+import contextlib
 import itertools
 import math
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
+
+from jointmix.dataset import MAX_ABS_VALUE
+from jointmix.errors import DuplicateIdError, FormatError
 
 
 def _log_normal(x, mean, var):
@@ -97,3 +103,172 @@ def simplex_perturbations(vec, index):
         return out / out.sum()
 
     return apply
+
+
+# The table readers as a Python line loop, as they were before the C pass
+# of ``dataset._load_rows`` took over: the reference its results and
+# messages are compared against. ``line_loop_table`` returns
+# ``(patients, {column: str array}, values)`` and ``line_loop_truth``
+# ``{layer: {id: label}}`` for both layers.
+
+
+@contextlib.contextmanager
+def _open_text(path):
+    """``path`` opened as UTF-8 text; a byte that does not decode is a FormatError.
+
+    The message names the line of the first such byte, counting the line
+    ends text mode uses (LF, CRLF and CR), so it agrees with the line
+    numbers of every other message.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = len((raw[: exc.start] + b".").splitlines())
+                raise FormatError(
+                    f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x})"
+                ) from None
+            raise
+
+
+def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str, ...]]]:
+    """The header cells, data line numbers and data rows of a TSV.
+
+    ``check_header(cells)`` raises a :class:`FormatError` for a header it
+    rejects, else returns the indices (two or more) of the cells each row
+    keeps, as a tuple; a line is split no further than the last of them.
+    Blank lines are skipped but counted, the header being line 1; a line
+    with another cell count than the header's, or a table without data
+    lines, is a FormatError.
+    """
+    with _open_text(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if not header:
+            raise FormatError(f"{path}: empty file")
+        cells = header.split("\t")
+        columns = check_header(cells)
+        keep, last, width = itemgetter(*columns), max(columns) + 1, len(cells)
+        linenos, rows = [], []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            n_cols = line.count("\t") + 1
+            if n_cols != width:
+                raise FormatError(f"{path}:{lineno}: expected {width} columns, got {n_cols}")
+            rows.append(keep(line.split("\t", last)))
+            linenos.append(lineno)
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    return cells, linenos, rows
+
+
+def _require_unique(path, numbered_ids, what) -> None:
+    """An id repeated among ``(line number, id)`` pairs is a DuplicateIdError naming its line."""
+    seen = set()
+    for lineno, i in numbered_ids:
+        if i in seen:
+            raise DuplicateIdError(f"{path}:{lineno}: duplicate {what} {i!r}")
+        seen.add(i)
+
+
+def line_loop_table(path, fixed_columns):
+    """Parse a TSV with fixed leading columns followed by patient columns.
+
+    :func:`_read_tsv` checks the lines and keeps the fixed columns, whose
+    first column, the row id, must not repeat. The values are then read
+    by numpy's C ``loadtxt``, which parses each number with the same
+    routine as ``float()`` (so the arrays are bit for bit the same)
+    without a Python call per value. It accepts decimal and exponent
+    notation, ``inf`` and ``nan`` in any case, a leading sign and
+    surrounding whitespace; unlike ``float()`` it rejects ``_`` between
+    digits and non-ASCII digits. Values that are not finite or exceed
+    ``MAX_ABS_VALUE`` in magnitude are then rejected with their column.
+    """
+    k = len(fixed_columns)
+
+    def check_header(cols):
+        if tuple(cols[:k]) != tuple(fixed_columns):
+            raise FormatError(
+                f"{path}: header must start with {list(fixed_columns)}, got {cols[:k]}"
+            )
+        if len(cols) == k:
+            raise FormatError(f"{path}: no patient columns in header")
+        if len(set(cols[k:])) != len(cols) - k:
+            raise FormatError(f"{path}: duplicate patient column names")
+        return range(k)
+
+    cols, linenos, fixed = _read_tsv(path, check_header)
+    patients, width = cols[k:], len(cols)
+    _require_unique(path, zip(linenos, [row[0] for row in fixed]), fixed_columns[0])
+    try:
+        values = _read_values(path, k, width, skiprows=1)
+    except ValueError as exc:
+        _raise_unparsable(path, k, patients, exc)
+    # max and min allocate nothing; a nan makes both comparisons fail
+    if not (values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
+        bad = int(np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0])
+        row, col = divmod(bad, len(patients))
+        v = float(values[row, col])
+        what = (f"non-finite value {v!r}" if not np.isfinite(v)
+                else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
+        raise FormatError(
+            f"{path}:{linenos[row]}:{k + col + 1}: {what} for patient {patients[col]!r}"
+        )
+    annotations = np.array(fixed, dtype=str)
+    return patients, dict(zip(fixed_columns, annotations.T)), values
+
+
+def _read_values(source, k, width, skiprows) -> np.ndarray:
+    """Columns ``k:width`` of a tab-separated file or list of lines, as floats."""
+    return np.loadtxt(
+        source, delimiter="\t", skiprows=skiprows, usecols=range(k, width), dtype=float,
+        ndmin=2, encoding="utf-8", comments=None,
+    )
+
+
+def _raise_unparsable(path, k, patients, exc):
+    """Raise the :class:`FormatError` for the first value ``loadtxt`` rejects.
+
+    Each data line is parsed alone, then each column of the first line that
+    fails, so the check is the reader's own; ``exc`` is named if none fails.
+    """
+    _, linenos, rows = _read_tsv(path, lambda cells: range(len(cells)))
+    for lineno, row in zip(linenos, rows):
+        line = "\t".join(row)
+        try:
+            _read_values([line], k, len(row), skiprows=0)
+        except ValueError:
+            for col in range(k, len(row)):
+                try:
+                    _read_values([line], col, col + 1, skiprows=0)
+                except ValueError:
+                    raise FormatError(
+                        f"{path}:{lineno}:{col + 1}: non-numeric value {row[col]!r} "
+                        f"for patient {patients[col - k]!r}"
+                    ) from None
+    raise FormatError(f"{path}: non-numeric value ({exc})") from None
+
+
+def line_loop_truth(path):
+    """``truth.tsv`` (entity_id, layer, label) as ``{layer: {id: label}}``, layer gene or cpg."""
+    def check_header(cells):
+        if cells != ["entity_id", "layer", "label"]:
+            raise FormatError(f"{path}: expected header entity_id/layer/label")
+        return 0, 1, 2
+
+    _, linenos, rows = _read_tsv(path, check_header)
+    truth: dict[str, dict[str, str]] = {"gene": {}, "cpg": {}}
+    for lineno, (entity, layer, label) in zip(linenos, rows):
+        if layer not in truth:
+            raise FormatError(f"{path}:{lineno}: unknown layer {layer!r}")
+        truth[layer][entity] = label
+    if sum(map(len, truth.values())) < len(rows):  # an id repeats within a layer
+        for layer in truth:
+            mine = ((n, entity) for n, (entity, of, _) in zip(linenos, rows) if of == layer)
+            _require_unique(path, mine, f"{layer} id")
+    return truth

@@ -182,6 +182,42 @@ class TestPreprocessCommand:
         assert preprocess(sim_dir, tmp_path / "out", **inputs) == 1
         assert "'C999999' references unknown gene_id 'GXXXXX'" in capsys.readouterr().err
 
+    def test_orphan_cpg_strict_names_the_file_and_line(self, sim_dir, tmp_path, capsys):
+        inputs = self.orphan_inputs(sim_dir, tmp_path)
+        line = len(inputs["methylation_a"].read_text().splitlines()) - 1
+        assert preprocess(sim_dir, tmp_path / "out", **inputs) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {inputs['methylation_a']}:{line}: "
+            "CpG 'C999999' references unknown gene_id 'GXXXXX'"
+        ]
+
+    @pytest.mark.parametrize("name, column, text, message", [
+        ("expression_b", 4, "-2", "negative count -2.0 for patient 'P2'"),
+        ("methylation_a", 5, "1.5", "beta value 1.5 outside [0, 1] for patient 'P2'"),
+        ("methylation_b", 4, "-0.25", "beta value -0.25 outside [0, 1] for patient 'P1'"),
+    ])
+    def test_value_outside_its_domain_names_its_cell(
+        self, sim_dir, tmp_path, capsys, name, column, text, message
+    ):
+        bad = doctored(sim_dir / f"{name}.tsv", tmp_path / f"{name}.tsv", 3, column, text)
+        out = tmp_path / "out"
+        assert preprocess(sim_dir, out, **{name: bad}) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}:3:{column}: {message}"]
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    def test_rows_in_another_order_in_the_b_files_give_the_same_tables(
+        self, sim_dir, transformed_dir, tmp_path
+    ):
+        inputs = {}
+        for name in ("expression_b", "methylation_b"):
+            header, *rows = (sim_dir / f"{name}.tsv").read_text().splitlines()
+            inputs[name] = tmp_path / f"{name}.tsv"
+            inputs[name].write_text("\n".join([header, *rows[::-1]]) + "\n")
+        out = tmp_path / "out"
+        assert preprocess(sim_dir, out, **inputs) == 0
+        for name in ("expression.tsv", "methylation.tsv"):
+            assert (out / name).read_bytes() == (transformed_dir / name).read_bytes()
+
     def test_orphan_cpg_lenient_dropped(self, sim_dir, transformed_dir, tmp_path, caplog):
         inputs = self.orphan_inputs(sim_dir, tmp_path)
         out = tmp_path / "out"

@@ -31,6 +31,22 @@ class TestLoadPairedDataset:
         with pytest.raises(MappingError):
             load_paired_dataset(expr, bad, mode="strict")
 
+    @pytest.mark.parametrize("edit, line, problem", [
+        (lambda text: text + "\nc6\tGX\t1\t0.0\t0.0\n", 8,
+         "CpG 'c6' references unknown gene_id 'GX'"),
+        (lambda text: text.replace("c4\tGB\t1", "c4\tGB\t9"), 5,
+         "CpG 'c4' on chromosome '9' but its gene 'GB' is on '1'"),
+    ])
+    def test_a_strict_mapping_error_names_the_cpg_line(
+        self, tiny_pair_files, tmp_path, edit, line, problem
+    ):
+        expr, meth = tiny_pair_files
+        bad = tmp_path / "meth_bad.tsv"
+        bad.write_text(edit(meth.read_text()))
+        with pytest.raises(MappingError) as exc:
+            load_paired_dataset(expr, bad, mode="strict")
+        assert str(exc.value) == f"{bad}:{line}: {problem}"
+
     def test_orphan_cpg_lenient_drops(self, tiny_pair_files, tmp_path):
         expr, meth = tiny_pair_files
         bad = tmp_path / "meth_orphan.tsv"

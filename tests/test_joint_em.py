@@ -1,9 +1,15 @@
 import concurrent.futures
+import contextlib
 import logging
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from oracle_utils import (
 )
 
 from conftest import make_dataset, random_mixture_dataset
+import jointmix
 from jointmix.baseline import fit_independent
 from jointmix.errors import (
     DegenerateClusterError,
@@ -844,6 +851,15 @@ def usable_cpus(monkeypatch):
     return set_cpus
 
 
+def running(pid) -> bool:
+    """Whether process ``pid`` exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestRunEach:
     def test_a_degenerate_cluster_in_a_worker_lands_in_failures_intact(self, usable_cpus):
         items = {"first": "a", "second": "b"}
@@ -888,6 +904,42 @@ class TestRunEach:
             _run_each(fail_on_a, {1: "b", 2: "a", 3: "c"}, threads, KeyError)
         assert type(exc.value) is FitError and str(exc.value) == "no fit for a"
         assert multiprocessing.active_children() == []
+
+    def test_workers_end_when_their_parent_is_killed(self):
+        script = "\n".join([
+            "import os, time",
+            "from jointmix.errors import FitError",
+            "from jointmix.joint_em import _run_each",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "def nap(seconds):",
+            "    os.write(1, b'%d\\n' % os.getpid())  # one write: the workers share the pipe",
+            "    time.sleep(seconds)",
+            "_run_each(nap, dict.fromkeys(range(4), 5.0), 2, FitError)",
+        ])
+        src = str(Path(jointmix.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        child = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                                 text=True)
+        workers = set()
+        try:
+            while len(workers) < 2:  # a worker prints its pid as it starts a task
+                line = child.stdout.readline()
+                assert line, "the child ended before two workers started"
+                workers.add(int(line))
+            child.kill()
+            child.wait(timeout=10)
+            deadline = time.monotonic() + 4
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if running(pid)] == []
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+            child.stdout.close()
+            for pid in filter(running, workers):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_is_a_parameter_error(self, threads):
