@@ -4,7 +4,8 @@ Subcommands: preprocess, simulate, fit, baseline, evaluate, benchmark,
 timing. Every subcommand takes ``--out``, ``--force`` and
 ``--log-level``; ``simulate``, ``benchmark`` and ``timing`` also take
 ``--seed``, and ``fit``, ``baseline`` and ``benchmark`` ``--threads``,
-the most worker processes that fit chromosomes or replicates at once.
+the most worker processes that fit chromosomes or replicates, or render
+row ranges of the result tables, at once.
 Every run writes a ``manifest.json`` recording resolved parameters,
 input digests and wall-clock duration; data outputs are
 byte-reproducible given identical inputs and seed, for any ``--threads``
@@ -63,14 +64,11 @@ from .preprocess import (
 from .reports import (
     format_lines,
     independent_model_payload,
-    joint_result_lines,
     label_names,
-    place_lines,
-    result_rows,
-    results_header,
     write_benchmark_tables,
     write_json,
     write_joint_results,
+    write_layer_tables,
     write_metric_report,
     write_tsv,
 )
@@ -223,12 +221,21 @@ def cmd_preprocess(args) -> int:
     betas_a = betas_a[np.ix_(kept, morder)]
     betas_b = betas_b[np.ix_(kept, morder)]
 
-    kept_g, x, kept_c, y = derive_model_inputs(
-        counts_a, counts_b, betas_a, betas_b, gene_idx,
-        count_threshold=args.count_threshold,
-        pseudocount=args.pseudocount,
-        beta_eps=args.beta_eps,
-    )
+    try:
+        kept_g, x, kept_c, y = derive_model_inputs(
+            counts_a, counts_b, betas_a, betas_b, gene_idx,
+            count_threshold=args.count_threshold,
+            pseudocount=args.pseudocount,
+            beta_eps=args.beta_eps,
+        )
+    except DataDomainError as exc:
+        if exc.where is None:
+            raise
+        condition, column = exc.where
+        path = args.expression_a if condition == "a" else args.expression_b
+        raise DataDomainError(
+            f"{path}: patient {patients[column]!r} has zero library size after filtering"
+        ) from None
     write_expression_table(out / "expression.tsv",
                            *(col[kept_g] for col in genes.columns.values()), patients, x)
     cpg_rows = kept[kept_c]
@@ -318,11 +325,11 @@ def cmd_fit(args) -> int:
     out = _prepare_out(args, ["model.json", "gene_results.tsv", "cpg_results.tsv", "manifest.json"])
     _require_at_least("threads", args.threads, 1)
     ds = load_paired_dataset(args.expression, args.methylation, mode=args.mode)
-    results, failures, lines = fit_all_chromosomes(
-        ds, render=joint_result_lines, **_own_flags(args, "expression", "methylation", "mode")
+    results, failures = fit_all_chromosomes(
+        ds, **_own_flags(args, "expression", "methylation", "mode")
     )
     if results:
-        write_joint_results(out, ds, results, lines, args.K, args.L)
+        write_joint_results(out, ds, results, args.K, args.L, args.threads)
     return _finish_fits(out, args, [args.expression, args.methylation], t0, results, failures)
 
 
@@ -335,24 +342,21 @@ def cmd_baseline(args) -> int:
     _, table = (read_expression_table if expression else read_methylation_table)(args.input)
     labels, chrom = np.unique(table["chromosome"], return_inverse=True)
     rows_of = {label: np.flatnonzero(chrom == i) for i, label in enumerate(labels.tolist())}
-    names = label_names("gene" if expression else "cpg", args.k)
-
-    def fit_rows(rows):
-        res = fit_independent(table.values[rows], K=args.k, q=args.quantile,
-                              tol=args.tol, max_iter=args.max_iter)
-        return res, result_rows([col[rows] for col in table.columns.values()], res.layer, names)
-
-    done, failures = _run_each(fit_rows, rows_of, args.threads, FitError)
-    fits = {label: res for label, (res, _) in done.items()}
+    fits, failures = _run_each(
+        lambda rows: fit_independent(table.values[rows], K=args.k, q=args.quantile,
+                                     tol=args.tol, max_iter=args.max_iter),
+        rows_of, args.threads, FitError,
+    )
     for label, res in fits.items():
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
     if fits:
-        write_tsv(
-            out / results_name,
-            results_header(table.columns, names),
-            place_lines(len(table), [(rows_of[label], lines) for label, (_, lines) in done.items()]),
-        )
+        write_layer_tables([(
+            out / results_name, table.columns,
+            lambda rows: [col[rows] for col in table.columns.values()],
+            [(rows_of[label], res.layer) for label, res in fits.items()],
+            label_names("gene" if expression else "cpg", args.k),
+        )], args.threads)
         write_json(out / "model.json", independent_model_payload(args.k, fits))
     return _finish_fits(out, args, [args.input], t0, fits, failures)
 

@@ -536,6 +536,11 @@ def _format_number(v) -> str:
 FORMAT_BLOCK_CELLS = 1 << 14
 
 
+def _block_rows(width) -> int:
+    """Rows per block of :func:`_render_blocks` for rows of ``width`` cells."""
+    return max(1, FORMAT_BLOCK_CELLS // max(1, width))
+
+
 def _render_blocks(columns):
     """Yield the rows of ``columns`` as text, about ``FORMAT_BLOCK_CELLS`` cells a block.
 
@@ -551,7 +556,7 @@ def _render_blocks(columns):
     (n_rows,) = {len(col) for col in columns}  # a ValueError unless all are one length
     template = "\t".join("%s" if w is None else "\t".join(["%r"] * w) for w in widths)
     width = sum(1 if w is None else w for w in widths)
-    step = max(1, FORMAT_BLOCK_CELLS // max(1, width))
+    step = _block_rows(width)
     for start in range(0, n_rows, step):
         rows = min(step, n_rows - start)
         cells = np.empty((rows, width), dtype=object)

@@ -39,7 +39,15 @@ class DuplicateIdError(InputError):
 
 
 class DataDomainError(InputError):
-    """Value outside its legal domain (negative count, beta outside [0,1])."""
+    """Value outside its legal domain (negative count, beta outside [0,1]).
+
+    ``where``, when known, is the ``(condition, column)`` of the fault:
+    condition ``"a"`` or ``"b"`` and a 0-based patient column.
+    """
+
+    def __init__(self, message, where=None):
+        self.where = where  # pickled with the instance's __dict__
+        super().__init__(message)
 
 
 class ParameterError(InputError):

@@ -16,6 +16,7 @@ a test oracle and as an observed-likelihood diagnostic.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import signal
@@ -719,65 +720,66 @@ def _call(key):
     return fn(items[key])
 
 
-def _run_each(fn, items: dict, threads: int, catch):
-    """``fn(item)`` for every value of ``items``, on up to ``threads`` worker processes.
+def _each(fn, items: dict, threads: int, catch):
+    """Yield ``(key, result, error)`` for every item, in the order of ``items``.
 
-    Returns ``(results, failures)``, keyed like ``items`` and in its
-    order: a call that raises ``catch`` lands in ``failures`` and does
-    not stop the others; any other exception propagates, with the calls
-    not yet started cancelled. ``threads`` below 1 is a
-    :class:`ParameterError`, raised before any call.
+    ``result`` is ``fn(item)``; a call that raises ``catch`` yields None
+    and the exception as ``error`` instead, and does not stop the others.
+    Any other exception propagates, with the calls not yet started
+    cancelled. ``threads`` below 1 is a :class:`ParameterError`, raised
+    before any call.
 
     The pool has ``min(threads, len(items), usable CPUs)`` workers; with
     one, the calls run in this process, one after the other. Workers are
     forked, so they inherit ``fn`` and ``items``, and only keys, results
     and exceptions cross the pipe: a result and an exception must pickle.
-    Every worker is joined before this function returns or raises, and
-    ends with this process if it is killed.
+    A result is yielded as soon as it and those before it have arrived,
+    and is not held here after that. Every worker is joined before the
+    generator ends, raises or is closed, and ends with this process if
+    it is killed.
     """
     _require_at_least("threads", threads, 1)
-    results, failures = {}, {}
-    workers = min(threads, len(items))
+    workers, pool = min(threads, len(items), len(os.sched_getaffinity(0))), None
     if workers > 1:
-        workers = min(workers, len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        for key, item in items.items():
-            try:
-                results[key] = fn(item)
-            except catch as exc:
-                failures[key] = exc
-        return results, failures
-    # imported only for a pool: every run would pay them, in memory and start-up time
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        # imported only for a pool: every run would pay them, in memory and start-up time
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_work_on, initargs=(fn, items, os.getpid()),
-    )
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_work_on, initargs=(fn, items, os.getpid()),
+        )
     try:
-        futures = {key: pool.submit(_call, key) for key in items}
-        for key, future in futures.items():
+        if pool is None:
+            calls = ((key, functools.partial(fn, item)) for key, item in items.items())
+        else:
+            futures = {key: pool.submit(_call, key) for key in items}
+            calls = ((key, futures.pop(key).result) for key in items)
+        for key, call in calls:
             try:
-                results[key] = future.result()
+                result, error = call(), None
             except catch as exc:
-                failures[key] = exc
+                result, error = None, exc
+            yield key, result, error
     finally:
-        pool.shutdown(cancel_futures=True)
-    return results, failures
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
-def fit_all_chromosomes(ds: PairedDataset, threads=1, render=None, **fit_kwargs):
+def _run_each(fn, items: dict, threads: int, catch):
+    """:func:`_each`'s calls as ``(results, failures)``, keyed like ``items`` and in its order."""
+    done = list(_each(fn, items, threads, catch))
+    results = {key: result for key, result, error in done if error is None}
+    return results, {key: error for key, _, error in done if error is not None}
+
+
+def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     """Fit each chromosome independently; failures do not abort siblings.
 
     Returns ``(results, failures)``, both keyed by chromosome label in
     sorted label order. A :class:`FitError` lands in ``failures``; any
     other error, such as a :class:`ParameterError`, propagates. Up to
-    ``threads`` worker processes fit the chromosomes (see
-    :func:`_run_each`). With ``render``, the worker that fits a
-    chromosome also calls ``render(sub, result)`` on the chromosome's
-    dataset and its fit, and a third dict, keyed like ``results``,
-    holds those values.
+    ``threads`` worker processes fit the chromosomes (see :func:`_each`).
 
     The warnings are logged here, never in a worker, chromosome by
     chromosome in label order: each gene cluster without CpG mass, then
@@ -785,15 +787,10 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, render=None, **fit_kwargs)
     per-chromosome fit is pure and deterministic, and results are keyed,
     not ordered.
     """
-
-    def fit_one(part):
-        sub = ds.subset(part.genes, part.cpgs)
-        res = fit(sub, **fit_kwargs)
-        return res, None if render is None else render(sub, res)
-
     parts = {part.label: part for part in split_by_chromosome(ds)}
-    done, failures = _run_each(fit_one, parts, threads, FitError)
-    results = {label: res for label, (res, _) in done.items()}
+    results, failures = _run_each(
+        lambda part: fit(ds.subset(part.genes, part.cpgs), **fit_kwargs), parts, threads, FitError
+    )
     for label, res in results.items():
         for cluster in res.no_cpg_mass:
             logger.warning(
@@ -804,6 +801,4 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, render=None, **fit_kwargs)
             logger.warning(
                 "chromosome %s did not converge in %d outer iterations", label, res.n_outer_iters
             )
-    if render is None:
-        return results, failures
-    return results, failures, {label: rendered for label, (_, rendered) in done.items()}
+    return results, failures

@@ -38,10 +38,7 @@ def filter_low_counts(counts_a, counts_b, threshold=DEFAULT_COUNT_THRESHOLD):
 
 def total_count_library_sizes(counts):
     """Per-sample library sizes: column sums of the (filtered) count matrix."""
-    libs = np.asarray(counts, dtype=float).sum(axis=0)
-    if (libs <= 0).any():
-        raise DataDomainError("a sample has zero library size after filtering")
-    return libs
+    return np.asarray(counts, dtype=float).sum(axis=0)
 
 
 def counts_to_logcpm(counts, libs, pseudocount=DEFAULT_PSEUDOCOUNT):
@@ -102,7 +99,8 @@ def derive_model_inputs(
     and ``y`` holds M-value differences for the retained CpGs. A
     ``pseudocount`` that is not finite and above 0, or a ``beta_eps``
     outside (0, 0.5), is a :class:`ParameterError`; keeping no gene or
-    no CpG is a :class:`DataDomainError`.
+    no CpG is a :class:`DataDomainError`, and so is a zero library size,
+    whose error's ``where`` locates it.
     """
     if not 0 < pseudocount < np.inf:
         raise ParameterError(f"pseudocount must be finite and above 0, got {pseudocount}")
@@ -120,11 +118,14 @@ def derive_model_inputs(
     kept_cpgs = np.flatnonzero(keep_mask[np.asarray(cpg_gene_idx, dtype=np.intp)])
     if not len(kept_cpgs):
         raise DataDomainError("no CpG is left: none maps to a gene that passed filtering")
-    fa = counts_a[kept_genes]
-    fb = counts_b[kept_genes]
+    fa, fb = counts_a[kept_genes], counts_b[kept_genes]
+    libs = total_count_library_sizes(fa), total_count_library_sizes(fb)
+    for condition, lib in zip("ab", libs):
+        for column in np.flatnonzero(lib <= 0)[:1]:
+            raise DataDomainError("a sample has zero library size after filtering",
+                                  (condition, int(column)))
     x = logfold_change(
-        counts_to_logcpm(fa, total_count_library_sizes(fa), pseudocount),
-        counts_to_logcpm(fb, total_count_library_sizes(fb), pseudocount),
+        counts_to_logcpm(fa, libs[0], pseudocount), counts_to_logcpm(fb, libs[1], pseudocount)
     )
     y = mvalue_difference(
         beta_to_mvalue(np.asarray(betas_a)[kept_cpgs], beta_eps),

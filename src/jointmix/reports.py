@@ -2,12 +2,14 @@
 
 All writers are deterministic: rows follow input order (or replicate
 order), floats are written in shortest round-trip form, and undefined
-ratios appear as ``NA`` in TSVs and ``null`` in JSON. The result tables
-are rendered by :func:`~jointmix.dataset._render_blocks`, as every data table is.
+ratios appear as ``NA`` in TSVs and ``null`` in JSON. Every result table
+is written by :func:`write_layer_tables`, in row ranges rendered on worker
+processes; :func:`write_tsv` writes the evaluation, benchmark and timing tables.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -16,12 +18,13 @@ import numpy as np
 from .dataset import (
     EXPRESSION_FIXED_COLUMNS,
     METHYLATION_FIXED_COLUMNS,
-    PairedDataset,
+    _block_rows,
     _format_number,
     _render_blocks,
     split_by_chromosome,
 )
 from .evaluate import BenchmarkResult, MetricReport
+from .joint_em import _each
 from .simulate import CPG_LABELS, GENE_LABELS
 
 
@@ -109,76 +112,58 @@ def independent_model_payload(K, per_chrom: dict) -> dict:
     return {"model": "independent", "K": int(K), "chromosomes": chroms}
 
 
-def result_rows(annotations, layer, names) -> list[str]:
-    """One fitted layer's result lines, one per row of ``annotations``, in their order.
+def write_layer_tables(tables, threads=1) -> None:
+    """Write fitted layers' result tables, rendered on up to ``threads`` workers.
 
-    ``annotations`` holds the leading per-row columns and ``layer`` the
-    rows' :class:`~jointmix.joint_em.LayerFit`, whose map labels are
-    1-based indices into ``names``. Each line is the tab-joined
-    annotations, posteriors, MAP label name and uncertainty.
+    Each table is ``(path, columns, annotations, parts, names)``.
+    ``annotations(rows)`` gives the leading columns, named ``columns``,
+    of the ascending table rows ``rows``; ``parts`` pairs each fitted
+    part's rows with its :class:`~jointmix.joint_em.LayerFit`, whose MAP
+    labels index ``names`` from 1. A row is its annotations, posteriors,
+    MAP label name and uncertainty, in table order; rows no part holds
+    are left out. One run of :func:`~jointmix.joint_em._each` renders
+    every table in ranges of one :func:`~jointmix.dataset._render_blocks`
+    block. A range gathers its rows where it is rendered, so no column is
+    copied whole, and is written once it and those before it have arrived.
     """
-    columns = [*annotations, layer.resp, np.array(names, dtype=object)[layer.map_labels - 1],
-               layer.uncertainty[:, np.newaxis]]
-    return [line for block in _render_blocks(columns) for line in block.split("\n")[:-1]]
+    fitted, ranges = [], {}
+    for t, (_, columns, annotations, parts, names) in enumerate(tables):
+        rows = np.concatenate([part_rows for part_rows, _ in parts])
+        order = np.argsort(rows, kind="stable")
+        fields = zip(*((layer.resp, layer.map_labels, layer.uncertainty) for _, layer in parts))
+        fitted.append((annotations, rows[order], *(np.concatenate(f)[order] for f in fields),
+                       np.array(names, dtype=object)))
+        step = _block_rows(len(columns) + len(names) + 2)
+        ranges.update(((t, i), (t, slice(i, i + step))) for i in range(0, len(rows), step))
+
+    def render(item):
+        t, span = item
+        annotations, rows, resp, labels, uncertainty, names = fitted[t]
+        return "".join(_render_blocks([*annotations(rows[span]), resp[span],
+                                       names[labels[span] - 1], uncertainty[span, np.newaxis]]))
+
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path, *_ in tables]
+        for fh, (_, columns, _, _, names) in zip(files, tables):
+            fh.write("\t".join(results_header(columns, names)) + "\n")
+        texts = stack.enter_context(contextlib.closing(_each(render, ranges, threads, ())))
+        for (t, _), text, _ in texts:
+            files[t].write(text)
 
 
-def place_lines(n, parts) -> list[str]:
-    """The lines of several row subsets of an n-row table, in table order.
-
-    Each entry of ``parts`` is ``(rows, lines)``: the table rows one
-    subset holds, and its lines in that order. Rows no part holds are
-    skipped.
-    """
-    placed = [None] * n
-    for rows, lines in parts:
-        for i, line in zip(rows.tolist(), lines, strict=True):
-            placed[i] = line
-    return [line for line in placed if line is not None]
-
-
-def joint_result_lines(ds: PairedDataset, result) -> tuple[list[str], list[str]]:
-    """The gene and the CpG result lines of one joint fit of ``ds``, in its row order."""
-    return (
-        result_rows([ds.gene_ids, ds.chromosomes], result.gene,
-                    label_names("gene", result.params.n_gene_clusters)),
-        result_rows([ds.cpg_ids, ds.gene_ids[ds.cpg_gene_idx], ds.chromosomes[ds.cpg_gene_idx]],
-                    result.cpg, label_names("cpg", result.params.n_cpg_clusters)),
-    )
-
-
-def assemble_joint_result_rows(ds: PairedDataset, lines: dict):
-    """Per-entity output rows in the input dataset's row order.
-
-    ``lines`` maps a chromosome label to the :func:`joint_result_lines`
-    of its fit. Entities on chromosomes without a successful fit are
-    skipped.
-    """
-    fitted = [(part, lines[part.label]) for part in split_by_chromosome(ds)
-              if part.label in lines]
-    gene_rows = place_lines(ds.n_genes, [(part.genes, genes) for part, (genes, _) in fitted])
-    cpg_rows = place_lines(ds.n_cpgs, [(part.cpgs, cpgs) for part, (_, cpgs) in fitted])
-    return gene_rows, cpg_rows
-
-
-def write_joint_results(out_dir, ds, results, lines, K, L) -> list[Path]:
-    """Write the joint fit's result tables and ``model.json``.
-
-    ``lines`` maps each label of ``results`` to the
-    :func:`joint_result_lines` of its fit.
-    """
-    out = Path(out_dir)
-    gene_rows, cpg_rows = assemble_joint_result_rows(ds, lines)
-    gene_path = out / "gene_results.tsv"
-    write_tsv(
-        gene_path, results_header(EXPRESSION_FIXED_COLUMNS, label_names("gene", K)), gene_rows
-    )
-    cpg_path = out / "cpg_results.tsv"
-    write_tsv(
-        cpg_path, results_header(METHYLATION_FIXED_COLUMNS, label_names("cpg", L)), cpg_rows
-    )
-    model_path = out / "model.json"
-    write_json(model_path, joint_model_payload(K, L, results))
-    return [gene_path, cpg_path, model_path]
+def write_joint_results(out_dir, ds, results, K, L, threads=1) -> None:
+    """Write ``model.json`` and the result tables, less the chromosomes ``results`` lacks."""
+    out, parts = Path(out_dir), [p for p in split_by_chromosome(ds) if p.label in results]
+    gene_columns = ds.gene_ids, ds.chromosomes
+    write_layer_tables([
+        (out / "gene_results.tsv", EXPRESSION_FIXED_COLUMNS,
+         lambda rows: [col[rows] for col in gene_columns],
+         [(p.genes, results[p.label].gene) for p in parts], label_names("gene", K)),
+        (out / "cpg_results.tsv", METHYLATION_FIXED_COLUMNS,
+         lambda rows: [ds.cpg_ids[rows], *(col[ds.cpg_gene_idx[rows]] for col in gene_columns)],
+         [(p.cpgs, results[p.label].cpg) for p in parts], label_names("cpg", L)),
+    ], threads)
+    write_json(out / "model.json", joint_model_payload(K, L, results))
 
 
 def write_metric_report(out_dir, report: MetricReport, layer: str) -> list[Path]:

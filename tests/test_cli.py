@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 import jointmix
+import jointmix.dataset
+import jointmix.reports
 from jointmix.cli import main
 from jointmix.simulate import SimConfig, simulate, write_simulation
 
@@ -164,6 +167,25 @@ class TestPreprocessCommand:
         bad = doctored(sim_dir / "expression_a.tsv", tmp_path / "expression_a.tsv", 3, 3, "nan")
         assert preprocess(sim_dir, tmp_path / "out", expression_a=bad) == 1
         assert f"{bad}:3:3: non-finite value nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("condition", ["a", "b"])
+    def test_zero_library_size_names_the_file_and_patient(
+        self, sim_dir, tmp_path, capsys, condition
+    ):
+        lines = (sim_dir / f"expression_{condition}.tsv").read_text().splitlines()
+        rows = [line.split("\t") for line in lines[1:]]
+        for row in rows:
+            row[3] = "0"  # patient P2
+        bad = tmp_path / f"expression_{condition}.tsv"
+        bad.write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
+        out = tmp_path / "prep"
+        assert preprocess(sim_dir, out, **{f"expression_{condition}": bad}) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {bad}: patient 'P2' has zero library size after filtering"
+        ]
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == []
 
     def orphan_inputs(self, sim_dir, tmp_path):
         """Both methylation files with two extra CpGs mapped to unknown genes."""
@@ -381,6 +403,20 @@ class TestFitCommand:
             row[0] for row in genes if row[1] != "W"
         ]
 
+    def test_worker_count_does_not_change_one_chromosome_outputs(
+        self, transformed_dir, tmp_path, monkeypatch
+    ):
+        # ranges of a few rows, so that the workers share one chromosome's tables
+        monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            assert run("fit", "--expression", transformed_dir / "expression.tsv",
+                       "--methylation", transformed_dir / "methylation.tsv",
+                       "--threads", n, "--out", out) == 0
+        assert list(json.loads((outs[0] / "model.json").read_text())["chromosomes"]) == ["1"]
+        for name in ("gene_results.tsv", "cpg_results.tsv", "model.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_missing_patient_column_names_it(self, transformed_dir, tmp_path, capsys):
         broken = tmp_path / "methylation_broken.tsv"
         lines = (transformed_dir / "methylation.tsv").read_text().splitlines()
@@ -470,20 +506,32 @@ class TestBaselineCommand:
         assert f"{bad}:4: not UTF-8 text (byte 0xe9)" in err
         assert "Traceback" not in err
 
-    def test_threads_do_not_change_the_outputs(self, transformed_dir, tmp_path):
-        lines = (transformed_dir / "expression.tsv").read_text().splitlines()
+    @pytest.mark.parametrize("layer, results", [
+        ("expression", "gene_results.tsv"), ("methylation", "cpg_results.tsv"),
+    ])
+    @pytest.mark.parametrize("chromosomes", ["XYZ", "1"])
+    def test_threads_do_not_change_the_outputs(
+        self, transformed_dir, tmp_path, monkeypatch, layer, results, chromosomes
+    ):
+        # ranges of a few rows, so that the workers share one chromosome's table
+        monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
+        lines = (transformed_dir / f"{layer}.tsv").read_text().splitlines()
         rows = [line.split("\t") for line in lines[1:]]
+        chrom_column = lines[0].split("\t").index("chromosome")
         for i, row in enumerate(rows):
-            row[1] = "XYZ"[i % 3]
-        expr = tmp_path / "three_chromosomes.tsv"
-        expr.write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
+            row[chrom_column] = chromosomes[i % len(chromosomes)]
+        table = tmp_path / "input.tsv"
+        table.write_text("\n".join([lines[0], *map("\t".join, rows)]) + "\n")
         outs = [tmp_path / f"threads{n}" for n in (1, 2)]
         for n, out in zip((1, 2), outs):
-            assert run("baseline", "--input", expr, "--layer", "expression",
+            assert run("baseline", "--input", table, "--layer", layer,
                        "--threads", n, "--out", out) == 0
-        assert len(json.loads((outs[0] / "model.json").read_text())["chromosomes"]) == 3
-        for name in ("gene_results.tsv", "model.json"):
+        model = json.loads((outs[0] / "model.json").read_text())
+        assert list(model["chromosomes"]) == sorted(chromosomes)
+        for name in (results, "model.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        written = (outs[1] / results).read_text().splitlines()[1:]
+        assert [line.split("\t")[0] for line in written] == [row[0] for row in rows]
 
 
 def fit_argv(data, command, expression=None, methylation=None):
@@ -550,14 +598,20 @@ class TestFitAndBaselineAlike:
         ("fit", "cannot fit 3 gene clusters to 2 genes"),
         ("baseline", "cannot fit 3 clusters to 2 rows"),
     ])
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_partial_chromosome_failure(
-        self, transformed_dir, tmp_path, capsys, command, failure
+        self, transformed_dir, tmp_path, capsys, monkeypatch, command, failure, threads
     ):
+        # ranges of a few rows, so that the workers share the fitted chromosome's tables
+        monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
         tables = with_two_genes_on(transformed_dir, tmp_path, "99")
         out = tmp_path / "out"
-        assert run(*fit_argv(transformed_dir, command, *tables), "--out", out) == 3
+        assert run(*fit_argv(transformed_dir, command, *tables), "--threads", threads,
+                   "--out", out) == 3
         assert capsys.readouterr().err.splitlines() == [f"chromosome 99 failed: {failure}"]
-        assert len((out / "gene_results.tsv").read_text().splitlines()) == 1 + 78
+        genes = [line.split("\t")[0] for line in tables[0].read_text().splitlines()[3:]]
+        written = (out / "gene_results.tsv").read_text().splitlines()[1:]
+        assert [line.split("\t")[0] for line in written] == genes and len(genes) == 78
         assert list(json.loads((out / "model.json").read_text())["chromosomes"]) == ["1"]
         assert manifest(out)["unconverged"] == []
 
@@ -592,6 +646,25 @@ class TestFitAndBaselineAlike:
                           "--out", tmp_path / "out")
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == lines
+
+    @pytest.mark.parametrize("command", ["fit", "baseline"])
+    def test_a_failing_render_task_raises_and_joins_every_worker(
+        self, transformed_dir, tmp_path, monkeypatch, command
+    ):
+        # ranges of a few rows; the forked workers inherit both patches
+        monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
+        render_blocks = jointmix.reports._render_blocks
+        first = (transformed_dir / "expression.tsv").read_text().split("\n")[1].split("\t")[0]
+
+        def fail_after_the_first_range(columns):
+            if columns[0][0] != first:
+                raise RuntimeError(f"no text for {columns[0][0]}")
+            return render_blocks(columns)
+
+        monkeypatch.setattr(jointmix.reports, "_render_blocks", fail_after_the_first_range)
+        with pytest.raises(RuntimeError, match="no text for "):
+            run(*fit_argv(transformed_dir, command), "--threads", 2, "--out", tmp_path / "out")
+        assert multiprocessing.active_children() == []
 
     def test_baseline_header_at_k_2(self, transformed_dir, tmp_path):
         out = tmp_path / "out"

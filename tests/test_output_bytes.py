@@ -4,12 +4,14 @@ Each table the commands write is rebuilt from its in-memory arrays by
 ``reference_tsv``, which formats one cell at a time by the scalar rule
 ``_format_number``, and compared with the file. The input spreads its
 genes over three interleaved chromosomes, so the per-chromosome fits
-are placed back in input order.
+are placed back in input order; the result tables are also written in
+ranges of a few rows, which cut across the chromosomes.
 """
 
 import numpy as np
 import pytest
 
+import jointmix.dataset
 from conftest import scalar_lines
 from jointmix.baseline import fit_independent
 from jointmix.cli import main
@@ -141,8 +143,15 @@ def test_preprocess_writes_the_model_inputs_it_derives(sim, gene_chrom, prep_dir
     })
 
 
+@pytest.fixture(params=["one block", "small blocks"])
+def block_cells(request, monkeypatch):
+    """The result writer at its own range size, and at ranges of a few rows each."""
+    if request.param == "small blocks":
+        monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_fit_writes_the_layers_it_fits(prep_dir, tmp_path, threads):
+def test_fit_writes_the_layers_it_fits(prep_dir, tmp_path, threads, block_cells):
     out = tmp_path / "fit"
     assert run("fit", "--expression", prep_dir / "expression.tsv",
                "--methylation", prep_dir / "methylation.tsv",
@@ -175,12 +184,13 @@ def test_fit_writes_the_layers_it_fits(prep_dir, tmp_path, threads):
     ("methylation", read_methylation_table, "cpg_results.tsv", CPG_POSTERIORS,
      ["M-", "M0", "M+"]),
 ])
+@pytest.mark.parametrize("threads", [1, 2])
 def test_baseline_writes_the_layer_it_fits(
-    prep_dir, tmp_path, layer, reader, results, posteriors, names
+    prep_dir, tmp_path, layer, reader, results, posteriors, names, threads, block_cells
 ):
     out = tmp_path / "baseline"
     assert run("baseline", "--input", prep_dir / f"{layer}.tsv", "--layer", layer,
-               "--threads", 2, "--out", out) == 0
+               "--threads", threads, "--out", out) == 0
     _, table = reader(prep_dir / f"{layer}.tsv")
     parts = [np.flatnonzero(table["chromosome"] == label) for label in sorted(CHROMOSOMES)]
     fits = [fit_independent(table.values[rows]).layer for rows in parts]
