@@ -32,8 +32,6 @@ import numpy as np
 from . import __version__, joint_em
 from .baseline import fit_independent
 from .dataset import (
-    _data_line,
-    _located,
     _open_text,
     align_patients,
     load_paired_dataset,
@@ -51,7 +49,6 @@ from .errors import (
     FormatError,
     InputError,
     JointmixError,
-    MappingError,
 )
 from .evaluate import benchmark, score_labels, simulated_dataset
 from .joint_em import _require_at_least, _run_each, fit, fit_all_chromosomes
@@ -161,10 +158,9 @@ def _read_in_domain(path, reader, outside, what):
     rows, cols = np.nonzero(outside(table.values))
     if len(rows):
         row, col = int(rows[0]), int(cols[0])
-        raise DataDomainError(
-            f"{path}:{_data_line(path, row)}:{len(table.columns) + col + 1}: "
-            f"{what.format(float(table.values[row, col]))} for patient {patients[col]!r}"
-        )
+        raise DataDomainError(table.locate(
+            f"{what.format(float(table.values[row, col]))} for patient {patients[col]!r}", row, col
+        ))
     return patients, table
 
 
@@ -214,10 +210,7 @@ def cmd_preprocess(args) -> int:
         lambda v: (v < 0) | (v > 1), "beta value {!r} outside [0, 1]",
     )
     morder = align_patients(args.expression_a, patients, args.methylation_a, mpatients)
-    try:
-        kept, gene_idx = resolve_cpg_parents(genes, cpgs, args.mode)
-    except MappingError as exc:
-        raise _located(exc, args.methylation_a) from None
+    kept, gene_idx = resolve_cpg_parents(genes, cpgs, args.mode)
     betas_a = betas_a[np.ix_(kept, morder)]
     betas_b = betas_b[np.ix_(kept, morder)]
 
@@ -287,6 +280,8 @@ def cmd_simulate(args) -> int:
     )
     cfg.validate()
     cfg.resolve_pi()
+    if args.replicates < 1:
+        raise InputError(f"--replicates must be at least 1, got {args.replicates}")
     single = ["expression_a.tsv", "expression_b.tsv", "methylation_a.tsv",
               "methylation_b.tsv", "truth.tsv", "sim_config.json"]
     if args.replicates == 1:

@@ -42,11 +42,13 @@ class Table:
 
     ``columns`` maps each fixed column name, in file order, to a string
     array with one entry per row; ``values`` has shape (rows, patients).
-    The first column is the row identifier.
+    The first column is the row identifier. ``path`` is the file the
+    table was read from, None for a table built in memory.
     """
 
     columns: dict[str, np.ndarray]
     values: np.ndarray
+    path: str | Path | None = None
 
     def __post_init__(self):
         self.columns = {name: np.asarray(col, dtype=str) for name, col in self.columns.items()}
@@ -61,6 +63,21 @@ class Table:
     @property
     def ids(self) -> np.ndarray:
         return next(iter(self.columns.values()))
+
+    def locate(self, problem, row, col=None) -> str:
+        """``problem`` prefixed by the ``path:line`` of data row ``row``, bare if built in memory.
+
+        A 0-based value column ``col`` adds its file column. The reader
+        keeps no line numbers, so the line loop of :func:`_read_tsv`
+        counts them here, for a message only.
+        """
+        if self.path is None:
+            return problem
+        _, linenos, _ = _read_tsv(self.path, lambda cells: (0, 1))
+        where = f"{self.path}:{linenos[row]}"
+        if col is not None:
+            where += f":{len(self.columns) + col + 1}"
+        return f"{where}: {problem}"
 
 
 @dataclass
@@ -123,10 +140,11 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
     """Match each CpG to its parent gene under the strict/lenient policy.
 
     A CpG whose gene_id names no gene, or whose chromosome differs from
-    its gene's, raises :class:`MappingError` in ``strict`` mode; ``lenient``
-    mode drops them all with one warning naming their number and the first.
-    Returns ``(kept, parents)``: the kept CpG rows and, for each, its gene's row.
-    The error carries the CpG's row for :func:`_located`.
+    its gene's, raises :class:`MappingError` in ``strict`` mode, naming the
+    first one's line of the file ``cpgs`` was read from (:meth:`Table.locate`);
+    ``lenient`` mode drops them all with one warning naming their number and
+    the first one's problem. Returns ``(kept, parents)``: the kept CpG rows
+    and, for each, its gene's row.
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -145,7 +163,7 @@ def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
                 f"{gene_id!r} is on {str(genes['chromosome'][parents[j]])!r}"
             )
         if mode == "strict":
-            raise MappingError(problem, int(j))
+            raise MappingError(cpgs.locate(problem, j))
         logger.warning("dropping %d CpG(s) (lenient mode); the first: %s", len(bad), problem)
     kept = np.flatnonzero(ok)
     return kept, parents[kept]
@@ -294,7 +312,9 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     digits and non-ASCII digits. The row id, the first fixed column,
     must not repeat, and a value that is not finite or exceeds
     ``MAX_ABS_VALUE`` in magnitude is rejected. Only that pass accepts a
-    table; :func:`_raise_table_fault` names the fault of one it rejects.
+    table, and the table records ``path``; :func:`_raise_table_fault`
+    names the fault of one it rejects, given the values of the pass, or
+    None if it failed.
     """
     k = len(fixed_columns)
 
@@ -310,7 +330,7 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
         return [*((name, object) for name in fixed_columns), ("values", float, (len(cols) - k,))]
 
     cols, rows = _load_rows(path, line_dtype)
-    patients = cols[k:]
+    patients, values = cols[k:], None
     if rows is not None:
         ids, values = rows[fixed_columns[0]].tolist(), rows["values"]
         # max and min allocate nothing; a nan makes both comparisons fail
@@ -323,79 +343,54 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
                 annotations[i] = rows[name]
                 rows[name] = None  # frees the column's str objects before the next is filled
             return patients, Table(dict(zip(fixed_columns, annotations)),
-                                   np.ascontiguousarray(values))
-    _raise_table_fault(path, fixed_columns, patients)
+                                   np.ascontiguousarray(values), path)
+    _raise_table_fault(path, fixed_columns, patients, values)
 
 
-def _raise_table_fault(path, fixed_columns, patients):
+def _raise_table_fault(path, fixed_columns, patients, values):
     """Raise the :class:`FormatError` for the first fault of a table that ``_parse_table`` rejects.
 
-    The lines are read again by :func:`_read_tsv`, which names a line
-    with another cell count; then come a repeated id, a value ``loadtxt``
-    cannot parse alone and a value beyond ``MAX_ABS_VALUE``, each named
-    by its line and, for a value, its column.
+    ``values`` are those of the C pass, None if it failed. The lines are
+    read again once, by :func:`_read_tsv`, which names a line with another
+    cell count; then come a repeated id and, if the pass failed, the first
+    value ``loadtxt`` rejects on its line alone (each column of that line
+    parsed alone, so the check is the reader's own), else the first value
+    beyond ``MAX_ABS_VALUE``, each value named by its line and column. The
+    loop keeps every cell only if the pass failed, else the fixed cells.
     """
     k = len(fixed_columns)
-    _, linenos, fixed = _read_tsv(path, lambda cells: range(k))
-    _require_unique(path, zip(linenos, [row[0] for row in fixed]), fixed_columns[0])
-    try:
-        values = _read_values(path, k, k + len(patients), skiprows=1)
-    except ValueError as exc:
-        _raise_unparsable(path, k, patients, exc)
-    for bad in np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[:1]:
-        row, col = divmod(int(bad), len(patients))
-        v = float(values[row, col])
-        what = (f"non-finite value {v!r}" if not np.isfinite(v)
-                else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
-        raise FormatError(
-            f"{path}:{linenos[row]}:{k + col + 1}: {what} for patient {patients[col]!r}"
-        )
+    _, linenos, rows = _read_tsv(path, lambda cells: range(len(cells) if values is None else k))
+    _require_unique(path, zip(linenos, [row[0] for row in rows]), fixed_columns[0])
+    if values is None:
+        for lineno, row in zip(linenos, rows):
+            line = "\t".join(row)
+            try:
+                _read_values(line, k, len(row))
+            except ValueError:
+                for col in range(k, len(row)):
+                    try:
+                        _read_values(line, col, col + 1)
+                    except ValueError:
+                        raise FormatError(
+                            f"{path}:{lineno}:{col + 1}: non-numeric value {row[col]!r} "
+                            f"for patient {patients[col - k]!r}"
+                        ) from None
+    else:
+        for bad in np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[:1]:
+            row, col = divmod(int(bad), len(patients))
+            v = float(values[row, col])
+            what = (f"non-finite value {v!r}" if not np.isfinite(v)
+                    else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
+            raise FormatError(
+                f"{path}:{linenos[row]}:{k + col + 1}: {what} for patient {patients[col]!r}"
+            )
     raise _unnamed_fault(path)
 
 
-def _read_values(source, k, width, skiprows) -> np.ndarray:
-    """Columns ``k:width`` of a tab-separated file or list of lines, as floats."""
-    return np.loadtxt(
-        source, delimiter="\t", skiprows=skiprows, usecols=range(k, width), dtype=float,
-        ndmin=2, encoding="utf-8", comments=None,
-    )
-
-
-def _raise_unparsable(path, k, patients, exc):
-    """Raise the :class:`FormatError` for the first value ``loadtxt`` rejects.
-
-    Each data line is parsed alone, then each column of the first line that
-    fails, so the check is the reader's own; ``exc`` is named if none fails.
-    """
-    _, linenos, rows = _read_tsv(path, lambda cells: range(len(cells)))
-    for lineno, row in zip(linenos, rows):
-        line = "\t".join(row)
-        try:
-            _read_values([line], k, len(row), skiprows=0)
-        except ValueError:
-            for col in range(k, len(row)):
-                try:
-                    _read_values([line], col, col + 1, skiprows=0)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{lineno}:{col + 1}: non-numeric value {row[col]!r} "
-                        f"for patient {patients[col - k]!r}"
-                    ) from None
-    raise FormatError(f"{path}: non-numeric value ({exc})") from None
-
-
-def _data_line(path, row) -> int:
-    """The line number of 0-based data row ``row`` of an accepted table, for a message.
-
-    The C pass keeps no line numbers, so the line loop of :func:`_read_tsv` counts them.
-    """
-    _, linenos, _ = _read_tsv(path, lambda cells: (0, 1))
-    return linenos[row]
-
-
-def _located(exc: MappingError, path) -> MappingError:
-    """``exc``, about a row of the CpG table read from ``path``, naming the file and line."""
-    return MappingError(f"{path}:{_data_line(path, exc.row)}: {exc}", exc.row)
+def _read_values(line, k, width) -> np.ndarray:
+    """Columns ``k:width`` of one tab-separated line, as floats."""
+    return np.loadtxt([line], delimiter="\t", usecols=range(k, width), dtype=float,
+                      encoding="utf-8", comments=None)
 
 
 def read_expression_table(path) -> tuple[list[str], Table]:
@@ -491,11 +486,8 @@ def load_paired_dataset(expression_path, methylation_path, mode="strict") -> Pai
     meth_patients, cpgs = read_methylation_table(methylation_path)
     order = align_patients(expression_path, expr_patients, methylation_path, meth_patients)
     if meth_patients != expr_patients:
-        cpgs = Table(cpgs.columns, cpgs.values[:, order])
-    try:
-        return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)
-    except MappingError as exc:
-        raise _located(exc, methylation_path) from None
+        cpgs = Table(cpgs.columns, cpgs.values[:, order], cpgs.path)
+    return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)
 
 
 class ChromosomeRows(NamedTuple):

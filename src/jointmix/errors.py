@@ -23,15 +23,8 @@ class FormatError(InputError):
 class MappingError(InputError):
     """CpG row references a gene that does not exist or mismatches it.
 
-    ``row`` is that CpG's 0-based data row in its table, when known.
+    The message starts with the CpG's ``file:line`` when its table was read from a file.
     """
-
-    def __init__(self, message, row=None):
-        self.row = row
-        super().__init__(message)
-
-    def __reduce__(self):
-        return type(self), (str(self), self.row)
 
 
 class DuplicateIdError(InputError):

@@ -114,7 +114,9 @@ class TestSimulateCommand:
         assert run("simulate", "--genes", 30, "--out", out) == 1
         assert run("simulate", "--genes", 30, "--out", out, "--force") == 0
 
-    @pytest.mark.parametrize("flag, name", [("--genes", "n_genes"), ("--patients", "n_patients")])
+    @pytest.mark.parametrize("flag, name", [
+        ("--genes", "n_genes"), ("--patients", "n_patients"), ("--replicates", "--replicates"),
+    ])
     def test_no_genes_or_patients_is_one_input_error(self, tmp_path, capsys, flag, name):
         out = tmp_path / "sim"
         assert run("simulate", flag, 0, "--out", out) == 1

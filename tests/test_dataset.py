@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
+import jointmix.dataset
 from jointmix.dataset import (
     Table,
     build_paired_dataset,
     load_paired_dataset,
     read_expression_table,
+    resolve_cpg_parents,
     split_by_chromosome,
     write_expression_table,
 )
-from jointmix.errors import DuplicateIdError, FormatError, MappingError
+from jointmix.errors import DuplicateIdError, FormatError, InputError, MappingError
+
+
+def swap_patients(text):
+    """A two-patient methylation table's text with its patient columns swapped."""
+    rows = (line.split("\t") for line in text.splitlines())
+    return "".join("\t".join([*r[:3], r[4], r[3]]) + "\n" for r in rows)
 
 
 class TestLoadPairedDataset:
@@ -36,6 +44,9 @@ class TestLoadPairedDataset:
          "CpG 'c6' references unknown gene_id 'GX'"),
         (lambda text: text.replace("c4\tGB\t1", "c4\tGB\t9"), 5,
          "CpG 'c4' on chromosome '9' but its gene 'GB' is on '1'"),
+        # patient columns in another order than the expression file's
+        (lambda text: swap_patients(text + "c6\tGX\t1\t0.0\t0.0\n"), 7,
+         "CpG 'c6' references unknown gene_id 'GX'"),
     ])
     def test_a_strict_mapping_error_names_the_cpg_line(
         self, tiny_pair_files, tmp_path, edit, line, problem
@@ -101,6 +112,14 @@ def gene_table(ids, chromosomes, values):
 
 def cpg_table(ids, gene_ids, chromosomes, values):
     return Table({"cpg_id": ids, "gene_id": gene_ids, "chromosome": chromosomes}, values)
+
+
+def test_a_mapping_error_of_tables_built_in_memory_is_the_bare_problem():
+    genes = gene_table(["g1"], ["1"], [[1.0]])
+    cpgs = cpg_table(["c1", "c2"], ["g1", "gX"], ["1", "1"], [[0.5], [0.5]])
+    with pytest.raises(MappingError) as exc:
+        resolve_cpg_parents(genes, cpgs)
+    assert str(exc.value) == "CpG 'c2' references unknown gene_id 'gX'"
 
 
 class TestSplitByChromosome:
@@ -227,3 +246,23 @@ class TestReaderEdgeCases:
         with pytest.raises(FormatError) as exc:
             read_expression_table(path)
         assert str(exc.value) == f"{path}:4:4: non-numeric value {text!r} for patient 'P2'"
+
+    @pytest.mark.parametrize("row, cells", [
+        ("g1\t1\t9\t9", 2),  # a repeated id: the C pass parsed every value
+        ("g2\t1\t1e101\t9", 2),  # a value beyond the bound: likewise
+        ("g2\t1\tabc\t9", 4),  # a value the C pass could not parse
+    ])
+    def test_a_rejected_table_is_read_again_once(self, tmp_path, monkeypatch, row, cells):
+        path = tmp_path / "expr.tsv"
+        path.write_text(self.HEADER + "g1\t1\t0.5\t1\n" + row + "\n")
+        reads, read_tsv = [], jointmix.dataset._read_tsv
+
+        def counted(*args):
+            header, linenos, rows = read_tsv(*args)
+            reads.append({len(r) for r in rows})
+            return header, linenos, rows
+
+        monkeypatch.setattr(jointmix.dataset, "_read_tsv", counted)
+        with pytest.raises(InputError):
+            read_expression_table(path)
+        assert reads == [{cells}]

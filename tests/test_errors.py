@@ -18,6 +18,8 @@ def instances():
         yield pytest.param(cls(*args), id=cls.__name__)
         if cls in ARGS:
             yield pytest.param(cls(*args, "a message of its own"), id=f"{cls.__name__}-message")
+    yield pytest.param(errors.DataDomainError("zero library size", where=("b", 1)),
+                       id="DataDomainError-where")
 
 
 @pytest.mark.parametrize("exc", instances())
@@ -25,6 +27,6 @@ def test_pickling_keeps_type_message_and_attributes(exc):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)
-    for attr in ("layer", "index", "entity"):
+    for attr in ("layer", "index", "entity", "where"):
         assert getattr(back, attr, None) == getattr(exc, attr, None)
 
