@@ -51,17 +51,19 @@ class IndepFitResult:
 
 
 def _e_step(values: np.ndarray, params: IndepParams, buf: _LayerBuffers) -> np.ndarray:
-    """Row posteriors, a softmax of ``log weights + scores``, in ``buf.scores``.
+    """Row posteriors, a softmax of ``log weights + scores``, in ``buf.rows``.
 
-    The posteriors overwrite the scores they come from; the weights are
-    added one column at a time, as :func:`joint_em._gauss_row_scores`
-    explains.
+    The scores are component-major in ``buf.scores``, as in the joint
+    E-step, and the softmax writes the posteriors row-major, as the
+    M-step reads them. The weights are added one row at a time, as
+    :func:`joint_em._gauss_row_scores` explains.
     """
     scores = _gauss_row_scores(values, params.means, params.variance, out=buf.scores, z=buf.z)
     log_weights = _log_clip(params.weights)
     for j in range(len(log_weights)):
-        scores[:, j] += log_weights[j]
-    return _softmax_rows(scores, lambda i: f"row {i}", out=scores, top=buf.top, total=buf.total)
+        scores[j] += log_weights[j]
+    _softmax_rows(scores, lambda i: f"row {i}", out=buf.rows.T, top=buf.top, total=buf.total)
+    return buf.rows
 
 
 def fit_independent(

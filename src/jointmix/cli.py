@@ -376,6 +376,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     t0 = time.perf_counter()
+    if args.replicates < 2:
+        raise InputError(f"--replicates must be at least 2, got {args.replicates}")
     out = _prepare_out(
         args,
         ["benchmark_summary.tsv", "benchmark_replicates.tsv", "benchmark.json", "manifest.json"],
@@ -420,7 +422,6 @@ def timing_probe(patient_counts, base_cfg: SimConfig, repeats=1):
 
 def cmd_timing(args) -> int:
     t0 = time.perf_counter()
-    out = _prepare_out(args, ["timing.tsv", "manifest.json"])
     counts = []
     for cell in filter(None, (s.strip() for s in args.patients.split(","))):
         try:
@@ -431,6 +432,7 @@ def cmd_timing(args) -> int:
         raise InputError("--patients must list at least one patient count")
     if args.repeats < 1:
         raise InputError(f"--repeats must be at least 1, got {args.repeats}")
+    out = _prepare_out(args, ["timing.tsv", "manifest.json"])
     cfg = SimConfig(n_genes=args.genes, seed=args.seed)
     rows = timing_probe(counts, cfg, repeats=args.repeats)
     write_tsv(

@@ -205,17 +205,22 @@ def initialize_quantile(ds: PairedDataset, K=3, L=3, q=DEFAULT_INIT_QUANTILE):
 class _LayerBuffers:
     """The arrays one mixture layer over ``values`` (M, N) with k components writes.
 
-    ``scores`` and ``z`` hold the Gaussian score sums and their
-    per-patient term, ``top`` and ``total`` the softmax row maxima and
-    row sums, ``dev`` and ``dev_sums`` the M-step's squared deviations
-    and their row sums. ``row_sums`` is the loop invariant
-    ``values.sum(axis=1)``.
+    The E-step's scores and logits are component-major, (k, M), so that
+    every pass over one component's M rows is contiguous: ``scores`` and
+    ``z`` hold the Gaussian score sums and their per-patient term, then
+    the logits of the softmax, and ``top`` and ``total`` its maxima and
+    sums over the components. ``rows`` is the memory of ``z`` viewed
+    row-major, (M, k): the baseline's E-step writes its posteriors there,
+    and the joint one the change of its posteriors. ``dev`` and
+    ``dev_sums`` hold the M-step's squared deviations and their row sums,
+    and ``row_sums`` the loop invariant ``values.sum(axis=1)``.
     """
 
     def __init__(self, values: np.ndarray, k: int):
         m, n = values.shape
-        self.scores = np.empty((m, k))
-        self.z = np.empty((m, k))
+        self.scores = np.empty((k, m))
+        self.z = np.empty((k, m))
+        self.rows = self.z.reshape(m, k)
         self.top = np.empty(m)
         self.total = np.empty(m)
         self.dev = np.empty((m, n))
@@ -227,13 +232,16 @@ class _Workspace:
     """Every array the E- and M-steps of one fit write, built once per fit.
 
     A fit reuses it on every sweep, so no sweep allocates or frees a
-    (C, K) or (C, N) temporary. It is private to one fit. ``u`` and
-    ``v`` are ping-pong pairs for the responsibilities, ``gene_to_cpg`` holds
-    ``u @ log(pi).T`` before its gather to the CpGs, ``u_of_cpg`` the
-    gathered ``u[cpg_gene_idx]`` of the M-step, ``flat_gidx`` the index
-    ``cpg_gene_idx * L + l`` of the CpG posteriors flattened row-major
-    (one ``bincount`` sums them per gene and cluster), and
-    ``cpg_counts`` the per-gene CpG counts as floats.
+    (C, K) or (C, N) temporary, except that a layer of 8 or more
+    components sums its softmax over a row-major copy (see
+    :func:`_row_sums`). It is private to one fit. ``u`` and ``v`` are
+    ping-pong pairs for the responsibilities, row-major (G, K) and
+    (C, L) as the M-step reads them; ``gene_to_cpg`` holds
+    ``log(pi) @ u.T``, component-major (L, G), before its gather to the
+    CpG logits; ``u_of_cpg`` the gathered ``u[cpg_gene_idx]`` of the
+    M-step, ``flat_gidx`` the index ``cpg_gene_idx * L + l`` of the CpG
+    posteriors flattened row-major (one ``bincount`` sums them per gene
+    and cluster), and ``cpg_counts`` the per-gene CpG counts as floats.
     """
 
     def __init__(self, ds: PairedDataset, K: int, L: int):
@@ -242,7 +250,7 @@ class _Workspace:
         self.cpg = _LayerBuffers(ds.y, L)
         self.u = (np.empty((G, K)), np.empty((G, K)))
         self.v = (np.empty((C, L)), np.empty((C, L)))
-        self.gene_to_cpg = np.empty((G, L))
+        self.gene_to_cpg = np.empty((L, G))
         self.u_of_cpg = np.empty((C, K))
         self.flat_gidx = (ds.cpg_gene_idx[:, np.newaxis] * L + np.arange(L)).ravel()
         self.cpg_counts = ds.cpg_counts.astype(float)
@@ -254,15 +262,17 @@ def _other(pair, current):
 
 
 def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)`` into ``out``, bit for bit.
+    """``a.sum(axis=1)`` into ``out``, bit for bit as for a C-contiguous ``a``.
 
     numpy sums a row of fewer than 8 elements one element after the
     other, so there adding column after column gives the same bits at a
-    fraction of the cost of a reduction along the short last axis. From
-    8 on numpy sums pairwise, and so does this function.
+    fraction of the cost of a reduction along the short last axis; the
+    columns of a transposed component-major table are its contiguous
+    rows. From 8 on numpy sums a row pairwise, and so does this
+    function, on a C-contiguous copy of ``a`` if it is not one.
     """
     if not 0 < a.shape[1] < 8:
-        return np.sum(a, axis=1, out=out)
+        return np.sum(np.ascontiguousarray(a), axis=1, out=out)
     np.copyto(out, a[:, 0])
     for j in range(1, a.shape[1]):
         out += a[:, j]
@@ -284,72 +294,78 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _gauss_row_scores(values: np.ndarray, means: np.ndarray, var: float, out=None, z=None):
-    """Summed log N(value; mean_k, var) over the patient axis, shape (M, K).
+    """Summed log N(value; mean_k, var) over the patient axis, component-major (K, M).
 
     The arithmetic is ``scipy.stats.norm.logpdf``'s, in its operation
     order, and patients are accumulated one at a time in column order:
     the sums are then bit-for-bit those of the per-patient scipy loop,
     so fitted posteriors and result files stay byte-identical, without
-    scipy's per-call argument checking. The sums go to ``out`` and each
-    patient's term to the scratch ``z``, both (M, K) and allocated when
-    not given.
+    scipy's per-call argument checking. The first patient's term is
+    written straight into the sums, as adding it to a zero would give
+    the same bits (no term is -0.0). The sums go to ``out`` and each
+    later patient's term to the scratch ``z``, both (K, M) and allocated
+    when not given.
 
-    No operand of an (M, K) operation here, or in the E-steps that add
-    log-weights to these scores, is broadcast: a (K,) or (M, 1) operand
-    sends every row through numpy's iterator buffers, which is slower
-    and allocates. Each is applied one column ``[:, j]`` at a time, a
-    contiguous pass with a scalar or a vector of the column's length.
+    No operand of a (K, M) operation here, or in the E-steps that add
+    log-weights to these scores and take their softmax, is broadcast:
+    numpy sends a broadcast over rows of up to a few thousand elements
+    (a gene layer of 500 rows) through its iterator buffers, which
+    allocates. Each is applied one component row ``[j]`` at a time, a
+    contiguous pass with a scalar or a vector of the row's length.
     """
-    shape = (values.shape[0], len(means))
+    shape = (len(means), values.shape[0])
     total = np.empty(shape) if out is None else out
     z = np.empty(shape) if z is None else z
     scale = np.sqrt(var)
     log_scale = np.log(scale)
-    total.fill(0.0)
     for n in range(values.shape[1]):
         # (-z**2 / 2.0 - LOG_SQRT_2PI) - log_scale with z = (x - mean) / scale,
         # step by step in place; dividing by -2 is exactly negating, then halving
+        term = z if n else total
         for j in range(len(means)):
-            np.subtract(values[:, n], means[j], out=z[:, j])
-        z /= scale
-        np.square(z, out=z)
-        z /= -2.0
-        z -= LOG_SQRT_2PI
-        z -= log_scale
-        total += z
+            np.subtract(values[:, n], means[j], out=term[j])
+        term /= scale
+        np.square(term, out=term)
+        term /= -2.0
+        term -= LOG_SQRT_2PI
+        term -= log_scale
+        if n:
+            total += term
     return total
 
 
 def _softmax_rows(logits: np.ndarray, entity_ids, out=None, top=None, total=None):
-    """Row-wise softmax; a non-finite row raises for ``entity_ids(row)``.
+    """Softmax over the components of each row of component-major (K, M) ``logits``.
 
-    The result goes to ``out``, which may be ``logits`` itself; ``top``
-    and ``total`` take the row maxima and row sums. Each is allocated
-    when not given.
+    A non-finite row raises for ``entity_ids(row)``. The result goes to
+    ``out``, any (K, M) array: ``logits`` itself, or the transposed view
+    ``table.T`` of a row-major (M, K) table. ``logits`` is left holding
+    the exponentials. ``top`` and ``total`` take the (M,) row maxima and
+    row sums. Each is allocated when not given. The bits are those of
+    the softmax of the row-major (M, K) table.
     """
-    m = logits.shape[0]
+    k, m = logits.shape
     out = np.empty(logits.shape) if out is None else out
     top = np.empty(m) if top is None else top
     total = np.empty(m) if total is None else total
-    # a running maximum over the columns is exact in any order and much
-    # cheaper than a reduction along the short last axis
-    np.copyto(top, logits[:, 0])
-    for j in range(1, logits.shape[1]):
-        np.maximum(top, logits[:, j], out=top)
+    # a running maximum over the components is exact in any order and
+    # cheaper than a reduction over the outer axis
+    np.copyto(top, logits[0])
+    for j in range(1, k):
+        np.maximum(top, logits[j], out=top)
     # a row of all -inf, or one holding +inf or nan, turns all nan here;
     # every other row has entries in [0, 1] and one of exactly 1, so a
     # row sum in [1, K]: a non-finite row sum marks exactly the bad rows,
     # and the sum of the row sums, which cannot overflow, is non-finite
     # exactly when one of them is.
-    # Column by column, the (M, 1) operand is not broadcast: numpy would
-    # copy it through buffers, which is slower and allocates.
+    # Row by row, the (M,) operand is not broadcast (see _gauss_row_scores).
     with np.errstate(invalid="ignore"):
-        for j in range(logits.shape[1]):
-            np.subtract(logits[:, j], top, out=out[:, j])
-        np.exp(out, out=out)
-        _row_sums(out, total)
-        for j in range(out.shape[1]):
-            out[:, j] /= total
+        for j in range(k):
+            logits[j] -= top
+        np.exp(logits, out=logits)
+        _row_sums(logits.T, total)
+        for j in range(k):
+            np.divide(logits[j], total, out=out[j])
     if not np.isfinite(total.sum()):
         bad = int(np.flatnonzero(~np.isfinite(total))[0])
         raise NumericalError(entity_ids(bad))
@@ -388,6 +404,11 @@ def e_step_fixed_point(
     criterion 8 (fit time linear in N) requires. Computing them once
     per E-step gives identical results but breaks that criterion.
 
+    The scores and logits of a sweep are component-major, (K, M), so that
+    each pass over one component's rows is contiguous; the softmax
+    writes the posteriors row-major, as the M-step reads them. The bits
+    are those of the same updates on row-major arrays.
+
     Every array a sweep writes lives in ``work``, the fit's
     :class:`_Workspace`; without one a fresh workspace is built. The
     arrays of ``warm`` are only read. When ``work`` is passed, the
@@ -413,24 +434,30 @@ def e_step_fixed_point(
     v = warm.v_hat
     sweeps = 0
     for s in range(1, inner_max + 1):
-        # gene update: softmax(log_tau + log_px + sv @ log_pi)
+        # gene update: softmax(log_tau + log_px + sv @ log_pi), its logits in gene.z
         log_px = _gauss_row_scores(ds.x, params.mu, params.sigma2, out=gene.scores, z=gene.z)
         for k in range(len(log_tau)):
-            log_px[:, k] += log_tau[k]
+            log_px[k] += log_tau[k]
         sv = np.bincount(work.flat_gidx, weights=v.ravel(), minlength=G * L).reshape(G, L)
-        u_new = np.matmul(sv, log_pi, out=_other(work.u, u))
-        u_new += log_px
-        _softmax_rows(u_new, gene_id, out=u_new, top=gene.top, total=gene.total)
-        # CpG update: softmax(log_py + (u_new @ log_pi.T)[gidx])
+        logits = np.matmul(sv, log_pi, out=gene.z.T).T
+        logits += log_px
+        u_new = _other(work.u, u)
+        _softmax_rows(logits, gene_id, out=u_new.T, top=gene.top, total=gene.total)
+        # CpG update: softmax(log_py + (u_new @ log_pi.T)[gidx]), its logits in cpg.z
         log_py = _gauss_row_scores(ds.y, params.lam, params.rho2, out=cpg.scores, z=cpg.z)
-        np.matmul(u_new, log_pi.T, out=work.gene_to_cpg)
+        np.matmul(u_new, log_pi.T, out=work.gene_to_cpg.T)
         # the indices were checked when the dataset was built; "clip" spares
         # the full copy that take(out=...) buffers under the default "raise"
-        v_new = np.take(work.gene_to_cpg, gidx, axis=0, out=_other(work.v, v), mode="clip")
-        v_new += log_py
-        _softmax_rows(v_new, cpg_id, out=v_new, top=cpg.top, total=cpg.total)
-        # the score scratch is free again: it takes the differences
-        delta = max(_max_abs_diff(u_new, u, gene.z), _max_abs_diff(v_new, v, cpg.z))
+        logits = np.take(work.gene_to_cpg, gidx, axis=1, out=cpg.z, mode="clip")
+        logits += log_py
+        v_new = _other(work.v, v)
+        _softmax_rows(logits, cpg_id, out=v_new.T, top=cpg.top, total=cpg.total)
+        # z is free again: it takes the differences. While the genes move by
+        # inner_tol or more the sweeps go on, whatever the CpGs do, so only
+        # then are the CpG differences needed.
+        delta = _max_abs_diff(u_new, u, gene.rows)
+        if delta < inner_tol:
+            delta = max(delta, _max_abs_diff(v_new, v, cpg.rows))
         u, v = u_new, v_new
         sweeps = s
         if delta < inner_tol:
@@ -448,8 +475,8 @@ def exact_gene_posterior(ds: PairedDataset, params: JointParams, gene_index: int
     """
     idx = ds.gene_cpg_indices(gene_index)
     log_pi = _log_clip(params.pi)
-    log_px = _gauss_row_scores(ds.x[gene_index : gene_index + 1], params.mu, params.sigma2)[0]
-    log_py = _gauss_row_scores(ds.y[idx], params.lam, params.rho2)
+    log_px = _gauss_row_scores(ds.x[gene_index : gene_index + 1], params.mu, params.sigma2)[:, 0]
+    log_py = _gauss_row_scores(ds.y[idx], params.lam, params.rho2).T.copy()
     inner = log_pi.T[np.newaxis, :, :] + log_py[:, np.newaxis, :]  # (C_g, K, L)
     log_u = _log_clip(params.tau) + log_px
     if len(idx):
@@ -470,10 +497,10 @@ def observed_loglik(ds: PairedDataset, params: JointParams) -> float:
     Diagnostic only: the EM convergence rule is on parameter change.
     """
     log_pi = _log_clip(params.pi)
-    log_px = _gauss_row_scores(ds.x, params.mu, params.sigma2)
+    log_px = _gauss_row_scores(ds.x, params.mu, params.sigma2).T.copy()
     scores = _log_clip(params.tau) + log_px
     if ds.n_cpgs:
-        log_py = _gauss_row_scores(ds.y, params.lam, params.rho2)
+        log_py = _gauss_row_scores(ds.y, params.lam, params.rho2).T.copy()
         log_mix = logsumexp(
             log_pi.T[np.newaxis, :, :] + log_py[:, np.newaxis, :], axis=2
         )  # (C, K)
@@ -485,10 +512,10 @@ def observed_loglik(ds: PairedDataset, params: JointParams) -> float:
 
 def expected_complete_loglik(ds: PairedDataset, u, v, params: JointParams) -> float:
     """Expected complete-data log-likelihood at fixed responsibilities."""
-    q = float((u * _gauss_row_scores(ds.x, params.mu, params.sigma2)).sum())
+    q = float((u * _gauss_row_scores(ds.x, params.mu, params.sigma2).T.copy()).sum())
     q += float(u.sum(axis=0) @ _log_clip(params.tau))
     if ds.n_cpgs:
-        q += float((v * _gauss_row_scores(ds.y, params.lam, params.rho2)).sum())
+        q += float((v * _gauss_row_scores(ds.y, params.lam, params.rho2).T.copy()).sum())
         q += float(np.einsum("ck,cl,lk->", u[ds.cpg_gene_idx], v, _log_clip(params.pi)))
     return q
 
@@ -785,12 +812,16 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     chromosome in label order: each gene cluster without CpG mass, then
     a non-convergence. Output is identical for any worker count: each
     per-chromosome fit is pure and deterministic, and results are keyed,
-    not ordered.
+    not ordered. A chromosome that holds every row is fitted on ``ds``
+    itself, which its subset would only copy.
     """
     parts = {part.label: part for part in split_by_chromosome(ds)}
-    results, failures = _run_each(
-        lambda part: fit(ds.subset(part.genes, part.cpgs), **fit_kwargs), parts, threads, FitError
-    )
+
+    def fit_part(part):
+        whole = len(part.genes) == ds.n_genes and len(part.cpgs) == ds.n_cpgs
+        return fit(ds if whole else ds.subset(part.genes, part.cpgs), **fit_kwargs)
+
+    results, failures = _run_each(fit_part, parts, threads, FitError)
     for label, res in results.items():
         for cluster in res.no_cpg_mass:
             logger.warning(

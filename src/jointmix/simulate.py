@@ -154,6 +154,11 @@ def _sample_categorical(rng, probs_by_column: np.ndarray) -> np.ndarray:
     return np.minimum(labels, probs_by_column.shape[0] - 1)
 
 
+def _numbered_ids(template: str, n: int) -> list[str]:
+    """``template % i`` for i = 1..n, formatted by one ``%`` on a block of n templates."""
+    return ((template + "\n") * n % tuple(range(1, n + 1))).split("\n")[:-1]
+
+
 def simulate(cfg: SimConfig) -> SimData:
     """Generate one raw two-condition dataset plus its truth labels."""
     cfg.validate()
@@ -204,9 +209,9 @@ def simulate(cfg: SimConfig) -> SimData:
     betas_b = np.clip(betas_b + rng.normal(0.0, cfg.noise_sd, (C, N)), cfg.beta_eps, 1 - cfg.beta_eps)
 
     truth = SimTruth(
-        gene_ids=[f"G{i + 1:05d}" for i in range(G)],
+        gene_ids=_numbered_ids("G%05d", G),
         gene_labels=np.array(GENE_LABELS)[gene_lab],
-        cpg_ids=[f"C{i + 1:06d}" for i in range(C)],
+        cpg_ids=_numbered_ids("C%06d", C),
         cpg_labels=np.array(CPG_LABELS)[cpg_lab],
         cpg_gene_idx=cpg_gene_idx,
     )

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from jointmix.dataset import MAX_ABS_VALUE
-from jointmix.errors import DuplicateIdError, FormatError
+from jointmix.errors import DuplicateIdError, FormatError, NumericalError
 
 
 def _log_normal(x, mean, var):
@@ -88,6 +88,85 @@ def random_responsibilities(rng, m, k):
     """Random strictly-positive row-stochastic matrix."""
     r = rng.gamma(2.0, 1.0, (m, k)) + 0.05
     return r / r.sum(axis=1, keepdims=True)
+
+
+# The E-steps as they were on row-major (M, K) arrays, walked one strided
+# column ``[:, j]`` at a time, before their arrays went component-major:
+# the reference the component-major kernels must match bit for bit.
+
+
+def row_major_scores(values, means, var):
+    """Summed Gaussian log densities, (M, K), one patient and one column at a time."""
+    total = np.zeros((values.shape[0], len(means)))
+    z = np.empty_like(total)
+    scale = np.sqrt(var)
+    log_scale = np.log(scale)
+    for n in range(values.shape[1]):
+        for j in range(len(means)):
+            np.subtract(values[:, n], means[j], out=z[:, j])
+        z /= scale
+        np.square(z, out=z)
+        z /= -2.0
+        z -= np.log(np.sqrt(2 * np.pi))
+        z -= log_scale
+        total += z
+    return total
+
+
+def row_major_softmax(logits, entity_ids):
+    """Row softmax of (M, K) ``logits`` in place; a non-finite row raises for its entity."""
+    top = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    with np.errstate(invalid="ignore"):
+        for j in range(logits.shape[1]):
+            np.subtract(logits[:, j], top, out=logits[:, j])
+        np.exp(logits, out=logits)
+        total = logits.sum(axis=1)
+        for j in range(logits.shape[1]):
+            logits[:, j] /= total
+    if not np.isfinite(total.sum()):
+        raise NumericalError(entity_ids(int(np.flatnonzero(~np.isfinite(total))[0])))
+    return logits
+
+
+def _log_clipped(p):
+    return np.log(np.maximum(p, 1e-300))
+
+
+def row_major_e_step(ds, params, u, v, inner_tol, inner_max):
+    """The fixed-point E-step on (G, K) and (C, L) arrays: ``(u, v, sweeps)``."""
+    G, L = ds.n_genes, len(params.lam)
+    gidx = ds.cpg_gene_idx
+    log_tau, log_pi = _log_clipped(params.tau), _log_clipped(params.pi)
+    flat_gidx = (gidx[:, np.newaxis] * L + np.arange(L)).ravel()
+    sweeps = 0
+    for s in range(1, inner_max + 1):
+        log_px = row_major_scores(ds.x, params.mu, params.sigma2)
+        for k in range(len(log_tau)):
+            log_px[:, k] += log_tau[k]
+        sv = np.bincount(flat_gidx, weights=v.ravel(), minlength=G * L).reshape(G, L)
+        u_new = sv @ log_pi
+        u_new += log_px
+        row_major_softmax(u_new, lambda i: str(ds.gene_ids[i]))
+        log_py = row_major_scores(ds.y, params.lam, params.rho2)
+        v_new = (u_new @ log_pi.T)[gidx]
+        v_new += log_py
+        row_major_softmax(v_new, lambda i: str(ds.cpg_ids[i]))
+        delta = max(np.abs(u_new - u).max(initial=0.0), np.abs(v_new - v).max(initial=0.0))
+        u, v, sweeps = u_new, v_new, s
+        if delta < inner_tol:
+            break
+    return u, v, sweeps
+
+
+def row_major_indep_e_step(values, weights, means, variance):
+    """The independent mixture's E-step: row softmax of ``log weights + scores``, (M, K)."""
+    scores = row_major_scores(values, means, variance)
+    log_weights = _log_clipped(weights)
+    for j in range(len(log_weights)):
+        scores[:, j] += log_weights[j]
+    return row_major_softmax(scores, lambda i: f"row {i}")
 
 
 def central_difference(f, h=1e-5):

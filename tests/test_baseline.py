@@ -72,7 +72,7 @@ class TestFitIndependent:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert resp is buf.scores
+        assert resp is buf.rows
         assert peak - before < 4096
 
     @pytest.mark.parametrize("K", [0, -1])

@@ -802,6 +802,15 @@ class TestBenchmarkCommand:
         assert err.splitlines() == [f"error: {message}"]
         assert not (out / "benchmark_summary.tsv").exists()
 
+    @pytest.mark.parametrize("replicates", [1, 0, -3])
+    def test_too_few_replicates_leave_no_out_directory(self, tmp_path, capsys, replicates):
+        out = tmp_path / "bench"
+        assert run("benchmark", "--replicates", replicates, "--genes", 20, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --replicates must be at least 2, got {replicates}"
+        ]
+        assert not out.exists()
+
 
 class TestTimingCommand:
     def test_single_patient_count_single_row(self, tmp_path):
@@ -829,6 +838,12 @@ class TestTimingCommand:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not (out / "timing.tsv").exists()
+
+    @pytest.mark.parametrize("flags", [["--repeats", 0], ["--patients", "4,x"], ["--patients", ","]])
+    def test_a_rejected_count_leaves_no_out_directory(self, tmp_path, flags):
+        out = tmp_path / "timing"
+        assert run("timing", "--patients", "4", "--genes", 20, *flags, "--out", out) == 1
+        assert not out.exists()
 
 
 PI_ROWS = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]

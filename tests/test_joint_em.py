@@ -142,7 +142,7 @@ class TestScoreKernel:
             values = rng.normal(0.0, scale, (37, n))
             means = rng.normal(0.0, scale, k)
             assert np.array_equal(_gauss_row_scores(values, means, var),
-                                  scipy_row_scores(values, means, var))
+                                  scipy_row_scores(values, means, var).T)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
     def test_softmax_bit_equal_to_max_reduction(self, k):
@@ -150,25 +150,25 @@ class TestScoreKernel:
         logits = rng.normal(0.0, 30.0, (500, k))
         if k > 1:
             logits[::7, 0] = -np.inf
-        got = _softmax_rows(logits, str)
-        assert np.array_equal(got, max_reduction_softmax(logits))
+        got = _softmax_rows(logits.T.copy(), str)
+        assert np.array_equal(got, max_reduction_softmax(logits).T)
 
     @pytest.mark.parametrize("bad", [[-np.inf, -np.inf, -np.inf], [0.5, np.nan, -1.0]])
     def test_non_finite_row_names_its_entity(self, bad):
         logits = np.zeros((4, 3))
         logits[2] = bad
         with pytest.raises(NumericalError) as exc:
-            _softmax_rows(logits, lambda i: f"E{i}")
+            _softmax_rows(logits.T.copy(), lambda i: f"E{i}")
         assert exc.value.entity == "E2"
 
     def test_kernel_buffers_give_the_same_bits(self):
         rng = np.random.default_rng(77)
         values = rng.normal(0.0, 3.0, (53, 4))
         means = np.array([-2.0, 0.1, 2.5])
-        out, z = np.full((53, 3), np.nan), np.full((53, 3), np.nan)
+        out, z = np.full((3, 53), np.nan), np.full((3, 53), np.nan)
         got = _gauss_row_scores(values, means, 0.7, out=out, z=z)
         assert got is out
-        assert np.array_equal(got, scipy_row_scores(values, means, 0.7))
+        assert np.array_equal(got, scipy_row_scores(values, means, 0.7).T)
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_row_sums_bit_equal_to_sum(self, k):
@@ -205,6 +205,7 @@ class TestScoreKernel:
         finally:
             tracemalloc.stop()
         # a broadcast subtract buffered about 132 KB per call at the CpG layer
+        # of an (M, K) table, and about 25 KB at the gene layer of a (K, M) one
         assert peak - before < 4096
 
     @pytest.mark.parametrize("k", range(1, 10))
@@ -216,10 +217,12 @@ class TestScoreKernel:
             logits[::5, 0] = -np.inf
             logits[1::9, k - 1] -= 800.0  # exp underflows to subnormals and zeros
         expected = reference_softmax(logits, str)
-        out = logits if in_place else np.empty_like(logits)
-        got = _softmax_rows(logits, str, out=out, top=np.empty(400), total=np.empty(400))
+        by_component = logits.T.copy()
+        # in place, or into a row-major table through its transposed view
+        out = by_component if in_place else np.empty_like(logits).T
+        got = _softmax_rows(by_component, str, out=out, top=np.empty(400), total=np.empty(400))
         assert got is out
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, expected.T)
 
     @pytest.mark.parametrize("k", range(1, 10))
     @pytest.mark.parametrize("bad", ["all -inf", "+inf", "nan"])
@@ -233,8 +236,9 @@ class TestScoreKernel:
                 logits[row, row % k] = np.inf if bad == "+inf" else np.nan
         with pytest.raises(NumericalError) as ref:
             reference_softmax(logits.copy(), lambda i: f"E{i}")
+        by_component = logits.T.copy()
         with pytest.raises(NumericalError) as got:
-            _softmax_rows(logits, lambda i: f"E{i}", out=logits)
+            _softmax_rows(by_component, lambda i: f"E{i}", out=by_component)
         assert got.value.entity == ref.value.entity == "E3"
 
     @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 40])
@@ -994,6 +998,22 @@ class TestFitAllChromosomes:
                 assert np.array_equal(res.gene.resp, ref.gene.resp)
                 assert np.array_equal(res.cpg.resp, ref.cpg.resp)
                 assert np.array_equal(res.param_change_trace, ref.param_change_trace)
+
+    def test_a_chromosome_holding_every_row_is_fitted_without_a_copy(self, monkeypatch):
+        ds = random_mixture_dataset(np.random.default_rng(24), n_genes=30, n_patients=9)
+        want = fit(ds.subset(np.arange(ds.n_genes), np.arange(ds.n_cpgs)))
+        fitted = []
+        monkeypatch.setattr(jointmix.joint_em, "fit", lambda part, **kw: fitted.append(part) or want)
+        monkeypatch.setattr(type(ds), "subset", lambda *a: pytest.fail("subset copied the data"))
+        results, failures = fit_all_chromosomes(ds)
+        assert not failures and list(results) == ["1"] and results["1"] is want
+        assert len(fitted) == 1 and fitted[0] is ds
+        monkeypatch.undo()
+        got = fit_all_chromosomes(ds)[0]["1"]
+        assert np.array_equal(got.params.flatten(), want.params.flatten())
+        assert np.array_equal(got.gene.resp, want.gene.resp)
+        assert np.array_equal(got.cpg.resp, want.cpg.resp)
+        assert np.array_equal(got.param_change_trace, want.param_change_trace)
 
     def test_partial_failure_reports_and_continues(self):
         rng = np.random.default_rng(18)

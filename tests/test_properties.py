@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_mixture_dataset, scalar_lines
+from oracle_utils import row_major_e_step, row_major_indep_e_step
 from jointmix import dataset
-from jointmix.baseline import fit_independent
+from jointmix.baseline import IndepParams, _e_step, fit_independent
 from jointmix.dataset import (
     MAX_ABS_VALUE,
     _format_number,
@@ -24,8 +25,15 @@ from jointmix.dataset import (
     write_expression_table,
     write_methylation_table,
 )
-from jointmix.errors import FitError, FormatError
-from jointmix.joint_em import fit, fit_all_chromosomes
+from jointmix.errors import FitError, FormatError, NumericalError
+from jointmix.joint_em import (
+    JointParams,
+    Responsibilities,
+    _LayerBuffers,
+    e_step_fixed_point,
+    fit,
+    fit_all_chromosomes,
+)
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -347,3 +355,78 @@ def test_row_permutation_permutes_the_fit(seed, n_genes, n_patients, shuffler):
         order = tied_order(means, want, got)
         assert np.abs(got[:, order] - want).max() <= 1e-9
         assert np.array_equal(np.argsort(order)[got_labels - 1] + 1, labels)
+
+
+def _outcome(step):
+    """``step()``'s result, or the entity its NumericalError names; a score may overflow."""
+    try:
+        with np.errstate(over="ignore"):
+            return step()
+    except NumericalError as exc:
+        return exc.entity
+
+
+def _mixture_values(rng, m, n, means, scale, broken):
+    """(m, n) values around ``means``; the rows in ``broken`` overflow every score to -inf."""
+    values = rng.choice(means, m)[:, np.newaxis] + rng.normal(0.0, scale, (m, n))
+    values[broken] = 1e200
+    return values
+
+
+# (gap between component means, variance). Means close together keep every
+# component of a row in its sum; far apart with a small variance, the
+# scores of a row differ by thousands, so that exp underflows to
+# subnormals and zeros.
+spreads = st.sampled_from([(0.01, 1.0), (1.0, 1.0), (30.0, 0.05), (300.0, 1e-3)])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+# one gene cluster: the genes settle at once while the CpGs still move
+@example(K=1, L=3, N=2, G=3, seed=0, spread=(1.0, 1.0), broken="none", inner_max=4,
+         inner_tol=1e-3)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(1, 12),
+       st.integers(0, 2**32 - 1), spreads, st.sampled_from(["none", "gene", "cpg"]),
+       st.integers(1, 8), st.sampled_from([0.0, 1e-6, 1e-3, 0.05]))
+def test_the_e_step_is_bit_equal_to_the_row_major_e_step(K, L, N, G, seed, spread, broken,
+                                                         inner_max, inner_tol):
+    rng = np.random.default_rng(seed)
+    gap, var = spread
+    parents = rng.integers(0, G, rng.integers(0, 3 * G + 1))
+    C = len(parents)
+    bad_genes = rng.integers(0, G, 2) if broken == "gene" else []
+    bad_cpgs = rng.integers(0, C, 2) if broken == "cpg" and C else []
+    gene_means, cpg_means = gap * rng.normal(size=K), gap * rng.normal(size=L)
+    ds = make_dataset(_mixture_values(rng, G, N, gene_means, np.sqrt(var), bad_genes), parents,
+                      _mixture_values(rng, C, N, cpg_means, np.sqrt(var), bad_cpgs))
+    pi = rng.dirichlet(np.ones(L), K).T
+    pi[rng.random(pi.shape) < 0.2] = 0.0  # log clipped to about -690
+    params = JointParams(rng.dirichlet(np.ones(K)), pi, gene_means, var, cpg_means, var)
+    u0, v0 = rng.dirichlet(np.ones(K), G), rng.dirichlet(np.ones(L), C)
+
+    def component_major():
+        res = e_step_fixed_point(ds, params, Responsibilities(u0, v0), inner_tol, inner_max)
+        return res.u_hat, res.v_hat, res.n_sweeps
+
+    got = _outcome(component_major)
+    want = _outcome(lambda: row_major_e_step(ds, params, u0, v0, inner_tol, inner_max))
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       spreads, st.booleans())
+def test_the_baseline_e_step_is_bit_equal_to_the_row_major_e_step(K, N, M, seed, spread, broken):
+    rng = np.random.default_rng(seed)
+    gap, var = spread
+    means = gap * rng.normal(size=K)
+    values = _mixture_values(rng, M, N, means, np.sqrt(var), rng.integers(0, M, 2) if broken else [])
+    params = IndepParams(rng.dirichlet(np.ones(K)), means, var)
+    got = _outcome(lambda: _e_step(values, params, _LayerBuffers(values, K)))
+    want = _outcome(lambda: row_major_indep_e_step(values, params.weights, means, var))
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)

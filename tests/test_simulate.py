@@ -11,6 +11,7 @@ from jointmix.simulate import (
     CPG_LABELS,
     GENE_LABELS,
     SimConfig,
+    _numbered_ids,
     replicate_batch,
     simulate,
     write_simulation,
@@ -109,6 +110,14 @@ class TestSimulate:
         assert np.array_equal(a.counts_a, b.counts_a)
         assert np.array_equal(a.betas_b, b.betas_b)
         assert np.array_equal(a.truth.cpg_labels, b.truth.cpg_labels)
+
+
+    def test_ids_are_numbered_from_one_and_zero_padded(self):
+        t = simulate(SimConfig(n_genes=30, seed=2)).truth
+        assert t.gene_ids == [f"G{i + 1:05d}" for i in range(30)]
+        assert t.cpg_ids == [f"C{i + 1:06d}" for i in range(len(t.cpg_ids))]
+        for n in (0, 1, 100_001):
+            assert _numbered_ids("G%05d", n) == [f"G{i + 1:05d}" for i in range(n)]
 
 
 class TestWriteSimulation:
