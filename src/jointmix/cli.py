@@ -59,7 +59,6 @@ from .preprocess import (
     derive_model_inputs,
 )
 from .reports import (
-    format_lines,
     independent_model_payload,
     label_names,
     write_benchmark_tables,
@@ -137,10 +136,16 @@ def _write_manifest(out_dir, args, input_paths, started, parameters=None, **extr
 
 
 def _prepare_out(args, filenames) -> Path:
+    """The ``--out`` directory: it must be given, and hold none of ``filenames`` unless ``--force``.
+
+    Nothing is created: a subcommand makes the directory just before its
+    first write, so a rejected run leaves no ``--out`` behind.
+    """
     if not args.out:
         raise InputError("--out is required")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        out.mkdir()  # raises the FileExistsError of an --out that is a file, creating nothing
     clobber = [n for n in filenames if (out / n).exists()]
     if clobber and not args.force:
         raise InputError(
@@ -229,6 +234,7 @@ def cmd_preprocess(args) -> int:
         raise DataDomainError(
             f"{path}: patient {patients[column]!r} has zero library size after filtering"
         ) from None
+    out.mkdir(parents=True, exist_ok=True)
     write_expression_table(out / "expression.tsv",
                            *(col[kept_g] for col in genes.columns.values()), patients, x)
     cpg_rows = kept[kept_c]
@@ -323,6 +329,7 @@ def cmd_fit(args) -> int:
     results, failures = fit_all_chromosomes(
         ds, **_own_flags(args, "expression", "methylation", "mode")
     )
+    out.mkdir(parents=True, exist_ok=True)
     if results:
         write_joint_results(out, ds, results, args.K, args.L, args.threads)
     return _finish_fits(out, args, [args.expression, args.methylation], t0, results, failures)
@@ -345,6 +352,7 @@ def cmd_baseline(args) -> int:
     for label, res in fits.items():
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
+    out.mkdir(parents=True, exist_ok=True)
     if fits:
         write_layer_tables([(
             out / results_name, table.columns,
@@ -369,6 +377,7 @@ def cmd_evaluate(args) -> int:
             f"({len(unknown)} predicted ids missing from truth)"
         )
     report = score_labels([truth[i] for i, _ in pairs], [lab for _, lab in pairs])
+    out.mkdir(parents=True, exist_ok=True)
     write_metric_report(out, report, args.layer)
     _write_manifest(out, args, [args.truth, args.predicted], t0)
     return 0
@@ -387,6 +396,7 @@ def cmd_benchmark(args) -> int:
     result = benchmark(
         args.case, args.replicates, methods=methods, cfg=cfg, threads=args.threads
     )
+    out.mkdir(parents=True, exist_ok=True)
     write_benchmark_tables(out, result)
     _write_manifest(out, args, [], t0, {**_own_flags(args), "methods": list(methods)})
     if result.failures and len(result.failures) == args.replicates:
@@ -435,9 +445,8 @@ def cmd_timing(args) -> int:
     out = _prepare_out(args, ["timing.tsv", "manifest.json"])
     cfg = SimConfig(n_genes=args.genes, seed=args.seed)
     rows = timing_probe(counts, cfg, repeats=args.repeats)
-    write_tsv(
-        out / "timing.tsv", ["n_patients", "n_genes", "n_cpgs", "seconds"], format_lines(rows)
-    )
+    out.mkdir(parents=True, exist_ok=True)
+    write_tsv(out / "timing.tsv", ["n_patients", "n_genes", "n_cpgs", "seconds"], rows)
     _write_manifest(out, args, [], t0, {**_own_flags(args), "patients": counts})
     return 0
 

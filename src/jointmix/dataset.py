@@ -284,13 +284,12 @@ def _load_rows(path, line_dtype) -> tuple[list[str], np.ndarray | None]:
             return cells, None
 
 
-def _require_unique(path, numbered_ids, what) -> None:
-    """An id repeated among ``(line number, id)`` pairs is a DuplicateIdError naming its line."""
-    seen = set()
-    for lineno, i in numbered_ids:
-        if i in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate {what} {i!r}")
-        seen.add(i)
+def _first_repeat(ids) -> int | None:
+    """The index of the first id that repeats an earlier one, None if all differ."""
+    if len(set(ids)) == len(ids):
+        return None
+    first = {}
+    return next(row for row, i in enumerate(ids) if first.setdefault(i, row) != row)
 
 
 def _unnamed_fault(path) -> FormatError:
@@ -311,10 +310,10 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     surrounding whitespace; unlike ``float()`` it rejects ``_`` between
     digits and non-ASCII digits. The row id, the first fixed column,
     must not repeat, and a value that is not finite or exceeds
-    ``MAX_ABS_VALUE`` in magnitude is rejected. Only that pass accepts a
-    table, and the table records ``path``; :func:`_raise_table_fault`
-    names the fault of one it rejects, given the values of the pass, or
-    None if it failed.
+    ``MAX_ABS_VALUE`` in magnitude is rejected; both are checked on the
+    arrays of the pass and named by :meth:`Table.locate`. The table
+    records ``path``. :func:`_raise_unreadable` names the fault of a
+    table the pass could not read.
     """
     k = len(fixed_columns)
 
@@ -330,67 +329,73 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
         return [*((name, object) for name in fixed_columns), ("values", float, (len(cols) - k,))]
 
     cols, rows = _load_rows(path, line_dtype)
-    patients, values = cols[k:], None
-    if rows is not None:
-        ids, values = rows[fixed_columns[0]].tolist(), rows["values"]
-        # max and min allocate nothing; a nan makes both comparisons fail
-        if (len(set(ids)) == len(ids)
-                and values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
-            # one block, in the width a row-wise np.array(..., dtype=str) gives every column
-            width = max(1, *(max(map(len, rows[name])) for name in fixed_columns))
-            annotations = np.empty((k, len(rows)), dtype=f"<U{width}")
-            for i, name in enumerate(fixed_columns):
-                annotations[i] = rows[name]
-                rows[name] = None  # frees the column's str objects before the next is filled
-            return patients, Table(dict(zip(fixed_columns, annotations)),
-                                   np.ascontiguousarray(values), path)
-    _raise_table_fault(path, fixed_columns, patients, values)
+    patients = cols[k:]
+    if rows is None:
+        _raise_unreadable(path, fixed_columns, patients)
+    ids, values = rows[fixed_columns[0]].tolist(), np.ascontiguousarray(rows["values"])
+    # one block, in the width a row-wise np.array(..., dtype=str) gives every column
+    width = max(1, *(max(map(len, rows[name])) for name in fixed_columns))
+    annotations = np.empty((k, len(rows)), dtype=f"<U{width}")
+    for i, name in enumerate(fixed_columns):
+        annotations[i] = rows[name]
+        rows[name] = None  # frees the column's str objects before the next is filled
+    table = Table(dict(zip(fixed_columns, annotations)), values, path)
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        problem = f"duplicate {fixed_columns[0]} {ids[repeat]!r}"
+        raise DuplicateIdError(table.locate(problem, repeat))
+    # max and min allocate nothing; a nan makes both comparisons fail
+    if not (values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
+        bad = np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0]
+        row, col = divmod(int(bad), len(patients))
+        v = float(values[row, col])
+        what = (f"non-finite value {v!r}" if not np.isfinite(v)
+                else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
+        raise FormatError(table.locate(f"{what} for patient {patients[col]!r}", row, col))
+    return patients, table
 
 
-def _raise_table_fault(path, fixed_columns, patients, values):
-    """Raise the :class:`FormatError` for the first fault of a table that ``_parse_table`` rejects.
+def _raise_unreadable(path, fixed_columns, patients):
+    """Raise the :class:`FormatError` for the first fault of a table the C pass could not read.
 
-    ``values`` are those of the C pass, None if it failed. The lines are
-    read again once, by :func:`_read_tsv`, which names a line with another
-    cell count; then come a repeated id and, if the pass failed, the first
-    value ``loadtxt`` rejects on its line alone (each column of that line
-    parsed alone, so the check is the reader's own), else the first value
-    beyond ``MAX_ABS_VALUE``, each value named by its line and column. The
-    loop keeps every cell only if the pass failed, else the fixed cells.
+    The lines are read again once, by :func:`_read_tsv`, which names a
+    line with another cell count; then come a repeated id and the first
+    value ``loadtxt`` rejects. Its line is found by halving the lines
+    that fail one ``loadtxt`` call, about two passes over the table in
+    all, and its column by parsing each column of that line alone, so
+    the check is the reader's own.
     """
     k = len(fixed_columns)
-    _, linenos, rows = _read_tsv(path, lambda cells: range(len(cells) if values is None else k))
-    _require_unique(path, zip(linenos, [row[0] for row in rows]), fixed_columns[0])
-    if values is None:
-        for lineno, row in zip(linenos, rows):
-            line = "\t".join(row)
-            try:
-                _read_values(line, k, len(row))
-            except ValueError:
-                for col in range(k, len(row)):
-                    try:
-                        _read_values(line, col, col + 1)
-                    except ValueError:
-                        raise FormatError(
-                            f"{path}:{lineno}:{col + 1}: non-numeric value {row[col]!r} "
-                            f"for patient {patients[col - k]!r}"
-                        ) from None
-    else:
-        for bad in np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[:1]:
-            row, col = divmod(int(bad), len(patients))
-            v = float(values[row, col])
-            what = (f"non-finite value {v!r}" if not np.isfinite(v)
-                    else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
+    _, linenos, rows = _read_tsv(path, lambda cells: range(len(cells)))
+    repeat = _first_repeat([row[0] for row in rows])
+    if repeat is not None:
+        raise DuplicateIdError(
+            f"{path}:{linenos[repeat]}: duplicate {fixed_columns[0]} {rows[repeat][0]!r}"
+        )
+
+    def parses(lines, cols):
+        try:
+            np.loadtxt(lines, delimiter="\t", usecols=cols, dtype=float,
+                       encoding="utf-8", comments=None)
+        except ValueError:
+            return False
+        return True
+
+    lines, width = ["\t".join(row) for row in rows], len(patients) + k
+    lo, hi = 0, len(lines)  # the lines before lo parse; the first that fails is below hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if parses(lines[lo:mid], range(k, width)):
+            lo = mid
+        else:
+            hi = mid
+    for col in range(k, width):
+        if not parses(lines[lo:hi], [col]):
             raise FormatError(
-                f"{path}:{linenos[row]}:{k + col + 1}: {what} for patient {patients[col]!r}"
+                f"{path}:{linenos[lo]}:{col + 1}: non-numeric value {rows[lo][col]!r} "
+                f"for patient {patients[col - k]!r}"
             )
     raise _unnamed_fault(path)
-
-
-def _read_values(line, k, width) -> np.ndarray:
-    """Columns ``k:width`` of one tab-separated line, as floats."""
-    return np.loadtxt([line], delimiter="\t", usecols=range(k, width), dtype=float,
-                      encoding="utf-8", comments=None)
 
 
 def read_expression_table(path) -> tuple[list[str], Table]:
@@ -423,8 +428,10 @@ def read_truth_table(path, layer) -> dict[str, str]:
 
     The whole table is read by one C pass (:func:`_load_rows`) and
     checked: every row's layer must be ``gene`` or ``cpg``, and no id may
-    repeat within its layer. Only the rows of ``layer`` are kept.
-    :func:`_raise_truth_fault` names the fault of a table this rejects.
+    repeat within its layer. Only the rows of ``layer`` are kept. Of a
+    table this rejects, the first line with an unknown layer is named,
+    then the first repeated gene id, then the first repeated CpG id; of
+    one the pass could not read, the fault :func:`_read_tsv` finds.
     """
     def line_dtype(cells):
         if tuple(cells) != TRUTH_COLUMNS:
@@ -432,32 +439,26 @@ def read_truth_table(path, layer) -> dict[str, str]:
         return [(name, object) for name in TRUTH_COLUMNS]
 
     _, rows = _load_rows(path, line_dtype)
-    if rows is not None:
-        ids, layers = rows["entity_id"], rows["layer"]
-        mine = layers == layer
-        if set(layers[~mine].tolist()) <= set(TRUTH_LAYERS) - {layer}:
-            # one str per distinct label, not one per row
-            truth = dict(zip(ids[mine].tolist(), map(sys.intern, rows["label"][mine].tolist())))
-            other_ids = ids[~mine].tolist()
-            if len(truth) == mine.sum() and len(set(other_ids)) == len(other_ids):
-                return truth
-    _raise_truth_fault(path)
-
-
-def _raise_truth_fault(path):
-    """Raise the :class:`FormatError` for the first fault of a ``truth.tsv`` that ``read_truth_table`` rejects.
-
-    After the faults :func:`_read_tsv` names come the first line with an
-    unknown layer, then the first repeated gene id, then the first
-    repeated CpG id.
-    """
-    _, linenos, rows = _read_tsv(path, lambda cells: range(len(TRUTH_COLUMNS)))
-    for lineno, (_, of, _) in zip(linenos, rows):
-        if of not in TRUTH_LAYERS:
-            raise FormatError(f"{path}:{lineno}: unknown layer {of!r}")
-    for layer in TRUTH_LAYERS:
-        mine = ((n, entity) for n, (entity, of, _) in zip(linenos, rows) if of == layer)
-        _require_unique(path, mine, f"{layer} id")
+    if rows is None:
+        _read_tsv(path, lambda cells: range(len(TRUTH_COLUMNS)))
+        raise _unnamed_fault(path)
+    ids, layers = rows["entity_id"], rows["layer"]
+    mine = layers == layer
+    if set(layers[~mine].tolist()) <= set(TRUTH_LAYERS) - {layer}:
+        # one str per distinct label, not one per row
+        truth = dict(zip(ids[mine].tolist(), map(sys.intern, rows["label"][mine].tolist())))
+        other_ids = ids[~mine].tolist()
+        if len(truth) == mine.sum() and _first_repeat(other_ids) is None:
+            return truth
+    table = Table({name: rows[name] for name in TRUTH_COLUMNS}, np.empty((len(rows), 0)), path)
+    for row in np.flatnonzero(~np.isin(layers, TRUTH_LAYERS))[:1]:
+        raise FormatError(table.locate(f"unknown layer {layers[row]!r}", row))
+    for of in TRUTH_LAYERS:
+        of_rows = np.flatnonzero(layers == of)
+        repeat = _first_repeat(ids[of_rows].tolist())
+        if repeat is not None:
+            row = of_rows[repeat]
+            raise DuplicateIdError(table.locate(f"duplicate {of} id {ids[row]!r}", row))
     raise _unnamed_fault(path)
 
 
@@ -472,7 +473,9 @@ def read_predicted_labels(path, layer) -> tuple[list[int], list[tuple[str, str]]
         return cells.index(id_col), cells.index("map_label")
 
     _, linenos, pairs = _read_tsv(path, check_header)
-    _require_unique(path, zip(linenos, [i for i, _ in pairs]), id_col)
+    repeat = _first_repeat([i for i, _ in pairs])
+    if repeat is not None:
+        raise DuplicateIdError(f"{path}:{linenos[repeat]}: duplicate {id_col} {pairs[repeat][0]!r}")
     return linenos, pairs
 
 

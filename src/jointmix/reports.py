@@ -31,23 +31,16 @@ from .simulate import CPG_LABELS, GENE_LABELS
 def format_cell(v) -> str:
     if v is None:
         return "NA"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (float, np.floating, int, np.integer)):
         return _format_number(v)
     return str(v)
 
 
-def format_lines(rows) -> list[str]:
-    """Each row's cells through :func:`format_cell`, tab-joined."""
-    return ["\t".join(map(format_cell, row)) for row in rows]
-
-
-def write_tsv(path, header, lines) -> None:
-    """Write a TSV from its header cells and its already formatted row lines."""
+def write_tsv(path, header, rows) -> None:
+    """Write a TSV from its header cells and its rows, each cell through :func:`format_cell`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines("\t".join(map(format_cell, row)) + "\n" for row in rows)
 
 
 def write_json(path, payload) -> None:
@@ -171,7 +164,7 @@ def write_metric_report(out_dir, report: MetricReport, layer: str) -> list[Path]
     tsv = out / "evaluation.tsv"
     items = [("layer", layer), ("n", report.tp + report.fp + report.tn + report.fn)]
     items += [(k, v) for k, v in report.as_dict().items()]
-    write_tsv(tsv, ["metric", "value"], format_lines(items))
+    write_tsv(tsv, ["metric", "value"], items)
     js = out / "evaluation.json"
     write_json(js, {"layer": layer, **report.as_dict()})
     return [tsv, js]
@@ -180,17 +173,10 @@ def write_metric_report(out_dir, report: MetricReport, layer: str) -> list[Path]
 def write_benchmark_tables(out_dir, result: BenchmarkResult) -> list[Path]:
     out = Path(out_dir)
     summary_path = out / "benchmark_summary.tsv"
-    write_tsv(
-        summary_path,
-        ["method", "layer", "metric", "mean", "sd", "n"],
-        format_lines(result.summary_rows),
-    )
+    write_tsv(summary_path, ["method", "layer", "metric", "mean", "sd", "n"], result.summary_rows)
     reps_path = out / "benchmark_replicates.tsv"
-    write_tsv(
-        reps_path,
-        ["replicate", "method", "layer", "metric", "value"],
-        format_lines(result.replicate_rows),
-    )
+    write_tsv(reps_path, ["replicate", "method", "layer", "metric", "value"],
+              result.replicate_rows)
     json_path = out / "benchmark.json"
     payload = {
         "config": result.config.to_dict(),

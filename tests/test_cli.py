@@ -187,7 +187,7 @@ class TestPreprocessCommand:
             f"error: {bad}: patient 'P2' has zero library size after filtering"
         ]
         assert "Traceback" not in err
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
 
     def orphan_inputs(self, sim_dir, tmp_path):
         """Both methylation files with two extra CpGs mapped to unknown genes."""
@@ -227,7 +227,7 @@ class TestPreprocessCommand:
         out = tmp_path / "out"
         assert preprocess(sim_dir, out, **{name: bad}) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}:3:{column}: {message}"]
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
 
     def test_rows_in_another_order_in_the_b_files_give_the_same_tables(
         self, sim_dir, transformed_dir, tmp_path
@@ -284,7 +284,7 @@ class TestPreprocessCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: no gene has a total count above the count threshold 100000000"
         ]
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
 
     def test_lenient_mode_that_keeps_no_cpg_is_one_input_error(self, sim_dir, tmp_path):
         inputs = {}
@@ -304,7 +304,7 @@ class TestPreprocessCommand:
             f"CpG {rows[0][0]!r} references unknown gene_id 'GXXXXX'",
             "error: no CpG is left: none maps to a gene that passed filtering",
         ]
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--pseudocount", 0, "--beta-eps", 0], "pseudocount must be finite and above 0, got 0.0"),
@@ -325,7 +325,7 @@ class TestPreprocessCommand:
         out = tmp_path / "prep"
         assert preprocess(sim_dir, out, *flags, expression_a=expr, methylation_a=meth) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -730,7 +730,24 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {pred}: no data rows"]
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["gene_id", "map_label"])
+    def test_results_table_without_its_id_or_map_label_column_is_input_error(
+        self, sim_dir, tmp_path, capsys, missing
+    ):
+        pred = tmp_path / "pred.tsv"
+        header = ["gene_id", "chromosome", "map_label"]
+        pred.write_text("\t".join(c if c != missing else "other" for c in header)
+                        + "\nG00001\t1\tE0\n")
+        out = tmp_path / "ev"
+        code = run("evaluate", "--truth", sim_dir / "truth.tsv", "--predicted", pred,
+                   "--layer", "gene", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pred}: missing column {missing!r}"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad_file", ["truth", "predicted"])
     def test_non_utf8_table_names_its_line(self, sim_dir, tmp_path, capsys, bad_file):
@@ -801,6 +818,19 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {message}"]
         assert not (out / "benchmark_summary.tsv").exists()
+
+    def test_every_replicate_failing_exits_two_with_empty_summaries(self, tmp_path, caplog):
+        # two genes are too few for three clusters, so no replicate fits
+        out = tmp_path / "bench"
+        assert run("benchmark", "--genes", 2, "--replicates", 2, "--out", out) == 2
+        assert "2 of 2 replicates failed to fit" in caplog.messages
+        rows = [line.split("\t") for line in
+                (out / "benchmark_summary.tsv").read_text().splitlines()[1:]]
+        assert len(rows) == 18
+        assert {tuple(row[3:]) for row in rows} == {("NA", "NA", "0")}
+        assert (out / "benchmark_replicates.tsv").read_text().splitlines() == [
+            "replicate\tmethod\tlayer\tmetric\tvalue"
+        ]
 
     @pytest.mark.parametrize("replicates", [1, 0, -3])
     def test_too_few_replicates_leave_no_out_directory(self, tmp_path, capsys, replicates):
@@ -953,7 +983,51 @@ def test_threads_below_one_is_one_input_error(transformed_dir, tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         f"error: threads must be at least 1, got {threads}"
     ]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def rejected_runs(sim_dir, data, tmp_path, out):
+    """Runs rejected after ``--out`` is checked, by name: argv writing to ``out``, and error."""
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("gene_id\tlabel\nG00001\tE0\n")
+    evaluate = ["evaluate", "--truth", sim_dir / "truth.tsv", "--layer", "gene", "--predicted"]
+    runs = {
+        "fit-k": ([*fit_argv(data, "fit"), "--k", 0], "K must be at least 1, got 0"),
+        "fit-quantile": ([*fit_argv(data, "fit"), "--quantile", 0.7],
+                         "init quantile must lie in (0, 0.5), got 0.7"),
+        "baseline-k": ([*fit_argv(data, "baseline"), "--k", 0], "K must be at least 1, got 0"),
+        "preprocess-pseudocount": (preprocess_argv(sim_dir, out, "--pseudocount", 0),
+                                   "pseudocount must be finite and above 0, got 0.0"),
+        "benchmark-methods": (["benchmark", "--methods", "joint,foo", "--genes", 20],
+                              "unknown method 'foo'"),
+        "timing-genes": (["timing", "--genes", 0], "n_genes must be at least 1, got 0"),
+        "evaluate-missing-input": (
+            [*evaluate, tmp_path / "missing.tsv"],
+            f"[Errno 2] No such file or directory: {str(tmp_path / 'missing.tsv')!r}",
+        ),
+        "evaluate-no-map-label": ([*evaluate, pred], f"{pred}: missing column 'map_label'"),
+    }
+    return {name: ([*argv, "--out", out], message) for name, (argv, message) in runs.items()}
+
+
+@pytest.mark.parametrize("name", [
+    "fit-k", "fit-quantile", "baseline-k", "preprocess-pseudocount", "benchmark-methods",
+    "timing-genes", "evaluate-missing-input", "evaluate-no-map-label",
+])
+def test_a_rejected_run_leaves_no_out_directory(sim_dir, transformed_dir, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    argv, message = rejected_runs(sim_dir, transformed_dir, tmp_path, out)[name]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_an_out_that_is_a_file_is_rejected_before_the_flags_are_checked(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("")
+    assert run("timing", "--genes", 0, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: [Errno 17] File exists: {str(out)!r}"]
+    assert out.read_text() == ""
 
 
 def with_repeated_first_row(src, dst):
@@ -1042,7 +1116,7 @@ class TestInputTables:
         out = tmp_path / "out"
         assert self.run_with(sim_dir, command, {**files, name: empty}, out, layer=name) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {empty}: no data rows"]
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, renamed, reference", [
         ("fit", ["methylation"], "expression"),

@@ -247,6 +247,26 @@ class TestReaderEdgeCases:
             read_expression_table(path)
         assert str(exc.value) == f"{path}:4:4: non-numeric value {text!r} for patient 'P2'"
 
+    def test_a_bad_last_value_is_found_in_a_logarithmic_number_of_parses(
+        self, tmp_path, monkeypatch
+    ):
+        n = 2000
+        path = tmp_path / "expr.tsv"
+        lines = [f"g{i}\t1\t{i}\t0.5\n" for i in range(n - 1)] + [f"g{n}\t1\t1\tabc\n"]
+        path.write_text(self.HEADER + "".join(lines))
+        calls, loadtxt = [], np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        with pytest.raises(FormatError) as exc:
+            read_expression_table(path)
+        assert str(exc.value) == f"{path}:{n + 1}:4: non-numeric value 'abc' for patient 'P2'"
+        # the C pass, one parse per halving of the n lines, one per value column of the last
+        assert len(calls) <= 1 + n.bit_length() + 2
+
     @pytest.mark.parametrize("row, cells", [
         ("g1\t1\t9\t9", 2),  # a repeated id: the C pass parsed every value
         ("g2\t1\t1e101\t9", 2),  # a value beyond the bound: likewise
