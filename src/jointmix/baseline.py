@@ -108,6 +108,9 @@ def compare_partitions(labels_a, labels_b) -> float:
 
     Computed from the pairwise contingency table. Returns 1.0 in the
     degenerate case where the index is 0/0 (both partitions trivial).
+    Its sums are of whole numbers, exact below 2**53 (about 10**8
+    labels): the index does not depend on the order of the labels, nor
+    on whether they are names or integers.
     """
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
@@ -116,8 +119,8 @@ def compare_partitions(labels_a, labels_b) -> float:
     n = len(a)
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
+    cols = bi.max() + 1
+    table = np.bincount(ai * cols + bi, minlength=(ai.max() + 1) * cols).reshape(-1, cols)
 
     def comb2(v):
         return v * (v - 1) / 2.0

@@ -139,13 +139,20 @@ def _prepare_out(args, filenames) -> Path:
     """The ``--out`` directory: it must be given, and hold none of ``filenames`` unless ``--force``.
 
     Nothing is created: a subcommand makes the directory just before its
-    first write, so a rejected run leaves no ``--out`` behind.
+    first write, so a rejected run leaves no ``--out`` behind. An ``--out``
+    that is a file, or lies below one, raises here the error that making
+    it would raise, before any input is read.
     """
     if not args.out:
         raise InputError("--out is required")
     out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        out.mkdir()  # raises the FileExistsError of an --out that is a file, creating nothing
+    try:
+        out.stat()  # raises the NotADirectoryError of an --out below a file
+    except FileNotFoundError:
+        pass
+    else:
+        if not out.is_dir():
+            out.mkdir()  # raises the FileExistsError of an --out that is a file
     clobber = [n for n in filenames if (out / n).exists()]
     if clobber and not args.force:
         raise InputError(

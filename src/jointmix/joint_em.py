@@ -178,7 +178,13 @@ def _quantile_start(values: np.ndarray, k: int, q: float) -> np.ndarray:
     if not 0.0 < q < 0.5:
         raise ParameterError(f"init quantile must lie in (0, 0.5), got {q}")
     m = values.shape[0]
-    order = np.argsort(values.mean(axis=1), kind="stable")
+    means = values.mean(axis=1)
+    # the default sort is several times faster than a stable one, and gives
+    # its order whenever the sorted means strictly ascend (no tie, no nan)
+    order = np.argsort(means)
+    ranked = means[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(means, kind="stable")
     labels = np.zeros(m, dtype=np.intp)
     if k == 2:
         labels[order[m // 2:]] = 1
@@ -320,13 +326,15 @@ def _gauss_row_scores(values: np.ndarray, means: np.ndarray, var: float, out=Non
     log_scale = np.log(scale)
     for n in range(values.shape[1]):
         # (-z**2 / 2.0 - LOG_SQRT_2PI) - log_scale with z = (x - mean) / scale,
-        # step by step in place; dividing by -2 is exactly negating, then halving
+        # step by step in place. Dividing by -2 is exactly negating, then
+        # halving, and so is the cheaper multiply by -0.5: both are the correctly
+        # rounded value of one real number, the same bits for every double
         term = z if n else total
         for j in range(len(means)):
             np.subtract(values[:, n], means[j], out=term[j])
         term /= scale
         np.square(term, out=term)
-        term /= -2.0
+        term *= -0.5
         term -= LOG_SQRT_2PI
         term -= log_scale
         if n:

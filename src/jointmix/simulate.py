@@ -24,6 +24,8 @@ from .errors import ParameterError
 
 GENE_LABELS = ("E-", "E0", "E+")
 CPG_LABELS = ("M-", "M0", "M+")
+# The state of each layer's null label: a state indexes GENE_LABELS or CPG_LABELS.
+NULL_STATE = 1
 
 # Dependency settings between gene state (columns: down, null, up) and
 # CpG state (rows: down, null, up). Each column is a distribution over
@@ -126,13 +128,25 @@ class SimConfig:
 
 @dataclass
 class SimTruth:
-    """Ground-truth cluster labels and the gene/CpG mapping."""
+    """Ground-truth cluster states and the gene/CpG mapping.
+
+    A state is 0 (down), 1 (null) or 2 (up); ``gene_labels`` and
+    ``cpg_labels`` name them from GENE_LABELS and CPG_LABELS.
+    """
 
     gene_ids: list[str]
-    gene_labels: np.ndarray  # strings from GENE_LABELS
+    gene_states: np.ndarray
     cpg_ids: list[str]
-    cpg_labels: np.ndarray  # strings from CPG_LABELS
+    cpg_states: np.ndarray
     cpg_gene_idx: np.ndarray
+
+    @property
+    def gene_labels(self) -> np.ndarray:
+        return np.array(GENE_LABELS)[self.gene_states]
+
+    @property
+    def cpg_labels(self) -> np.ndarray:
+        return np.array(CPG_LABELS)[self.cpg_states]
 
 
 @dataclass
@@ -210,9 +224,9 @@ def simulate(cfg: SimConfig) -> SimData:
 
     truth = SimTruth(
         gene_ids=_numbered_ids("G%05d", G),
-        gene_labels=np.array(GENE_LABELS)[gene_lab],
+        gene_states=gene_lab,
         cpg_ids=_numbered_ids("C%06d", C),
-        cpg_labels=np.array(CPG_LABELS)[cpg_lab],
+        cpg_states=cpg_lab,
         cpg_gene_idx=cpg_gene_idx,
     )
     return SimData(

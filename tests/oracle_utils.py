@@ -169,6 +169,69 @@ def row_major_indep_e_step(values, weights, means, variance):
     return row_major_softmax(scores, lambda i: f"row {i}")
 
 
+# The simulation study's scoring as it was on label names, before it scored
+# integer states: ``np.isin`` against the null names, and the contingency
+# table of the ARI summed by ``np.add.at``. The reference the replicate rows
+# of ``evaluate.run_replicate`` must match exactly.
+
+NULL_NAMES = ["E0", "M0"]
+
+
+def ari_of_names(labels_a, labels_b):
+    """Adjusted Rand index of two labelings, its table built by ``np.add.at``."""
+    _, ai = np.unique(np.asarray(labels_a), return_inverse=True)
+    _, bi = np.unique(np.asarray(labels_b), return_inverse=True)
+    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
+    np.add.at(table, (ai, bi), 1)
+
+    def comb2(v):
+        return v * (v - 1) / 2.0
+
+    sum_cells = comb2(table).sum()
+    sum_rows = comb2(table.sum(axis=1)).sum()
+    sum_cols = comb2(table.sum(axis=0)).sum()
+    total = comb2(len(ai))
+    expected = sum_rows * sum_cols / total if total > 0 else 0.0
+    maximum = 0.5 * (sum_rows + sum_cols)
+    if maximum == expected:
+        return 1.0
+    return float((sum_cells - expected) / (maximum - expected))
+
+
+def scores_of_names(truth, predicted):
+    """``{metric: value}`` of fdr, sensitivity, specificity and ARI on label names."""
+    t_pos = ~np.isin(truth, NULL_NAMES)
+    p_pos = ~np.isin(predicted, NULL_NAMES)
+    tp, fp = int(np.sum(t_pos & p_pos)), int(np.sum(~t_pos & p_pos))
+    tn, fn = int(np.sum(~t_pos & ~p_pos)), int(np.sum(t_pos & ~p_pos))
+
+    def ratio(num, den):
+        return num / den if den > 0 else None
+
+    return {"fdr": ratio(fp, tp + fp), "sensitivity": ratio(tp, tp + fn),
+            "specificity": ratio(tn, tn + fp), "ari": ari_of_names(truth, predicted)}
+
+
+def replicate_rows_of_names(truths, layers):
+    """``run_replicate``'s rows, scored on names.
+
+    ``truths`` holds the gene and CpG truth names; ``layers`` maps each
+    method, joint first, to its fitted gene and CpG layers.
+    """
+    names = (("gene", ("E-", "E0", "E+")), ("cpg", ("M-", "M0", "M+")))
+    predicted, rows = {}, []
+    for method, fits in layers.items():
+        for (layer, labels), truth, lf in zip(names, truths, fits):
+            predicted[method, layer] = np.array(labels)[lf.map_labels - 1]
+            scores = scores_of_names(truth, predicted[method, layer])
+            rows += [(method, layer, metric, value) for metric, value in scores.items()]
+    if len(layers) == 2:
+        rows += [("joint_vs_independent", layer, "ari",
+                  ari_of_names(predicted["joint", layer], predicted["independent", layer]))
+                 for layer in ("gene", "cpg")]
+    return rows
+
+
 def central_difference(f, h=1e-5):
     return (f(h) - f(-h)) / (2.0 * h)
 

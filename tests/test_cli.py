@@ -1022,12 +1022,25 @@ def test_a_rejected_run_leaves_no_out_directory(sim_dir, transformed_dir, tmp_pa
     assert not out.exists()
 
 
-def test_an_out_that_is_a_file_is_rejected_before_the_flags_are_checked(tmp_path, capsys):
-    out = tmp_path / "out"
-    out.write_text("")
-    assert run("timing", "--genes", 0, "--out", out) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: [Errno 17] File exists: {str(out)!r}"]
-    assert out.read_text() == ""
+@pytest.mark.parametrize(
+    "argv, out_name, message",
+    [
+        (["timing", "--genes", 0], "afile", "[Errno 17] File exists"),
+        (["fit", "--expression", "missing.tsv", "--methylation", "missing.tsv"], "afile/sub",
+         "[Errno 20] Not a directory"),
+    ],
+    ids=["a-file", "below-a-file"],
+)
+def test_an_out_on_a_file_is_rejected_before_the_flags_or_inputs_are_read(
+    tmp_path, capsys, argv, out_name, message
+):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = tmp_path / out_name
+    argv = [tmp_path / a if str(a).endswith(".tsv") else a for a in argv]
+    assert run(*argv, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}: {str(out)!r}"]
+    assert afile.read_text() == ""
 
 
 def with_repeated_first_row(src, dst):

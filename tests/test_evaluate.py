@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from oracle_utils import replicate_rows_of_names
 
+from jointmix.baseline import fit_independent
 from jointmix.errors import ParameterError
-from jointmix.evaluate import benchmark, score_labels
-from jointmix.simulate import SimConfig
+from jointmix.evaluate import benchmark, run_replicate, score_labels, simulated_dataset
+from jointmix.joint_em import fit
+from jointmix.simulate import SimConfig, simulate
 
 
 class TestBinaryMetrics:
@@ -133,3 +136,19 @@ class TestBenchmark:
     def test_invalid_config_rejected_before_any_replicate(self):
         with pytest.raises(ParameterError, match="n_genes must be at least 1, got 0"):
             benchmark(1, 2, cfg=SimConfig(n_genes=0))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("seed", [5, 31])
+def test_replicate_rows_equal_those_scored_on_label_names(case, seed):
+    """Scoring integer states gives the rows that scoring the label names gave."""
+    cfg = SimConfig(case=case, seed=seed)
+    sim = simulate(cfg)
+    ds, _, _ = simulated_dataset(sim)
+    res = fit(ds)
+    layers = {"joint": (res.gene, res.cpg),
+              "independent": tuple(fit_independent(v, K=3).layer for v in (ds.x, ds.y))}
+    t = sim.truth
+    truths = (t.gene_labels[np.isin(t.gene_ids, ds.gene_ids)],
+              t.cpg_labels[np.isin(t.cpg_ids, ds.cpg_ids)])
+    assert run_replicate(cfg) == replicate_rows_of_names(truths, layers)

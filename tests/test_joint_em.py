@@ -144,6 +144,17 @@ class TestScoreKernel:
             assert np.array_equal(_gauss_row_scores(values, means, var),
                                   scipy_row_scores(values, means, var).T)
 
+    def test_halving_by_a_multiply_gives_the_bits_of_the_division(self):
+        tiny, big = np.nextafter(0.0, 1.0), np.finfo(float).max
+        special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(float).tiny, big, -big,
+                            np.inf, -np.inf, np.nan, -np.nan, 1.0 / 3.0])
+        # and every class of double, nan payloads included, by random bit patterns
+        bits = np.random.default_rng(5).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                                 100_000, endpoint=True)
+        for x in (special, bits.view(float)):
+            with np.errstate(all="ignore"):
+                assert np.array_equal((x / -2.0).view(np.int64), (x * -0.5).view(np.int64))
+
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9])
     def test_softmax_bit_equal_to_max_reduction(self, k):
         rng = np.random.default_rng(k)
@@ -328,6 +339,21 @@ class TestInitializeQuantile:
     def test_odd_row_count_puts_the_median_row_up(self):
         start = _quantile_start(np.arange(5.0)[:, None], 2, 0.10)
         assert start.argmax(axis=1).tolist() == [0, 0, 1, 1, 1]
+
+    @pytest.mark.parametrize("means", ["distinct", "tied", "signed_zeros", "nan", "inf"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rows_rank_as_a_stable_sort_ranks_them(self, means, k):
+        rng = np.random.default_rng(k)
+        values = {
+            "distinct": rng.normal(size=(41, 3)),
+            "tied": rng.integers(0, 3, (41, 3)).astype(float),
+            "signed_zeros": rng.choice([-0.0, 0.0], (41, 1)),
+            "nan": np.where(rng.random((41, 3)) < 0.1, np.nan, rng.normal(size=(41, 3))),
+            "inf": rng.choice([-np.inf, 1.0, np.inf], (41, 1)),
+        }[means]
+        labels = _quantile_start(values, k, 0.10).argmax(axis=1)
+        # the clusters are consecutive blocks of the stable order, ties broken by row
+        assert np.all(np.diff(labels[np.argsort(values.mean(axis=1), kind="stable")]) >= 0)
 
 
 def tensor_pi(ds, u, v):

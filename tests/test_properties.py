@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_mixture_dataset, scalar_lines
-from oracle_utils import row_major_e_step, row_major_indep_e_step
+from oracle_utils import row_major_e_step, row_major_indep_e_step, row_major_scores
 from jointmix import dataset
 from jointmix.baseline import IndepParams, _e_step, fit_independent
 from jointmix.dataset import (
@@ -30,6 +30,7 @@ from jointmix.joint_em import (
     JointParams,
     Responsibilities,
     _LayerBuffers,
+    _gauss_row_scores,
     e_step_fixed_point,
     fit,
     fit_all_chromosomes,
@@ -413,6 +414,29 @@ def test_the_e_step_is_bit_equal_to_the_row_major_e_step(K, L, N, G, seed, sprea
         assert got == want
     else:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# decimal exponents of the values and means: from subnormal to beyond 1e154,
+# where z**2 overflows to inf; or all subnormal, so that z is too
+exponents = st.sampled_from([(-320, 200), (-323, -307)])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example(N=45, K=9, M=3, seed=0, exponent=(-323, -307), var=1.0)
+@given(st.integers(1, 45), st.integers(1, 9), st.integers(1, 60), st.integers(0, 2**32 - 1),
+       exponents, st.sampled_from([1e-300, 1e-8, 0.37, 1.0, 123.4, 1e300]))
+def test_the_score_kernel_gives_the_same_bits_on_column_major_values(N, K, M, seed, exponent,
+                                                                      var):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(M, N)) * 10.0 ** rng.integers(*exponent, (M, N))
+    means = rng.normal(size=K) * 10.0 ** rng.integers(*exponent, K)
+    values[rng.random((M, N)) < 0.1] = means[0]  # z = 0
+    with np.errstate(all="ignore"):
+        want = row_major_scores(values, means, var).T
+        by_rows = _gauss_row_scores(values, means, var)
+        by_columns = _gauss_row_scores(np.asfortranarray(values), means, var)
+    assert np.array_equal(by_columns.view(np.int64), by_rows.view(np.int64))
+    assert np.array_equal(by_columns.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
