@@ -13,8 +13,9 @@ value. Exit codes: 0 success, 1 input/validation error, 2 numerical or
 convergence failure, 3 partial per-chromosome failure with the
 remaining outputs written. An input table without data rows is an input
 error, and so is a ``preprocess`` run that keeps no gene or no CpG.
-``fit`` and ``baseline`` log their non-convergence warnings first, then
-print one failure line per failed chromosome, each in label order.
+``fit`` and ``baseline`` log their non-convergence and collapsed-fit
+warnings first, then print one failure line per failed chromosome, each
+in label order.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .baseline import fit_independent
 from .dataset import (
     _open_text,
     align_patients,
+    gather,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
@@ -51,7 +53,7 @@ from .errors import (
     JointmixError,
 )
 from .evaluate import benchmark, score_labels, simulated_dataset
-from .joint_em import _require_at_least, _run_each, fit, fit_all_chromosomes
+from .joint_em import _require_at_least, _run_each, _warn_if_collapsed, fit, fit_all_chromosomes
 from .preprocess import (
     DEFAULT_BETA_EPS,
     DEFAULT_COUNT_THRESHOLD,
@@ -182,8 +184,10 @@ def _aligned_condition_pair(path_a, path_b, reader, outside, what):
     A value for which ``outside`` holds is rejected at its cell (see
     :func:`_read_in_domain`). Rows align by identifier (first column),
     patients by header name; identifier sets and the other annotation
-    columns must agree. Returns the patients and table of file A and
-    both value matrices in file A's row and column order.
+    columns must agree. Returns the patients and table of file A, file
+    B's values, and the rows and columns of those values that put them in
+    file A's order, for the caller to :func:`gather` with a selection of
+    its own.
     """
     patients_a, a = _read_in_domain(path_a, reader, outside, what)
     patients_b, b = _read_in_domain(path_b, reader, outside, what)
@@ -207,24 +211,26 @@ def _aligned_condition_pair(path_a, path_b, reader, outside, what):
                 f"annotation mismatch for {str(a.ids[row])!r} between {path_a} and {path_b}: "
                 f"{name} {str(col[row])!r} against {str(b[name][rows_b[row]])!r}"
             )
-    return patients_a, a, a.values, np.ascontiguousarray(b.values[rows_b][:, order])
+    return patients_a, a, b.values, rows_b, np.asarray(order, dtype=np.intp)
 
 
 def cmd_preprocess(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["expression.tsv", "methylation.tsv", "manifest.json"])
-    patients, genes, counts_a, counts_b = _aligned_condition_pair(
+    patients, genes, counts_b, rows_b, cols_b = _aligned_condition_pair(
         args.expression_a, args.expression_b, read_expression_table,
         lambda v: v < 0, "negative count {!r}",
     )
-    mpatients, cpgs, betas_a, betas_b = _aligned_condition_pair(
+    counts_a, counts_b = genes.values, gather(counts_b, rows_b, cols_b)
+    mpatients, cpgs, betas_b, rows_b, cols_b = _aligned_condition_pair(
         args.methylation_a, args.methylation_b, read_methylation_table,
         lambda v: (v < 0) | (v > 1), "beta value {!r} outside [0, 1]",
     )
     morder = align_patients(args.expression_a, patients, args.methylation_a, mpatients)
     kept, gene_idx = resolve_cpg_parents(genes, cpgs, args.mode)
-    betas_a = betas_a[np.ix_(kept, morder)]
-    betas_b = betas_b[np.ix_(kept, morder)]
+    # one gather per matrix at most: none when the files align and every CpG is kept
+    betas_a = gather(cpgs.values, kept, morder)
+    betas_b = gather(betas_b, rows_b[kept], cols_b[morder])
 
     try:
         kept_g, x, kept_c, y = derive_model_inputs(
@@ -359,6 +365,7 @@ def cmd_baseline(args) -> int:
     for label, res in fits.items():
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
+        _warn_if_collapsed(label, variance=res.params.variance)
     out.mkdir(parents=True, exist_ok=True)
     if fits:
         write_layer_tables([(

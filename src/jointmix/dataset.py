@@ -136,6 +136,22 @@ class PairedDataset:
         )
 
 
+def gather(values, rows=None, cols=None) -> np.ndarray:
+    """``values[np.ix_(rows, cols)]``, C-contiguous; ``None`` takes every row or every column.
+
+    Indices that take every row and every column in order return
+    ``values`` itself if it is C-contiguous, so an aligned table is not
+    copied; any other selection is one gather.
+    """
+    values = np.asarray(values)
+    n_rows, n_cols = values.shape
+    rows = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
+    cols = np.arange(n_cols) if cols is None else np.asarray(cols, dtype=np.intp)
+    if np.array_equal(rows, np.arange(n_rows)) and np.array_equal(cols, np.arange(n_cols)):
+        return np.ascontiguousarray(values)
+    return values[np.ix_(rows, cols)]
+
+
 def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
     """Match each CpG to its parent gene under the strict/lenient policy.
 
@@ -192,7 +208,7 @@ def build_paired_dataset(genes: Table, cpgs: Table, patients, mode="strict") -> 
         x=np.ascontiguousarray(genes.values),
         cpg_ids=cpgs["cpg_id"][kept],
         cpg_gene_idx=parents,
-        y=np.ascontiguousarray(cpgs.values[kept]),
+        y=gather(cpgs.values, kept),
     )
 
 
@@ -488,8 +504,7 @@ def load_paired_dataset(expression_path, methylation_path, mode="strict") -> Pai
     expr_patients, genes = read_expression_table(expression_path)
     meth_patients, cpgs = read_methylation_table(methylation_path)
     order = align_patients(expression_path, expr_patients, methylation_path, meth_patients)
-    if meth_patients != expr_patients:
-        cpgs = Table(cpgs.columns, cpgs.values[:, order], cpgs.path)
+    cpgs = Table(cpgs.columns, gather(cpgs.values, cols=order), cpgs.path)
     return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)
 
 

@@ -808,6 +808,21 @@ def _run_each(fn, items: dict, threads: int, catch):
     return results, {key: error for key, _, error in done if error is not None}
 
 
+def _warn_if_collapsed(label, **variances) -> None:
+    """Warn once for chromosome ``label`` if a fitted variance sits at ``VARIANCE_FLOOR``.
+
+    A variance held at the floor means the fit collapsed: its rows sit on
+    their component means, as with a table of one repeated value. The
+    warning names those of ``variances`` by their ``model.json`` keys.
+    """
+    floored = [name for name, value in variances.items() if value <= VARIANCE_FLOOR]
+    if floored:
+        logger.warning(
+            "chromosome %s: %s at the variance floor %g; the fit has collapsed",
+            label, " and ".join(floored), VARIANCE_FLOOR,
+        )
+
+
 def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     """Fit each chromosome independently; failures do not abort siblings.
 
@@ -818,9 +833,10 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
 
     The warnings are logged here, never in a worker, chromosome by
     chromosome in label order: each gene cluster without CpG mass, then
-    a non-convergence. Output is identical for any worker count: each
-    per-chromosome fit is pure and deterministic, and results are keyed,
-    not ordered. A chromosome that holds every row is fitted on ``ds``
+    a non-convergence, then a variance at its floor
+    (:func:`_warn_if_collapsed`). Output is identical for any worker
+    count: each per-chromosome fit is pure and deterministic, and results
+    are keyed, not ordered. A chromosome that holds every row is fitted on ``ds``
     itself, which its subset would only copy.
     """
     parts = {part.label: part for part in split_by_chromosome(ds)}
@@ -840,4 +856,5 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
             logger.warning(
                 "chromosome %s did not converge in %d outer iterations", label, res.n_outer_iters
             )
+        _warn_if_collapsed(label, sigma2=res.params.sigma2, rho2=res.params.rho2)
     return results, failures

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import _block_rows
 from .errors import DataDomainError, ParameterError
 
 DEFAULT_COUNT_THRESHOLD = 5
@@ -60,25 +61,35 @@ def logfold_change(logcpm_a, logcpm_b):
     return b - a
 
 
-def beta_to_mvalue(beta, eps=DEFAULT_BETA_EPS):
-    """Base-2 logit of a beta value, clamped to [eps, 1 - eps] first."""
-    arr = np.asarray(beta, dtype=float)
+def _to_mvalues_in_place(arr, eps):
+    """Overwrite the float array ``arr`` of beta values with their M-values; returns ``arr``.
+
+    The clamp, the quotient and the ``log2`` write into ``arr``, and only
+    ``1 - clamped`` is a temporary; each is the ufunc that a fresh array
+    would get, so the values are the same bit for bit.
+    """
     if (arr < 0).any() or (arr > 1).any():
         raise DataDomainError("beta values must lie in [0, 1]")
-    clamped = np.clip(arr, eps, 1.0 - eps)
-    m = np.log2(clamped / (1.0 - clamped))
+    np.clip(arr, eps, 1.0 - eps, out=arr)
+    np.divide(arr, 1.0 - arr, out=arr)
+    return np.log2(arr, out=arr)
+
+
+def beta_to_mvalue(beta, eps=DEFAULT_BETA_EPS):
+    """Base-2 logit of a beta value, clamped to [eps, 1 - eps] first."""
+    m = _to_mvalues_in_place(np.array(beta, dtype=float), eps)
     if np.isscalar(beta) or np.ndim(beta) == 0:
         return float(m)
     return m
 
 
-def mvalue_difference(m_a, m_b):
-    """Per-entry M-value difference, condition B minus condition A."""
+def mvalue_difference(m_a, m_b, out=None):
+    """Per-entry M-value difference, condition B minus condition A, into ``out`` if given."""
     a = np.asarray(m_a, dtype=float)
     b = np.asarray(m_b, dtype=float)
     if a.shape != b.shape:
         raise DataDomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return b - a
+    return np.subtract(b, a, out=out)
 
 
 def derive_model_inputs(
@@ -101,6 +112,11 @@ def derive_model_inputs(
     outside (0, 0.5), is a :class:`ParameterError`; keeping no gene or
     no CpG is a :class:`DataDomainError`, and so is a zero library size,
     whose error's ``where`` locates it.
+
+    ``y`` is filled a block of :func:`dataset._block_rows` rows at a time:
+    each block of kept beta rows is gathered and turned into M-values in
+    place, so no full-size copy or temporary of a beta matrix is made
+    beside ``y``.
     """
     if not 0 < pseudocount < np.inf:
         raise ParameterError(f"pseudocount must be finite and above 0, got {pseudocount}")
@@ -127,8 +143,18 @@ def derive_model_inputs(
     x = logfold_change(
         counts_to_logcpm(fa, libs[0], pseudocount), counts_to_logcpm(fb, libs[1], pseudocount)
     )
-    y = mvalue_difference(
-        beta_to_mvalue(np.asarray(betas_a)[kept_cpgs], beta_eps),
-        beta_to_mvalue(np.asarray(betas_b)[kept_cpgs], beta_eps),
-    )
+    betas_a, betas_b = np.asarray(betas_a), np.asarray(betas_b)
+    shape_a, shape_b = ((len(kept_cpgs), b.shape[1]) for b in (betas_a, betas_b))
+    if shape_a != shape_b:
+        raise DataDomainError(f"shape mismatch: {shape_a} vs {shape_b}")
+    y = np.empty(shape_a)
+    step = _block_rows(shape_a[1])
+    for start in range(0, len(kept_cpgs), step):
+        rows = kept_cpgs[start : start + step]
+        # a gather is a fresh array, which the M-values may overwrite
+        mvalue_difference(
+            _to_mvalues_in_place(betas_a[rows].astype(float, copy=False), beta_eps),
+            _to_mvalues_in_place(betas_b[rows].astype(float, copy=False), beta_eps),
+            out=y[start : start + step],
+        )
     return kept_genes, x, kept_cpgs, y

@@ -229,14 +229,26 @@ class TestPreprocessCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}:3:{column}: {message}"]
         assert not out.exists()
 
-    def test_rows_in_another_order_in_the_b_files_give_the_same_tables(
-        self, sim_dir, transformed_dir, tmp_path
+    @pytest.mark.parametrize("names, reversed_", [
+        (("expression_b", "methylation_b"), "rows"),
+        (("expression_b", "methylation_b"), "patients"),
+        # the methylation patients in another order than the expression ones
+        (("methylation_a", "methylation_b"), "patients"),
+    ], ids=["b-rows", "b-patients", "methylation-patients"])
+    def test_rows_or_patients_in_another_order_give_the_same_tables(
+        self, sim_dir, transformed_dir, tmp_path, names, reversed_
     ):
         inputs = {}
-        for name in ("expression_b", "methylation_b"):
-            header, *rows = (sim_dir / f"{name}.tsv").read_text().splitlines()
+        for name in names:
+            text = (sim_dir / f"{name}.tsv").read_text()
+            lines = [line.split("\t") for line in text.splitlines()]
+            fixed = 2 if name.startswith("expression") else 3
+            if reversed_ == "rows":
+                lines[1:] = lines[:0:-1]
+            else:
+                lines = [cells[:fixed] + cells[:fixed - 1:-1] for cells in lines]
             inputs[name] = tmp_path / f"{name}.tsv"
-            inputs[name].write_text("\n".join([header, *rows[::-1]]) + "\n")
+            inputs[name].write_text("".join("\t".join(cells) + "\n" for cells in lines))
         out = tmp_path / "out"
         assert preprocess(sim_dir, out, **inputs) == 0
         for name in ("expression.tsv", "methylation.tsv"):
@@ -545,7 +557,38 @@ def fit_argv(data, command, expression=None, methylation=None):
     return ["baseline", "--input", expression, "--layer", "expression"]
 
 
+def all_zero_tables(data):
+    """Preprocessed tables in ``data``: 30 genes on chromosome 1, 3 CpGs each, every value 0."""
+    data.mkdir()
+    zeros = "\t0" * 3
+    (data / "expression.tsv").write_text(
+        "gene_id\tchromosome\tP1\tP2\tP3\n"
+        + "".join(f"G{g:02d}\t1{zeros}\n" for g in range(30))
+    )
+    (data / "methylation.tsv").write_text(
+        "cpg_id\tgene_id\tchromosome\tP1\tP2\tP3\n"
+        + "".join(f"C{g:02d}{c}\tG{g:02d}\t1{zeros}\n" for g in range(30) for c in range(3))
+    )
+    return data
+
+
 class TestFitAndBaselineAlike:
+    @pytest.mark.parametrize("command, floored", [
+        ("fit", "sigma2 and rho2"), ("baseline", "variance"),
+    ])
+    def test_a_collapsed_fit_warns_and_a_normal_one_does_not(
+        self, transformed_dir, tmp_path, caplog, command, floored
+    ):
+        zero = all_zero_tables(tmp_path / "zero")
+        assert run(*fit_argv(zero, command), "--out", tmp_path / "collapsed") == 0
+        assert manifest(tmp_path / "collapsed")["unconverged"] == []
+        assert caplog.messages == [
+            f"chromosome 1: {floored} at the variance floor 1e-08; the fit has collapsed"
+        ]
+        caplog.clear()
+        assert run(*fit_argv(transformed_dir, command), "--out", tmp_path / "normal") == 0
+        assert caplog.messages == []
+
     @pytest.mark.parametrize("command, flags, message", [
         (command, flags, message)
         for command, max_flag, tol_flag in [

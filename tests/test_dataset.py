@@ -5,6 +5,7 @@ import jointmix.dataset
 from jointmix.dataset import (
     Table,
     build_paired_dataset,
+    gather,
     load_paired_dataset,
     read_expression_table,
     resolve_cpg_parents,
@@ -120,6 +121,36 @@ def test_a_mapping_error_of_tables_built_in_memory_is_the_bare_problem():
     with pytest.raises(MappingError) as exc:
         resolve_cpg_parents(genes, cpgs)
     assert str(exc.value) == "CpG 'c2' references unknown gene_id 'gX'"
+
+
+class TestGather:
+    VALUES = np.arange(20.0).reshape(5, 4)
+
+    @pytest.mark.parametrize("rows, cols", [
+        (None, None), (range(5), None), (None, [0, 1, 2, 3]), (np.arange(5), np.arange(4)),
+    ])
+    def test_every_row_and_column_in_order_is_the_matrix_itself(self, rows, cols):
+        got = gather(self.VALUES, rows, cols)
+        assert got is self.VALUES and np.shares_memory(got, self.VALUES)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([4, 3, 2, 1, 0], None),  # rows reordered
+        ([0, 1, 3, 4], None),  # a row dropped
+        (None, [2, 0, 3, 1]),  # columns permuted
+        ([1, 0, 2, 4], [3, 2, 1, 0]),
+        ([0, 1, 2, 3, 4], [0, 1, 2]),  # every row, a column dropped
+    ])
+    def test_any_other_selection_is_one_equal_copy(self, rows, cols):
+        rows = range(5) if rows is None else rows
+        cols = range(4) if cols is None else cols
+        got = gather(self.VALUES, rows, cols)
+        assert not np.shares_memory(got, self.VALUES)
+        assert got.flags.c_contiguous
+        assert got.tolist() == [[self.VALUES[r, c] for c in cols] for r in rows]
+
+    def test_a_strided_matrix_taken_whole_is_made_contiguous(self):
+        got = gather(self.VALUES.T)
+        assert got.flags.c_contiguous and np.array_equal(got, self.VALUES.T)
 
 
 class TestSplitByChromosome:

@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from jointmix.dataset import FORMAT_BLOCK_CELLS
 from jointmix.errors import DataDomainError, ParameterError
 from jointmix.preprocess import (
     beta_to_mvalue,
@@ -72,9 +74,40 @@ class TestLogFoldChange:
             logfold_change(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def whole_matrix_mvalues(betas, eps=1e-6):
+    """The M-values as one whole-matrix expression: the reference for the row blocks."""
+    clamped = np.clip(betas, eps, 1.0 - eps)
+    return np.log2(clamped / (1.0 - clamped))
+
+
+def many_block_inputs(n_cpgs, n_patients, seed):
+    """Counts of 60 genes, every fifth too low to keep, and betas of ``n_cpgs`` CpGs.
+
+    The betas hold 0, 1, the smallest subnormal and values at the clamp.
+    """
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(20, 500, (60, n_patients))
+    counts[::5] = 0
+    gene_idx = rng.integers(0, 60, n_cpgs)
+    betas_a, betas_b = rng.uniform(0.0, 1.0, (2, n_cpgs, n_patients))
+    for betas in (betas_a, betas_b):
+        edge = rng.random(betas.shape) < 0.05
+        betas[edge] = rng.choice([0.0, 1.0, 5e-324, 1e-6, 1.0 - 1e-6], edge.sum())
+    return counts, betas_a, betas_b, gene_idx
+
+
 class TestBetaToMvalue:
     def test_half_is_zero(self):
         assert beta_to_mvalue(0.5) == 0.0
+        assert type(beta_to_mvalue(0.5)) is float
+        assert type(beta_to_mvalue(np.float64(0.8))) is float
+
+    def test_array_is_the_whole_matrix_expression_bit_for_bit(self):
+        _, betas, _, _ = many_block_inputs(300, 7, seed=3)
+        kept = betas.copy()
+        got = beta_to_mvalue(betas)
+        assert np.array_equal(betas, kept)  # the input is left as it was
+        assert np.array_equal(got.view(np.int64), whole_matrix_mvalues(betas).view(np.int64))
 
     def test_point_eight(self):
         np.testing.assert_allclose(beta_to_mvalue(0.8), 2.0, atol=1e-12)
@@ -172,3 +205,43 @@ class TestPipeline:
         )
         assert np.isfinite(x).all() and np.isfinite(y).all()
         assert (y != 0).any()
+
+    @pytest.mark.parametrize("n_patients", [1, 7, 40])
+    def test_derive_model_inputs_blocks_are_the_whole_matrix_bit_for_bit(self, n_patients):
+        # several blocks, the last one short, and the CpGs of filtered genes left out
+        n_cpgs = 2 * FORMAT_BLOCK_CELLS // n_patients + 37
+        counts, betas_a, betas_b, gene_idx = many_block_inputs(n_cpgs, n_patients, seed=n_patients)
+        _, _, kept_c, y = derive_model_inputs(counts, counts, betas_a, betas_b, gene_idx)
+        assert 0 < len(kept_c) < n_cpgs
+        expected = (whole_matrix_mvalues(betas_b[kept_c])
+                    - whole_matrix_mvalues(betas_a[kept_c]))
+        assert y.flags.c_contiguous
+        assert np.array_equal(y.view(np.int64), expected.view(np.int64))
+
+    def test_derive_model_inputs_rejects_a_beta_outside_its_range_in_a_late_block(self):
+        counts, betas_a, betas_b, gene_idx = many_block_inputs(3000, 40, seed=5)
+        gene_idx[-1] = 1  # a kept gene
+        betas_b[-1, 7] = 1.5
+        with pytest.raises(DataDomainError, match=re.escape("beta values must lie in [0, 1]")):
+            derive_model_inputs(counts, counts, betas_a, betas_b, gene_idx)
+
+    def test_derive_model_inputs_names_the_kept_shapes_of_betas_that_differ(self):
+        counts = np.array([[100, 100], [0, 0]])
+        betas = np.full((3, 3), 0.5)
+        with pytest.raises(DataDomainError, match=re.escape("shape mismatch: (2, 2) vs (2, 3)")):
+            derive_model_inputs(counts, counts, betas[:, :2], betas, np.array([0, 1, 0]))
+
+    def test_derive_model_inputs_holds_one_output_beside_its_inputs(self):
+        counts, betas_a, betas_b, gene_idx = many_block_inputs(6000, 40, seed=9)
+        gene_idx[:] = 1  # every CpG kept, so the output is as large as an input
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, _, _, y = derive_model_inputs(counts, counts, betas_a, betas_b, gene_idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == betas_a.shape
+        # whole-matrix M-values held a gathered copy and four temporaries per input,
+        # about five times the output; a block holds two gathers and a temporary
+        assert peak - before < y.nbytes + 6 * FORMAT_BLOCK_CELLS * y.itemsize
