@@ -365,7 +365,7 @@ def cmd_baseline(args) -> int:
     for label, res in fits.items():
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
-        _warn_if_collapsed(label, variance=res.params.variance)
+        _warn_if_collapsed(label, ("means", res.params.means, "variance", res.params.variance))
     out.mkdir(parents=True, exist_ok=True)
     if fits:
         write_layer_tables([(

@@ -19,11 +19,11 @@ from .dataset import PairedDataset
 from .errors import JointmixError, ParameterError
 from .joint_em import _run_each, fit
 from .preprocess import derive_model_inputs
-from .simulate import NULL_STATE, SimConfig, simulate
+from .simulate import CPG_LABELS, GENE_LABELS, NULL_STATE, SimConfig, simulate
 
 logger = logging.getLogger(__name__)
 
-NULL_LABELS = frozenset({"E0", "M0"})
+NULL_LABELS = frozenset({GENE_LABELS[NULL_STATE], CPG_LABELS[NULL_STATE]})
 METRIC_NAMES = ("fdr", "sensitivity", "specificity", "ari")
 KNOWN_METHODS = ("joint", "independent")
 AGREEMENT_METHOD = "joint_vs_independent"

@@ -37,6 +37,9 @@ logger = logging.getLogger(__name__)
 
 MASS_EPS = 1e-8
 VARIANCE_FLOOR = 1e-8
+# Two adjacent means of a layer closer than this many of its standard
+# deviations have collapsed onto one component.
+TIED_MEANS_TOL = 1e-6
 
 DEFAULT_OUTER_TOL = 1e-5
 DEFAULT_OUTER_MAX = 500
@@ -808,18 +811,28 @@ def _run_each(fn, items: dict, threads: int, catch):
     return results, {key: error for key, _, error in done if error is not None}
 
 
-def _warn_if_collapsed(label, **variances) -> None:
-    """Warn once for chromosome ``label`` if a fitted variance sits at ``VARIANCE_FLOOR``.
+def _warn_if_collapsed(label, *layers) -> None:
+    """Warn for chromosome ``label`` once if a variance is floored, once if two means tie.
 
-    A variance held at the floor means the fit collapsed: its rows sit on
-    their component means, as with a table of one repeated value. The
-    warning names those of ``variances`` by their ``model.json`` keys.
+    Each of ``layers`` is ``(means_key, means, variance_key, variance)``,
+    named by its ``model.json`` keys, its means ascending. A variance held
+    at ``VARIANCE_FLOOR`` means the rows sit on their component means, as
+    with a table of one repeated value. Above the floor, two adjacent means
+    within ``TIED_MEANS_TOL`` standard deviations mean that two components
+    fit one cluster.
     """
-    floored = [name for name, value in variances.items() if value <= VARIANCE_FLOOR]
+    floored = [var_key for _, _, var_key, var in layers if var <= VARIANCE_FLOOR]
+    tied = [key for key, means, _, var in layers
+            if var > VARIANCE_FLOOR and (np.diff(means) <= TIED_MEANS_TOL * np.sqrt(var)).any()]
     if floored:
         logger.warning(
             "chromosome %s: %s at the variance floor %g; the fit has collapsed",
             label, " and ".join(floored), VARIANCE_FLOOR,
+        )
+    if tied:
+        logger.warning(
+            "chromosome %s: two %s lie within %g standard deviations; the fit has collapsed",
+            label, " and two ".join(tied), TIED_MEANS_TOL,
         )
 
 
@@ -833,7 +846,7 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
 
     The warnings are logged here, never in a worker, chromosome by
     chromosome in label order: each gene cluster without CpG mass, then
-    a non-convergence, then a variance at its floor
+    a non-convergence, then a variance at its floor or two tied means
     (:func:`_warn_if_collapsed`). Output is identical for any worker
     count: each per-chromosome fit is pure and deterministic, and results
     are keyed, not ordered. A chromosome that holds every row is fitted on ``ds``
@@ -856,5 +869,7 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
             logger.warning(
                 "chromosome %s did not converge in %d outer iterations", label, res.n_outer_iters
             )
-        _warn_if_collapsed(label, sigma2=res.params.sigma2, rho2=res.params.rho2)
+        p = res.params
+        _warn_if_collapsed(label, ("mu", p.mu, "sigma2", p.sigma2),
+                           ("lambda", p.lam, "rho2", p.rho2))
     return results, failures

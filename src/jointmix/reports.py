@@ -159,25 +159,20 @@ def write_joint_results(out_dir, ds, results, K, L, threads=1) -> None:
     write_json(out / "model.json", joint_model_payload(K, L, results))
 
 
-def write_metric_report(out_dir, report: MetricReport, layer: str) -> list[Path]:
+def write_metric_report(out_dir, report: MetricReport, layer: str) -> None:
     out = Path(out_dir)
-    tsv = out / "evaluation.tsv"
     items = [("layer", layer), ("n", report.tp + report.fp + report.tn + report.fn)]
     items += [(k, v) for k, v in report.as_dict().items()]
-    write_tsv(tsv, ["metric", "value"], items)
-    js = out / "evaluation.json"
-    write_json(js, {"layer": layer, **report.as_dict()})
-    return [tsv, js]
+    write_tsv(out / "evaluation.tsv", ["metric", "value"], items)
+    write_json(out / "evaluation.json", {"layer": layer, **report.as_dict()})
 
 
-def write_benchmark_tables(out_dir, result: BenchmarkResult) -> list[Path]:
+def write_benchmark_tables(out_dir, result: BenchmarkResult) -> None:
     out = Path(out_dir)
-    summary_path = out / "benchmark_summary.tsv"
-    write_tsv(summary_path, ["method", "layer", "metric", "mean", "sd", "n"], result.summary_rows)
-    reps_path = out / "benchmark_replicates.tsv"
-    write_tsv(reps_path, ["replicate", "method", "layer", "metric", "value"],
+    write_tsv(out / "benchmark_summary.tsv", ["method", "layer", "metric", "mean", "sd", "n"],
+              result.summary_rows)
+    write_tsv(out / "benchmark_replicates.tsv", ["replicate", "method", "layer", "metric", "value"],
               result.replicate_rows)
-    json_path = out / "benchmark.json"
     payload = {
         "config": result.config.to_dict(),
         "methods": list(result.methods),
@@ -191,5 +186,4 @@ def write_benchmark_tables(out_dir, result: BenchmarkResult) -> list[Path]:
             for m, lay, met, mean, sd, n in result.summary_rows
         ],
     }
-    write_json(json_path, payload)
-    return [summary_path, reps_path, json_path]
+    write_json(out / "benchmark.json", payload)

@@ -5,7 +5,7 @@ counts shift the mean down/up for differential genes; every count is
 then replaced by a Poisson draw centred on it. Each gene gets a
 uniform number of CpG sites whose cluster is drawn from the dependency
 matrix column of the gene's cluster, and beta values per cluster come
-from the configured Beta distributions plus clamped Gaussian noise.
+from the protocol's Beta distributions plus clamped Gaussian noise.
 
 All draws flow from one ``default_rng((seed, replicate))`` stream, so a
 (seed, replicate) pair pins every output bit.
@@ -13,6 +13,7 @@ All draws flow from one ``default_rng((seed, replicate))`` stream, so a
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,53 +33,42 @@ NULL_STATE = 1
 # CpG states. Case 1 mirrors a fitted real-data matrix, case 2 couples
 # the layers strongly, case 3 makes them independent.
 CASE_PI = {
-    1: np.array(
-        [
-            [0.1, 0.05, 0.4],
-            [0.5, 0.90, 0.5],
-            [0.4, 0.05, 0.1],
-        ]
-    ),
-    2: np.array(
-        [
-            [0.1, 0.1, 0.8],
-            [0.1, 0.8, 0.1],
-            [0.8, 0.1, 0.1],
-        ]
-    ),
-    3: np.array(
-        [
-            [0.2, 0.2, 0.2],
-            [0.6, 0.6, 0.6],
-            [0.2, 0.2, 0.2],
-        ]
-    ),
+    1: np.array([[0.1, 0.05, 0.4],
+                 [0.5, 0.90, 0.5],
+                 [0.4, 0.05, 0.1]]),
+    2: np.array([[0.1, 0.1, 0.8],
+                 [0.1, 0.8, 0.1],
+                 [0.8, 0.1, 0.1]]),
+    3: np.array([[0.2, 0.2, 0.2],
+                 [0.6, 0.6, 0.6],
+                 [0.2, 0.2, 0.2]]),
+}
+
+
+# The protocol every simulation follows, in the form ``sim_config.json``
+# records it: the shares of down and up genes; the negative-binomial
+# means (condition A: base; condition B by gene state: down, base, up)
+# and size; the range of CpGs per gene; the Beta shapes of each
+# methylation state; the noise sd; and the clamp of noisy betas, where
+# 0.005 caps M-values at ~7.6 so boundary pileups cannot swamp the
+# within-cluster variance.
+PROTOCOL = {
+    "prop_down": 0.10, "prop_up": 0.10,
+    "nb_mean_base": 10_000.0, "nb_mean_down": 4_000.0, "nb_mean_up": 60_000.0, "nb_size": 5.0,
+    "cpg_min": 3, "cpg_max": 30,
+    "beta_hypo": [3.0, 20.0], "beta_hyper": [20.0, 3.0], "beta_hemi": [4.0, 3.0],
+    "noise_sd": 0.05, "beta_eps": 0.005,
 }
 
 
 @dataclass
 class SimConfig:
-    """Generator settings; defaults mirror the benchmark protocol."""
+    """What a run chooses; the rest of the generator is :data:`PROTOCOL`."""
 
     n_genes: int = 500
     n_patients: int = 4
     case: int = 1
     pi: list | None = None  # explicit 3x3 matrix overrides `case`
-    prop_down: float = 0.10
-    prop_up: float = 0.10
-    nb_mean_base: float = 10_000.0
-    nb_mean_down: float = 4_000.0
-    nb_mean_up: float = 60_000.0
-    nb_size: float = 5.0
-    cpg_min: int = 3
-    cpg_max: int = 30
-    beta_hypo: tuple = (3.0, 20.0)
-    beta_hyper: tuple = (20.0, 3.0)
-    beta_hemi: tuple = (4.0, 3.0)
-    noise_sd: float = 0.05
-    # clamp for noisy betas; 0.005 caps M-values at ~7.6 so boundary
-    # pileups cannot swamp the within-cluster variance
-    beta_eps: float = 0.005
     seed: int = 0
     replicate: int = 0
 
@@ -86,17 +76,6 @@ class SimConfig:
         for name in ("n_genes", "n_patients"):
             if not getattr(self, name) >= 1:
                 raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.prop_down + self.prop_up >= 1.0:
-            raise ParameterError("prop_down + prop_up must be < 1")
-        if self.cpg_min > self.cpg_max or self.cpg_min < 0:
-            raise ParameterError("need 0 <= cpg_min <= cpg_max")
-        for name in ("nb_mean_base", "nb_mean_down", "nb_mean_up", "nb_size"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
-        for name in ("beta_hypo", "beta_hyper", "beta_hemi"):
-            a, b = getattr(self, name)
-            if a <= 0 or b <= 0:
-                raise ParameterError(f"{name} shape parameters must be positive")
         if self.pi is None and self.case not in CASE_PI:
             raise ParameterError(f"case must be one of {sorted(CASE_PI)}")
 
@@ -104,25 +83,31 @@ class SimConfig:
         pi = CASE_PI[self.case] if self.pi is None else np.asarray(self.pi, dtype=float)
         if pi.shape != (3, 3):
             raise ParameterError("dependency matrix must be 3x3")
-        if (pi < 0).any() or np.abs(pi.sum(axis=0) - 1.0).max() > 1e-8:
+        if (pi < 0).any():
+            row, col = np.argwhere(pi < 0)[0]
+            raise ParameterError(f"dependency matrix entry at row {row + 1}, column "
+                                 f"{col + 1} is negative: {pi[row, col]:g}")
+        if np.abs(pi.sum(axis=0) - 1.0).max() > 1e-8:
             raise ParameterError("dependency matrix columns must each sum to 1")
         return pi
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["beta_hypo"] = list(self.beta_hypo)
-        d["beta_hyper"] = list(self.beta_hyper)
-        d["beta_hemi"] = list(self.beta_hemi)
+        """The run's values and the protocol, as ``sim_config.json`` records them."""
+        d = {**asdict(self), **copy.deepcopy(PROTOCOL)}
         if self.pi is not None:
             d["pi"] = np.asarray(self.pi, dtype=float).tolist()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """The config :meth:`to_dict` recorded; a protocol entry must equal :data:`PROTOCOL`'s."""
         d = dict(d)
-        for key in ("beta_hypo", "beta_hyper", "beta_hemi"):
-            if key in d:
-                d[key] = tuple(d[key])
+        for key, fixed in PROTOCOL.items():
+            value = d.pop(key, fixed)
+            if (list(value) if isinstance(value, (list, tuple)) else value) != fixed:
+                raise ParameterError(
+                    f"{key} is fixed at {fixed} by the simulation protocol, got {value!r}"
+                )
         return cls(**d)
 
 
@@ -180,47 +165,36 @@ def simulate(cfg: SimConfig) -> SimData:
     rng = np.random.default_rng((cfg.seed, cfg.replicate))
     G, N = cfg.n_genes, cfg.n_patients
 
-    n_down = int(cfg.prop_down * G)
-    n_up = int(cfg.prop_up * G)
-    gene_lab = np.concatenate(
-        [np.zeros(n_down, dtype=np.intp), np.full(G - n_down - n_up, 1, dtype=np.intp),
-         np.full(n_up, 2, dtype=np.intp)]
-    )
+    P = PROTOCOL
+    n_down, n_up = int(P["prop_down"] * G), int(P["prop_up"] * G)
+    gene_lab = np.repeat(np.arange(3), [n_down, G - n_down - n_up, n_up])
     rng.shuffle(gene_lab)
 
-    size = cfg.nb_size
-    p_base = size / (size + cfg.nb_mean_base)
-    counts_a = rng.negative_binomial(size, p_base, (G, N))
-    means_b = np.array([cfg.nb_mean_down, cfg.nb_mean_base, cfg.nb_mean_up])[gene_lab]
-    p_b = size / (size + means_b)
-    counts_b = rng.negative_binomial(size, p_b[:, np.newaxis], (G, N))
+    size = P["nb_size"]
+    counts_a = rng.negative_binomial(size, size / (size + P["nb_mean_base"]), (G, N))
+    means_b = np.array([P["nb_mean_down"], P["nb_mean_base"], P["nb_mean_up"]])[gene_lab]
+    counts_b = rng.negative_binomial(size, (size / (size + means_b))[:, np.newaxis], (G, N))
     counts_a = rng.poisson(counts_a.astype(float))
     counts_b = rng.poisson(counts_b.astype(float))
 
-    cpg_per_gene = rng.integers(cfg.cpg_min, cfg.cpg_max + 1, G)
+    cpg_per_gene = rng.integers(P["cpg_min"], P["cpg_max"] + 1, G)
     cpg_gene_idx = np.repeat(np.arange(G), cpg_per_gene)
     C = int(cpg_per_gene.sum())
     cpg_lab = _sample_categorical(rng, pi[:, gene_lab[cpg_gene_idx]])
     null_state = rng.integers(0, 3, C)  # drawn for every CpG, used only by nulls
 
-    hypo, hyper, hemi = cfg.beta_hypo, cfg.beta_hyper, cfg.beta_hemi
-    shapes_a = np.empty((C, 2))
-    shapes_b = np.empty((C, 2))
-    down = cpg_lab == 0
-    up = cpg_lab == 2
-    null = cpg_lab == 1
-    shapes_a[down] = hyper
-    shapes_b[down] = hypo
-    shapes_a[up] = hypo
-    shapes_b[up] = hyper
-    null_shapes = np.array([hypo, hyper, hemi])[null_state]
-    shapes_a[null] = null_shapes[null]
-    shapes_b[null] = null_shapes[null]
+    # Beta shapes by (hypo, hyper, hemi): a down CpG is hyper in A and hypo
+    # in B, an up CpG the reverse, and a null CpG keeps its drawn state in both.
+    shapes = np.array([P["beta_hypo"], P["beta_hyper"], P["beta_hemi"]])
+    null = cpg_lab == NULL_STATE
+    shapes_a = shapes[np.where(null, null_state, 1 - cpg_lab // 2)]
+    shapes_b = shapes[np.where(null, null_state, cpg_lab // 2)]
 
     betas_a = rng.beta(shapes_a[:, :1], shapes_a[:, 1:], (C, N))
     betas_b = rng.beta(shapes_b[:, :1], shapes_b[:, 1:], (C, N))
-    betas_a = np.clip(betas_a + rng.normal(0.0, cfg.noise_sd, (C, N)), cfg.beta_eps, 1 - cfg.beta_eps)
-    betas_b = np.clip(betas_b + rng.normal(0.0, cfg.noise_sd, (C, N)), cfg.beta_eps, 1 - cfg.beta_eps)
+    eps, sd = P["beta_eps"], P["noise_sd"]
+    betas_a = np.clip(betas_a + rng.normal(0.0, sd, (C, N)), eps, 1 - eps)
+    betas_b = np.clip(betas_b + rng.normal(0.0, sd, (C, N)), eps, 1 - eps)
 
     truth = SimTruth(
         gene_ids=_numbered_ids("G%05d", G),
@@ -252,7 +226,7 @@ def replicate_batch(cfg: SimConfig, n_datasets: int):
         yield simulate(replace(cfg, replicate=cfg.replicate + r))
 
 
-def write_simulation(sim: SimData, out_dir) -> list[Path]:
+def write_simulation(sim: SimData, out_dir) -> None:
     """Write the four raw tables, truth labels, and the generator config."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,6 +242,5 @@ def write_simulation(sim: SimData, out_dir) -> list[Path]:
     _write_table(paths[4], ["entity_id", "layer", "label"],
                  [[*t.gene_ids, *t.cpg_ids], ["gene"] * genes + ["cpg"] * cpgs,
                   np.concatenate([t.gene_labels, t.cpg_labels])])
-    paths.append(out / "sim_config.json")
-    paths[-1].write_text(json.dumps(sim.config.to_dict(), indent=2, sort_keys=True) + "\n")
-    return paths
+    (out / "sim_config.json").write_text(
+        json.dumps(sim.config.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -130,6 +130,16 @@ class TestSimulateCommand:
         assert run("simulate", "--genes", 30, "--pi-file", pi, "--out", out) == 0
         assert manifest(out)["parameters"]["pi"] == np.loadtxt(pi).tolist()
 
+    def test_pi_file_with_a_negative_entry_names_it(self, tmp_path, capsys):
+        # each column sums to 1, so only the negative entry is at fault
+        pi = tmp_path / "pi.txt"
+        pi.write_text("1.2 0.5 0.5\n-0.2 0.5 0.5\n0 0 0\n")
+        out = tmp_path / "sim"
+        assert run("simulate", "--genes", 30, "--pi-file", pi, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dependency matrix entry at row 2, column 1 is negative: -0.2"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_line, message", [
         (b"0.1 \xe9 0.1\n", "not UTF-8 text (byte 0xe9)"),
         (b"0.1 abc 0.1\n", "expected numbers, got '0.1 abc 0.1'"),

@@ -1077,3 +1077,20 @@ class TestFitAllChromosomes:
             "chromosome 1 did not converge in 1 outer iterations",
             "chromosome 2 did not converge in 1 outer iterations",
         ]
+
+    def test_tied_means_warn_once_and_a_simulated_fit_logs_nothing(self, caplog):
+        # two gene components end on one mean, 9.3e-16 standard deviations apart
+        ds = random_mixture_dataset(np.random.default_rng(1169271180), n_genes=34, n_patients=1)
+        with caplog.at_level(logging.WARNING, logger="jointmix.joint_em"):
+            results, _ = fit_all_chromosomes(ds, outer_tol=1e-12)
+        mu = results["1"].params.mu
+        assert mu[1] == pytest.approx(2.69925937) and mu[2] == pytest.approx(mu[1], rel=1e-14)
+        assert caplog.messages == [
+            "chromosome 1 did not converge in 500 outer iterations",
+            "chromosome 1: two mu lie within 1e-06 standard deviations; the fit has collapsed",
+        ]
+        caplog.clear()
+        ds, _, _ = simulated_dataset(simulate(SimConfig(case=2, seed=3)))
+        with caplog.at_level(logging.WARNING, logger="jointmix.joint_em"):
+            fit_all_chromosomes(ds)
+        assert caplog.messages == []

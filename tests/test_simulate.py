@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from jointmix.simulate import (
     CASE_PI,
     CPG_LABELS,
     GENE_LABELS,
+    PROTOCOL,
     SimConfig,
     _numbered_ids,
     replicate_batch,
@@ -18,14 +21,67 @@ from jointmix.simulate import (
 )
 
 
+PROTOCOL_JSON = """\
+  "beta_eps": 0.005,
+  "beta_hemi": [
+    4.0,
+    3.0
+  ],
+  "beta_hyper": [
+    20.0,
+    3.0
+  ],
+  "beta_hypo": [
+    3.0,
+    20.0
+  ],
+  "case": %(case)d,
+  "cpg_max": 30,
+  "cpg_min": 3,
+  "n_genes": %(n_genes)d,
+  "n_patients": 4,
+  "nb_mean_base": 10000.0,
+  "nb_mean_down": 4000.0,
+  "nb_mean_up": 60000.0,
+  "nb_size": 5.0,
+  "noise_sd": 0.05,
+  "pi": %(pi)s,
+  "prop_down": 0.1,
+  "prop_up": 0.1,
+  "replicate": %(replicate)d,
+  "seed": %(seed)d
+"""
+
+
 class TestConfig:
     def test_case_matrices_are_column_stochastic(self):
         for case, pi in CASE_PI.items():
             np.testing.assert_allclose(pi.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_bad_proportions(self):
-        with pytest.raises(ParameterError):
-            SimConfig(prop_down=0.6, prop_up=0.5).validate()
+    def test_a_run_chooses_six_values(self):
+        assert [f.name for f in fields(SimConfig)] == [
+            "n_genes", "n_patients", "case", "pi", "seed", "replicate"]
+
+    def test_protocol_invariants(self):
+        p = PROTOCOL
+        assert 0 <= p["prop_down"] and 0 <= p["prop_up"] and p["prop_down"] + p["prop_up"] < 1
+        assert 0 <= p["cpg_min"] <= p["cpg_max"]
+        assert all(p[f"nb_{name}"] > 0 for name in ("mean_base", "mean_down", "mean_up", "size"))
+        assert all(min(p[name]) > 0 for name in ("beta_hypo", "beta_hyper", "beta_hemi"))
+        assert p["noise_sd"] > 0 and 0 < p["beta_eps"] < 0.5
+
+    def test_recorded_config_text(self):
+        # the bytes of sim_config.json, of a simulate manifest's parameters and of benchmark.json
+        def text(cfg):
+            return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+
+        assert text(SimConfig()) == "{\n" + PROTOCOL_JSON % dict(
+            case=1, n_genes=500, pi="null", replicate=0, seed=0) + "}"
+        pi = ("[\n    [\n      0.1,\n      0.1,\n      0.8\n    ],\n"
+              "    [\n      0.1,\n      0.8,\n      0.1\n    ],\n"
+              "    [\n      0.8,\n      0.1,\n      0.1\n    ]\n  ]")
+        assert text(SimConfig(n_genes=30, case=3, pi=CASE_PI[2], seed=4, replicate=2)) == (
+            "{\n" + PROTOCOL_JSON % dict(case=3, n_genes=30, pi=pi, replicate=2, seed=4) + "}")
 
     @pytest.mark.parametrize("name", ["n_genes", "n_patients"])
     @pytest.mark.parametrize("value", [0, -3])
@@ -33,15 +89,31 @@ class TestConfig:
         with pytest.raises(ParameterError, match=f"^{name} must be at least 1, got {value}$"):
             SimConfig(**{name: value}).validate()
 
-    def test_explicit_pi_must_normalize(self):
-        cfg = SimConfig(pi=[[0.5, 0.5, 0.5]] * 3)
-        with pytest.raises(ParameterError):
-            cfg.resolve_pi()
+    @pytest.mark.parametrize("pi, message", [
+        ([[0.5, 0.5, 0.5]] * 2, "dependency matrix must be 3x3"),
+        ([[0.5, 0.5, 0.5]] * 3, "dependency matrix columns must each sum to 1"),
+        # every column sums to 1; the negative entry is named, not the sums
+        ([[1.2, 0.5, 0.5], [-0.2, 0.5, 0.5], [0, 0, 0]],
+         "dependency matrix entry at row 2, column 1 is negative: -0.2"),
+    ])
+    def test_explicit_pi_is_checked(self, pi, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SimConfig(pi=pi).resolve_pi()
 
     def test_round_trip_via_dict(self):
         cfg = SimConfig(case=2, seed=9, pi=CASE_PI[2].tolist())
         again = SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
+
+    def test_from_dict_takes_the_protocol_as_recorded_and_nothing_else(self):
+        recorded = SimConfig(seed=3).to_dict()
+        as_tuple = {**recorded, "beta_hemi": (4, 3.0)}
+        assert SimConfig.from_dict(as_tuple) == SimConfig(seed=3)
+        for key, value in [("prop_down", 0.2), ("cpg_max", 31), ("beta_hypo", [3.0, 21.0]),
+                           ("beta_hemi", [4.0, 3.0, 1.0]), ("noise_sd", None)]:
+            with pytest.raises(ParameterError, match=f"^{key} is fixed at .* by the simulation "
+                                                     f"protocol, got {re.escape(repr(value))}$"):
+                SimConfig.from_dict({**recorded, key: value})
 
 
 class TestSimulate:
