@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .dataset import _check_values, _require_at_least
+from .errors import FitError, ParameterError
 from .joint_em import (
     DEFAULT_INIT_QUANTILE,
     DEFAULT_OUTER_MAX,
@@ -27,7 +28,6 @@ from .joint_em import (
     _layer_m_step,
     _log_clip,
     _quantile_start,
-    _require_at_least,
     _softmax_rows,
 )
 
@@ -78,14 +78,17 @@ def fit_independent(
     Runs the joint fit's outer loop, :func:`joint_em._em`, from the same
     quantile start and with the same stopping rule, but with this
     model's own E-step, a softmax of ``log weights + scores`` per row.
-    Components are then relabelled so means ascend. K below 1 is a
-    :class:`ParameterError`. One :class:`_LayerBuffers` per call holds
-    the arrays every iteration writes.
+    Components are then relabelled so means ascend. K below 1, and a
+    value the table reader would reject (named by its 0-based row and
+    column), are a :class:`ParameterError`. One :class:`_LayerBuffers`
+    per call holds the arrays every iteration writes.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise FitError("values must be a 2-d matrix (entities x patients)")
     _require_at_least("K", K, 1)
+    _check_values(values, lambda row, col, problem: ParameterError(
+        f"{problem} in row {row}, column {col}"))
     resp = _quantile_start(values, K, q)
     m = values.shape[0]
     if m < K:

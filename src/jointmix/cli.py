@@ -34,6 +34,8 @@ from . import __version__, joint_em
 from .baseline import fit_independent
 from .dataset import (
     _open_text,
+    _require_at_least,
+    _run_each,
     align_patients,
     gather,
     load_paired_dataset,
@@ -43,6 +45,7 @@ from .dataset import (
     read_truth_table,
     resolve_cpg_parents,
     write_expression_table,
+    write_json,
     write_methylation_table,
 )
 from .errors import (
@@ -53,7 +56,7 @@ from .errors import (
     JointmixError,
 )
 from .evaluate import benchmark, score_labels, simulated_dataset
-from .joint_em import _require_at_least, _run_each, _warn_if_collapsed, fit, fit_all_chromosomes
+from .joint_em import _warn_if_collapsed, fit, fit_all_chromosomes
 from .preprocess import (
     DEFAULT_BETA_EPS,
     DEFAULT_COUNT_THRESHOLD,
@@ -64,7 +67,6 @@ from .reports import (
     independent_model_payload,
     label_names,
     write_benchmark_tables,
-    write_json,
     write_joint_results,
     write_layer_tables,
     write_metric_report,
@@ -428,19 +430,20 @@ def timing_probe(patient_counts, base_cfg: SimConfig, repeats=1):
     Fits run under the fixed ``TIMING_FIT_BUDGET`` so the wall-clock
     reflects per-iteration cost rather than data-dependent convergence
     speed. Returns rows (n_patients, n_genes, n_cpgs, seconds); seconds
-    is the minimum over ``repeats`` timed fits of the same dataset.
+    is the minimum over ``repeats`` timed fits of the same dataset;
+    ``repeats`` below 1 is a :class:`ParameterError`.
     """
+    _require_at_least("repeats", repeats, 1)
     rows = []
     for n in patient_counts:
         sim = simulate(replace(base_cfg, n_patients=int(n)))
         ds, _, _ = simulated_dataset(sim)
-        best = None
-        for _ in range(max(1, repeats)):
+        elapsed = []
+        for _ in range(repeats):
             started = time.perf_counter()
             fit(ds, **TIMING_FIT_BUDGET)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        rows.append((int(n), ds.n_genes, ds.n_cpgs, best))
+            elapsed.append(time.perf_counter() - started)
+        rows.append((int(n), ds.n_genes, ds.n_cpgs, min(elapsed)))
     return rows
 
 

@@ -7,14 +7,19 @@ belong to exactly one gene: row j of ``y`` is a CpG of gene
 of ``x``, CpG ids along the rows of ``y``; a CpG's gene id and
 chromosome are those of its parent gene. Values may be raw
 (counts / beta values) or model-ready (log-fold changes / M-value
-differences); this module only cares about the structure, not the
-scale.
+differences): only their structure matters here. Every output file
+is written here too, a TSV by :func:`_write_tables` on the pool of
+:func:`_each` and a JSON file by :func:`write_json`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import json
 import logging
+import os
+import signal
 import sys
 import warnings
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateIdError, FormatError, MappingError
+from .errors import DuplicateIdError, FormatError, MappingError, ParameterError
 
 logger = logging.getLogger(__name__)
 
@@ -360,15 +365,25 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
     if repeat is not None:
         problem = f"duplicate {fixed_columns[0]} {ids[repeat]!r}"
         raise DuplicateIdError(table.locate(problem, repeat))
-    # max and min allocate nothing; a nan makes both comparisons fail
-    if not (values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
-        bad = np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0]
-        row, col = divmod(int(bad), len(patients))
-        v = float(values[row, col])
-        what = (f"non-finite value {v!r}" if not np.isfinite(v)
-                else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
-        raise FormatError(table.locate(f"{what} for patient {patients[col]!r}", row, col))
+    _check_values(values, lambda row, col, problem: FormatError(
+        table.locate(f"{problem} for patient {patients[col]!r}", row, col)))
     return patients, table
+
+
+def _check_values(values, error) -> None:
+    """Raise ``error(row, col, problem)`` for the first value of 2-D ``values`` out of range.
+
+    A value must be finite and at most ``MAX_ABS_VALUE`` in magnitude.
+    The table reader and the fits check their values by this test, which
+    reads ``values`` twice and allocates nothing while they pass.
+    """
+    # max and min allocate nothing; a nan makes both comparisons fail
+    if values.size and not (values.max() <= MAX_ABS_VALUE and values.min() >= -MAX_ABS_VALUE):
+        bad = np.flatnonzero(~(np.abs(values) <= MAX_ABS_VALUE))[0]
+        row, col = divmod(int(bad), values.shape[1])
+        v = float(values[row, col])
+        raise error(row, col, f"non-finite value {v!r}" if not np.isfinite(v)
+                    else f"value {v!r} outside [-{MAX_ABS_VALUE:g}, {MAX_ABS_VALUE:g}]")
 
 
 def _raise_unreadable(path, fixed_columns, patients):
@@ -541,67 +556,182 @@ def _format_number(v) -> str:
     return repr(f)
 
 
-# Cells per rendered block: bounds the temporaries of a write, while one
-# ``%`` parse of the block's template serves all of its rows.
+# Rows per rendered range: bounds the temporaries of a write, while one
+# ``%`` parse of the range's template serves all of its rows.
 FORMAT_BLOCK_CELLS = 1 << 14
 
 
 def _block_rows(width) -> int:
-    """Rows per block of :func:`_render_blocks` for rows of ``width`` cells."""
+    """Rows per range of :func:`_write_tables` for rows of ``width`` cells."""
     return max(1, FORMAT_BLOCK_CELLS // max(1, width))
 
 
-def _render_blocks(columns):
-    """Yield the rows of ``columns`` as text, about ``FORMAT_BLOCK_CELLS`` cells a block.
+def _render_rows(columns) -> str:
+    """The rows of ``columns`` as text, each tab-separated and ending in a newline.
 
     A column is a 1-D sequence of strings, written as they are, or a 2-D
-    numeric array, written by :func:`_format_number`'s rules. Cells are
-    tab-separated and each row ends in a newline. A block fills one
-    object array, integral floats made ``int``, and is rendered by one
-    ``%`` on a template of ``%s`` and ``%r`` fields alone: no Python call
-    of ours per row or cell, and no data in the template.
+    numeric array, written by :func:`_format_number`'s rules. The rows
+    fill one object array, integral floats made ``int``, rendered by one
+    ``%`` on a template of ``%s`` and ``%r`` fields alone: no Python
+    call of ours per row or cell, and no data in the template.
     """
     widths = [col.shape[1] if isinstance(col, np.ndarray) and col.ndim == 2 else None
               for col in columns]
-    (n_rows,) = {len(col) for col in columns}  # a ValueError unless all are one length
+    (rows,) = {len(col) for col in columns}  # a ValueError unless all are one length
     template = "\t".join("%s" if w is None else "\t".join(["%r"] * w) for w in widths)
-    width = sum(1 if w is None else w for w in widths)
-    step = _block_rows(width)
-    for start in range(0, n_rows, step):
-        rows = min(step, n_rows - start)
-        cells = np.empty((rows, width), dtype=object)
-        j = 0
-        for col, w in zip(columns, widths):
-            block = col[start : start + rows]
-            if w is None:
-                cells[:, j] = block
-                j += 1
-                continue
-            if block.dtype.kind not in "iu":
-                block = block.astype(float, copy=False)
-            target = cells[:, j : j + w]
-            target[...] = block
-            if block.dtype.kind == "f":
-                integral = np.isfinite(block) & (np.trunc(block) == block)
-                target[integral] = list(map(int, block[integral].tolist()))
-            j += w
-        yield ((template + "\n") * rows) % tuple(cells.ravel().tolist())
+    cells = np.empty((rows, sum(1 if w is None else w for w in widths)), dtype=object)
+    j = 0
+    for col, w in zip(columns, widths):
+        if w is None:
+            cells[:, j] = col
+            j += 1
+            continue
+        if col.dtype.kind not in "iu":
+            col = col.astype(float, copy=False)
+        target = cells[:, j : j + w]
+        target[...] = col
+        if col.dtype.kind == "f":
+            integral = np.isfinite(col) & (np.trunc(col) == col)
+            target[integral] = list(map(int, col[integral].tolist()))
+        j += w
+    return ((template + "\n") * rows) % tuple(cells.ravel().tolist())
 
 
-def _write_table(path, header, columns) -> None:
-    """Write a TSV: the ``header`` cells, then the rows :func:`_render_blocks` renders."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        fh.writelines(_render_blocks(columns))
+# The (fn, items) of the pool a worker process serves; set only in workers.
+_work = None
+# prctl(2) option: the signal a process gets when its parent ends (Linux).
+_PR_SET_PDEATHSIG = 1
+
+
+def _require_at_least(name, value, least) -> None:
+    """Raise :class:`ParameterError` unless ``value >= least``; nan never is."""
+    if not value >= least:
+        raise ParameterError(f"{name} must be at least {least}, got {value}")
+
+
+def _work_on(fn, items, parent) -> None:
+    """Worker initializer: a forked worker inherits ``fn`` and ``items``, never pickled.
+
+    The worker also ends with its ``parent`` process, however that ends:
+    a worker waiting on the pool's task pipe would otherwise wait for
+    good, as every forked worker holds the pipe's write end too. Linux
+    sends it ``SIGKILL`` when the parent goes (``PR_SET_PDEATHSIG``); a
+    parent already gone before that was set ends it here.
+    """
+    import ctypes  # only in a worker
+
+    global _work
+    _work = fn, items
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _call(key):
+    """``fn(items[key])`` in a worker, for the ``fn`` and ``items`` it was started with."""
+    fn, items = _work
+    return fn(items[key])
+
+
+def _each(fn, items: dict, threads: int, catch):
+    """Yield ``(key, result, error)`` for every item, in the order of ``items``.
+
+    ``result`` is ``fn(item)``; a call that raises ``catch`` yields None
+    and the exception as ``error`` instead, and does not stop the others.
+    Any other exception propagates, with the calls not yet started
+    cancelled. ``threads`` below 1 is a :class:`ParameterError`, raised
+    before any call.
+
+    The pool has ``min(threads, len(items), usable CPUs)`` workers; with
+    one, the calls run in this process, one after the other. Workers are
+    forked, so they inherit ``fn`` and ``items``, and only keys, results
+    and exceptions cross the pipe: a result and an exception must pickle.
+    A result is yielded as soon as it and those before it have arrived,
+    and is not held here after that. Every worker is joined before the
+    generator ends, raises or is closed, and ends with this process if
+    it is killed.
+    """
+    _require_at_least("threads", threads, 1)
+    workers, pool = min(threads, len(items), len(os.sched_getaffinity(0))), None
+    if workers > 1:
+        # imported only for a pool: every run would pay them, in memory and start-up time
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_work_on, initargs=(fn, items, os.getpid()),
+        )
+    try:
+        if pool is None:
+            calls = ((key, functools.partial(fn, item)) for key, item in items.items())
+        else:
+            futures = {key: pool.submit(_call, key) for key in items}
+            calls = ((key, futures.pop(key).result) for key in items)
+        for key, call in calls:
+            try:
+                result, error = call(), None
+            except catch as exc:
+                result, error = None, exc
+            yield key, result, error
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _run_each(fn, items: dict, threads: int, catch):
+    """:func:`_each`'s calls as ``(results, failures)``, keyed like ``items`` and in its order."""
+    done = list(_each(fn, items, threads, catch))
+    results = {key: result for key, result, error in done if error is None}
+    return results, {key: error for key, _, error in done if error is not None}
+
+
+def _write_tables(tables, threads=1) -> None:
+    """Write TSVs, their rows rendered on up to ``threads`` workers.
+
+    A table is ``(path, header, n_rows, columns)``, ``columns(span)``
+    giving the columns :func:`_render_rows` takes of the rows in the
+    slice ``span``. One run of :func:`_each` renders every table in
+    ranges of :func:`_block_rows` rows, each gathered where it is
+    rendered and written once it and those before it have arrived.
+    """
+    ranges = {}
+    for t, (_, header, n_rows, _) in enumerate(tables):
+        step = _block_rows(len(header))
+        ranges.update(((t, i), (t, slice(i, i + step))) for i in range(0, n_rows, step))
+
+    def render(item):
+        t, span = item
+        return _render_rows(tables[t][3](span))
+
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path, *_ in tables]
+        for fh, (_, header, _, _) in zip(files, tables):
+            fh.write("\t".join(header) + "\n")
+        texts = stack.enter_context(contextlib.closing(_each(render, ranges, threads, ())))
+        for (t, _), text, _ in texts:
+            files[t].write(text)
+
+
+def _data_table(path, header, columns):
+    """The :func:`_write_tables` entry of a table held whole in ``columns``."""
+    return path, header, len(columns[0]), lambda span: [col[span] for col in columns]
+
+
+def write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_expression_table(path, gene_ids, chromosomes, patients, values) -> None:
     """Write an expression TSV; float values use shortest round-trip form."""
     header = [*EXPRESSION_FIXED_COLUMNS, *patients]
-    _write_table(path, header, [gene_ids, chromosomes, np.asarray(values)])
+    _write_tables([_data_table(path, header, [gene_ids, chromosomes, np.asarray(values)])])
 
 
 def write_methylation_table(path, cpg_ids, gene_ids, chromosomes, patients, values) -> None:
     """Write a methylation TSV; float values use shortest round-trip form."""
     header = [*METHYLATION_FIXED_COLUMNS, *patients]
-    _write_table(path, header, [cpg_ids, gene_ids, chromosomes, np.asarray(values)])
+    _write_tables([_data_table(path, header, [cpg_ids, gene_ids, chromosomes, np.asarray(values)])])

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .baseline import compare_partitions, fit_independent
-from .dataset import PairedDataset
+from .dataset import PairedDataset, _run_each
 from .errors import JointmixError, ParameterError
-from .joint_em import _run_each, fit
+from .joint_em import fit
 from .preprocess import derive_model_inputs
 from .simulate import CPG_LABELS, GENE_LABELS, NULL_STATE, SimConfig, simulate
 
@@ -183,7 +183,7 @@ def benchmark(
     """Score ``n_datasets`` replicates of ``case`` and aggregate to mean/sd tables.
 
     Replicates are independent and run on up to ``threads`` worker
-    processes (see :func:`~jointmix.joint_em._run_each`); rows are
+    processes (see :func:`~jointmix.dataset._run_each`); rows are
     assembled in replicate order, so the output is identical for any
     worker count. Replicates whose fit fails are
     recorded in ``failures`` and excluded from the aggregation. An

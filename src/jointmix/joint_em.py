@@ -16,15 +16,18 @@ a test oracle and as an observed-likelihood diagnostic.
 
 from __future__ import annotations
 
-import functools
 import logging
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PairedDataset, split_by_chromosome
+from .dataset import (
+    PairedDataset,
+    _check_values,
+    _require_at_least,
+    _run_each,
+    split_by_chromosome,
+)
 from .errors import (
     DegenerateClusterError,
     FitError,
@@ -620,12 +623,6 @@ def _pin_independent_columns(params: JointParams, v_hat: np.ndarray) -> JointPar
     return params
 
 
-def _require_at_least(name, value, least) -> None:
-    """Raise :class:`ParameterError` unless ``value >= least``; nan never is."""
-    if not value >= least:
-        raise ParameterError(f"{name} must be at least {least}, got {value}")
-
-
 def _em(e_step, m_step, resp, tol, max_iter):
     """The EM outer loop of every fit: M-step, then E- and M-steps in turn.
 
@@ -677,7 +674,9 @@ def fit(
     relabels the components so both mean vectors ascend, making cluster 1
     the down-shifted state, 2 the null state and 3 the up-shifted state.
     K, L or ``inner_max`` below 1 and a negative or nan ``inner_tol`` are
-    a :class:`ParameterError`, as are the outer settings :func:`_em` rejects.
+    a :class:`ParameterError`, as are the outer settings :func:`_em` rejects,
+    a value the table reader would reject (named by its row id and
+    patient) and a ``cpg_gene_idx`` entry outside ``[0, G)``.
 
     Every E- and M-step writes into one :class:`_Workspace` built for
     this call; the ``init`` arrays are only read, and the posteriors of
@@ -689,6 +688,14 @@ def fit(
     for name, value, least in (("K", K, 1), ("L", L, 1), ("inner iteration limit", inner_max, 1),
                                ("inner tolerance", inner_tol, 0)):
         _require_at_least(name, value, least)
+    for values, ids, what in ((ds.x, ds.gene_ids, "gene"), (ds.y, ds.cpg_ids, "CpG")):
+        _check_values(values, lambda row, col, problem: ParameterError(
+            f"{problem} for {what} {str(ids[row])!r}, patient {ds.patients[col]!r}"))
+    parents = ds.cpg_gene_idx
+    if ds.n_cpgs and not (parents.min() >= 0 and parents.max() < ds.n_genes):
+        j = int(np.flatnonzero((parents < 0) | (parents >= ds.n_genes))[0])
+        raise ParameterError(f"CpG {str(ds.cpg_ids[j])!r} has gene row {parents[j]}, "
+                             f"outside [0, {ds.n_genes})")
     if init is None:
         u0, v0 = initialize_quantile(ds, K, L, q)
     else:
@@ -725,92 +732,6 @@ def fit(
     return FitResult(params, gene, cpg, len(trace), converged, np.array(trace), no_cpg_mass)
 
 
-# The (fn, items) of the pool a worker process serves; set only in workers.
-_work = None
-# prctl(2) option: the signal a process gets when its parent ends (Linux).
-_PR_SET_PDEATHSIG = 1
-
-
-def _work_on(fn, items, parent) -> None:
-    """Worker initializer: a forked worker inherits ``fn`` and ``items``, never pickled.
-
-    The worker also ends with its ``parent`` process, however that ends:
-    a worker waiting on the pool's task pipe would otherwise wait for
-    good, as every forked worker holds the pipe's write end too. Linux
-    sends it ``SIGKILL`` when the parent goes (``PR_SET_PDEATHSIG``); a
-    parent already gone before that was set ends it here.
-    """
-    import ctypes  # only in a worker
-
-    global _work
-    _work = fn, items
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
-        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _call(key):
-    """``fn(items[key])`` in a worker, for the ``fn`` and ``items`` it was started with."""
-    fn, items = _work
-    return fn(items[key])
-
-
-def _each(fn, items: dict, threads: int, catch):
-    """Yield ``(key, result, error)`` for every item, in the order of ``items``.
-
-    ``result`` is ``fn(item)``; a call that raises ``catch`` yields None
-    and the exception as ``error`` instead, and does not stop the others.
-    Any other exception propagates, with the calls not yet started
-    cancelled. ``threads`` below 1 is a :class:`ParameterError`, raised
-    before any call.
-
-    The pool has ``min(threads, len(items), usable CPUs)`` workers; with
-    one, the calls run in this process, one after the other. Workers are
-    forked, so they inherit ``fn`` and ``items``, and only keys, results
-    and exceptions cross the pipe: a result and an exception must pickle.
-    A result is yielded as soon as it and those before it have arrived,
-    and is not held here after that. Every worker is joined before the
-    generator ends, raises or is closed, and ends with this process if
-    it is killed.
-    """
-    _require_at_least("threads", threads, 1)
-    workers, pool = min(threads, len(items), len(os.sched_getaffinity(0))), None
-    if workers > 1:
-        # imported only for a pool: every run would pay them, in memory and start-up time
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_work_on, initargs=(fn, items, os.getpid()),
-        )
-    try:
-        if pool is None:
-            calls = ((key, functools.partial(fn, item)) for key, item in items.items())
-        else:
-            futures = {key: pool.submit(_call, key) for key in items}
-            calls = ((key, futures.pop(key).result) for key in items)
-        for key, call in calls:
-            try:
-                result, error = call(), None
-            except catch as exc:
-                result, error = None, exc
-            yield key, result, error
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
-def _run_each(fn, items: dict, threads: int, catch):
-    """:func:`_each`'s calls as ``(results, failures)``, keyed like ``items`` and in its order."""
-    done = list(_each(fn, items, threads, catch))
-    results = {key: result for key, result, error in done if error is None}
-    return results, {key: error for key, _, error in done if error is not None}
-
-
 def _warn_if_collapsed(label, *layers) -> None:
     """Warn for chromosome ``label`` once if a variance is floored, once if two means tie.
 
@@ -842,7 +763,7 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     Returns ``(results, failures)``, both keyed by chromosome label in
     sorted label order. A :class:`FitError` lands in ``failures``; any
     other error, such as a :class:`ParameterError`, propagates. Up to
-    ``threads`` worker processes fit the chromosomes (see :func:`_each`).
+    ``threads`` worker processes fit the chromosomes (see ``dataset._each``).
 
     The warnings are logged here, never in a worker, chromosome by
     chromosome in label order: each gene cluster without CpG mass, then

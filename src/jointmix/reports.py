@@ -2,15 +2,12 @@
 
 All writers are deterministic: rows follow input order (or replicate
 order), floats are written in shortest round-trip form, and undefined
-ratios appear as ``NA`` in TSVs and ``null`` in JSON. Every result table
-is written by :func:`write_layer_tables`, in row ranges rendered on worker
-processes; :func:`write_tsv` writes the evaluation, benchmark and timing tables.
+ratios appear as ``NA`` in TSVs and ``null`` in JSON. Every file is
+written by ``dataset._write_tables`` or ``dataset.write_json``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +15,12 @@ import numpy as np
 from .dataset import (
     EXPRESSION_FIXED_COLUMNS,
     METHYLATION_FIXED_COLUMNS,
-    _block_rows,
     _format_number,
-    _render_blocks,
+    _write_tables,
     split_by_chromosome,
+    write_json,
 )
 from .evaluate import BenchmarkResult, MetricReport
-from .joint_em import _each
 from .simulate import CPG_LABELS, GENE_LABELS
 
 
@@ -38,13 +34,8 @@ def format_cell(v) -> str:
 
 def write_tsv(path, header, rows) -> None:
     """Write a TSV from its header cells and its rows, each cell through :func:`format_cell`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        fh.writelines("\t".join(map(format_cell, row)) + "\n" for row in rows)
-
-
-def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    columns = [list(map(format_cell, col)) for col in zip(*rows, strict=True)]
+    _write_tables([(path, header, len(rows), lambda span: [col[span] for col in columns])])
 
 
 def label_names(layer: str, k: int) -> list[str]:
@@ -113,35 +104,21 @@ def write_layer_tables(tables, threads=1) -> None:
     of the ascending table rows ``rows``; ``parts`` pairs each fitted
     part's rows with its :class:`~jointmix.joint_em.LayerFit`, whose MAP
     labels index ``names`` from 1. A row is its annotations, posteriors,
-    MAP label name and uncertainty, in table order; rows no part holds
-    are left out. One run of :func:`~jointmix.joint_em._each` renders
-    every table in ranges of one :func:`~jointmix.dataset._render_blocks`
-    block. A range gathers its rows where it is rendered, so no column is
-    copied whole, and is written once it and those before it have arrived.
+    MAP label name and uncertainty, in table order, written by
+    ``dataset._write_tables``; rows no part holds are left out.
     """
-    fitted, ranges = [], {}
-    for t, (_, columns, annotations, parts, names) in enumerate(tables):
+    def table(path, columns, annotations, parts, names):
         rows = np.concatenate([part_rows for part_rows, _ in parts])
         order = np.argsort(rows, kind="stable")
         fields = zip(*((layer.resp, layer.map_labels, layer.uncertainty) for _, layer in parts))
-        fitted.append((annotations, rows[order], *(np.concatenate(f)[order] for f in fields),
-                       np.array(names, dtype=object)))
-        step = _block_rows(len(columns) + len(names) + 2)
-        ranges.update(((t, i), (t, slice(i, i + step))) for i in range(0, len(rows), step))
+        resp, labels, uncertainty = (np.concatenate(f)[order] for f in fields)
+        rows, label_of = rows[order], np.array(names, dtype=object)
+        return path, results_header(columns, names), len(rows), lambda span: [
+            *annotations(rows[span]), resp[span], label_of[labels[span] - 1],
+            uncertainty[span, np.newaxis],
+        ]
 
-    def render(item):
-        t, span = item
-        annotations, rows, resp, labels, uncertainty, names = fitted[t]
-        return "".join(_render_blocks([*annotations(rows[span]), resp[span],
-                                       names[labels[span] - 1], uncertainty[span, np.newaxis]]))
-
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path, *_ in tables]
-        for fh, (_, columns, _, _, names) in zip(files, tables):
-            fh.write("\t".join(results_header(columns, names)) + "\n")
-        texts = stack.enter_context(contextlib.closing(_each(render, ranges, threads, ())))
-        for (t, _), text, _ in texts:
-            files[t].write(text)
+    _write_tables([table(*t) for t in tables], threads)
 
 
 def write_joint_results(out_dir, ds, results, K, L, threads=1) -> None:
@@ -168,22 +145,14 @@ def write_metric_report(out_dir, report: MetricReport, layer: str) -> None:
 
 
 def write_benchmark_tables(out_dir, result: BenchmarkResult) -> None:
-    out = Path(out_dir)
-    write_tsv(out / "benchmark_summary.tsv", ["method", "layer", "metric", "mean", "sd", "n"],
-              result.summary_rows)
-    write_tsv(out / "benchmark_replicates.tsv", ["replicate", "method", "layer", "metric", "value"],
+    out, header = Path(out_dir), ["method", "layer", "metric", "mean", "sd", "n"]
+    write_tsv(out / "benchmark_summary.tsv", header, result.summary_rows)
+    write_tsv(out / "benchmark_replicates.tsv", ["replicate", *header[:3], "value"],
               result.replicate_rows)
-    payload = {
+    write_json(out / "benchmark.json", {
         "config": result.config.to_dict(),
         "methods": list(result.methods),
         "n_replicates": result.n_replicates,
         "failures": {str(k): v for k, v in result.failures.items()},
-        "summary": [
-            {
-                "method": m, "layer": lay, "metric": met,
-                "mean": mean, "sd": sd, "n": n,
-            }
-            for m, lay, met, mean, sd, n in result.summary_rows
-        ],
-    }
-    write_json(out / "benchmark.json", payload)
+        "summary": [dict(zip(header, row)) for row in result.summary_rows],
+    })

@@ -14,13 +14,18 @@ All draws flow from one ``default_rng((seed, replicate))`` stream, so a
 from __future__ import annotations
 
 import copy
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import _write_table, write_expression_table, write_methylation_table
+from .dataset import (
+    _data_table,
+    _write_tables,
+    write_expression_table,
+    write_json,
+    write_methylation_table,
+)
 from .errors import ParameterError
 
 GENE_LABELS = ("E-", "E0", "E+")
@@ -83,10 +88,12 @@ class SimConfig:
         pi = CASE_PI[self.case] if self.pi is None else np.asarray(self.pi, dtype=float)
         if pi.shape != (3, 3):
             raise ParameterError("dependency matrix must be 3x3")
-        if (pi < 0).any():
-            row, col = np.argwhere(pi < 0)[0]
+        bad = ~np.isfinite(pi) | (pi < 0)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            what = "not finite" if not np.isfinite(pi[row, col]) else "negative"
             raise ParameterError(f"dependency matrix entry at row {row + 1}, column "
-                                 f"{col + 1} is negative: {pi[row, col]:g}")
+                                 f"{col + 1} is {what}: {pi[row, col]:g}")
         if np.abs(pi.sum(axis=0) - 1.0).max() > 1e-8:
             raise ParameterError("dependency matrix columns must each sum to 1")
         return pi
@@ -100,7 +107,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """The config :meth:`to_dict` recorded; a protocol entry must equal :data:`PROTOCOL`'s."""
+        """The config :meth:`to_dict` recorded; a protocol entry must equal :data:`PROTOCOL`'s.
+
+        A key that is neither a protocol entry nor a field is a :class:`ParameterError`.
+        """
         d = dict(d)
         for key, fixed in PROTOCOL.items():
             value = d.pop(key, fixed)
@@ -108,6 +118,9 @@ class SimConfig:
                 raise ParameterError(
                     f"{key} is fixed at {fixed} by the simulation protocol, got {value!r}"
                 )
+        unknown = [key for key in d if key not in {f.name for f in fields(cls)}]
+        if unknown:
+            raise ParameterError(f"unknown simulation setting {unknown[0]!r}")
         return cls(**d)
 
 
@@ -239,8 +252,7 @@ def write_simulation(sim: SimData, out_dir) -> None:
         write_expression_table(path, t.gene_ids, ["1"] * genes, sim.patients, values)
     for path, values in zip(paths[2:], (sim.betas_a, sim.betas_b)):
         write_methylation_table(path, t.cpg_ids, cpg_gene_ids, ["1"] * cpgs, sim.patients, values)
-    _write_table(paths[4], ["entity_id", "layer", "label"],
-                 [[*t.gene_ids, *t.cpg_ids], ["gene"] * genes + ["cpg"] * cpgs,
-                  np.concatenate([t.gene_labels, t.cpg_labels])])
-    (out / "sim_config.json").write_text(
-        json.dumps(sim.config.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_tables([_data_table(paths[4], ["entity_id", "layer", "label"],
+                               [[*t.gene_ids, *t.cpg_ids], ["gene"] * genes + ["cpg"] * cpgs,
+                                np.concatenate([t.gene_labels, t.cpg_labels])])])
+    write_json(out / "sim_config.json", sim.config.to_dict())

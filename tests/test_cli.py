@@ -10,8 +10,8 @@ import pytest
 
 import jointmix
 import jointmix.dataset
-import jointmix.reports
-from jointmix.cli import main
+from jointmix.cli import main, timing_probe
+from jointmix.errors import ParameterError
 from jointmix.simulate import SimConfig, simulate, write_simulation
 
 
@@ -708,15 +708,15 @@ class TestFitAndBaselineAlike:
     ):
         # ranges of a few rows; the forked workers inherit both patches
         monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
-        render_blocks = jointmix.reports._render_blocks
+        render_rows = jointmix.dataset._render_rows
         first = (transformed_dir / "expression.tsv").read_text().split("\n")[1].split("\t")[0]
 
         def fail_after_the_first_range(columns):
             if columns[0][0] != first:
                 raise RuntimeError(f"no text for {columns[0][0]}")
-            return render_blocks(columns)
+            return render_rows(columns)
 
-        monkeypatch.setattr(jointmix.reports, "_render_blocks", fail_after_the_first_range)
+        monkeypatch.setattr(jointmix.dataset, "_render_rows", fail_after_the_first_range)
         with pytest.raises(RuntimeError, match="no text for "):
             run(*fit_argv(transformed_dir, command), "--threads", 2, "--out", tmp_path / "out")
         assert multiprocessing.active_children() == []
@@ -921,6 +921,11 @@ class TestTimingCommand:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not (out / "timing.tsv").exists()
+
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_the_probe_rejects_repeats_below_one_as_the_command_does(self, repeats):
+        with pytest.raises(ParameterError, match=f"^repeats must be at least 1, got {repeats}$"):
+            timing_probe([4], SimConfig(n_genes=20), repeats=repeats)
 
     @pytest.mark.parametrize("flags", [["--repeats", 0], ["--patients", "4,x"], ["--patients", ","]])
     def test_a_rejected_count_leaves_no_out_directory(self, tmp_path, flags):

@@ -22,6 +22,7 @@ from oracle_utils import (
 from conftest import make_dataset, random_mixture_dataset
 import jointmix
 from jointmix.baseline import fit_independent
+from jointmix.dataset import _run_each
 from jointmix.errors import (
     DegenerateClusterError,
     FitError,
@@ -42,7 +43,6 @@ from jointmix.joint_em import (
     _layer_m_step,
     _quantile_start,
     _row_sums,
-    _run_each,
     _softmax_rows,
     e_step_fixed_point,
     exact_gene_posterior,
@@ -939,7 +939,7 @@ class TestRunEach:
         script = "\n".join([
             "import os, time",
             "from jointmix.errors import FitError",
-            "from jointmix.joint_em import _run_each",
+            "from jointmix.dataset import _run_each",
             "os.sched_getaffinity = lambda pid: {0, 1}",
             "def nap(seconds):",
             "    os.write(1, b'%d\\n' % os.getpid())  # one write: the workers share the pipe",

@@ -5,8 +5,12 @@ Each table the commands write is rebuilt from its in-memory arrays by
 ``_format_number``, and compared with the file. The input spreads its
 genes over three interleaved chromosomes, so the per-chromosome fits
 are placed back in input order; the result tables are also written in
-ranges of a few rows, which cut across the chromosomes.
+ranges of a few rows, which cut across the chromosomes. The one TSV
+writer beneath them is checked at one and at two workers, and
+``write_tsv`` against ``format_cell`` cell by cell.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +20,9 @@ from conftest import scalar_lines
 from jointmix.baseline import fit_independent
 from jointmix.cli import main
 from jointmix.dataset import (
+    _block_rows,
+    _data_table,
+    _write_tables,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
@@ -23,6 +30,7 @@ from jointmix.dataset import (
 )
 from jointmix.joint_em import fit_all_chromosomes
 from jointmix.preprocess import derive_model_inputs
+from jointmix.reports import format_cell, write_tsv
 from jointmix.simulate import SimConfig, replicate_batch
 
 GENE_POSTERIORS = ["posterior_Eminus", "posterior_E0", "posterior_Eplus"]
@@ -200,3 +208,43 @@ def test_baseline_writes_the_layer_it_fits(
             [*table.columns.values(), *result_columns(len(table), parts, fits, names)],
         ),
     })
+
+
+def test_the_writer_gives_the_same_bytes_on_one_and_on_two_workers(tmp_path, monkeypatch):
+    # the data tables are written on one worker: only here do their ranges meet the pool
+    monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(300, 5))
+    values[::7] = np.round(values[::7] * 1e3)  # integral floats lose the ``.0``
+    tables = {
+        "data.tsv": (["row_id", *(f"P{j}" for j in range(5))],
+                     [np.array([f"R{i}" for i in range(300)]), values]),
+        "counts.tsv": (["id", "kind", "a", "b"],
+                       [[f"c{i}" for i in range(90)], ["x%s"] * 90,
+                        rng.integers(-(2**40), 2**40, (90, 2))]),
+    }
+    assert all(len(cols[0]) > 3 * _block_rows(len(header)) for header, cols in tables.values())
+    for threads in (1, 2):
+        (tmp_path / str(threads)).mkdir()
+        _write_tables([_data_table(tmp_path / str(threads) / name, header, cols)
+                       for name, (header, cols) in tables.items()], threads)
+    for name, (header, cols) in tables.items():
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes() == (
+            reference_tsv(header, cols))
+
+
+def test_write_tsv_writes_each_cell_by_format_cell(tmp_path):
+    rows = [
+        ("none", None, 3, np.int64(-(2**62))),
+        ("floats", 2.0, np.float64(-0.0), 1e22),
+        ("more", 0.1, np.float32(0.5), float("nan")),
+        ("text", "a b", "%s", "%%r"),
+    ]
+    write_tsv(tmp_path / "table.tsv", ["what", "a", "b", "c"], rows)
+    lines = (tmp_path / "table.tsv").read_text().splitlines()
+    assert lines == ["what\ta\tb\tc", *("\t".join(map(format_cell, row)) for row in rows)]
+    assert lines[1:4] == ["none\tNA\t3\t-4611686018427387904",
+                          "floats\t2\t0\t10000000000000000000000", "more\t0.1\t0.5\tnan"]
+    write_tsv(tmp_path / "empty.tsv", ["what", "a"], [])
+    assert (tmp_path / "empty.tsv").read_text() == "what\ta\n"

@@ -3,6 +3,10 @@
 import itertools
 import math
 import random
+import re
+import tempfile
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,7 +21,8 @@ from jointmix.baseline import IndepParams, _e_step, fit_independent
 from jointmix.dataset import (
     MAX_ABS_VALUE,
     _format_number,
-    _render_blocks,
+    _render_rows,
+    _write_tables,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
@@ -25,7 +30,7 @@ from jointmix.dataset import (
     write_expression_table,
     write_methylation_table,
 )
-from jointmix.errors import FitError, FormatError, NumericalError
+from jointmix.errors import FitError, FormatError, NumericalError, ParameterError
 from jointmix.joint_em import (
     JointParams,
     Responsibilities,
@@ -107,17 +112,31 @@ def assert_no_data_rows(read, *paths):
 
 
 def rendered_lines(columns, block_cells):
-    """The lines :func:`_render_blocks` makes of ``columns`` with blocks of ``block_cells``.
+    """The data lines :func:`_write_tables` writes of ``columns`` in ranges of ``block_cells``.
 
-    Checks that every block is non-empty, ends in a newline and holds no
-    more rows than ``block_cells`` allows.
+    Checks that the file is its header line and then the rendered
+    ranges in order, and that every range is non-empty, ends in a
+    newline and holds no more rows than ``block_cells`` allows.
     """
     width = sum(np.shape(col)[1] if np.ndim(col) == 2 else 1 for col in columns)
-    with mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells):
-        blocks = list(_render_blocks(columns))
-    assert all(0 < block.count("\n") <= max(1, block_cells // width) for block in blocks)
-    assert all(block.endswith("\n") for block in blocks)
-    return [line for block in blocks for line in block.split("\n")[:-1]]
+    header = [f"c{j}" for j in range(width)]
+    ranges = []
+
+    def render(range_columns):
+        ranges.append(_render_rows(range_columns))
+        return ranges[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells), \
+            mock.patch.object(dataset, "_render_rows", render):
+        path = Path(tmp) / "table.tsv"
+        _write_tables([(path, header, len(columns[0]),
+                        lambda span: [col[span] for col in columns])])
+        text = path.read_bytes().decode("utf-8")
+    assert text == "\t".join(header) + "\n" + "".join(ranges)
+    assert all(0 < r.count("\n") <= max(1, block_cells // width) for r in ranges)
+    assert all(r.endswith("\n") for r in ranges)
+    return [line for r in ranges for line in r.split("\n")[:-1]]
 
 
 @PROPERTY
@@ -454,3 +473,33 @@ def test_the_baseline_e_step_is_bit_equal_to_the_row_major_e_step(K, N, M, seed,
         assert got == want
     else:
         assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(st.sampled_from(["x", "y"]), st.integers(0, 10**6), st.integers(0, 10**6),
+       st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1.5e100, 2e200]))
+def test_a_corrupt_value_is_a_parameter_error_of_both_fits(matrix, i, j, value):
+    ds = random_mixture_dataset(np.random.default_rng(11), n_genes=12, n_patients=3)
+    values, ids, what = (ds.x, ds.gene_ids, "gene") if matrix == "x" else (ds.y, ds.cpg_ids, "CpG")
+    row, col = i % len(values), j % ds.n_patients
+    values[row, col] = value
+    where = f"for {what} {str(ids[row])!r}, patient {ds.patients[col]!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f" {re.escape(where)}$"):
+            fit(ds)
+        with pytest.raises(ParameterError, match=f" in row {row}, column {col}$"):
+            fit_independent(values)
+
+
+@PROPERTY
+@given(st.integers(0, 10**6), st.sampled_from([-1, -12, 12, 40]))
+def test_a_parent_index_outside_the_genes_is_a_parameter_error(i, parent):
+    ds = random_mixture_dataset(np.random.default_rng(11), n_genes=12, n_patients=3)
+    c = i % ds.n_cpgs
+    ds.cpg_gene_idx[c] = parent
+    message = f"CpG {str(ds.cpg_ids[c])!r} has gene row {parent}, outside [0, 12)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            fit(ds)

@@ -95,6 +95,10 @@ class TestConfig:
         # every column sums to 1; the negative entry is named, not the sums
         ([[1.2, 0.5, 0.5], [-0.2, 0.5, 0.5], [0, 0, 0]],
          "dependency matrix entry at row 2, column 1 is negative: -0.2"),
+        # a nan fails every comparison, so no sum or sign test would catch it
+        ([[float("nan")] * 3] * 3, "dependency matrix entry at row 1, column 1 is not finite: nan"),
+        ([[0.5, 0.5, 0.5], [0.5, 0.5, float("-inf")], [0, 0, 0]],
+         "dependency matrix entry at row 2, column 3 is not finite: -inf"),
     ])
     def test_explicit_pi_is_checked(self, pi, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -114,6 +118,12 @@ class TestConfig:
             with pytest.raises(ParameterError, match=f"^{key} is fixed at .* by the simulation "
                                                      f"protocol, got {re.escape(repr(value))}$"):
                 SimConfig.from_dict({**recorded, key: value})
+
+    @pytest.mark.parametrize("d", [{"prop_flat": 1}, {"seed": 3, "n_genes": 9, "genes": 9}])
+    def test_from_dict_names_an_unknown_key(self, d):
+        unknown = next(key for key in d if key in ("prop_flat", "genes"))
+        with pytest.raises(ParameterError, match=f"^unknown simulation setting '{unknown}'$"):
+            SimConfig.from_dict(d)
 
 
 class TestSimulate:
