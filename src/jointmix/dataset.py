@@ -9,13 +9,16 @@ chromosome are those of its parent gene. Values may be raw
 (counts / beta values) or model-ready (log-fold changes / M-value
 differences): only their structure matters here. Every output file
 is written here too, a TSV by :func:`_write_tables` on the pool of
-:func:`_each` and a JSON file by :func:`write_json`.
+:func:`_each` and a JSON file by :func:`write_json`. A TSV's numbers
+are written a block at a time by ``orjson`` (:func:`_block_lines`),
+to the rule :func:`_format_number` gives for one number.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import logging
 import os
@@ -29,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import DuplicateIdError, FormatError, MappingError, ParameterError
 
@@ -547,7 +551,11 @@ def split_by_chromosome(ds: PairedDataset) -> list[ChromosomeRows]:
 
 
 def _format_number(v) -> str:
-    """Shortest round-trip text of a number; integral floats lose the ``.0``."""
+    """Shortest round-trip text of a number; integral floats lose the ``.0``.
+
+    The rule every table's numbers follow, one number at a time: the
+    reference that :func:`_block_lines` is tested against.
+    """
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
@@ -566,35 +574,61 @@ def _block_rows(width) -> int:
     return max(1, FORMAT_BLOCK_CELLS // max(1, width))
 
 
+def _block_lines(block) -> list[str]:
+    """The rows of the 2-D number array ``block`` as text, cells by :func:`_format_number`'s rule.
+
+    One ``orjson`` dump writes the whole block; its tabs and row breaks
+    replace the dump's commas and brackets. ``orjson``'s shortest
+    round-trip digits (Ryu) and notation are ``repr``'s for a float of
+    magnitude in [1e-4, 1e16) or in (0, 1e-9); of those, an integral
+    one loses its ``.0``, the only ``.0`` the dump ends a number with.
+    Every other float (the zeros, non-finite values, 1e16 and above, and
+    [1e-9, 1e-4), where ``orjson`` writes ``1e-9`` and ``0.00001`` for
+    ``repr``'s ``1e-09`` and ``1e-05``) is dumped as ``nan``, which it
+    writes ``null``, and the ``null`` is filled from
+    :func:`_format_number`, in order. The dump takes a C-contiguous
+    array of native byte order: float64 for every non-integer kind,
+    integers of their own width.
+    """
+    fill, integral = (), False
+    if block.dtype.kind in "iu":
+        block = np.ascontiguousarray(block, dtype=block.dtype.newbyteorder("="))
+    else:
+        with np.errstate(invalid="ignore"):  # a float32 signalling nan is still nan
+            values = np.ascontiguousarray(block, dtype=float)
+        size = np.abs(values)
+        fast = ((size >= 1e-4) & (size < 1e16)) | ((size > 0) & (size < 1e-9))
+        fill = tuple(map(_format_number, values[~fast].tolist()))
+        block = np.where(fast, values, np.nan)
+        integral = (np.trunc(block) == block).any()
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if integral:
+        text = text.replace(".0,", ",").replace(".0]", "]")
+    if fill:
+        parts = text.split("null")
+        text = "".join(itertools.chain.from_iterable(zip(parts, fill))) + parts[-1]
+    return text[2:-2].replace(",", "\t").split("]\t[")
+
+
 def _render_rows(columns) -> str:
     """The rows of ``columns`` as text, each tab-separated and ending in a newline.
 
     A column is a 1-D sequence of strings, written as they are, or a 2-D
-    numeric array, written by :func:`_format_number`'s rules. The rows
-    fill one object array, integral floats made ``int``, rendered by one
-    ``%`` on a template of ``%s`` and ``%r`` fields alone: no Python
-    call of ours per row or cell, and no data in the template.
+    number array, each row of which :func:`_block_lines` writes as one
+    string. The rows are rendered by one ``%`` on a template of one
+    ``%s`` field per column: no Python call of ours per row or cell, and
+    no data in the template.
     """
-    widths = [col.shape[1] if isinstance(col, np.ndarray) and col.ndim == 2 else None
-              for col in columns]
     (rows,) = {len(col) for col in columns}  # a ValueError unless all are one length
-    template = "\t".join("%s" if w is None else "\t".join(["%r"] * w) for w in widths)
-    cells = np.empty((rows, sum(1 if w is None else w for w in widths)), dtype=object)
-    j = 0
-    for col, w in zip(columns, widths):
-        if w is None:
-            cells[:, j] = col
-            j += 1
-            continue
-        if col.dtype.kind not in "iu":
-            col = col.astype(float, copy=False)
-        target = cells[:, j : j + w]
-        target[...] = col
-        if col.dtype.kind == "f":
-            integral = np.isfinite(col) & (np.trunc(col) == col)
-            target[integral] = list(map(int, col[integral].tolist()))
-        j += w
-    return ((template + "\n") * rows) % tuple(cells.ravel().tolist())
+    if not rows:
+        return ""
+    texts = []
+    for col in columns:
+        if isinstance(col, np.ndarray):  # its own str objects, not a numpy scalar per cell
+            col = _block_lines(col) if col.ndim == 2 else col.tolist()
+        texts.append(col)
+    template = "\t".join(["%s"] * len(texts)) + "\n"
+    return (template * rows) % tuple(itertools.chain.from_iterable(zip(*texts)))
 
 
 # The (fn, items) of the pool a worker process serves; set only in workers.

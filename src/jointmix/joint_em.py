@@ -653,6 +653,30 @@ def _em(e_step, m_step, resp, tol, max_iter):
     return params, resp, trace, False
 
 
+def _check_layout(ds: PairedDataset) -> None:
+    """Raise :class:`ParameterError` unless the arrays of ``ds`` fit together.
+
+    ``x`` needs a row per gene id and chromosome, ``y`` a row per CpG id
+    and ``cpg_gene_idx`` entry, and both a column per patient; a message
+    names both sizes. Every ``cpg_gene_idx`` entry must lie in ``[0, G)``.
+    """
+    n = ds.n_patients
+    for name, values, arrays in (
+        ("x", ds.x, (("gene_ids", ds.gene_ids), ("chromosomes", ds.chromosomes))),
+        ("y", ds.y, (("cpg_ids", ds.cpg_ids), ("cpg_gene_idx", ds.cpg_gene_idx))),
+    ):
+        if np.ndim(values) != 2 or np.shape(values)[1] != n:
+            raise ParameterError(f"{name} has shape {np.shape(values)}, but there are {n} patients")
+        for what, a in arrays:
+            if len(a) != len(values):
+                raise ParameterError(f"{what} has {len(a)} entries, but {name} has {len(values)} rows")
+    parents = ds.cpg_gene_idx
+    if ds.n_cpgs and not (parents.min() >= 0 and parents.max() < ds.n_genes):
+        j = int(np.flatnonzero((parents < 0) | (parents >= ds.n_genes))[0])
+        raise ParameterError(f"CpG {str(ds.cpg_ids[j])!r} has gene row {parents[j]}, "
+                             f"outside [0, {ds.n_genes})")
+
+
 def fit(
     ds: PairedDataset,
     K=3,
@@ -675,8 +699,9 @@ def fit(
     the down-shifted state, 2 the null state and 3 the up-shifted state.
     K, L or ``inner_max`` below 1 and a negative or nan ``inner_tol`` are
     a :class:`ParameterError`, as are the outer settings :func:`_em` rejects,
+    arrays of ``ds`` that do not fit together (:func:`_check_layout`) and
     a value the table reader would reject (named by its row id and
-    patient) and a ``cpg_gene_idx`` entry outside ``[0, G)``.
+    patient).
 
     Every E- and M-step writes into one :class:`_Workspace` built for
     this call; the ``init`` arrays are only read, and the posteriors of
@@ -688,14 +713,10 @@ def fit(
     for name, value, least in (("K", K, 1), ("L", L, 1), ("inner iteration limit", inner_max, 1),
                                ("inner tolerance", inner_tol, 0)):
         _require_at_least(name, value, least)
+    _check_layout(ds)
     for values, ids, what in ((ds.x, ds.gene_ids, "gene"), (ds.y, ds.cpg_ids, "CpG")):
         _check_values(values, lambda row, col, problem: ParameterError(
             f"{problem} for {what} {str(ids[row])!r}, patient {ds.patients[col]!r}"))
-    parents = ds.cpg_gene_idx
-    if ds.n_cpgs and not (parents.min() >= 0 and parents.max() < ds.n_genes):
-        j = int(np.flatnonzero((parents < 0) | (parents >= ds.n_genes))[0])
-        raise ParameterError(f"CpG {str(ds.cpg_ids[j])!r} has gene row {parents[j]}, "
-                             f"outside [0, {ds.n_genes})")
     if init is None:
         u0, v0 = initialize_quantile(ds, K, L, q)
     else:
@@ -771,8 +792,10 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     (:func:`_warn_if_collapsed`). Output is identical for any worker
     count: each per-chromosome fit is pure and deterministic, and results
     are keyed, not ordered. A chromosome that holds every row is fitted on ``ds``
-    itself, which its subset would only copy.
+    itself, which its subset would only copy. ``ds`` is checked by
+    :func:`_check_layout` before it is split.
     """
+    _check_layout(ds)
     parts = {part.label: part for part in split_by_chromosome(ds)}
 
     def fit_part(part):

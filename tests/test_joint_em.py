@@ -1,8 +1,10 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import logging
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -995,6 +997,34 @@ class TestFitAllChromosomes:
                 y.append(rng.normal((j * 2 - 1) * 3.0, 1.0, 3))
         chromosomes = ["1" if i < 12 else "2" for i in range(24)]
         return make_dataset(x, np.repeat(np.arange(24), 2), y, chromosomes=chromosomes)
+
+    @pytest.mark.parametrize("parent", [24, -1])
+    def test_a_parent_outside_the_genes_is_rejected_before_the_split(self, parent):
+        ds = self.build_two_chrom_dataset(np.random.default_rng(17))
+        ds.cpg_gene_idx[4] = parent
+        message = f"CpG 'C0004' has gene row {parent}, outside [0, 24)"
+        for fit_it in (fit, fit_all_chromosomes):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                fit_it(ds)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda ds: {"y": ds.y[:, :2]}, "y has shape (48, 2), but there are 3 patients"),
+        (lambda ds: {"x": ds.x[:, :2]}, "x has shape (24, 2), but there are 3 patients"),
+        (lambda ds: {"x": ds.x[:, 0]}, "x has shape (24,), but there are 3 patients"),
+        (lambda ds: {"patients": ds.patients[:2]}, "x has shape (24, 3), but there are 2 patients"),
+        (lambda ds: {"cpg_gene_idx": ds.cpg_gene_idx[:-1]},
+         "cpg_gene_idx has 47 entries, but y has 48 rows"),
+        (lambda ds: {"cpg_ids": ds.cpg_ids[1:]}, "cpg_ids has 47 entries, but y has 48 rows"),
+        (lambda ds: {"gene_ids": ds.gene_ids[1:]}, "gene_ids has 23 entries, but x has 24 rows"),
+        (lambda ds: {"chromosomes": ds.chromosomes[:-1]},
+         "chromosomes has 23 entries, but x has 24 rows"),
+    ])
+    def test_arrays_of_other_sizes_are_a_parameter_error_naming_both(self, change, message):
+        ds = self.build_two_chrom_dataset(np.random.default_rng(17))
+        ds = dataclasses.replace(ds, **change(ds))
+        for fit_it in (fit, fit_all_chromosomes):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                fit_it(ds)
 
     def test_thread_count_does_not_change_results(self):
         rng = np.random.default_rng(17)

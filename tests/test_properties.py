@@ -44,12 +44,19 @@ from jointmix.joint_em import (
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# Values whose text is easy to get wrong: signed zeros, the smallest
-# subnormal, the switches to exponent notation, and integral floats (up
-# to 1e300) that are written without their ``.0``.
+# Where the block renderer's text changes: between orjson's digits and
+# ``_format_number`` (1e-9, 1e-4, 1e16 and the zeros), where orjson's
+# notation turns from exponent to fixed (1e-5) and ``repr``'s (1e-4),
+# where every float is integral (2**53), and the smallest subnormal.
+RENDER_CUTS = [1e-9, 1e-5, 1e-4, 2.0**53, 1e16, 0.0, 5e-324]
+# Each cut point, of either sign, with its neighbours on either side.
+render_edges = [float(v) for cut in RENDER_CUTS for point in (cut, -cut)
+                for v in (np.nextafter(point, -math.inf), point, np.nextafter(point, math.inf))]
+# Values whose text is easy to get wrong: the cuts above, and integral
+# floats (up to 1e300) that are written without their ``.0``.
 edge_finite = st.one_of(
     finite,
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, -1e16, 1e15, 2.0**53, 1e300]),
+    st.sampled_from([*render_edges, 1e15, 1e300]),
     st.floats(-1e300, 1e300).map(math.trunc).map(float),
 )
 edge_floats = st.one_of(edge_finite, st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -190,6 +197,46 @@ def mixed_columns(draw):
           np.array([[2**63 - 1], [-(2**63)]], dtype=np.int64)], 2)
 def test_block_renderer_matches_the_scalar_rule_on_mixed_columns(columns, block_cells):
     assert rendered_lines(columns, block_cells) == scalar_lines(columns)
+
+
+def every_binade(rng, n, dtype):
+    """``n`` floats of ``dtype`` from uniform bits of sign, exponent and mantissa.
+
+    Every binade is as likely as any other, the subnormals, infinities
+    and nans included.
+    """
+    info = np.finfo(dtype)
+    uint = np.dtype(f"u{info.bits // 8}").type
+    sign = rng.integers(0, 2, n).astype(uint) << uint(info.bits - 1)
+    exponent = rng.integers(0, 2**info.nexp, n).astype(uint) << uint(info.nmant)
+    return (sign | exponent | rng.integers(0, 2**info.nmant, n).astype(uint)).view(dtype)
+
+
+def test_block_renderer_matches_the_scalar_rule_on_every_binade():
+    rng = np.random.default_rng(27)
+    dense = rng.standard_normal(40_000) * 10.0 ** rng.integers(-12, 18, 40_000)
+    ints = rng.integers(-(2**63), 2**63 - 1, (50, 4), endpoint=True)
+    blocks = [
+        every_binade(rng, 210_000, np.float64).reshape(-1, 7),
+        every_binade(rng, 21_000, np.float32).reshape(-1, 3),
+        rng.integers(0, 2, (500, 4)).astype(bool),
+        # mostly cells orjson writes, integral and not
+        dense.reshape(-1, 8),
+        np.trunc(dense).reshape(-1, 5),
+        # layouts and byte orders the dump cannot take as they are, and other widths
+        dense[:4000].reshape(-1, 8).T,
+        dense[:4000].reshape(-1, 8)[::3, 1::2],
+        dense[:4000].reshape(-1, 8).astype(">f8"),
+        ints.astype(">i8"),
+        ints.view(np.uint64),
+        ints.astype(np.int8),
+        np.array(render_edges).reshape(-1, 6),
+        np.array(render_edges).reshape(-1, 1),
+        np.zeros((3, 0)),
+    ]
+    for block in blocks:
+        want = "".join(line + "\n" for line in scalar_lines([block]))
+        assert _render_rows([block]) == want, block.dtype
 
 
 @PROPERTY
