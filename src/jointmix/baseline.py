@@ -41,6 +41,10 @@ class IndepParams:
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.weights, self.means, [self.variance]])
 
+    def layers(self) -> tuple:
+        """The layer: ``(means_key, means, variance_key, variance)``, by ``model.json``'s keys."""
+        return (("means", self.means, "variance", self.variance),)
+
 
 @dataclass
 class IndepFitResult:

@@ -56,7 +56,7 @@ from .errors import (
     JointmixError,
 )
 from .evaluate import benchmark, score_labels, simulated_dataset
-from .joint_em import _warn_if_collapsed, fit, fit_all_chromosomes
+from .joint_em import _collapse, _warn_if_collapsed, fit, fit_all_chromosomes
 from .preprocess import (
     DEFAULT_BETA_EPS,
     DEFAULT_COUNT_THRESHOLD,
@@ -322,14 +322,16 @@ def _finish_fits(out, args, input_paths, started, results, failures) -> int:
     """End a per-chromosome fit command once its results are written.
 
     Prints a ``chromosome ... failed`` line per failure in label order,
-    writes the manifest with the unconverged labels and returns the exit
-    code: 0, 3 if some chromosomes failed, 2 if all did.
+    writes the manifest with the unconverged labels and the collapsed
+    ones (those warned of by ``joint_em._warn_if_collapsed``) and returns
+    the exit code: 0, 3 if some chromosomes failed, 2 if all did.
     """
     for label in sorted(failures):
         print(f"chromosome {label} failed: {failures[label]}", file=sys.stderr)
     _write_manifest(
         out, args, input_paths, started,
         unconverged=sorted(label for label, r in results.items() if not r.converged),
+        collapsed=sorted(label for label, r in results.items() if any(_collapse(r.params))),
     )
     if failures:
         return 3 if results else 2
@@ -367,7 +369,7 @@ def cmd_baseline(args) -> int:
     for label, res in fits.items():
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
-        _warn_if_collapsed(label, ("means", res.params.means, "variance", res.params.variance))
+        _warn_if_collapsed(label, res.params)
     out.mkdir(parents=True, exist_ok=True)
     if fits:
         write_layer_tables([(

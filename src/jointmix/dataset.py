@@ -565,13 +565,59 @@ def _format_number(v) -> str:
 
 
 # Rows per rendered range: bounds the temporaries of a write, while one
-# ``%`` parse of the range's template serves all of its rows.
+# dump serves each block of numbers of all of its rows.
 FORMAT_BLOCK_CELLS = 1 << 14
 
 
 def _block_rows(width) -> int:
     """Rows per range of :func:`_write_tables` for rows of ``width`` cells."""
     return max(1, FORMAT_BLOCK_CELLS // max(1, width))
+
+
+def _dump(values) -> str:
+    """``orjson``'s text of the number array ``values``: brackets, commas, ``null`` for ``nan``."""
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+
+
+def _e05_cells(values) -> list[str]:
+    """The texts of the 1-D float64 array ``values``, all of magnitude in [1e-5, 1e-4).
+
+    ``orjson`` writes each as ``0.0000`` and its digits, ``repr`` as its
+    digits with a point after the first and ``e-05``: ``0.000012`` is
+    ``1.2e-05``, ``-0.00001`` is ``-1e-05``. The digits are moved in
+    numpy, with no Python call per cell.
+    """
+    text = _dump(values)[1:-1].replace("0.0000", "").encode()  # "-0.000012" -> "-12"
+    chars = np.frombuffer(text, dtype=np.uint8)
+    first = np.r_[0, np.flatnonzero(chars == ord(",")) + 1]  # each cell's sign or first digit
+    first += chars[first] == ord("-")
+    text = np.insert(chars, first + 1, ord(".")).tobytes().decode()  # "-12" -> "-1.2"
+    return (text.replace(",", "e-05,") + "e-05").replace(".e", "e").split(",")
+
+
+def _off_dump_cells(values) -> list[str]:
+    """The text of each cell of the 1-D float64 array ``values``, by :func:`_format_number`'s rule.
+
+    For the cells whose ``orjson`` text is not ``repr``'s, each class
+    written apart. A zero of either sign is ``0``. A magnitude in
+    [1e-9, 1e-5) is dumped in ``orjson``'s notation, ``repr``'s but for
+    its one exponent digit, which ``repr`` pads: ``3.5e-6`` is
+    ``3.5e-06``. One in [1e-5, 1e-4) is written by :func:`_e05_cells`.
+    Only ``nan``, the infinities and magnitudes of 1e16 and above take
+    :func:`_format_number`, a Python call each.
+    """
+    size = np.abs(values)
+    cells = np.full(len(values), "0", dtype=object)
+    tiny = (size >= 1e-9) & (size < 1e-5)
+    if tiny.any():
+        cells[tiny] = _dump(values[tiny])[1:-1].replace("e-", "e-0").split(",")
+    small = (size >= 1e-5) & (size < 1e-4)
+    if small.any():
+        cells[small] = _e05_cells(values[small])
+    rest = ~(size < 1e16)
+    if rest.any():
+        cells[rest] = list(map(_format_number, values[rest].tolist()))
+    return cells.tolist()
 
 
 def _block_lines(block) -> list[str]:
@@ -582,13 +628,17 @@ def _block_lines(block) -> list[str]:
     round-trip digits (Ryu) and notation are ``repr``'s for a float of
     magnitude in [1e-4, 1e16) or in (0, 1e-9); of those, an integral
     one loses its ``.0``, the only ``.0`` the dump ends a number with.
-    Every other float (the zeros, non-finite values, 1e16 and above, and
-    [1e-9, 1e-4), where ``orjson`` writes ``1e-9`` and ``0.00001`` for
-    ``repr``'s ``1e-09`` and ``1e-05``) is dumped as ``nan``, which it
-    writes ``null``, and the ``null`` is filled from
-    :func:`_format_number`, in order. The dump takes a C-contiguous
-    array of native byte order: float64 for every non-integer kind,
-    integers of their own width.
+    Every other float is dumped as ``nan``, which it writes ``null``,
+    and the ``null`` is filled, in order, from :func:`_off_dump_cells`:
+    the zeros, [1e-9, 1e-5) and [1e-5, 1e-4) in C, each class apart, and
+    only ``nan``, the infinities and 1e16 and above by
+    :func:`_format_number`. The zeros stay off the main dump, as a block
+    holding an integral cell pays both ``.0`` passes over all its text.
+    The CpG result blocks of a 65,939-row fit at N = 4, 117,038 of their
+    263,756 cells in [1e-9, 1e-4), render in 69–75 ms, against 165–185
+    ms with those cells by :func:`_format_number` (2 cores, in-process).
+    The dump takes a C-contiguous array of native byte order: float64
+    for every non-integer kind, integers of their own width.
     """
     fill, integral = (), False
     if block.dtype.kind in "iu":
@@ -598,10 +648,10 @@ def _block_lines(block) -> list[str]:
             values = np.ascontiguousarray(block, dtype=float)
         size = np.abs(values)
         fast = ((size >= 1e-4) & (size < 1e16)) | ((size > 0) & (size < 1e-9))
-        fill = tuple(map(_format_number, values[~fast].tolist()))
+        fill = _off_dump_cells(values[~fast])
         block = np.where(fast, values, np.nan)
         integral = (np.trunc(block) == block).any()
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    text = _dump(block)
     if integral:
         text = text.replace(".0,", ",").replace(".0]", "]")
     if fill:
@@ -615,9 +665,8 @@ def _render_rows(columns) -> str:
 
     A column is a 1-D sequence of strings, written as they are, or a 2-D
     number array, each row of which :func:`_block_lines` writes as one
-    string. The rows are rendered by one ``%`` on a template of one
-    ``%s`` field per column: no Python call of ours per row or cell, and
-    no data in the template.
+    string. The rows are joined by ``str.join`` over ``zip``: no Python
+    call of ours per row or cell.
     """
     (rows,) = {len(col) for col in columns}  # a ValueError unless all are one length
     if not rows:
@@ -627,8 +676,7 @@ def _render_rows(columns) -> str:
         if isinstance(col, np.ndarray):  # its own str objects, not a numpy scalar per cell
             col = _block_lines(col) if col.ndim == 2 else col.tolist()
         texts.append(col)
-    template = "\t".join(["%s"] * len(texts)) + "\n"
-    return (template * rows) % tuple(itertools.chain.from_iterable(zip(*texts)))
+    return "\n".join(map("\t".join, zip(*texts))) + "\n"
 
 
 # The (fn, items) of the pool a worker process serves; set only in workers.

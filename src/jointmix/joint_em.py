@@ -111,6 +111,10 @@ class JointParams:
             [self.tau, self.pi.ravel(), self.mu, [self.sigma2], self.lam, [self.rho2]]
         )
 
+    def layers(self) -> tuple:
+        """Each layer's ``(means_key, means, variance_key, variance)``, by ``model.json``'s keys."""
+        return ("mu", self.mu, "sigma2", self.sigma2), ("lambda", self.lam, "rho2", self.rho2)
+
     def copy(self) -> "JointParams":
         return JointParams(
             self.tau.copy(), self.pi.copy(), self.mu.copy(), self.sigma2,
@@ -753,19 +757,31 @@ def fit(
     return FitResult(params, gene, cpg, len(trace), converged, np.array(trace), no_cpg_mass)
 
 
-def _warn_if_collapsed(label, *layers) -> None:
-    """Warn for chromosome ``label`` once if a variance is floored, once if two means tie.
+def _collapse(params) -> tuple[list[str], list[str]]:
+    """The keys of ``params``' variances at their floor, and of its means with two tied.
 
-    Each of ``layers`` is ``(means_key, means, variance_key, variance)``,
-    named by its ``model.json`` keys, its means ascending. A variance held
-    at ``VARIANCE_FLOOR`` means the rows sit on their component means, as
-    with a table of one repeated value. Above the floor, two adjacent means
-    within ``TIED_MEANS_TOL`` standard deviations mean that two components
-    fit one cluster.
+    ``params.layers()`` gives each layer as ``(means_key, means,
+    variance_key, variance)``, named by its ``model.json`` keys, its means
+    ascending. A variance held at ``VARIANCE_FLOOR`` means the rows sit on
+    their component means, as with a table of one repeated value. Above
+    the floor, two adjacent means within ``TIED_MEANS_TOL`` standard
+    deviations mean that two components fit one cluster. A fit is
+    collapsed if either list is not empty.
     """
+    layers = params.layers()
     floored = [var_key for _, _, var_key, var in layers if var <= VARIANCE_FLOOR]
     tied = [key for key, means, _, var in layers
             if var > VARIANCE_FLOOR and (np.diff(means) <= TIED_MEANS_TOL * np.sqrt(var)).any()]
+    return floored, tied
+
+
+def _warn_if_collapsed(label, params) -> None:
+    """Warn for chromosome ``label`` once if a variance is floored, once if two means tie.
+
+    By :func:`_collapse` of the fitted ``params``, a :class:`JointParams`
+    or a ``baseline.IndepParams``.
+    """
+    floored, tied = _collapse(params)
     if floored:
         logger.warning(
             "chromosome %s: %s at the variance floor %g; the fit has collapsed",
@@ -813,7 +829,5 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
             logger.warning(
                 "chromosome %s did not converge in %d outer iterations", label, res.n_outer_iters
             )
-        p = res.params
-        _warn_if_collapsed(label, ("mu", p.mu, "sigma2", p.sigma2),
-                           ("lambda", p.lam, "rho2", p.rho2))
+        _warn_if_collapsed(label, res.params)
     return results, failures

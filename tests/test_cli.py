@@ -592,12 +592,14 @@ class TestFitAndBaselineAlike:
         zero = all_zero_tables(tmp_path / "zero")
         assert run(*fit_argv(zero, command), "--out", tmp_path / "collapsed") == 0
         assert manifest(tmp_path / "collapsed")["unconverged"] == []
+        assert manifest(tmp_path / "collapsed")["collapsed"] == ["1"]
         assert caplog.messages == [
             f"chromosome 1: {floored} at the variance floor 1e-08; the fit has collapsed"
         ]
         caplog.clear()
         assert run(*fit_argv(transformed_dir, command), "--out", tmp_path / "normal") == 0
         assert caplog.messages == []
+        assert manifest(tmp_path / "normal")["collapsed"] == []
 
     @pytest.mark.parametrize("command, flags, message", [
         (command, flags, message)

@@ -38,6 +38,7 @@ from jointmix.joint_em import (
     Responsibilities,
     _LayerBuffers,
     _Workspace,
+    _collapse,
     _column_sums,
     _em,
     _gauss_row_scores,
@@ -1119,6 +1120,7 @@ class TestFitAllChromosomes:
             "chromosome 1 did not converge in 500 outer iterations",
             "chromosome 1: two mu lie within 1e-06 standard deviations; the fit has collapsed",
         ]
+        assert _collapse(results["1"].params) == ([], ["mu"])  # what the manifest lists
         caplog.clear()
         ds, _, _ = simulated_dataset(simulate(SimConfig(case=2, seed=3)))
         with caplog.at_level(logging.WARNING, logger="jointmix.joint_em"):

@@ -210,6 +210,84 @@ def test_baseline_writes_the_layer_it_fits(
     })
 
 
+def separated_inputs(out):
+    """Model-ready tables whose fitted CpG posteriors reach 0 and run through [1e-9, 1e-4).
+
+    On chromosome 1 the CpG clusters lie 30 apart, so that the posterior
+    of a far component underflows to 0; on chromosome 2 they lie 8 apart
+    with CpGs spread between them, so that posteriors run through the
+    small magnitudes.
+    """
+    rng = np.random.default_rng(0)
+    genes, per, patients = 32, 6, ["P1", "P2", "P3", "P4"]
+    x, y = [], []
+    for gap, spread in ((30.0, 0.0), (8.0, 4.0)):
+        state = np.repeat([-1, 0, 1], [8, 16, 8])
+        x.append(state[:, None] * 2.0 + rng.normal(0, 0.3, (genes, 4)))
+        cpg_state = rng.choice([-1, 0, 1], genes * per)
+        y.append(cpg_state[:, None] * gap + rng.uniform(-spread, spread, (genes * per, 1))
+                 + rng.normal(0, 0.3, (genes * per, 4)))
+    gene_ids, chrom = [f"G{g:02d}" for g in range(2 * genes)], ["1"] * genes + ["2"] * genes
+    parent = np.arange(2 * genes).repeat(per)
+    out.mkdir()
+    (out / "expression.tsv").write_bytes(reference_tsv(
+        ["gene_id", "chromosome", *patients], [gene_ids, chrom, np.vstack(x)]
+    ))
+    (out / "methylation.tsv").write_bytes(reference_tsv(
+        ["cpg_id", "gene_id", "chromosome", *patients],
+        [[f"C{c:03d}" for c in range(len(parent))], [gene_ids[g] for g in parent],
+         [chrom[g] for g in parent], np.vstack(y)],
+    ))
+    return out
+
+
+@pytest.fixture(scope="module")
+def separated_fit(tmp_path_factory):
+    """The ``fit`` output of :func:`separated_inputs` and the CpG result table's columns."""
+    data = separated_inputs(tmp_path_factory.mktemp("separated") / "data")
+    out = data.parent / "fit"
+    assert run("fit", "--expression", data / "expression.tsv",
+               "--methylation", data / "methylation.tsv", "--out", out) == 0
+    ds = load_paired_dataset(data / "expression.tsv", data / "methylation.tsv")
+    results, failures = fit_all_chromosomes(ds)
+    parts = split_by_chromosome(ds)
+    assert failures == {} and [p.label for p in parts] == ["1", "2"]
+    parent = ds.cpg_gene_idx
+    return out, [ds.cpg_ids, ds.gene_ids[parent], ds.chromosomes[parent], *result_columns(
+        ds.n_cpgs, [p.cpgs for p in parts], [results[p.label].cpg for p in parts],
+        ["M-", "M0", "M+"],
+    )]
+
+
+def test_fit_writes_posteriors_near_zero_by_the_scalar_rule(separated_fit):
+    out, columns = separated_fit
+    size = np.abs(columns[3])
+    # each class of cell whose ``orjson`` text differs from ``repr``'s
+    assert (size == 0).any()
+    assert ((size >= 1e-9) & (size < 1e-5)).any()
+    assert ((size >= 1e-5) & (size < 1e-4)).any()
+    assert_files(out, {"cpg_results.tsv": reference_tsv(
+        ["cpg_id", "gene_id", "chromosome", *CPG_POSTERIORS, "map_label", "uncertainty"], columns,
+    )})
+
+
+def test_only_non_finite_and_huge_cells_take_the_scalar_rule(separated_fit, monkeypatch):
+    resp = separated_fit[1][3]
+    block = np.vstack([resp, -resp, [[np.nan, np.inf, -np.inf], [1e16, -1e300, 0.5]]])
+    seen = []
+
+    def spy(v):
+        seen.append(v)
+        return format_number(v)
+
+    format_number = jointmix.dataset._format_number
+    monkeypatch.setattr(jointmix.dataset, "_format_number", spy)
+    assert jointmix.dataset._block_lines(block) == scalar_lines([block])
+    size = np.abs(block)
+    assert sorted(map(repr, seen)) == sorted(map(repr, block[~(size < 1e16)].tolist()))
+    assert len(seen) == 5
+
+
 def test_the_writer_gives_the_same_bytes_on_one_and_on_two_workers(tmp_path, monkeypatch):
     # the data tables are written on one worker: only here do their ranges meet the pool
     monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 64)
