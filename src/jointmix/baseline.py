@@ -82,14 +82,18 @@ def fit_independent(
     Runs the joint fit's outer loop, :func:`joint_em._em`, from the same
     quantile start and with the same stopping rule, but with this
     model's own E-step, a softmax of ``log weights + scores`` per row.
-    Components are then relabelled so means ascend. K below 1, and a
-    value the table reader would reject (named by its 0-based row and
-    column), are a :class:`ParameterError`. One :class:`_LayerBuffers`
+    Components are then relabelled so means ascend. ``values`` that are
+    not a 2-d matrix of at least one column, K below 1, and a value the
+    table reader would reject (named by its 0-based row and column), are
+    a :class:`ParameterError`. One :class:`_LayerBuffers`
     per call holds the arrays every iteration writes.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise FitError("values must be a 2-d matrix (entities x patients)")
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise ParameterError(
+            f"values must be a 2-d matrix (entities x patients) with a patient, "
+            f"got shape {values.shape}"
+        )
     _require_at_least("K", K, 1)
     _check_values(values, lambda row, col, problem: ParameterError(
         f"{problem} in row {row}, column {col}"))

@@ -142,10 +142,11 @@ def _write_manifest(out_dir, args, input_paths, started, parameters=None, **extr
 def _prepare_out(args, filenames) -> Path:
     """The ``--out`` directory: it must be given, and hold none of ``filenames`` unless ``--force``.
 
-    Nothing is created: a subcommand makes the directory just before its
-    first write, so a rejected run leaves no ``--out`` behind. An ``--out``
-    that is a file, or lies below one, raises here the error that making
-    it would raise, before any input is read.
+    Nothing is created: the writers, ``dataset._write_tables`` and
+    ``dataset.write_json``, make the directory as they open the first file,
+    so a rejected run leaves no ``--out`` behind. An ``--out`` that is a
+    file, or lies below one, raises here the error that making it would
+    raise, before any input is read.
     """
     if not args.out:
         raise InputError("--out is required")
@@ -249,7 +250,6 @@ def cmd_preprocess(args) -> int:
         raise DataDomainError(
             f"{path}: patient {patients[column]!r} has zero library size after filtering"
         ) from None
-    out.mkdir(parents=True, exist_ok=True)
     write_expression_table(out / "expression.tsv",
                            *(col[kept_g] for col in genes.columns.values()), patients, x)
     cpg_rows = kept[kept_c]
@@ -346,7 +346,6 @@ def cmd_fit(args) -> int:
     results, failures = fit_all_chromosomes(
         ds, **_own_flags(args, "expression", "methylation", "mode")
     )
-    out.mkdir(parents=True, exist_ok=True)
     if results:
         write_joint_results(out, ds, results, args.K, args.L, args.threads)
     return _finish_fits(out, args, [args.expression, args.methylation], t0, results, failures)
@@ -370,7 +369,6 @@ def cmd_baseline(args) -> int:
         if not res.converged:
             logger.warning("chromosome %s did not converge in %d iterations", label, res.n_iters)
         _warn_if_collapsed(label, res.params)
-    out.mkdir(parents=True, exist_ok=True)
     if fits:
         write_layer_tables([(
             out / results_name, table.columns,
@@ -395,7 +393,6 @@ def cmd_evaluate(args) -> int:
             f"({len(unknown)} predicted ids missing from truth)"
         )
     report = score_labels([truth[i] for i, _ in pairs], [lab for _, lab in pairs])
-    out.mkdir(parents=True, exist_ok=True)
     write_metric_report(out, report, args.layer)
     _write_manifest(out, args, [args.truth, args.predicted], t0)
     return 0
@@ -414,7 +411,6 @@ def cmd_benchmark(args) -> int:
     result = benchmark(
         args.case, args.replicates, methods=methods, cfg=cfg, threads=args.threads
     )
-    out.mkdir(parents=True, exist_ok=True)
     write_benchmark_tables(out, result)
     _write_manifest(out, args, [], t0, {**_own_flags(args), "methods": list(methods)})
     if result.failures and len(result.failures) == args.replicates:
@@ -464,7 +460,6 @@ def cmd_timing(args) -> int:
     out = _prepare_out(args, ["timing.tsv", "manifest.json"])
     cfg = SimConfig(n_genes=args.genes, seed=args.seed)
     rows = timing_probe(counts, cfg, repeats=args.repeats)
-    out.mkdir(parents=True, exist_ok=True)
     write_tsv(out / "timing.tsv", ["n_patients", "n_genes", "n_cpgs", "seconds"], rows)
     _write_manifest(out, args, [], t0, {**_own_flags(args), "patients": counts})
     return 0

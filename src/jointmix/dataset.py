@@ -9,7 +9,8 @@ chromosome are those of its parent gene. Values may be raw
 (counts / beta values) or model-ready (log-fold changes / M-value
 differences): only their structure matters here. Every output file
 is written here too, a TSV by :func:`_write_tables` on the pool of
-:func:`_each` and a JSON file by :func:`write_json`. A TSV's numbers
+:func:`_each` and a JSON file by :func:`write_json`, each making its
+file's directory if it is missing. A TSV's numbers
 are written a block at a time by ``orjson`` (:func:`_block_lines`),
 to the rule :func:`_format_number` gives for one number.
 """
@@ -778,7 +779,8 @@ def _write_tables(tables, threads=1) -> None:
     giving the columns :func:`_render_rows` takes of the rows in the
     slice ``span``. One run of :func:`_each` renders every table in
     ranges of :func:`_block_rows` rows, each gathered where it is
-    rendered and written once it and those before it have arrived.
+    rendered and written once it and those before it have arrived. The
+    directory of each path is made just before the file is opened.
     """
     ranges = {}
     for t, (_, header, n_rows, _) in enumerate(tables):
@@ -790,7 +792,8 @@ def _write_tables(tables, threads=1) -> None:
         return _render_rows(tables[t][3](span))
 
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path, *_ in tables]
+        files = [stack.enter_context(open(_parent_made(path), "w", encoding="utf-8"))
+                 for path, *_ in tables]
         for fh, (_, header, _, _) in zip(files, tables):
             fh.write("\t".join(header) + "\n")
         texts = stack.enter_context(contextlib.closing(_each(render, ranges, threads, ())))
@@ -803,8 +806,16 @@ def _data_table(path, header, columns):
     return path, header, len(columns[0]), lambda span: [col[span] for col in columns]
 
 
+def _parent_made(path) -> Path:
+    """``path`` as a :class:`Path`, its directory made if it is missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as sorted, indented JSON, making the directory of ``path`` first."""
+    _parent_made(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_expression_table(path, gene_ids, chromosomes, patients, values) -> None:

@@ -10,8 +10,9 @@ The posterior cluster memberships of a gene and its CpGs are mutually
 coupled, so the E-step runs a small fixed-point iteration that
 alternates the two conditional responsibility updates until they stop
 moving, then approximates the joint expectation by the product of the
-converged marginals. An exact per-gene marginalization is available as
-a test oracle and as an observed-likelihood diagnostic.
+converged marginals. One exact pass sums each gene's CpGs out in closed
+form: it gives the observed log-likelihood, a diagnostic, and the exact
+posteriors that test oracles compare the fixed point against.
 """
 
 from __future__ import annotations
@@ -52,25 +53,6 @@ DEFAULT_INIT_QUANTILE = 0.10
 
 # log(sqrt(2 pi)), computed as scipy.stats computes its normal-density constant
 LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
-
-
-def logsumexp(a, axis=None, keepdims=False):
-    """``log(sum(exp(a)))`` over ``axis``, shifted by the maximum for stability.
-
-    A non-finite maximum shifts by 0, so a slice of all ``-inf`` gives
-    ``-inf`` (without a warning) and one holding ``inf`` gives ``inf``.
-    ``axis=None`` reduces over every element and returns a scalar.
-    """
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore"):
-        shift = np.max(a, axis=axis, keepdims=True)
-        shift[~np.isfinite(shift)] = 0.0
-        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
-    if keepdims:
-        return out
-    if axis is None:
-        return out.reshape(())[()]
-    return np.squeeze(out, axis=axis)
 
 
 @dataclass
@@ -483,30 +465,39 @@ def e_step_fixed_point(
     return Responsibilities(u_hat=u, v_hat=v, n_sweeps=sweeps)
 
 
-def exact_gene_posterior(ds: PairedDataset, params: JointParams, gene_index: int):
-    """Exact marginal posteriors for one gene and its CpGs.
+def _exact_pass(ds: PairedDataset, params: JointParams):
+    """The exact marginalization of every gene: ``(loglik, u, v)``.
 
-    The posterior factorizes over a gene's CpGs given the gene cluster,
-    so the gene posterior needs only a sum over L per CpG and the CpG
-    posterior is the gene-cluster mixture of conditional assignments.
-    Used as a test oracle for the fixed-point approximation.
+    Given its gene's cluster the CpGs of a gene are independent, so each
+    CpG's L clusters sum out in closed form, ``log_mix`` (C, K), and the
+    gene's logits are ``log tau`` plus its scores plus the ``log_mix`` of
+    its CpGs. ``u`` (G, K) is their row softmax and each row's normalizer
+    that gene's log-likelihood; ``loglik`` is their sum. ``v`` (C, L) is
+    the mixture over gene clusters, by ``u``, of the CpG's conditional
+    assignments. ``np.logaddexp.reduce`` gives ``-inf`` for a row of all
+    ``-inf`` and ``inf`` for one holding ``inf``, without a warning.
     """
-    idx = ds.gene_cpg_indices(gene_index)
-    log_pi = _log_clip(params.pi)
-    log_px = _gauss_row_scores(ds.x[gene_index : gene_index + 1], params.mu, params.sigma2)[:, 0]
-    log_py = _gauss_row_scores(ds.y[idx], params.lam, params.rho2).T.copy()
-    inner = log_pi.T[np.newaxis, :, :] + log_py[:, np.newaxis, :]  # (C_g, K, L)
-    log_u = _log_clip(params.tau) + log_px
-    if len(idx):
-        log_u = log_u + logsumexp(inner, axis=2).sum(axis=0)
-    u = np.exp(log_u - logsumexp(log_u))
-    u /= u.sum()
-    if len(idx):
-        cond = np.exp(inner - logsumexp(inner, axis=2, keepdims=True))
-        v = np.einsum("k,ckl->cl", u, cond)
-    else:
-        v = np.zeros((0, params.n_cpg_clusters))
-    return u, v
+    gidx = ds.cpg_gene_idx
+    logits = _log_clip(params.tau) + _gauss_row_scores(ds.x, params.mu, params.sigma2).T
+    log_py = _gauss_row_scores(ds.y, params.lam, params.rho2).T
+    inner = _log_clip(params.pi).T + log_py[:, np.newaxis, :]  # (C, K, L)
+    log_mix = np.logaddexp.reduce(inner, axis=2)
+    np.add.at(logits, gidx, log_mix)
+    norm = np.logaddexp.reduce(logits, axis=1)
+    u = np.exp(logits - norm[:, np.newaxis])
+    u /= u.sum(axis=1, keepdims=True)
+    v = np.einsum("ck,ckl->cl", u[gidx], np.exp(inner - log_mix[:, :, np.newaxis]))
+    return float(norm.sum()), u, v
+
+
+def exact_gene_posterior(ds: PairedDataset, params: JointParams, gene_index: int):
+    """Exact marginal posteriors ``(u, v)`` of one gene, (K,), and its CpGs, (C_g, L).
+
+    :func:`_exact_pass` on the gene's rows alone. Used as a test oracle
+    for the fixed-point approximation.
+    """
+    _, u, v = _exact_pass(ds.subset([gene_index], ds.gene_cpg_indices(gene_index)), params)
+    return u[0], v
 
 
 def observed_loglik(ds: PairedDataset, params: JointParams) -> float:
@@ -514,18 +505,7 @@ def observed_loglik(ds: PairedDataset, params: JointParams) -> float:
 
     Diagnostic only: the EM convergence rule is on parameter change.
     """
-    log_pi = _log_clip(params.pi)
-    log_px = _gauss_row_scores(ds.x, params.mu, params.sigma2).T.copy()
-    scores = _log_clip(params.tau) + log_px
-    if ds.n_cpgs:
-        log_py = _gauss_row_scores(ds.y, params.lam, params.rho2).T.copy()
-        log_mix = logsumexp(
-            log_pi.T[np.newaxis, :, :] + log_py[:, np.newaxis, :], axis=2
-        )  # (C, K)
-        per_gene = np.zeros((ds.n_genes, params.n_gene_clusters))
-        np.add.at(per_gene, ds.cpg_gene_idx, log_mix)
-        scores = scores + per_gene
-    return float(logsumexp(scores, axis=1).sum())
+    return _exact_pass(ds, params)[0]
 
 
 def expected_complete_loglik(ds: PairedDataset, u, v, params: JointParams) -> float:
@@ -660,11 +640,14 @@ def _em(e_step, m_step, resp, tol, max_iter):
 def _check_layout(ds: PairedDataset) -> None:
     """Raise :class:`ParameterError` unless the arrays of ``ds`` fit together.
 
-    ``x`` needs a row per gene id and chromosome, ``y`` a row per CpG id
-    and ``cpg_gene_idx`` entry, and both a column per patient; a message
-    names both sizes. Every ``cpg_gene_idx`` entry must lie in ``[0, G)``.
+    There must be a patient. ``x`` needs a row per gene id and
+    chromosome, ``y`` a row per CpG id and ``cpg_gene_idx`` entry, and
+    both a column per patient; a message names both sizes. Every
+    ``cpg_gene_idx`` entry must lie in ``[0, G)``.
     """
     n = ds.n_patients
+    if n < 1:
+        raise ParameterError("the dataset has no patients")
     for name, values, arrays in (
         ("x", ds.x, (("gene_ids", ds.gene_ids), ("chromosomes", ds.chromosomes))),
         ("y", ds.y, (("cpg_ids", ds.cpg_ids), ("cpg_gene_idx", ds.cpg_gene_idx))),

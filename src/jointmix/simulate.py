@@ -242,7 +242,6 @@ def replicate_batch(cfg: SimConfig, n_datasets: int):
 def write_simulation(sim: SimData, out_dir) -> None:
     """Write the four raw tables, truth labels, and the generator config."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t = sim.truth
     genes, cpgs = len(t.gene_ids), len(t.cpg_ids)
     cpg_gene_ids = [t.gene_ids[i] for i in t.cpg_gene_idx]

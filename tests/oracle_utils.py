@@ -21,25 +21,23 @@ def _log_normal(x, mean, var):
     return -0.5 * math.log(2.0 * math.pi * var) - 0.5 * (x - mean) ** 2 / var
 
 
-def brute_force_gene_posterior(ds, params, gene_index):
-    """Posteriors by literal enumeration of every hard configuration.
+def _config_logps(ds, params, gene_index):
+    """``{(k, l_1, ..., l_Cg): log density}`` of every hard configuration of one gene.
 
-    Enumerates all K * L^C_g assignments of the gene and its CpGs,
-    scores each with the joint density written out term by term, and
-    normalizes by direct summation.
+    Enumerates all K * L^C_g assignments of the gene and its CpGs and
+    scores each with the joint density written out term by term.
     """
     K = len(params.tau)
     L = len(params.lam)
     x_row = ds.x[gene_index]
     idx = ds.gene_cpg_indices(gene_index)
-    c_g = len(idx)
 
     config_logp = {}
     for k in range(K):
         base = math.log(params.tau[k]) + sum(
             _log_normal(v, params.mu[k], params.sigma2) for v in x_row
         )
-        for ls in itertools.product(range(L), repeat=c_g):
+        for ls in itertools.product(range(L), repeat=len(idx)):
             logp = base
             for c, l in enumerate(ls):
                 pi_lk = params.pi[l, k]
@@ -48,18 +46,37 @@ def brute_force_gene_posterior(ds, params, gene_index):
                     _log_normal(v, params.lam[l], params.rho2) for v in ds.y[idx[c]]
                 )
             config_logp[(k,) + ls] = logp
+    return config_logp
 
+
+def brute_force_gene_posterior(ds, params, gene_index):
+    """Posteriors by literal enumeration of every hard configuration.
+
+    Normalizes the densities of :func:`_config_logps` by direct summation.
+    """
+    config_logp = _config_logps(ds, params, gene_index)
+    c_g = len(ds.gene_cpg_indices(gene_index))
     shift = max(config_logp.values())
     weights = {cfg: math.exp(lp - shift) for cfg, lp in config_logp.items()}
     total = sum(weights.values())
 
-    u = np.zeros(K)
-    v = np.zeros((c_g, L))
+    u = np.zeros(len(params.tau))
+    v = np.zeros((c_g, len(params.lam)))
     for cfg, w in weights.items():
         u[cfg[0]] += w
         for c in range(c_g):
             v[c, cfg[1 + c]] += w
     return u / total, v / total if c_g else v
+
+
+def brute_force_loglik(ds, params):
+    """Observed-data log-likelihood: per gene, the log of its configurations' summed densities."""
+    loglik = 0.0
+    for g in range(ds.n_genes):
+        logps = _config_logps(ds, params, g).values()
+        shift = max(logps)
+        loglik += shift + math.log(math.fsum(math.exp(lp - shift) for lp in logps))
+    return loglik
 
 
 def naive_weighted_moments(values, resp):

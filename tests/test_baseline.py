@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,13 @@ class TestFitIndependent:
     def test_cluster_count_below_one(self, K):
         with pytest.raises(ParameterError, match=f"K must be at least 1, got {K}"):
             fit_independent(np.zeros((4, 2)), K=K)
+
+    @pytest.mark.parametrize("shape", [(10, 0), (0, 0), (5,), (), (2, 3, 4)])
+    def test_values_not_a_matrix_with_a_patient(self, shape):
+        message = ("values must be a 2-d matrix (entities x patients) with a patient, "
+                   f"got shape {shape}")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            fit_independent(np.zeros(shape))
 
     @pytest.mark.parametrize("q", [0.0, 0.5, 0.7, -0.1])
     def test_quantile_outside_the_open_interval(self, q):

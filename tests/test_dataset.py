@@ -11,6 +11,7 @@ from jointmix.dataset import (
     resolve_cpg_parents,
     split_by_chromosome,
     write_expression_table,
+    write_json,
 )
 from jointmix.errors import DuplicateIdError, FormatError, InputError, MappingError
 
@@ -204,6 +205,13 @@ class TestTableFormats:
         patients, genes = read_expression_table(path)
         assert patients == ["P1", "P2"]
         np.testing.assert_array_equal(genes.values, values)
+
+    def test_writers_make_the_missing_directories(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        write_expression_table(out / "expr.tsv", ["a"], ["1"], ["P1"], np.array([[1.5]]))
+        write_json(out / "c" / "d.json", {"k": 1})
+        assert (out / "expr.tsv").read_text() == "gene_id\tchromosome\tP1\na\t1\t1.5\n"
+        assert (out / "c" / "d.json").read_text() == '{\n  "k": 1\n}\n'
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "expr.tsv"

@@ -10,13 +10,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from oracle_utils import (
     brute_force_gene_posterior,
+    brute_force_loglik,
     naive_weighted_moments,
     random_responsibilities,
 )
@@ -41,6 +41,7 @@ from jointmix.joint_em import (
     _collapse,
     _column_sums,
     _em,
+    _exact_pass,
     _gauss_row_scores,
     _layer_fit,
     _layer_m_step,
@@ -54,7 +55,6 @@ from jointmix.joint_em import (
     fit_all_chromosomes,
     gene_given_cpg,
     initialize_quantile,
-    logsumexp,
     m_step,
     observed_loglik,
 )
@@ -268,34 +268,54 @@ class TestScoreKernel:
             assert variance == ref_variance
 
 
-class TestLogsumexp:
-    # (shape, axis, keepdims) as exact_gene_posterior and observed_loglik call it
-    CALLS = [((6, 3, 4), 2, False), ((6, 3, 4), 2, True), ((3,), None, False),
-             ((40, 3), 1, False), ((1, 2, 2), 2, True), ((0, 3, 3), 2, False)]
+class TestExactPass:
+    """The exact marginalization against literal enumeration of every hard configuration."""
 
-    @pytest.mark.parametrize("shape, axis, keepdims", CALLS)
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_matches_scipy(self, shape, axis, keepdims, scale):
-        from scipy.special import logsumexp as scipy_logsumexp
+    # the CpG count of each gene
+    LAYOUTS = {"childless": [0], "one gene": [3], "0 to 4 CpGs": [2, 0, 4, 1, 3, 0]}
+    CASES = [pytest.param(counts, scale, id=f"{name}-{scale:g}")
+             for name, counts in LAYOUTS.items() for scale in (1e-3, 1.0, 1e3)]
 
-        a = np.random.default_rng(len(shape) + int(scale * 7)).normal(0.0, scale, shape)
-        a.flat[::5] = -np.inf
-        got = logsumexp(a, axis=axis, keepdims=keepdims)
-        want = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
-        assert np.shape(got) == np.shape(want)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    @staticmethod
+    def case(counts, scale):
+        """A dataset of the given layout and value ``scale``, and parameters with a pi of 1e-12."""
+        rng = np.random.default_rng([len(counts), sum(counts), int(np.log10(scale)) + 3])
+        ds = make_dataset(rng.normal(0.0, scale, (len(counts), 2)),
+                          np.repeat(np.arange(len(counts)), counts),
+                          rng.normal(0.0, scale, (sum(counts), 2)))
+        pi = random_responsibilities(rng, 3, 3).T
+        # small, not 0: the enumeration scores a 0 as -1e308, and a sum of two overflows
+        pi[0, 2] = 1e-12
+        pi /= pi.sum(axis=0)
+        params = params_for([0.2, 0.5, 0.3], pi, [-2.0, 0.0, 2.0], 0.7, [-2.5, 0.0, 2.5], 1.1)
+        return ds, params
 
-    def test_all_minus_inf_row_is_minus_inf_without_warning(self):
-        a = np.array([[0.5, -1.0, 2.0], [-np.inf] * 3])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = logsumexp(a, axis=1)
-        assert got[1] == -np.inf and np.isfinite(got[0])
+    @pytest.mark.parametrize("counts, scale", CASES)
+    def test_loglik_matches_enumeration(self, counts, scale):
+        ds, params = self.case(counts, scale)
+        np.testing.assert_allclose(observed_loglik(ds, params), brute_force_loglik(ds, params),
+                                   rtol=1e-12, atol=0.0)
 
-    def test_no_axis_returns_a_scalar(self):
-        got = logsumexp(np.array([[0.0, 1.0], [2.0, 3.0]]))
-        assert np.ndim(got) == 0 and isinstance(got, np.floating)
-        assert got == pytest.approx(np.log(np.exp([0.0, 1.0, 2.0, 3.0]).sum()), rel=1e-15)
+    @pytest.mark.parametrize("counts, scale", CASES)
+    def test_every_posterior_matches_enumeration(self, counts, scale):
+        ds, params = self.case(counts, scale)
+        loglik, u, v = _exact_pass(ds, params)
+        assert loglik == observed_loglik(ds, params)
+        assert u.shape == (ds.n_genes, 3) and v.shape == (ds.n_cpgs, 3)
+        for g in range(ds.n_genes):
+            u_bf, v_bf = brute_force_gene_posterior(ds, params, g)
+            np.testing.assert_allclose(u[g], u_bf, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(v[ds.gene_cpg_indices(g)], v_bf, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("counts, scale", CASES)
+    def test_one_gene_posterior_matches_enumeration(self, counts, scale):
+        ds, params = self.case(counts, scale)
+        for g in range(ds.n_genes):
+            u, v = exact_gene_posterior(ds, params, g)
+            u_bf, v_bf = brute_force_gene_posterior(ds, params, g)
+            assert u.shape == (3,) and v.shape == v_bf.shape == (counts[g], 3)
+            np.testing.assert_allclose(u, u_bf, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(v, v_bf, rtol=0.0, atol=1e-12)
 
 
 class TestInitializeQuantile:
@@ -1013,6 +1033,9 @@ class TestFitAllChromosomes:
         (lambda ds: {"x": ds.x[:, :2]}, "x has shape (24, 2), but there are 3 patients"),
         (lambda ds: {"x": ds.x[:, 0]}, "x has shape (24,), but there are 3 patients"),
         (lambda ds: {"patients": ds.patients[:2]}, "x has shape (24, 3), but there are 2 patients"),
+        (lambda ds: {"patients": []}, "the dataset has no patients"),
+        (lambda ds: {"patients": [], "x": ds.x[:, :0], "y": ds.y[:, :0]},
+         "the dataset has no patients"),
         (lambda ds: {"cpg_gene_idx": ds.cpg_gene_idx[:-1]},
          "cpg_gene_idx has 47 entries, but y has 48 rows"),
         (lambda ds: {"cpg_ids": ds.cpg_ids[1:]}, "cpg_ids has 47 entries, but y has 48 rows"),
