@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _check_values, _require_at_least
+from .dataset import _check_values
 from .errors import FitError, ParameterError
 from .joint_em import (
     DEFAULT_INIT_QUANTILE,
@@ -22,6 +22,7 @@ from .joint_em import (
     DEFAULT_OUTER_TOL,
     LayerFit,
     _LayerBuffers,
+    _check_settings,
     _em,
     _gauss_row_scores,
     _layer_fit,
@@ -83,9 +84,10 @@ def fit_independent(
     quantile start and with the same stopping rule, but with this
     model's own E-step, a softmax of ``log weights + scores`` per row.
     Components are then relabelled so means ascend. ``values`` that are
-    not a 2-d matrix of at least one column, K below 1, and a value the
-    table reader would reject (named by its 0-based row and column), are
-    a :class:`ParameterError`. One :class:`_LayerBuffers`
+    not a 2-d matrix of at least one column, a setting out of range
+    (``joint_em._check_settings``), and a value the table reader would
+    reject (named by its 0-based row and column), are a
+    :class:`ParameterError`. One :class:`_LayerBuffers`
     per call holds the arrays every iteration writes.
     """
     values = np.asarray(values, dtype=float)
@@ -94,7 +96,7 @@ def fit_independent(
             f"values must be a 2-d matrix (entities x patients) with a patient, "
             f"got shape {values.shape}"
         )
-    _require_at_least("K", K, 1)
+    _check_settings(K, q, tol, max_iter)
     _check_values(values, lambda row, col, problem: ParameterError(
         f"{problem} in row {row}, column {col}"))
     resp = _quantile_start(values, K, q)

@@ -21,7 +21,6 @@ in label order.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import sys
 import time
@@ -33,9 +32,12 @@ import numpy as np
 from . import __version__, joint_em
 from .baseline import fit_independent
 from .dataset import (
+    TWIN_SUFFIX,
     _open_text,
     _require_at_least,
     _run_each,
+    _sha256,
+    _write_twin,
     align_patients,
     gather,
     load_paired_dataset,
@@ -56,7 +58,7 @@ from .errors import (
     JointmixError,
 )
 from .evaluate import benchmark, score_labels, simulated_dataset
-from .joint_em import _collapse, _warn_if_collapsed, fit, fit_all_chromosomes
+from .joint_em import _check_settings, _collapse, _warn_if_collapsed, fit, fit_all_chromosomes
 from .preprocess import (
     DEFAULT_BETA_EPS,
     DEFAULT_COUNT_THRESHOLD,
@@ -97,14 +99,6 @@ class _CommandParser(_Parser):
         return namespace, rest
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _common_parser() -> _Parser:
     """The flags every subcommand accepts; they set up a run and are not its parameters."""
     common = _Parser(add_help=False)
@@ -125,14 +119,20 @@ def _own_flags(args, *leave_out) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_OWN and k not in leave_out}
 
 
-def _write_manifest(out_dir, args, input_paths, started, parameters=None, **extra) -> None:
-    """Write ``manifest.json``; ``parameters`` default to the subcommand's own flags."""
+def _write_manifest(out_dir, args, input_paths, started, parameters=None, digests=None,
+                    **extra) -> None:
+    """Write ``manifest.json``; ``parameters`` default to the subcommand's own flags.
+
+    An input in the dict ``digests``, where the table readers put the
+    sha256 they took to check a twin, is not hashed again.
+    """
     payload = {
         "tool": "jointmix",
         "version": __version__,
         "subcommand": args.subcommand,
         "parameters": _own_flags(args) if parameters is None else parameters,
-        "input_digests": {str(Path(p)): _sha256(p) for p in input_paths},
+        "input_digests": {str(Path(p)): (digests or {}).get(Path(p)) or _sha256(p)
+                          for p in input_paths},
         "duration_s": round(time.perf_counter() - started, 6),
         **extra,
     }
@@ -218,8 +218,16 @@ def _aligned_condition_pair(path_a, path_b, reader, outside, what):
 
 
 def cmd_preprocess(args) -> int:
+    """Derive the model inputs, ``expression.tsv`` and ``methylation.tsv``, from raw condition pairs.
+
+    Next to each table it writes its binary twin (``expression.tsv.arrays``,
+    ``dataset._write_twin``): the table's arrays and the sha256 of its
+    bytes, which ``fit`` and ``baseline`` read in place of parsing the
+    table again. The raw inputs are parsed.
+    """
     t0 = time.perf_counter()
-    out = _prepare_out(args, ["expression.tsv", "methylation.tsv", "manifest.json"])
+    out = _prepare_out(args, ["expression.tsv", f"expression.tsv{TWIN_SUFFIX}", "methylation.tsv",
+                              f"methylation.tsv{TWIN_SUFFIX}", "manifest.json"])
     patients, genes, counts_b, rows_b, cols_b = _aligned_condition_pair(
         args.expression_a, args.expression_b, read_expression_table,
         lambda v: v < 0, "negative count {!r}",
@@ -250,11 +258,12 @@ def cmd_preprocess(args) -> int:
         raise DataDomainError(
             f"{path}: patient {patients[column]!r} has zero library size after filtering"
         ) from None
-    write_expression_table(out / "expression.tsv",
-                           *(col[kept_g] for col in genes.columns.values()), patients, x)
-    cpg_rows = kept[kept_c]
-    write_methylation_table(out / "methylation.tsv",
-                            *(col[cpg_rows] for col in cpgs.columns.values()), patients, y)
+    gene_cols = [col[kept_g] for col in genes.columns.values()]
+    write_expression_table(out / "expression.tsv", *gene_cols, patients, x)
+    _write_twin(out / "expression.tsv", patients, gene_cols, x)
+    cpg_cols = [col[kept[kept_c]] for col in cpgs.columns.values()]
+    write_methylation_table(out / "methylation.tsv", *cpg_cols, patients, y)
+    _write_twin(out / "methylation.tsv", patients, cpg_cols, y)
     inputs = [args.expression_a, args.expression_b, args.methylation_a, args.methylation_b]
     _write_manifest(out, args, inputs, t0)
     return 0
@@ -318,18 +327,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _finish_fits(out, args, input_paths, started, results, failures) -> int:
+def _finish_fits(out, args, input_paths, digests, started, results, failures) -> int:
     """End a per-chromosome fit command once its results are written.
 
     Prints a ``chromosome ... failed`` line per failure in label order,
-    writes the manifest with the unconverged labels and the collapsed
+    writes the manifest, taking the input digests the readers put in
+    ``digests``, with the unconverged labels and the collapsed
     ones (those warned of by ``joint_em._warn_if_collapsed``) and returns
     the exit code: 0, 3 if some chromosomes failed, 2 if all did.
     """
     for label in sorted(failures):
         print(f"chromosome {label} failed: {failures[label]}", file=sys.stderr)
     _write_manifest(
-        out, args, input_paths, started,
+        out, args, input_paths, started, digests=digests,
         unconverged=sorted(label for label, r in results.items() if not r.converged),
         collapsed=sorted(label for label, r in results.items() if any(_collapse(r.params))),
     )
@@ -342,13 +352,15 @@ def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     out = _prepare_out(args, ["model.json", "gene_results.tsv", "cpg_results.tsv", "manifest.json"])
     _require_at_least("threads", args.threads, 1)
-    ds = load_paired_dataset(args.expression, args.methylation, mode=args.mode)
-    results, failures = fit_all_chromosomes(
-        ds, **_own_flags(args, "expression", "methylation", "mode")
-    )
+    settings = _own_flags(args, "expression", "methylation", "mode", "threads")
+    _check_settings(**settings)
+    digests = {}
+    ds = load_paired_dataset(args.expression, args.methylation, args.mode, digests)
+    results, failures = fit_all_chromosomes(ds, args.threads, **settings)
     if results:
         write_joint_results(out, ds, results, args.K, args.L, args.threads)
-    return _finish_fits(out, args, [args.expression, args.methylation], t0, results, failures)
+    return _finish_fits(out, args, [args.expression, args.methylation], digests, t0,
+                        results, failures)
 
 
 def cmd_baseline(args) -> int:
@@ -357,7 +369,9 @@ def cmd_baseline(args) -> int:
     results_name = "gene_results.tsv" if expression else "cpg_results.tsv"
     out = _prepare_out(args, [results_name, "model.json", "manifest.json"])
     _require_at_least("threads", args.threads, 1)
-    _, table = (read_expression_table if expression else read_methylation_table)(args.input)
+    _check_settings(args.k, args.quantile, args.tol, args.max_iter)
+    digests = {}
+    _, table = (read_expression_table if expression else read_methylation_table)(args.input, digests)
     labels, chrom = np.unique(table["chromosome"], return_inverse=True)
     rows_of = {label: np.flatnonzero(chrom == i) for i, label in enumerate(labels.tolist())}
     fits, failures = _run_each(
@@ -377,7 +391,7 @@ def cmd_baseline(args) -> int:
             label_names("gene" if expression else "cpg", args.k),
         )], args.threads)
         write_json(out / "model.json", independent_model_payload(args.k, fits))
-    return _finish_fits(out, args, [args.input], t0, fits, failures)
+    return _finish_fits(out, args, [args.input], digests, t0, fits, failures)
 
 
 def cmd_evaluate(args) -> int:

@@ -12,13 +12,16 @@ is written here too, a TSV by :func:`_write_tables` on the pool of
 :func:`_each` and a JSON file by :func:`write_json`, each making its
 file's directory if it is missing. A TSV's numbers
 are written a block at a time by ``orjson`` (:func:`_block_lines`),
-to the rule :func:`_format_number` gives for one number.
+to the rule :func:`_format_number` gives for one number. A table may
+have a binary twin (:func:`_write_twin`), which its reader takes in
+place of parsing the TSV again when the twin records the TSV's sha256.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import json
 import logging
@@ -284,30 +287,120 @@ def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str,
     return cells, linenos, rows
 
 
-def _load_rows(path, line_dtype) -> tuple[list[str], np.ndarray | None]:
-    """The header cells of a TSV and its data lines as one structured array, None if rejected.
+def _checked_header(path, line_dtype) -> tuple[list[str], list]:
+    """The header cells of a TSV and ``line_dtype(cells)``, the structured dtype of its lines.
 
-    ``line_dtype(cells)`` raises a :class:`FormatError` for a header it
-    rejects, else returns the structured dtype of a line, with a field
-    for each cell. The data lines are then read by one pass of
-    ``loadtxt``, which rejects a line with another cell count, a value
-    that does not parse, a byte that is not UTF-8 and a table without
-    data lines. Blank lines are skipped. An ``object`` field keeps its
-    cell's text as it is: nothing is stripped, ``#`` and ``"`` are
-    literal, and no fixed width cuts it short. The caller names the
-    fault of a rejected table with the line loop of :func:`_read_tsv`.
+    ``line_dtype`` raises a :class:`FormatError` for a header it rejects,
+    else returns the dtype :func:`_load_rows` reads a line with, a field
+    for each cell.
     """
     with _open_text(path) as fh:
         cells = _read_header(fh, path)
-    dtype = line_dtype(cells)
+    return cells, line_dtype(cells)
+
+
+def _load_rows(path, dtype) -> np.ndarray | None:
+    """The data lines of a TSV as one structured array of ``dtype``, None if rejected.
+
+    The lines below the header are read by one pass of ``loadtxt``,
+    which rejects a line with another cell count, a value that does not
+    parse, a byte that is not UTF-8 and a table without data lines.
+    Blank lines are skipped. An ``object`` field keeps its cell's text
+    as it is: nothing is stripped, ``#`` and ``"`` are literal, and no
+    fixed width cuts it short. The caller names the fault of a rejected
+    table with the line loop of :func:`_read_tsv`.
+    """
     with warnings.catch_warnings():
         # a table without data lines warns "input contained no data"
         warnings.simplefilter("error", UserWarning)
         try:
-            return cells, np.loadtxt(path, delimiter="\t", skiprows=1, dtype=dtype, ndmin=1,
-                                     encoding="utf-8", comments=None)
+            return np.loadtxt(path, delimiter="\t", skiprows=1, dtype=dtype, ndmin=1,
+                              encoding="utf-8", comments=None)
         except (ValueError, UserWarning):  # a UnicodeDecodeError is a ValueError
-            return cells, None
+            return None
+
+
+def _sha256(path) -> str:
+    """The hex sha256 of the file at ``path``."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+# Appended to a TSV's name to name its twin: expression.tsv.arrays.
+TWIN_SUFFIX = ".arrays"
+
+
+def _twin_path(path) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + TWIN_SUFFIX)
+
+
+def _write_twin(path, patients, columns, values) -> None:
+    """Write the twin of the TSV just written at ``path`` from ``columns`` and ``values``.
+
+    The twin holds four ``np.lib.format`` records, written without
+    pickles: the TSV's sha256, the patients, the fixed ``columns`` as
+    one (columns, rows) ``<U`` block in the width :func:`_parse_table`
+    gives them, and the (rows, patients) float64 values as the TSV reads
+    back: a zero of either sign is ``0`` in the TSV, so +0.0 here. The
+    bytes depend only on these arrays. The values are written a row
+    block at a time, so no copy of them is held. A twin costs 8 bytes
+    per value, plus 4 per character of the widest fixed cell, times the
+    fixed cells.
+    """
+    columns = [np.asarray(col, dtype=str) for col in columns]
+    width = max(1, *(int(np.char.str_len(col).max(initial=0)) for col in columns))
+    values = np.asarray(values, dtype=float)
+    with open(_twin_path(path), "wb") as fh:
+        for record in (np.array(_sha256(path)), np.array(patients, dtype=str),
+                       np.array(columns, dtype=f"<U{width}")):
+            np.lib.format.write_array(fh, record, allow_pickle=False)
+        # the header np.lib.format.write_array gives the whole matrix
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(values.dtype), "fortran_order": False,
+            "shape": values.shape})
+        step = _block_rows(values.shape[1])
+        for start in range(0, len(values), step):
+            fh.write((values[start:start + step] + 0.0).tobytes())  # -0.0 + 0.0 is +0.0
+
+
+def _read_twin(path, k, patients, digests) -> tuple[np.ndarray, np.ndarray] | None:
+    """The fixed-column block and values held by the twin of the TSV ``path``, None if unfit.
+
+    A twin is taken only if it opens, its first record is the sha256 of
+    the TSV as it is now, its patients are ``patients``, its block is a
+    native ``<U`` array of ``k`` rows and its values a C-ordered float64
+    array of a column per patient and of as many rows, at least one, and
+    nothing follows them. A missing, stale, truncated or foreign twin, or one
+    holding an object array, is therefore passed over, and the caller
+    parses the TSV. The TSV is hashed only if the twin opens; its digest
+    goes into the dict ``digests`` under ``Path(path)`` unless that is None.
+    """
+    try:
+        fh = open(_twin_path(path), "rb")
+    except OSError:
+        return None
+    with fh:
+        digest = _sha256(path)
+        if digests is not None:
+            digests[Path(path)] = digest
+        read = functools.partial(np.lib.format.read_array, fh, allow_pickle=False)
+        try:
+            if read().tolist() != digest or read().tolist() != patients:
+                return None
+            block, values = read(), read()
+            if fh.read(1):
+                return None
+        except (OSError, ValueError):  # a truncated or malformed record, or an object array
+            return None
+    fits = (values.dtype == np.float64 and values.ndim == 2 and values.flags.c_contiguous
+            and len(values) > 0 and values.shape[1] == len(patients)
+            and block.shape == (k, len(values))
+            and block.dtype.kind == "U" and block.dtype.isnative)
+    return (block, values) if fits else None
 
 
 def _first_repeat(ids) -> int | None:
@@ -323,21 +416,25 @@ def _unnamed_fault(path) -> FormatError:
     return FormatError(f"{path}: rejected by the table reader, no line at fault")
 
 
-def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
+def _parse_table(path, fixed_columns, digests=None) -> tuple[list[str], Table]:
     """Parse a TSV with fixed leading columns followed by patient columns.
 
     The header must start with ``fixed_columns`` and name one or more
-    patients, each once. The data lines are read by one pass of numpy's
+    patients, each once. If the TSV has a twin that :func:`_read_twin`
+    takes (one ``preprocess`` wrote with it, the TSV unchanged since),
+    the rows are the twin's arrays, read without parsing a value; the
+    TSV's sha256, taken to check the twin, goes into ``digests``.
+    Otherwise the data lines are read by one pass of numpy's
     C ``loadtxt`` (:func:`_load_rows`), with an ``object`` field per
     fixed column and a float per patient. It parses each number with the
     same routine as ``float()``, so the values are bit for bit the same,
     without a Python call per value. It accepts decimal and exponent
     notation, ``inf`` and ``nan`` in any case, a leading sign and
     surrounding whitespace; unlike ``float()`` it rejects ``_`` between
-    digits and non-ASCII digits. The row id, the first fixed column,
-    must not repeat, and a value that is not finite or exceeds
+    digits and non-ASCII digits. Either way the row id, the first fixed
+    column, must not repeat, and a value that is not finite or exceeds
     ``MAX_ABS_VALUE`` in magnitude is rejected; both are checked on the
-    arrays of the pass and named by :meth:`Table.locate`. The table
+    arrays read and named by :meth:`Table.locate`. The table
     records ``path``. :func:`_raise_unreadable` names the fault of a
     table the pass could not read.
     """
@@ -354,17 +451,23 @@ def _parse_table(path, fixed_columns) -> tuple[list[str], Table]:
             raise FormatError(f"{path}: duplicate patient column names")
         return [*((name, object) for name in fixed_columns), ("values", float, (len(cols) - k,))]
 
-    cols, rows = _load_rows(path, line_dtype)
+    cols, dtype = _checked_header(path, line_dtype)
     patients = cols[k:]
-    if rows is None:
-        _raise_unreadable(path, fixed_columns, patients)
-    ids, values = rows[fixed_columns[0]].tolist(), np.ascontiguousarray(rows["values"])
-    # one block, in the width a row-wise np.array(..., dtype=str) gives every column
-    width = max(1, *(max(map(len, rows[name])) for name in fixed_columns))
-    annotations = np.empty((k, len(rows)), dtype=f"<U{width}")
-    for i, name in enumerate(fixed_columns):
-        annotations[i] = rows[name]
-        rows[name] = None  # frees the column's str objects before the next is filled
+    twin = _read_twin(path, k, patients, digests)
+    if twin is not None:
+        annotations, values = twin
+        ids = annotations[0].tolist()
+    else:
+        rows = _load_rows(path, dtype)
+        if rows is None:
+            _raise_unreadable(path, fixed_columns, patients)
+        ids, values = rows[fixed_columns[0]].tolist(), np.ascontiguousarray(rows["values"])
+        # one block, in the width a row-wise np.array(..., dtype=str) gives every column
+        width = max(1, *(max(map(len, rows[name])) for name in fixed_columns))
+        annotations = np.empty((k, len(rows)), dtype=f"<U{width}")
+        for i, name in enumerate(fixed_columns):
+            annotations[i] = rows[name]
+            rows[name] = None  # frees the column's str objects before the next is filled
     table = Table(dict(zip(fixed_columns, annotations)), values, path)
     repeat = _first_repeat(ids)
     if repeat is not None:
@@ -434,14 +537,22 @@ def _raise_unreadable(path, fixed_columns, patients):
     raise _unnamed_fault(path)
 
 
-def read_expression_table(path) -> tuple[list[str], Table]:
-    """Read an expression TSV: gene_id, chromosome, then patient columns."""
-    return _parse_table(path, EXPRESSION_FIXED_COLUMNS)
+def read_expression_table(path, digests=None) -> tuple[list[str], Table]:
+    """Read an expression TSV: gene_id, chromosome, then patient columns.
+
+    Its rows come from its twin when :func:`_parse_table` takes one; the
+    TSV's sha256, if the twin check took it, goes into the dict ``digests``.
+    """
+    return _parse_table(path, EXPRESSION_FIXED_COLUMNS, digests)
 
 
-def read_methylation_table(path) -> tuple[list[str], Table]:
-    """Read a methylation TSV: cpg_id, gene_id, chromosome, then patients."""
-    return _parse_table(path, METHYLATION_FIXED_COLUMNS)
+def read_methylation_table(path, digests=None) -> tuple[list[str], Table]:
+    """Read a methylation TSV: cpg_id, gene_id, chromosome, then patients.
+
+    Its rows come from its twin when :func:`_parse_table` takes one; the
+    TSV's sha256, if the twin check took it, goes into the dict ``digests``.
+    """
+    return _parse_table(path, METHYLATION_FIXED_COLUMNS, digests)
 
 
 def align_patients(path_a, patients_a, path_b, patients_b) -> list[int]:
@@ -474,7 +585,7 @@ def read_truth_table(path, layer) -> dict[str, str]:
             raise FormatError(f"{path}: expected header entity_id/layer/label")
         return [(name, object) for name in TRUTH_COLUMNS]
 
-    _, rows = _load_rows(path, line_dtype)
+    rows = _load_rows(path, _checked_header(path, line_dtype)[1])
     if rows is None:
         _read_tsv(path, lambda cells: range(len(TRUTH_COLUMNS)))
         raise _unnamed_fault(path)
@@ -515,14 +626,16 @@ def read_predicted_labels(path, layer) -> tuple[list[int], list[tuple[str, str]]
     return linenos, pairs
 
 
-def load_paired_dataset(expression_path, methylation_path, mode="strict") -> PairedDataset:
+def load_paired_dataset(expression_path, methylation_path, mode="strict",
+                        digests=None) -> PairedDataset:
     """Load and pair the two tables, aligning patients by header name.
 
     Patient columns are matched by name, not position, with
-    :func:`align_patients`; the methylation columns take the expression order.
+    :func:`align_patients`; the methylation columns take the expression
+    order. ``digests`` is passed to both readers.
     """
-    expr_patients, genes = read_expression_table(expression_path)
-    meth_patients, cpgs = read_methylation_table(methylation_path)
+    expr_patients, genes = read_expression_table(expression_path, digests)
+    meth_patients, cpgs = read_methylation_table(methylation_path, digests)
     order = align_patients(expression_path, expr_patients, methylation_path, meth_patients)
     cpgs = Table(cpgs.columns, gather(cpgs.values, cols=order), cpgs.path)
     return build_paired_dataset(genes, cpgs, expr_patients, mode=mode)

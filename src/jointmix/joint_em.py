@@ -157,6 +157,30 @@ class FitResult:
     no_cpg_mass: list[int]
 
 
+def _check_quantile(q) -> None:
+    """Raise :class:`ParameterError` unless the start quantile ``q`` lies in (0, 0.5); nan never does."""
+    if not 0.0 < q < 0.5:
+        raise ParameterError(f"init quantile must lie in (0, 0.5), got {q}")
+
+
+def _check_settings(K, q, outer_tol, outer_max, L=1, inner_tol=0.0, inner_max=1) -> None:
+    """Raise :class:`ParameterError` for the first setting of a fit out of range.
+
+    The settings are :func:`fit`'s; ``baseline.fit_independent`` leaves
+    ``L`` and the inner ones at values that pass. K, L and ``inner_max``
+    must be at least 1, ``inner_tol`` at least 0, ``q`` must lie in (0,
+    0.5), and ``outer_max`` and ``outer_tol`` must be at least 0, nan
+    failing each test; they are checked in that order. Both fits call
+    this before reading their data, and the CLI before reading an input.
+    """
+    for name, value, least in (("K", K, 1), ("L", L, 1), ("inner iteration limit", inner_max, 1),
+                               ("inner tolerance", inner_tol, 0)):
+        _require_at_least(name, value, least)
+    _check_quantile(q)
+    _require_at_least("outer iteration limit", outer_max, 0)
+    _require_at_least("outer tolerance", outer_tol, 0)
+
+
 def _quantile_start(values: np.ndarray, k: int, q: float) -> np.ndarray:
     """One-hot start of one layer's k clusters from its ranked row means.
 
@@ -167,8 +191,7 @@ def _quantile_start(values: np.ndarray, k: int, q: float) -> np.ndarray:
     clusters are never empty. A ``q`` outside (0, 0.5) is a
     :class:`ParameterError`.
     """
-    if not 0.0 < q < 0.5:
-        raise ParameterError(f"init quantile must lie in (0, 0.5), got {q}")
+    _check_quantile(q)
     m = values.shape[0]
     means = values.mean(axis=1)
     # the default sort is several times faster than a stable one, and gives
@@ -617,10 +640,8 @@ def _em(e_step, m_step, resp, tol, max_iter):
     iterations. A :class:`FitError` in iteration t is raised again as
     ``outer iteration t: ...``. Returns ``(params, resp, trace,
     converged)``; ``trace`` holds each iteration's parameter change.
-    A negative ``max_iter`` or a negative or nan ``tol`` is a ParameterError.
+    Its callers check ``tol`` and ``max_iter`` (:func:`_check_settings`).
     """
-    _require_at_least("outer iteration limit", max_iter, 0)
-    _require_at_least("outer tolerance", tol, 0)
     params = m_step(resp)
     trace = []
     for t in range(1, max_iter + 1):
@@ -684,10 +705,10 @@ def fit(
     falls below ``outer_tol``. After convergence, :func:`_layer_fit`
     relabels the components so both mean vectors ascend, making cluster 1
     the down-shifted state, 2 the null state and 3 the up-shifted state.
-    K, L or ``inner_max`` below 1 and a negative or nan ``inner_tol`` are
-    a :class:`ParameterError`, as are the outer settings :func:`_em` rejects,
-    arrays of ``ds`` that do not fit together (:func:`_check_layout`) and
-    a value the table reader would reject (named by its row id and
+    A setting out of range is a :class:`ParameterError`, raised first
+    (:func:`_check_settings`; ``q`` is checked even with an ``init``), as
+    are arrays of ``ds`` that do not fit together (:func:`_check_layout`)
+    and a value the table reader would reject (named by its row id and
     patient).
 
     Every E- and M-step writes into one :class:`_Workspace` built for
@@ -697,9 +718,7 @@ def fit(
     ``force_independent`` pins all columns of ``pi`` equal after every
     M-step, reducing the model to two independent mixtures (test hook).
     """
-    for name, value, least in (("K", K, 1), ("L", L, 1), ("inner iteration limit", inner_max, 1),
-                               ("inner tolerance", inner_tol, 0)):
-        _require_at_least(name, value, least)
+    _check_settings(K, q, outer_tol, outer_max, L, inner_tol, inner_max)
     _check_layout(ds)
     for values, ids, what in ((ds.x, ds.gene_ids, "gene"), (ds.y, ds.cpg_ids, "CpG")):
         _check_values(values, lambda row, col, problem: ParameterError(

@@ -25,7 +25,8 @@ def _config_logps(ds, params, gene_index):
     """``{(k, l_1, ..., l_Cg): log density}`` of every hard configuration of one gene.
 
     Enumerates all K * L^C_g assignments of the gene and its CpGs and
-    scores each with the joint density written out term by term.
+    scores each with the joint density written out term by term. A
+    ``pi`` entry of 0 scores its configurations ``-inf``.
     """
     K = len(params.tau)
     L = len(params.lam)
@@ -41,7 +42,7 @@ def _config_logps(ds, params, gene_index):
             logp = base
             for c, l in enumerate(ls):
                 pi_lk = params.pi[l, k]
-                logp += math.log(pi_lk) if pi_lk > 0 else -1e308
+                logp += math.log(pi_lk) if pi_lk > 0 else -math.inf
                 logp += sum(
                     _log_normal(v, params.lam[l], params.rho2) for v in ds.y[idx[c]]
                 )

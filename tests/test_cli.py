@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import jointmix
+import jointmix.cli
 import jointmix.dataset
 from jointmix.cli import main, timing_probe
 from jointmix.errors import ParameterError
@@ -622,13 +624,17 @@ class TestFitAndBaselineAlike:
         ]
         if command == "fit" or flags[0] not in ("--l", "--inner-max", "--inner-tol")
     ])
+    # with the inputs missing, the flag is rejected before any input is opened
+    @pytest.mark.parametrize("missing", [False, True], ids=["inputs", "missing-inputs"])
     def test_parameter_out_of_range_is_one_input_error(
-        self, transformed_dir, tmp_path, capsys, command, flags, message
+        self, transformed_dir, tmp_path, capsys, command, flags, message, missing
     ):
-        code = run(*fit_argv(transformed_dir, command), *flags, "--out", tmp_path / "out")
+        data = tmp_path if missing else transformed_dir
+        code = run(*fit_argv(data, command), *flags, "--out", tmp_path / "out")
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fit", "baseline"])
     @pytest.mark.parametrize("value", ["1e300", "-1e300"])
@@ -741,6 +747,78 @@ class TestFitAndBaselineAlike:
             "cpg_id", "gene_id", "chromosome", "posterior_M1", "posterior_M2", "posterior_M3",
             "posterior_M4", "map_label", "uncertainty",
         ]
+
+
+class TestTwins:
+    """``preprocess`` writes a binary twin of each table; ``fit`` and ``baseline`` read it."""
+
+    NAMES = ("expression.tsv", "methylation.tsv")
+
+    def bare(self, data, tmp_path):
+        """Copies of the preprocessed tables in ``data``, without their twins."""
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in self.NAMES:
+            (bare / name).write_bytes((data / name).read_bytes())
+        return bare
+
+    def test_preprocess_writes_the_same_twins_every_run(self, sim_dir, transformed_dir, tmp_path):
+        assert preprocess(sim_dir, tmp_path / "again") == 0
+        for name in self.NAMES:
+            twin = f"{name}.arrays"
+            assert (transformed_dir / twin).read_bytes() == (tmp_path / "again" / twin).read_bytes()
+
+    def test_preprocess_does_not_overwrite_a_twin_without_force(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "methylation.tsv.arrays").write_bytes(b"kept")
+        argv = [a for a in preprocess_argv(sim_dir, out) if a != "--force"]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: would overwrite methylation.tsv.arrays in {out}; pass --force to allow"
+        ]
+        assert [p.name for p in out.iterdir()] == ["methylation.tsv.arrays"]
+        assert (out / "methylation.tsv.arrays").read_bytes() == b"kept"
+        assert run(*argv, "--force") == 0
+        assert (out / "methylation.tsv.arrays").read_bytes() != b"kept"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fit_and_baseline_give_the_same_bytes_without_twins(
+        self, transformed_dir, tmp_path, threads
+    ):
+        bare = self.bare(transformed_dir, tmp_path)
+        argvs = {
+            "fit": lambda data: fit_argv(data, "fit"),
+            "base_e": lambda data: fit_argv(data, "baseline"),
+            "base_m": lambda data: ["baseline", "--input", data / "methylation.tsv",
+                                    "--layer", "methylation"],
+        }
+        for name, argv in argvs.items():
+            for data in (transformed_dir, bare):
+                out = tmp_path / f"{name}-{data.name}"
+                assert run(*argv(data), "--threads", threads, "--out", out) == 0
+            files = sorted(p.name for p in (tmp_path / f"{name}-bare").iterdir())
+            assert "model.json" in files
+            for f in files:
+                if f != "manifest.json":
+                    twinned = (tmp_path / f"{name}-{transformed_dir.name}" / f).read_bytes()
+                    assert twinned == (tmp_path / f"{name}-bare" / f).read_bytes(), (name, f)
+
+    @pytest.mark.parametrize("twins", [True, False])
+    def test_each_input_is_hashed_once(self, transformed_dir, tmp_path, monkeypatch, twins):
+        data = transformed_dir if twins else self.bare(transformed_dir, tmp_path)
+        hashed, sha256 = {"reader": [], "manifest": []}, jointmix.dataset._sha256
+        for module, by in ((jointmix.dataset, "reader"), (jointmix.cli, "manifest")):
+            monkeypatch.setattr(module, "_sha256",
+                                lambda path, by=by: hashed[by].append(Path(path)) or sha256(path))
+        inputs = [data / name for name in self.NAMES]
+        assert run(*fit_argv(data, "fit"), "--outer-max", 1, "--out", tmp_path / "fit") == 0
+        # with twins the reader hashes each input to check its twin, and the manifest reuses it
+        assert hashed == ({"reader": inputs, "manifest": []} if twins
+                          else {"reader": [], "manifest": inputs})
+        assert manifest(tmp_path / "fit")["input_digests"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs
+        }
 
 
 class TestEvaluateCommand:

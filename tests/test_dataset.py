@@ -1,9 +1,13 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
 import jointmix.dataset
 from jointmix.dataset import (
     Table,
+    _write_twin,
     build_paired_dataset,
     gather,
     load_paired_dataset,
@@ -325,3 +329,138 @@ class TestReaderEdgeCases:
         with pytest.raises(InputError):
             read_expression_table(path)
         assert reads == [{cells}]
+
+
+class TestTwin:
+    """A table's binary twin is read in place of the parse only when it matches the TSV."""
+
+    PATIENTS = ["P1", "P2"]
+
+    def write(self, path, ids=("g1", "g2", "g3"), values=((0.5, -0.0), (1e-7, 2.0), (3.0, 4.5))):
+        """An expression TSV of ``ids`` and ``values`` on chromosome 1, with its twin."""
+        chromosomes = ["1"] * len(ids)
+        write_expression_table(path, list(ids), chromosomes, self.PATIENTS, np.array(values))
+        _write_twin(path, self.PATIENTS, [list(ids), chromosomes], values)
+        return path
+
+    @staticmethod
+    def read(path, monkeypatch):
+        """``read_expression_table(path)`` and whether it parsed the TSV's values."""
+        parses, load_rows = [], jointmix.dataset._load_rows
+        with monkeypatch.context() as m:
+            m.setattr(jointmix.dataset, "_load_rows",
+                      lambda *args: parses.append(1) or load_rows(*args))
+            return read_expression_table(path), bool(parses)
+
+    def assert_parsed(self, path, monkeypatch):
+        """Reading ``path`` parses it, and gives what it gives with no twin."""
+        (patients, table), parsed = self.read(path, monkeypatch)
+        assert parsed
+        twin = jointmix.dataset._twin_path(path)
+        twin.rename(path.with_name("aside"))
+        try:
+            want_patients, want = read_expression_table(path)
+        finally:
+            path.with_name("aside").rename(twin)
+        assert patients == want_patients
+        assert table.values.tobytes() == want.values.tobytes()
+        assert {k: c.tolist() for k, c in table.columns.items()} == {
+            k: c.tolist() for k, c in want.columns.items()}
+
+    def test_a_matching_twin_is_read_and_its_digest_kept(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path / "e.tsv")
+        (patients, table), parsed = self.read(path, monkeypatch)
+        assert not parsed and patients == self.PATIENTS and table.path == path
+        assert table.values.tolist() == [[0.5, 0.0], [1e-7, 2.0], [3.0, 4.5]]
+        assert np.signbit(table.values).sum() == 0  # the TSV's "0" is +0.0
+        assert table["gene_id"].tolist() == ["g1", "g2", "g3"] and table["gene_id"].dtype == "<U2"
+        digests = {}
+        read_expression_table(path, digests)
+        assert digests == {path: hashlib.sha256(path.read_bytes()).hexdigest()}
+
+    def test_values_written_in_row_blocks_make_one_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 4)  # two rows a block
+        values = np.arange(10.0).reshape(5, 2) - 4.5
+        values[1, 1] = -0.0
+        path = self.write(tmp_path / "e.tsv", [f"g{i}" for i in range(5)], values)
+        with open(jointmix.dataset._twin_path(path), "rb") as fh:
+            for _ in range(3):
+                np.lib.format.read_array(fh)
+            record = fh.read()
+        whole = io.BytesIO()
+        np.lib.format.write_array(whole, values + 0.0)
+        assert record == whole.getvalue()
+
+    def test_twins_of_one_table_are_byte_identical(self, tmp_path):
+        a, b = self.write(tmp_path / "a" / "e.tsv"), self.write(tmp_path / "b" / "e.tsv")
+        twin = jointmix.dataset._twin_path
+        assert twin(a).read_bytes() == twin(b).read_bytes()
+
+    def test_a_stale_twin_is_passed_over(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path / "e.tsv")
+        path.write_text(path.read_text().replace("4.5", "4.25"))
+        self.assert_parsed(path, monkeypatch)
+        assert read_expression_table(path)[1].values[2, 1] == 4.25
+
+    @pytest.mark.parametrize("keep", [0, 6, 100, -300, -8, -1])
+    def test_a_truncated_twin_is_passed_over(self, tmp_path, monkeypatch, keep):
+        path = self.write(tmp_path / "e.tsv")
+        twin = jointmix.dataset._twin_path(path)
+        twin.write_bytes(twin.read_bytes()[:keep])
+        self.assert_parsed(path, monkeypatch)
+
+    def test_a_twin_with_bytes_after_its_records_is_passed_over(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path / "e.tsv")
+        twin = jointmix.dataset._twin_path(path)
+        twin.write_bytes(twin.read_bytes() + b"\0")
+        self.assert_parsed(path, monkeypatch)
+
+    def test_the_twin_of_another_table_is_passed_over(self, tmp_path, monkeypatch):
+        other = self.write(tmp_path / "other.tsv", values=((9.0, 9.0),) * 3)
+        path = self.write(tmp_path / "e.tsv")
+        jointmix.dataset._twin_path(path).write_bytes(
+            jointmix.dataset._twin_path(other).read_bytes())
+        self.assert_parsed(path, monkeypatch)
+
+    @pytest.mark.parametrize("record, change", [
+        (1, lambda a: a.astype(object)),
+        (2, lambda a: a.astype(object)),
+        (3, lambda a: a.astype(object)),
+        (3, np.asfortranarray),
+        (3, lambda a: a.astype(">f8")),
+        (3, lambda a: a.astype(np.float32)),
+        (3, lambda a: a[:, :1]),
+        (2, lambda a: a.astype(">U2")),
+        (2, lambda a: a.astype("S2")),
+        (2, lambda a: a[:1]),
+    ], ids=["object-patients", "object-columns", "object-values", "fortran-values",
+            "big-endian-values", "float32-values", "one-patient", "big-endian-columns",
+            "bytes-columns", "one-column"])
+    def test_a_twin_holding_other_arrays_is_passed_over(self, tmp_path, monkeypatch, record, change):
+        path = self.write(tmp_path / "e.tsv")
+        twin = jointmix.dataset._twin_path(path)
+        with open(twin, "rb") as fh:
+            records = [np.lib.format.read_array(fh) for _ in range(4)]
+        records[record] = change(records[record])
+        with open(twin, "wb") as fh:
+            for r in records:
+                np.lib.format.write_array(fh, r, allow_pickle=True)
+        self.assert_parsed(path, monkeypatch)
+
+    @pytest.mark.parametrize("ids, values, error", [
+        (("g1", "g2", "g1"), ((1.0, 2.0),) * 3, DuplicateIdError),
+        (("g1", "g2", "g3"), ((1.0, 2.0), (1.0, 1e300), (1.0, 2.0)), FormatError),
+    ], ids=["repeated-id", "1e300"])
+    def test_a_twin_of_a_bad_table_raises_the_parse_message(
+        self, tmp_path, monkeypatch, ids, values, error
+    ):
+        path = self.write(tmp_path / "e.tsv", ids, values)
+        with monkeypatch.context() as m:
+            m.setattr(jointmix.dataset, "_load_rows", lambda *args: pytest.fail("parsed"))
+            with pytest.raises(error) as via_twin:
+                read_expression_table(path)
+        jointmix.dataset._twin_path(path).unlink()
+        with pytest.raises(error) as parsed:
+            read_expression_table(path)
+        assert str(via_twin.value) == str(parsed.value)
+        assert str(parsed.value).startswith(f"{path}:")

@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import itertools
 import logging
 import multiprocessing
 import os
@@ -268,37 +269,50 @@ class TestScoreKernel:
             assert variance == ref_variance
 
 
+# The one case of TestExactPass whose data favour a configuration with a pi of 0 by more than
+# the floor's 690 nats: the pass, exact for the floored pi, gives that configuration the mass
+# (a log-likelihood 12,662 higher) that the enumeration, exact for the 0, cannot. Scored at
+# the floor, the two agree to 1e-12.
+FLOOR_SHOWS = {("0 to 4 CpGs", 1e3, "pi zeros"): pytest.mark.xfail(
+    strict=True, reason="joint_em._log_clip's 1e-300 floor outweighs a pi of 0")}
+
+
 class TestExactPass:
     """The exact marginalization against literal enumeration of every hard configuration."""
 
     # the CpG count of each gene
     LAYOUTS = {"childless": [0], "one gene": [3], "0 to 4 CpGs": [2, 0, 4, 1, 3, 0]}
-    CASES = [pytest.param(counts, scale, id=f"{name}-{scale:g}")
-             for name, counts in LAYOUTS.items() for scale in (1e-3, 1.0, 1e3)]
+    # pi entries set before the columns are normalized: one small entry, or two zeros,
+    # where joint_em._log_clip's 1e-300 floor acts and the enumeration scores -inf
+    PI_ENTRIES = {"pi 1e-12": {(0, 2): 1e-12}, "pi zeros": {(2, 0): 0.0, (0, 1): 0.0}}
+    CASES = [pytest.param(counts, scale, entries, id=f"{name}-{scale:g}-{pi_name}",
+                          marks=FLOOR_SHOWS.get((name, scale, pi_name), []))
+             for (name, counts), scale, (pi_name, entries)
+             in itertools.product(LAYOUTS.items(), (1e-3, 1.0, 1e3), PI_ENTRIES.items())]
 
     @staticmethod
-    def case(counts, scale):
-        """A dataset of the given layout and value ``scale``, and parameters with a pi of 1e-12."""
+    def case(counts, scale, entries):
+        """A dataset of the given layout and value ``scale``, and parameters with these pi entries."""
         rng = np.random.default_rng([len(counts), sum(counts), int(np.log10(scale)) + 3])
         ds = make_dataset(rng.normal(0.0, scale, (len(counts), 2)),
                           np.repeat(np.arange(len(counts)), counts),
                           rng.normal(0.0, scale, (sum(counts), 2)))
         pi = random_responsibilities(rng, 3, 3).T
-        # small, not 0: the enumeration scores a 0 as -1e308, and a sum of two overflows
-        pi[0, 2] = 1e-12
+        for lk, entry in entries.items():
+            pi[lk] = entry
         pi /= pi.sum(axis=0)
         params = params_for([0.2, 0.5, 0.3], pi, [-2.0, 0.0, 2.0], 0.7, [-2.5, 0.0, 2.5], 1.1)
         return ds, params
 
-    @pytest.mark.parametrize("counts, scale", CASES)
-    def test_loglik_matches_enumeration(self, counts, scale):
-        ds, params = self.case(counts, scale)
+    @pytest.mark.parametrize("counts, scale, entries", CASES)
+    def test_loglik_matches_enumeration(self, counts, scale, entries):
+        ds, params = self.case(counts, scale, entries)
         np.testing.assert_allclose(observed_loglik(ds, params), brute_force_loglik(ds, params),
                                    rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("counts, scale", CASES)
-    def test_every_posterior_matches_enumeration(self, counts, scale):
-        ds, params = self.case(counts, scale)
+    @pytest.mark.parametrize("counts, scale, entries", CASES)
+    def test_every_posterior_matches_enumeration(self, counts, scale, entries):
+        ds, params = self.case(counts, scale, entries)
         loglik, u, v = _exact_pass(ds, params)
         assert loglik == observed_loglik(ds, params)
         assert u.shape == (ds.n_genes, 3) and v.shape == (ds.n_cpgs, 3)
@@ -307,9 +321,9 @@ class TestExactPass:
             np.testing.assert_allclose(u[g], u_bf, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(v[ds.gene_cpg_indices(g)], v_bf, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("counts, scale", CASES)
-    def test_one_gene_posterior_matches_enumeration(self, counts, scale):
-        ds, params = self.case(counts, scale)
+    @pytest.mark.parametrize("counts, scale, entries", CASES)
+    def test_one_gene_posterior_matches_enumeration(self, counts, scale, entries):
+        ds, params = self.case(counts, scale, entries)
         for g in range(ds.n_genes):
             u, v = exact_gene_posterior(ds, params, g)
             u_bf, v_bf = brute_force_gene_posterior(ds, params, g)

@@ -274,6 +274,39 @@ def test_methylation_table_round_trip_is_exact(tmp_path_factory, table):
     assert np.array_equal(t.values, values)
 
 
+# ids the parse keeps as they are: spaces, quotes, "#" and characters of 2 and 3 UTF-8 bytes
+twin_ids = st.text(" ab1#\"é中", min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(st.data(), st.booleans())
+def test_a_table_read_through_its_twin_is_the_parsed_table(tmp_path_factory, data, methylation):
+    rows, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    fixed = 3 if methylation else 2
+    columns = [data.draw(st.lists(twin_ids, min_size=rows, max_size=rows, unique=True))]
+    columns += [data.draw(st.lists(twin_ids, min_size=rows, max_size=rows))
+                for _ in range(fixed - 1)]
+    patients = data.draw(st.lists(twin_ids, min_size=n, max_size=n, unique=True))
+    values = np.array(data.draw(st.lists(readable, min_size=rows * n, max_size=rows * n)),
+                      dtype=float).reshape(rows, n)
+    path = tmp_path_factory.mktemp("twin") / "table.tsv"
+    write, read = ((write_methylation_table, read_methylation_table) if methylation
+                   else (write_expression_table, read_expression_table))
+    write(path, *columns, patients, values)
+    dataset._write_twin(path, patients, columns, values)
+    with mock.patch.object(dataset, "_load_rows", side_effect=AssertionError("parsed")):
+        twin_patients, twin = read(path)
+    dataset._twin_path(path).unlink()
+    want_patients, want = read(path)
+    assert twin_patients == want_patients == patients
+    assert twin.path == want.path == path
+    assert list(twin.columns) == list(want.columns)
+    for name, col in want.columns.items():
+        assert twin[name].dtype == col.dtype and twin[name].tolist() == col.tolist()
+    assert twin.values.dtype == want.values.dtype and twin.values.shape == want.values.shape
+    assert twin.values.tobytes() == want.values.tobytes()
+
+
 @PROPERTY
 @given(tables(), st.data())
 def test_a_value_beyond_the_bound_is_rejected_with_its_cell(tmp_path_factory, table, data):
