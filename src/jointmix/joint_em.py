@@ -499,11 +499,17 @@ def _exact_pass(ds: PairedDataset, params: JointParams):
     the mixture over gene clusters, by ``u``, of the CpG's conditional
     assignments. ``np.logaddexp.reduce`` gives ``-inf`` for a row of all
     ``-inf`` and ``inf`` for one holding ``inf``, without a warning.
+
+    A ``tau`` or ``pi`` entry of 0 scores ``-inf``, not a floor, so a
+    configuration it forbids gets no mass however strongly the data favour
+    it. Every ``pi`` column sums to 1, so ``log_mix`` stays finite.
     """
     gidx = ds.cpg_gene_idx
-    logits = _log_clip(params.tau) + _gauss_row_scores(ds.x, params.mu, params.sigma2).T
+    with np.errstate(divide="ignore"):
+        log_tau, log_pi = np.log(params.tau), np.log(params.pi)
+    logits = log_tau + _gauss_row_scores(ds.x, params.mu, params.sigma2).T
     log_py = _gauss_row_scores(ds.y, params.lam, params.rho2).T
-    inner = _log_clip(params.pi).T + log_py[:, np.newaxis, :]  # (C, K, L)
+    inner = log_pi.T + log_py[:, np.newaxis, :]  # (C, K, L)
     log_mix = np.logaddexp.reduce(inner, axis=2)
     np.add.at(logits, gidx, log_mix)
     norm = np.logaddexp.reduce(logits, axis=1)
@@ -808,8 +814,12 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     chromosome in label order: each gene cluster without CpG mass, then
     a non-convergence, then a variance at its floor or two tied means
     (:func:`_warn_if_collapsed`). Output is identical for any worker
-    count: each per-chromosome fit is pure and deterministic, and results
-    are keyed, not ordered. A chromosome that holds every row is fitted on ``ds``
+    count and any BLAS thread setting: each per-chromosome fit is pure and
+    deterministic, results are keyed, not ordered, and ``import jointmix``
+    loads numpy's BLAS on one thread. A caller that imported numpy first
+    keeps its own BLAS threads; a layer of more than 10,000 rows may then
+    differ in its last bits, as OpenBLAS splits the M-step's longer dot
+    products over its threads. A chromosome that holds every row is fitted on ``ds``
     itself, which its subset would only copy. ``ds`` is checked by
     :func:`_check_layout` before it is split.
     """

@@ -55,11 +55,15 @@ def manifest(out):
     return json.loads((Path(out) / "manifest.json").read_text())
 
 
-def run_python(*argv):
-    """``python *argv`` in a child process that imports this checkout's ``jointmix``."""
+def run_python(*argv, env=None):
+    """``python *argv`` in a child process that imports this checkout's ``jointmix``.
+
+    ``env`` sets variables of the child's environment; a value of ``None`` unsets one.
+    """
     src = str(Path(jointmix.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run(
         [sys.executable, *map(str, argv)], env=env, capture_output=True, text=True
     )
@@ -87,6 +91,84 @@ def with_two_genes_on(data, tmp_path, label):
 def test_cli_import_leaves_scipy_out():
     proc = run_python("-c", "import sys, jointmix.cli; assert 'scipy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# what a caller may have set: nothing, one BLAS thread, two, and two through OpenMP's name
+BLAS_SETTINGS = {
+    "unset": {},
+    "openblas 1": {"OPENBLAS_NUM_THREADS": "1"},
+    "openblas 2": {"OPENBLAS_NUM_THREADS": "2"},
+    "omp 2": {"OMP_NUM_THREADS": "2"},
+}
+
+
+def blas_env(setting):
+    return {**dict.fromkeys(BLAS_VARIABLES), **BLAS_SETTINGS[setting]}
+
+
+# the child prints its two BLAS variables, then its thread count
+PRINT_BLAS = ("import json; print(json.dumps([os.environ.get(name) for name in %r]));"
+              " print(len(os.listdir('/proc/self/task')))" % (BLAS_VARIABLES,))
+
+
+@pytest.mark.parametrize("setting", BLAS_SETTINGS)
+def test_import_runs_blas_on_one_thread_and_gives_the_environment_back(setting):
+    proc = run_python("-c", "import os, jointmix; " + PRINT_BLAS, env=blas_env(setting))
+    assert proc.returncode == 0, proc.stderr
+    given, threads = proc.stdout.splitlines()
+    assert json.loads(given) == [BLAS_SETTINGS[setting].get(name) for name in BLAS_VARIABLES]
+    assert threads == "1"
+
+
+@pytest.mark.parametrize("setting", BLAS_SETTINGS)
+def test_import_after_numpy_leaves_blas_and_the_environment_alone(setting):
+    code = ("import os, numpy; before = dict(os.environ); " + PRINT_BLAS
+            + "; import jointmix; assert dict(os.environ) == before; " + PRINT_BLAS)
+    proc = run_python("-c", code, env=blas_env(setting))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == lines[2:]
+    assert json.loads(lines[0]) == [BLAS_SETTINGS[setting].get(name) for name in BLAS_VARIABLES]
+
+
+@pytest.fixture(scope="module")
+def long_chromosome_dir(tmp_path_factory):
+    """``preprocess`` output of one chromosome of 700 genes and 11,486 CpGs.
+
+    OpenBLAS splits a dot product of more than 10,000 elements, such as the
+    M-step's sums over the CpG rows, over its threads.
+    """
+    sim = tmp_path_factory.mktemp("long_sim")
+    write_simulation(simulate(SimConfig(n_genes=700, seed=3)), sim)
+    out = tmp_path_factory.mktemp("long_prep")
+    assert preprocess(sim, out) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["fit", "baseline"])
+def test_blas_threads_do_not_change_the_outputs(long_chromosome_dir, tmp_path, command):
+    # every run in a child process on the CPUs this one has; with one CPU OpenBLAS
+    # starts one thread whatever it is told, and this test cannot fail
+    data = long_chromosome_dir
+    assert len((data / "methylation.tsv").read_text().splitlines()) - 1 > 10_000
+    if command == "fit":
+        argv = ["fit", "--expression", data / "expression.tsv",
+                "--methylation", data / "methylation.tsv"]
+        names, runs = ("gene_results.tsv", "cpg_results.tsv", "model.json"), ("1", "2")
+    else:
+        argv = ["baseline", "--input", data / "methylation.tsv", "--layer", "methylation"]
+        names, runs = ("cpg_results.tsv", "model.json"), ("1",)
+    outs = []
+    for threads in runs:
+        for setting in BLAS_SETTINGS:
+            outs.append(tmp_path / f"threads{threads} {setting}")
+            proc = run_python("-m", "jointmix.cli", *argv, "--threads", threads,
+                              "--out", outs[-1], env=blas_env(setting))
+            assert proc.returncode == 0, proc.stderr
+    for name in names:
+        first = (outs[0] / name).read_bytes()
+        assert [out.name for out in outs if (out / name).read_bytes() != first] == [], name
 
 
 @pytest.fixture(scope="module")

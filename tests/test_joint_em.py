@@ -269,24 +269,15 @@ class TestScoreKernel:
             assert variance == ref_variance
 
 
-# The one case of TestExactPass whose data favour a configuration with a pi of 0 by more than
-# the floor's 690 nats: the pass, exact for the floored pi, gives that configuration the mass
-# (a log-likelihood 12,662 higher) that the enumeration, exact for the 0, cannot. Scored at
-# the floor, the two agree to 1e-12.
-FLOOR_SHOWS = {("0 to 4 CpGs", 1e3, "pi zeros"): pytest.mark.xfail(
-    strict=True, reason="joint_em._log_clip's 1e-300 floor outweighs a pi of 0")}
-
-
 class TestExactPass:
     """The exact marginalization against literal enumeration of every hard configuration."""
 
     # the CpG count of each gene
     LAYOUTS = {"childless": [0], "one gene": [3], "0 to 4 CpGs": [2, 0, 4, 1, 3, 0]}
     # pi entries set before the columns are normalized: one small entry, or two zeros,
-    # where joint_em._log_clip's 1e-300 floor acts and the enumeration scores -inf
+    # each scored -inf by the pass and by the enumeration
     PI_ENTRIES = {"pi 1e-12": {(0, 2): 1e-12}, "pi zeros": {(2, 0): 0.0, (0, 1): 0.0}}
-    CASES = [pytest.param(counts, scale, entries, id=f"{name}-{scale:g}-{pi_name}",
-                          marks=FLOOR_SHOWS.get((name, scale, pi_name), []))
+    CASES = [pytest.param(counts, scale, entries, id=f"{name}-{scale:g}-{pi_name}")
              for (name, counts), scale, (pi_name, entries)
              in itertools.product(LAYOUTS.items(), (1e-3, 1.0, 1e3), PI_ENTRIES.items())]
 
