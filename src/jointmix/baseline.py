@@ -88,9 +88,11 @@ def fit_independent(
     (``joint_em._check_settings``), and a value the table reader would
     reject (named by its 0-based row and column), are a
     :class:`ParameterError`. One :class:`_LayerBuffers`
-    per call holds the arrays every iteration writes.
+    per call holds the arrays every iteration writes. ``values`` are read
+    as C-contiguous float64, copied only if they are not already, so the
+    bits of a fit do not depend on their memory layout, as with ``joint_em.fit``.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float, order="C")
     if values.ndim != 2 or values.shape[1] < 1:
         raise ParameterError(
             f"values must be a 2-d matrix (entities x patients) with a patient, "

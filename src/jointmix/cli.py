@@ -375,7 +375,7 @@ def cmd_baseline(args) -> int:
     labels, chrom = np.unique(table["chromosome"], return_inverse=True)
     rows_of = {label: np.flatnonzero(chrom == i) for i, label in enumerate(labels.tolist())}
     fits, failures = _run_each(
-        lambda rows: fit_independent(table.values[rows], K=args.k, q=args.quantile,
+        lambda rows: fit_independent(gather(table.values, rows), K=args.k, q=args.quantile,
                                      tol=args.tol, max_iter=args.max_iter),
         rows_of, args.threads, FitError,
     )

@@ -133,36 +133,38 @@ class PairedDataset:
         return np.flatnonzero(self.cpg_gene_idx == gene_index)
 
     def subset(self, gene_rows, cpg_rows) -> "PairedDataset":
-        """The given rows, not validated again.
+        """The given rows, not validated again; ``x`` and ``y`` are taken by :func:`gather`.
 
         ``gene_rows`` must ascend and hold the parent of every CpG in
-        ``cpg_rows``.
+        ``cpg_rows``. A subset of every row in order holds ``x`` and
+        ``y`` themselves, if they are C-contiguous, not copies.
         """
         return PairedDataset(
             patients=self.patients,
             gene_ids=self.gene_ids[gene_rows],
             chromosomes=self.chromosomes[gene_rows],
-            x=self.x[gene_rows],
+            x=gather(self.x, gene_rows),
             cpg_ids=self.cpg_ids[cpg_rows],
             cpg_gene_idx=np.searchsorted(gene_rows, self.cpg_gene_idx[cpg_rows]),
-            y=self.y[cpg_rows],
+            y=gather(self.y, cpg_rows),
         )
 
 
 def gather(values, rows=None, cols=None) -> np.ndarray:
     """``values[np.ix_(rows, cols)]``, C-contiguous; ``None`` takes every row or every column.
 
-    Indices that take every row and every column in order return
-    ``values`` itself if it is C-contiguous, so an aligned table is not
-    copied; any other selection is one gather.
+    Every column in order is one row take; with every row in order too,
+    that is ``values`` itself if it is C-contiguous, so an aligned table
+    is not copied. Any other selection is one ``np.ix_`` gather.
     """
     values = np.asarray(values)
     n_rows, n_cols = values.shape
     rows = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-    cols = np.arange(n_cols) if cols is None else np.asarray(cols, dtype=np.intp)
-    if np.array_equal(rows, np.arange(n_rows)) and np.array_equal(cols, np.arange(n_cols)):
+    if cols is not None and not np.array_equal(cols, np.arange(n_cols)):
+        return values[np.ix_(rows, np.asarray(cols, dtype=np.intp))]
+    if np.array_equal(rows, np.arange(n_rows)):
         return np.ascontiguousarray(values)
-    return values[np.ix_(rows, cols)]
+    return values[rows]
 
 
 def resolve_cpg_parents(genes: Table, cpgs: Table, mode="strict"):
@@ -248,9 +250,10 @@ def _open_text(path):
             raise
 
 
-def _read_header(fh, path) -> list[str]:
-    """The cells of the first line of the open table ``fh``; an empty line is a FormatError."""
-    header = fh.readline().rstrip("\n")
+def _read_header(path) -> list[str]:
+    """The cells of the first line of the table at ``path``; an empty line is a FormatError."""
+    with _open_text(path) as fh:
+        header = fh.readline().rstrip("\n")
     if not header:
         raise FormatError(f"{path}: empty file")
     return header.split("\t")
@@ -268,11 +271,12 @@ def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str,
     by :func:`_load_rows`; for them this loop runs only to name the line
     of a fault.
     """
+    cells = _read_header(path)
+    columns = check_header(cells)
+    keep, last, width = itemgetter(*columns), max(columns) + 1, len(cells)
+    linenos, rows = [], []
     with _open_text(path) as fh:
-        cells = _read_header(fh, path)
-        columns = check_header(cells)
-        keep, last, width = itemgetter(*columns), max(columns) + 1, len(cells)
-        linenos, rows = [], []
+        next(fh)  # the header
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -285,18 +289,6 @@ def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str,
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return cells, linenos, rows
-
-
-def _checked_header(path, line_dtype) -> tuple[list[str], list]:
-    """The header cells of a TSV and ``line_dtype(cells)``, the structured dtype of its lines.
-
-    ``line_dtype`` raises a :class:`FormatError` for a header it rejects,
-    else returns the dtype :func:`_load_rows` reads a line with, a field
-    for each cell.
-    """
-    with _open_text(path) as fh:
-        cells = _read_header(fh, path)
-    return cells, line_dtype(cells)
 
 
 def _load_rows(path, dtype) -> np.ndarray | None:
@@ -439,26 +431,21 @@ def _parse_table(path, fixed_columns, digests=None) -> tuple[list[str], Table]:
     table the pass could not read.
     """
     k = len(fixed_columns)
-
-    def line_dtype(cols):
-        if tuple(cols[:k]) != tuple(fixed_columns):
-            raise FormatError(
-                f"{path}: header must start with {list(fixed_columns)}, got {cols[:k]}"
-            )
-        if len(cols) == k:
-            raise FormatError(f"{path}: no patient columns in header")
-        if len(set(cols[k:])) != len(cols) - k:
-            raise FormatError(f"{path}: duplicate patient column names")
-        return [*((name, object) for name in fixed_columns), ("values", float, (len(cols) - k,))]
-
-    cols, dtype = _checked_header(path, line_dtype)
+    cols = _read_header(path)
     patients = cols[k:]
+    if tuple(cols[:k]) != tuple(fixed_columns):
+        raise FormatError(f"{path}: header must start with {list(fixed_columns)}, got {cols[:k]}")
+    if not patients:
+        raise FormatError(f"{path}: no patient columns in header")
+    if len(set(patients)) != len(patients):
+        raise FormatError(f"{path}: duplicate patient column names")
     twin = _read_twin(path, k, patients, digests)
     if twin is not None:
         annotations, values = twin
         ids = annotations[0].tolist()
     else:
-        rows = _load_rows(path, dtype)
+        rows = _load_rows(path, [*((name, object) for name in fixed_columns),
+                                 ("values", float, (len(patients),))])
         if rows is None:
             _raise_unreadable(path, fixed_columns, patients)
         ids, values = rows[fixed_columns[0]].tolist(), np.ascontiguousarray(rows["values"])
@@ -580,12 +567,9 @@ def read_truth_table(path, layer) -> dict[str, str]:
     then the first repeated gene id, then the first repeated CpG id; of
     one the pass could not read, the fault :func:`_read_tsv` finds.
     """
-    def line_dtype(cells):
-        if tuple(cells) != TRUTH_COLUMNS:
-            raise FormatError(f"{path}: expected header entity_id/layer/label")
-        return [(name, object) for name in TRUTH_COLUMNS]
-
-    rows = _load_rows(path, _checked_header(path, line_dtype)[1])
+    if tuple(_read_header(path)) != TRUTH_COLUMNS:
+        raise FormatError(f"{path}: expected header entity_id/layer/label")
+    rows = _load_rows(path, [(name, object) for name in TRUTH_COLUMNS])
     if rows is None:
         _read_tsv(path, lambda cells: range(len(TRUTH_COLUMNS)))
         raise _unnamed_fault(path)

@@ -18,7 +18,7 @@ posteriors that test oracles compare the fixed point against.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -719,13 +719,18 @@ def fit(
 
     Every E- and M-step writes into one :class:`_Workspace` built for
     this call; the ``init`` arrays are only read, and the posteriors of
-    the returned layers share no memory with the workspace.
+    the returned layers share no memory with the workspace. ``x`` and
+    ``y`` are read as C-contiguous float64, copied only if they are not
+    already, so the bits of a fit do not depend on their memory layout:
+    numpy sums a row of 8 or more values pairwise only when it is contiguous.
 
     ``force_independent`` pins all columns of ``pi`` equal after every
     M-step, reducing the model to two independent mixtures (test hook).
     """
     _check_settings(K, q, outer_tol, outer_max, L, inner_tol, inner_max)
     _check_layout(ds)
+    ds = replace(ds, x=np.asarray(ds.x, dtype=float, order="C"),
+                 y=np.asarray(ds.y, dtype=float, order="C"))
     for values, ids, what in ((ds.x, ds.gene_ids, "gene"), (ds.y, ds.cpg_ids, "CpG")):
         _check_values(values, lambda row, col, problem: ParameterError(
             f"{problem} for {what} {str(ids[row])!r}, patient {ds.patients[col]!r}"))
@@ -819,18 +824,15 @@ def fit_all_chromosomes(ds: PairedDataset, threads=1, **fit_kwargs):
     loads numpy's BLAS on one thread. A caller that imported numpy first
     keeps its own BLAS threads; a layer of more than 10,000 rows may then
     differ in its last bits, as OpenBLAS splits the M-step's longer dot
-    products over its threads. A chromosome that holds every row is fitted on ``ds``
-    itself, which its subset would only copy. ``ds`` is checked by
+    products over its threads. Each chromosome is fitted on its
+    :meth:`PairedDataset.subset`, which for a chromosome of every row holds
+    ``ds.x`` and ``ds.y`` themselves, not copies. ``ds`` is checked by
     :func:`_check_layout` before it is split.
     """
     _check_layout(ds)
     parts = {part.label: part for part in split_by_chromosome(ds)}
-
-    def fit_part(part):
-        whole = len(part.genes) == ds.n_genes and len(part.cpgs) == ds.n_cpgs
-        return fit(ds if whole else ds.subset(part.genes, part.cpgs), **fit_kwargs)
-
-    results, failures = _run_each(fit_part, parts, threads, FitError)
+    results, failures = _run_each(lambda part: fit(ds.subset(part.genes, part.cpgs), **fit_kwargs),
+                                  parts, threads, FitError)
     for label, res in results.items():
         for cluster in res.no_cpg_mass:
             logger.warning(

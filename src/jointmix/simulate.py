@@ -78,9 +78,18 @@ class SimConfig:
     replicate: int = 0
 
     def validate(self) -> None:
-        for name in ("n_genes", "n_patients"):
-            if not getattr(self, name) >= 1:
-                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
+        """Raise a :class:`ParameterError` naming the first field no run can take.
+
+        ``n_genes`` and ``n_patients`` must be integers of at least 1, ``seed`` and
+        ``replicate`` of at least 0 (a numpy integer is one, a bool is not); without
+        a ``pi``, ``case`` must be a key of :data:`CASE_PI`.
+        """
+        for name, least in (("n_genes", 1), ("n_patients", 1), ("seed", 0), ("replicate", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ParameterError(f"{name} must be at least {least}, got {value}")
         if self.pi is None and self.case not in CASE_PI:
             raise ParameterError(f"case must be one of {sorted(CASE_PI)}")
 

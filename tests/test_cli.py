@@ -412,6 +412,28 @@ class TestPreprocessCommand:
         ]
         assert not out.exists()
 
+    def test_kept_genes_without_a_cpg_are_one_input_error(self, sim_dir, tmp_path, capsys):
+        # every CpG moves to the first gene, whose counts are zero: it alone is filtered out
+        inputs = {}
+        gene = (sim_dir / "expression_a.tsv").read_text().splitlines()[1].split("\t")[0]
+        for name, id_col in (("expression_a", None), ("expression_b", None),
+                             ("methylation_a", 1), ("methylation_b", 1)):
+            header, *lines = (sim_dir / f"{name}.tsv").read_text().splitlines()
+            rows = [line.split("\t") for line in lines]
+            if id_col is None:
+                rows[0][2:] = ["0"] * len(rows[0][2:])
+            else:
+                for row in rows:
+                    row[id_col] = gene
+            inputs[name] = tmp_path / f"{name}.tsv"
+            inputs[name].write_text("\n".join([header, *map("\t".join, rows)]) + "\n")
+        out = tmp_path / "prep"
+        assert preprocess(sim_dir, out, **inputs) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no CpG is left: none maps to a gene that passed filtering"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--pseudocount", 0, "--beta-eps", 0], "pseudocount must be finite and above 0, got 0.0"),
         (["--pseudocount", -1], "pseudocount must be finite and above 0, got -1.0"),
@@ -1240,6 +1262,38 @@ def test_a_rejected_run_leaves_no_out_directory(sim_dir, transformed_dir, tmp_pa
     assert run(*argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--genes", 20],
+    ["benchmark", "--replicates", 2, "--genes", 20],
+    ["timing", "--patients", 4, "--genes", 20],
+    ["fit", "--expression", "missing.tsv", "--methylation", "missing.tsv"],
+], ids=lambda argv: argv[0])
+def test_a_missing_out_is_one_input_error(capsys, argv):
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --out is required"]
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["simulate", "--genes", 20], -1),
+    (["benchmark", "--replicates", 2, "--genes", 20], -1),
+    (["timing", "--patients", 4, "--genes", 20], -2),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_a_negative_seed_is_one_input_error(tmp_path, capsys, argv, seed):
+    out = tmp_path / "out"
+    assert run(*argv, "--seed", seed, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: seed must be at least 0, got {seed}"]
+    assert not out.exists()
+
+
+def test_a_fit_error_reaching_main_exits_two(tmp_path, capsys):
+    out = tmp_path / "timing"
+    assert run("timing", "--patients", 4, "--genes", 2, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fit error: cannot fit 3 gene clusters to 2 genes"
+    ]
+    assert not (out / "timing.tsv").exists() and not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,12 @@ class TestGather:
         got = gather(self.VALUES.T)
         assert got.flags.c_contiguous and np.array_equal(got, self.VALUES.T)
 
+    @pytest.mark.parametrize("rows", [[3, 0], range(4)])
+    def test_a_row_take_of_a_fortran_matrix_is_contiguous(self, rows):
+        values = np.asfortranarray(self.VALUES)
+        got = gather(values, rows)
+        assert got.flags.c_contiguous and np.array_equal(got, self.VALUES[list(rows)])
+
 
 class TestSplitByChromosome:
     def test_two_chromosomes(self, tiny_pair_files):
@@ -172,6 +178,7 @@ class TestSplitByChromosome:
         ds = build_paired_dataset(genes, cpgs, ["P1"])
         (part,) = split_by_chromosome(ds)
         sub = ds.subset(part.genes, part.cpgs)
+        assert sub.x is ds.x and sub.y is ds.y
         assert sub.gene_ids.tolist() == ["g1", "g2"]
         assert sub.cpg_ids.tolist() == ["c1"]
         assert sub.cpg_gene_idx.tolist() == [0]

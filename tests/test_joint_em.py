@@ -830,6 +830,47 @@ class TestFit:
         )
 
 
+def layouts(values):
+    """C-ordered, Fortran-ordered and row-strided copies of the matrix ``values``."""
+    return [values.copy(), np.asfortranarray(values), np.repeat(values, 2, axis=1)[:, ::2]]
+
+
+class TestLayoutIndependence:
+    """A fit's bits do not depend on the memory layout of its values.
+
+    numpy sums a row of 8 or more values pairwise only when the row is
+    contiguous, so at N = 40 a fit that summed other layouts as they are
+    would differ in its last bits.
+    """
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        ds, _, _ = simulated_dataset(simulate(SimConfig(n_genes=300, n_patients=40, seed=3)))
+        return ds
+
+    def test_fit_and_fit_all_chromosomes(self, ds):
+        fits = []
+        for x, y in zip(layouts(ds.x), layouts(ds.y)):
+            laid_out = dataclasses.replace(ds, x=x, y=y)
+            results, failures = fit_all_chromosomes(laid_out)
+            assert not failures
+            fits += [fit(laid_out), results["1"]]
+        want = fits[0]
+        for got in fits[1:]:
+            assert np.array_equal(got.params.flatten(), want.params.flatten())
+            assert np.array_equal(got.gene.resp, want.gene.resp)
+            assert np.array_equal(got.cpg.resp, want.cpg.resp)
+            assert np.array_equal(got.param_change_trace, want.param_change_trace)
+
+    def test_fit_independent(self, ds):
+        fits = [fit_independent(values) for values in layouts(ds.y)]
+        want = fits[0]
+        for got in fits[1:]:
+            assert np.array_equal(got.params.flatten(), want.params.flatten())
+            assert np.array_equal(got.layer.resp, want.layer.resp)
+            assert got.n_iters == want.n_iters
+
+
 class TestEm:
     """The outer loop on arrays: an array is its own ``flatten()``able parameter."""
 
@@ -1089,10 +1130,9 @@ class TestFitAllChromosomes:
         want = fit(ds.subset(np.arange(ds.n_genes), np.arange(ds.n_cpgs)))
         fitted = []
         monkeypatch.setattr(jointmix.joint_em, "fit", lambda part, **kw: fitted.append(part) or want)
-        monkeypatch.setattr(type(ds), "subset", lambda *a: pytest.fail("subset copied the data"))
         results, failures = fit_all_chromosomes(ds)
         assert not failures and list(results) == ["1"] and results["1"] is want
-        assert len(fitted) == 1 and fitted[0] is ds
+        assert len(fitted) == 1 and fitted[0].x is ds.x and fitted[0].y is ds.y
         monkeypatch.undo()
         got = fit_all_chromosomes(ds)[0]["1"]
         assert np.array_equal(got.params.flatten(), want.params.flatten())

@@ -89,6 +89,28 @@ class TestConfig:
         with pytest.raises(ParameterError, match=f"^{name} must be at least 1, got {value}$"):
             SimConfig(**{name: value}).validate()
 
+    @pytest.mark.parametrize("name", ["n_genes", "n_patients", "seed", "replicate"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, float("nan")])
+    def test_a_count_or_seed_that_is_not_an_integer_is_named(self, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SimConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["seed", "replicate"])
+    @pytest.mark.parametrize("value", [-1, np.int64(-2)])
+    def test_a_negative_seed_or_replicate_is_named(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be at least 0, got {value}$"):
+            SimConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["n_genes", "n_patients", "seed", "replicate"])
+    def test_a_numpy_integer_is_an_integer(self, name):
+        SimConfig(**{name: np.int32(7)}).validate()
+
+    def test_a_recorded_count_that_is_not_an_integer_fails_as_a_parameter(self):
+        cfg = SimConfig.from_dict({**SimConfig().to_dict(), "n_genes": 2.5})
+        with pytest.raises(ParameterError, match=r"^n_genes must be an integer, got 2\.5$"):
+            simulate(cfg)
+
     @pytest.mark.parametrize("pi, message", [
         ([[0.5, 0.5, 0.5]] * 2, "dependency matrix must be 3x3"),
         ([[0.5, 0.5, 0.5]] * 3, "dependency matrix columns must each sum to 1"),
