@@ -122,7 +122,8 @@ def compare_partitions(labels_a, labels_b) -> float:
     """Adjusted Rand index between two labelings of the same entities.
 
     Computed from the pairwise contingency table. Returns 1.0 in the
-    degenerate case where the index is 0/0 (both partitions trivial).
+    degenerate case where the index is 0/0 (both partitions trivial, as
+    two labelings of no entity or of one are).
     Its sums are of whole numbers, exact below 2**53 (about 10**8
     labels): the index does not depend on the order of the labels, nor
     on whether they are names or integers.
@@ -134,8 +135,8 @@ def compare_partitions(labels_a, labels_b) -> float:
     n = len(a)
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    cols = bi.max() + 1
-    table = np.bincount(ai * cols + bi, minlength=(ai.max() + 1) * cols).reshape(-1, cols)
+    cols = bi.max(initial=0) + 1
+    table = np.bincount(ai * cols + bi, minlength=(ai.max(initial=0) + 1) * cols).reshape(-1, cols)
 
     def comb2(v):
         return v * (v - 1) / 2.0

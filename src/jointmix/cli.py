@@ -50,13 +50,7 @@ from .dataset import (
     write_json,
     write_methylation_table,
 )
-from .errors import (
-    DataDomainError,
-    FitError,
-    FormatError,
-    InputError,
-    JointmixError,
-)
+from .errors import DataDomainError, FitError, FormatError, InputError
 from .evaluate import benchmark, score_labels, simulated_dataset
 from .joint_em import _check_settings, _collapse, _warn_if_collapsed, fit, fit_all_chromosomes
 from .preprocess import (
@@ -583,9 +577,6 @@ def main(argv=None) -> int:
         return 1
     except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
-        return 2
-    except JointmixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

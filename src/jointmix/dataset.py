@@ -86,7 +86,7 @@ class Table:
         """
         if self.path is None:
             return problem
-        _, linenos, _ = _read_tsv(self.path, lambda cells: (0, 1))
+        _, linenos, _ = _read_tsv(self.path, (0, 1))
         where = f"{self.path}:{linenos[row]}"
         if col is not None:
             where += f":{len(self.columns) + col + 1}"
@@ -259,20 +259,18 @@ def _read_header(path) -> list[str]:
     return header.split("\t")
 
 
-def _read_tsv(path, check_header) -> tuple[list[str], list[int], list[tuple[str, ...]]]:
+def _read_tsv(path, columns) -> tuple[list[str], list[int], list[tuple[str, ...]]]:
     """The header cells, data line numbers and data rows of a TSV, by a Python line loop.
 
-    ``check_header(cells)`` raises a :class:`FormatError` for a header it
-    rejects, else returns the indices (two or more) of the cells each row
-    keeps, as a tuple; a line is split no further than the last of them.
-    Blank lines are skipped but counted, the header being line 1; a line
-    with another cell count than the header's, or a table without data
-    lines, is a FormatError. The data tables and ``truth.tsv`` are read
-    by :func:`_load_rows`; for them this loop runs only to name the line
-    of a fault.
+    Each row keeps, as a tuple, the cells at the indices ``columns`` (two
+    or more); a line is split no further than the last of them. The
+    caller checks the header first. Blank lines are skipped but counted,
+    the header being line 1; a line with another cell count than the
+    header's, or a table without data lines, is a FormatError. The data
+    tables and ``truth.tsv`` are read by :func:`_load_rows`; for them
+    this loop runs only to name the line of a fault.
     """
     cells = _read_header(path)
-    columns = check_header(cells)
     keep, last, width = itemgetter(*columns), max(columns) + 1, len(cells)
     linenos, rows = [], []
     with _open_text(path) as fh:
@@ -395,12 +393,18 @@ def _read_twin(path, k, patients, digests) -> tuple[np.ndarray, np.ndarray] | No
     return (block, values) if fits else None
 
 
-def _first_repeat(ids) -> int | None:
-    """The index of the first id that repeats an earlier one, None if all differ."""
-    if len(set(ids)) == len(ids):
-        return None
-    first = {}
-    return next(row for row, i in enumerate(ids) if first.setdefault(i, row) != row)
+def _require_unique(ids, what, locate) -> None:
+    """Raise a :class:`DuplicateIdError` at the first id of the list ``ids`` that repeats one.
+
+    Its message is ``locate(f"duplicate {what} {id!r}", row)``, ``row``
+    being the repeat's index in ``ids``: every reader names a repeated
+    id by this rule, each locating the row its own way. One set of
+    ``ids`` is built when they all differ.
+    """
+    if len(set(ids)) != len(ids):
+        first = {}
+        row = next(row for row, i in enumerate(ids) if first.setdefault(i, row) != row)
+        raise DuplicateIdError(locate(f"duplicate {what} {ids[row]!r}", row))
 
 
 def _unnamed_fault(path) -> FormatError:
@@ -456,10 +460,7 @@ def _parse_table(path, fixed_columns, digests=None) -> tuple[list[str], Table]:
             annotations[i] = rows[name]
             rows[name] = None  # frees the column's str objects before the next is filled
     table = Table(dict(zip(fixed_columns, annotations)), values, path)
-    repeat = _first_repeat(ids)
-    if repeat is not None:
-        problem = f"duplicate {fixed_columns[0]} {ids[repeat]!r}"
-        raise DuplicateIdError(table.locate(problem, repeat))
+    _require_unique(ids, fixed_columns[0], table.locate)
     _check_values(values, lambda row, col, problem: FormatError(
         table.locate(f"{problem} for patient {patients[col]!r}", row, col)))
     return patients, table
@@ -492,12 +493,10 @@ def _raise_unreadable(path, fixed_columns, patients):
     the check is the reader's own.
     """
     k = len(fixed_columns)
-    _, linenos, rows = _read_tsv(path, lambda cells: range(len(cells)))
-    repeat = _first_repeat([row[0] for row in rows])
-    if repeat is not None:
-        raise DuplicateIdError(
-            f"{path}:{linenos[repeat]}: duplicate {fixed_columns[0]} {rows[repeat][0]!r}"
-        )
+    width = len(patients) + k
+    _, linenos, rows = _read_tsv(path, range(width))
+    _require_unique([row[0] for row in rows], fixed_columns[0],
+                    lambda problem, row: f"{path}:{linenos[row]}: {problem}")
 
     def parses(lines, cols):
         try:
@@ -507,7 +506,7 @@ def _raise_unreadable(path, fixed_columns, patients):
             return False
         return True
 
-    lines, width = ["\t".join(row) for row in rows], len(patients) + k
+    lines = ["\t".join(row) for row in rows]
     lo, hi = 0, len(lines)  # the lines before lo parse; the first that fails is below hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -562,51 +561,49 @@ def read_truth_table(path, layer) -> dict[str, str]:
 
     The whole table is read by one C pass (:func:`_load_rows`) and
     checked: every row's layer must be ``gene`` or ``cpg``, and no id may
-    repeat within its layer. Only the rows of ``layer`` are kept. Of a
-    table this rejects, the first line with an unknown layer is named,
-    then the first repeated gene id, then the first repeated CpG id; of
-    one the pass could not read, the fault :func:`_read_tsv` finds.
+    repeat within its layer. The first line with an unknown layer is
+    named, then the first repeated gene id, then the first repeated CpG
+    id, by :func:`_require_unique`; of a table the pass could not read,
+    the fault :func:`_read_tsv` finds. The dict is built from the id list
+    the check of ``layer`` took.
     """
     if tuple(_read_header(path)) != TRUTH_COLUMNS:
         raise FormatError(f"{path}: expected header entity_id/layer/label")
     rows = _load_rows(path, [(name, object) for name in TRUTH_COLUMNS])
     if rows is None:
-        _read_tsv(path, lambda cells: range(len(TRUTH_COLUMNS)))
+        _read_tsv(path, range(len(TRUTH_COLUMNS)))
         raise _unnamed_fault(path)
     ids, layers = rows["entity_id"], rows["layer"]
-    mine = layers == layer
-    if set(layers[~mine].tolist()) <= set(TRUTH_LAYERS) - {layer}:
-        # one str per distinct label, not one per row
-        truth = dict(zip(ids[mine].tolist(), map(sys.intern, rows["label"][mine].tolist())))
-        other_ids = ids[~mine].tolist()
-        if len(truth) == mine.sum() and _first_repeat(other_ids) is None:
-            return truth
-    table = Table({name: rows[name] for name in TRUTH_COLUMNS}, np.empty((len(rows), 0)), path)
-    for row in np.flatnonzero(~np.isin(layers, TRUTH_LAYERS))[:1]:
-        raise FormatError(table.locate(f"unknown layer {layers[row]!r}", row))
-    for of in TRUTH_LAYERS:
-        of_rows = np.flatnonzero(layers == of)
-        repeat = _first_repeat(ids[of_rows].tolist())
-        if repeat is not None:
-            row = of_rows[repeat]
-            raise DuplicateIdError(table.locate(f"duplicate {of} id {ids[row]!r}", row))
-    raise _unnamed_fault(path)
+    locate = Table({}, np.empty((len(rows), 0)), path).locate  # a row's line; no cell is needed
+    of_rows = {of: np.flatnonzero(layers == of) for of in TRUTH_LAYERS}
+    if sum(map(len, of_rows.values())) < len(rows):
+        row = np.flatnonzero(~np.isin(layers, TRUTH_LAYERS))[0]
+        raise FormatError(locate(f"unknown layer {layers[row]!r}", row))
+    truth = {}
+    for of, where in of_rows.items():
+        of_ids = ids[where].tolist()
+        _require_unique(of_ids, f"{of} id", lambda problem, i: locate(problem, where[i]))
+        if of == layer:
+            # one str per distinct label, not one per row
+            truth = dict(zip(of_ids, map(sys.intern, rows["label"][where].tolist())))
+    return truth
 
 
 def read_predicted_labels(path, layer) -> tuple[list[int], list[tuple[str, str]]]:
-    """Line numbers and ``(id, map_label)`` rows of a ``gene`` or ``cpg`` layer results table."""
+    """Line numbers and ``(id, map_label)`` rows of a ``gene`` or ``cpg`` layer results table.
+
+    The header must hold the layer's id column and ``map_label``, checked
+    in that order before any data line is read by :func:`_read_tsv`; an
+    id that repeats is named by :func:`_require_unique` at its line.
+    """
     id_col = "gene_id" if layer == "gene" else "cpg_id"
-
-    def check_header(cells):
-        for col in (id_col, "map_label"):
-            if col not in cells:
-                raise FormatError(f"{path}: missing column {col!r}")
-        return cells.index(id_col), cells.index("map_label")
-
-    _, linenos, pairs = _read_tsv(path, check_header)
-    repeat = _first_repeat([i for i, _ in pairs])
-    if repeat is not None:
-        raise DuplicateIdError(f"{path}:{linenos[repeat]}: duplicate {id_col} {pairs[repeat][0]!r}")
+    cells = _read_header(path)
+    for col in (id_col, "map_label"):
+        if col not in cells:
+            raise FormatError(f"{path}: missing column {col!r}")
+    _, linenos, pairs = _read_tsv(path, (cells.index(id_col), cells.index("map_label")))
+    _require_unique([i for i, _ in pairs], id_col,
+                    lambda problem, row: f"{path}:{linenos[row]}: {problem}")
     return linenos, pairs
 
 
@@ -766,9 +763,7 @@ def _render_rows(columns) -> str:
     string. The rows are joined by ``str.join`` over ``zip``: no Python
     call of ours per row or cell.
     """
-    (rows,) = {len(col) for col in columns}  # a ValueError unless all are one length
-    if not rows:
-        return ""
+    (_,) = {len(col) for col in columns}  # a ValueError unless all are one length
     texts = []
     for col in columns:
         if isinstance(col, np.ndarray):  # its own str objects, not a numpy scalar per cell
@@ -911,8 +906,14 @@ def _parent_made(path) -> Path:
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as sorted, indented JSON, making the directory of ``path`` first."""
-    _parent_made(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as sorted, indented JSON, making the directory of ``path`` first.
+
+    A numpy scalar is written as its Python value, so a numpy integer
+    gives the bytes of the int it equals; any other object ``json``
+    cannot write is a TypeError.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
+    _parent_made(path).write_text(text + "\n")
 
 
 def write_expression_table(path, gene_ids, chromosomes, patients, values) -> None:

@@ -122,6 +122,10 @@ class TestComparePartitions:
         with pytest.raises(ValueError):
             compare_partitions([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("a, b", [([], []), (["a"], ["b"])])
+    def test_no_pair_of_entities_is_the_degenerate_one(self, a, b):
+        assert compare_partitions(a, b) == 1.0
+
 
 class TestAgreementWithJointModel:
     def test_case3_cpg_partition_agreement(self):

@@ -120,6 +120,13 @@ def cpg_table(ids, gene_ids, chromosomes, values):
     return Table({"cpg_id": ids, "gene_id": gene_ids, "chromosome": chromosomes}, values)
 
 
+def test_an_unknown_mapping_mode_is_named():
+    genes = gene_table(["g1"], ["1"], [[1.0]])
+    cpgs = cpg_table(["c1"], ["g1"], ["1"], [[0.5]])
+    with pytest.raises(ValueError, match="^unknown mode 'loose'$"):
+        resolve_cpg_parents(genes, cpgs, mode="loose")
+
+
 def test_a_mapping_error_of_tables_built_in_memory_is_the_bare_problem():
     genes = gene_table(["g1"], ["1"], [[1.0]])
     cpgs = cpg_table(["c1", "c2"], ["g1", "gX"], ["1", "1"], [[0.5], [0.5]])
@@ -208,6 +215,16 @@ class TestTableFormats:
         genes = gene_table(["g1"], ["1"], [[1.0, 2.0]])
         with pytest.raises(FormatError):
             build_paired_dataset(genes, cpg_table([], [], [], np.zeros((0, 2))), ["P1"])
+
+    @pytest.mark.parametrize("genes, patients, message", [
+        (gene_table(["g1"], ["1"], np.zeros((1, 0))), [],
+         "dataset must have at least one patient column"),
+        (gene_table([], [], np.zeros((0, 1))), ["P1"], "dataset must have at least one gene row"),
+    ])
+    def test_no_patient_or_no_gene_is_named(self, genes, patients, message):
+        cpgs = cpg_table([], [], [], np.zeros((0, len(patients))))
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            build_paired_dataset(genes, cpgs, patients)
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "expr.tsv"

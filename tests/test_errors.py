@@ -1,4 +1,7 @@
-"""Every package error survives pickling, as it must to leave a worker process."""
+"""Every package error survives pickling, as it must to leave a worker process.
+
+And every one is an ``InputError`` or a ``FitError``, the two that ``cli.main`` catches.
+"""
 
 import inspect
 import pickle
@@ -20,6 +23,11 @@ def instances():
             yield pytest.param(cls(*args, "a message of its own"), id=f"{cls.__name__}-message")
     yield pytest.param(errors.DataDomainError("zero library size", where=("b", 1)),
                        id="DataDomainError-where")
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_is_an_input_or_a_fit_error(cls):
+    assert cls is errors.JointmixError or issubclass(cls, (errors.InputError, errors.FitError))
 
 
 @pytest.mark.parametrize("exc", instances())

@@ -6,6 +6,7 @@ from jointmix.baseline import fit_independent
 from jointmix.errors import ParameterError
 from jointmix.evaluate import benchmark, run_replicate, score_labels, simulated_dataset
 from jointmix.joint_em import fit
+from jointmix.reports import write_benchmark_tables
 from jointmix.simulate import SimConfig, simulate
 
 
@@ -115,6 +116,13 @@ class TestBenchmark:
         pooled = benchmark(1, 3, cfg=cfg, threads=4)
         assert serial.replicate_rows == pooled.replicate_rows
         assert serial.summary_rows == pooled.summary_rows
+
+    def test_a_numpy_replicate_count_writes_the_files_of_a_python_int(self, tmp_path):
+        cfg, numpy, python = SimConfig(n_genes=60, seed=1), tmp_path / "numpy", tmp_path / "python"
+        write_benchmark_tables(numpy, benchmark(3, np.int64(2), cfg=cfg))
+        write_benchmark_tables(python, benchmark(3, 2, cfg=cfg))
+        for name in ("benchmark_summary.tsv", "benchmark_replicates.tsv", "benchmark.json"):
+            assert (numpy / name).read_bytes() == (python / name).read_bytes()
 
     def test_needs_two_replicates(self):
         with pytest.raises(ParameterError):

@@ -136,6 +136,21 @@ def max_reduction_softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+class TestJointParamsValidate:
+    GOOD = dict(tau=[0.5, 0.5], pi=[[0.2, 1.0], [0.8, 0.0]], mu=[0.0, 1.0], sigma2=1.0,
+                lam=[0.0, 1.0], rho2=1.0)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"tau": [0.5, 0.6]}, "tau does not sum to 1"),
+        ({"pi": [[0.2, 1.0], [0.7, 0.0]]}, "pi columns do not sum to 1"),
+        ({"sigma2": 0.0}, "variances must be positive"),
+        ({"rho2": -1.0}, "variances must be positive"),
+    ])
+    def test_each_fault_is_named(self, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            params_for(**{**self.GOOD, **change}).validate()
+
+
 class TestScoreKernel:
     @pytest.mark.parametrize("n", [1, 2, 4, 9, 40])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])

@@ -37,6 +37,11 @@ class TestFilterLowCounts:
         with pytest.raises(DataDomainError):
             filter_low_counts(np.array([[-1]]), np.array([[2]]))
 
+    def test_a_shape_mismatch_is_named(self):
+        with pytest.raises(DataDomainError,
+                           match=r"^count matrices differ in shape: \(1, 1\) vs \(1, 2\)$"):
+            filter_low_counts(np.array([[1]]), np.array([[1, 2]]))
+
 
 class TestLogCpm:
     def test_count_100_per_million(self):
@@ -144,6 +149,10 @@ class TestMvalueDifference:
             np.array([[beta_to_mvalue(0.2)]]), np.array([[beta_to_mvalue(0.8)]])
         )
         np.testing.assert_allclose(d[0, 0], 4.0, atol=1e-12)
+
+    def test_a_shape_mismatch_is_named(self):
+        with pytest.raises(DataDomainError, match=r"^shape mismatch: \(2, 1\) vs \(1, 2\)$"):
+            mvalue_difference(np.zeros((2, 1)), np.zeros((1, 2)))
 
 
 class TestPipeline:

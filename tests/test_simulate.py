@@ -106,6 +106,10 @@ class TestConfig:
     def test_a_numpy_integer_is_an_integer(self, name):
         SimConfig(**{name: np.int32(7)}).validate()
 
+    def test_an_unknown_case_is_named(self):
+        with pytest.raises(ParameterError, match=r"^case must be one of \[1, 2, 3\]$"):
+            SimConfig(case=4).validate()
+
     def test_a_recorded_count_that_is_not_an_integer_fails_as_a_parameter(self):
         cfg = SimConfig.from_dict({**SimConfig().to_dict(), "n_genes": 2.5})
         with pytest.raises(ParameterError, match=r"^n_genes must be an integer, got 2\.5$"):
@@ -248,6 +252,16 @@ class TestWriteSimulation:
         for name in ("expression_a.tsv", "expression_b.tsv", "methylation_a.tsv",
                      "methylation_b.tsv", "truth.tsv", "sim_config.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_numpy_integers_write_the_files_of_python_ints(self, tmp_path):
+        numpy, python = tmp_path / "numpy", tmp_path / "python"
+        write_simulation(simulate(SimConfig(n_genes=np.int64(20), seed=np.int64(3))), numpy)
+        write_simulation(simulate(SimConfig(n_genes=20, seed=3)), python)
+        names = sorted(p.name for p in python.iterdir())
+        assert "sim_config.json" in names
+        assert sorted(p.name for p in numpy.iterdir()) == names
+        for name in names:
+            assert (numpy / name).read_bytes() == (python / name).read_bytes()
 
 
 class TestReplicateBatch:
