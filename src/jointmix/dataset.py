@@ -564,8 +564,9 @@ def read_truth_table(path, layer) -> dict[str, str]:
     repeat within its layer. The first line with an unknown layer is
     named, then the first repeated gene id, then the first repeated CpG
     id, by :func:`_require_unique`; of a table the pass could not read,
-    the fault :func:`_read_tsv` finds. The dict is built from the id list
-    the check of ``layer`` took.
+    the fault :func:`_read_tsv` finds. The dict of ``layer`` is built
+    first, and its ids are searched for the repeat only when it is shorter
+    than their list.
     """
     if tuple(_read_header(path)) != TRUTH_COLUMNS:
         raise FormatError(f"{path}: expected header entity_id/layer/label")
@@ -582,10 +583,11 @@ def read_truth_table(path, layer) -> dict[str, str]:
     truth = {}
     for of, where in of_rows.items():
         of_ids = ids[where].tolist()
-        _require_unique(of_ids, f"{of} id", lambda problem, i: locate(problem, where[i]))
         if of == layer:
             # one str per distinct label, not one per row
             truth = dict(zip(of_ids, map(sys.intern, rows["label"][where].tolist())))
+        if of != layer or len(truth) < len(of_ids):
+            _require_unique(of_ids, f"{of} id", lambda problem, i: locate(problem, where[i]))
     return truth
 
 

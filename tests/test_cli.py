@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -130,6 +131,42 @@ def test_import_after_numpy_leaves_blas_and_the_environment_alone(setting):
     lines = proc.stdout.splitlines()
     assert lines[:2] == lines[2:]
     assert json.loads(lines[0]) == [BLAS_SETTINGS[setting].get(name) for name in BLAS_VARIABLES]
+
+
+# a run that succeeds and one that exits 1, without reading an input
+ENTRY_RUNS = {
+    "success": (["simulate", "--genes", 20], 0),
+    "input-error": (["fit", "--expression", "missing.tsv", "--methylation", "missing.tsv",
+                     "--k", 0], 1),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_RUNS)
+def test_main_leaves_the_gc_as_it_was(tmp_path, capsys, name):
+    argv, code = ENTRY_RUNS[name]
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run(*argv, "--out", tmp_path / "out") == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("name", ENTRY_RUNS)
+def test_run_returns_mains_code_and_leaves_the_objects_frozen(tmp_path, name):
+    argv, code = ENTRY_RUNS[name]
+    argv = [str(a) for a in (*argv, "--out", tmp_path / "run")]
+    proc = run_python("-c", "import gc, sys, jointmix.cli; sys.argv[1:] = %r; "
+                      "print(jointmix.cli.run(), gc.get_freeze_count())" % (argv,))
+    assert proc.returncode == 0, proc.stderr
+    returned, frozen = map(int, proc.stdout.split())
+    assert returned == code and frozen > 0
+    argv[-1] = str(tmp_path / "module")
+    assert run_python("-m", "jointmix.cli", *argv).returncode == code
+
+
+def test_the_jointmix_script_enters_through_run():
+    # read as text: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ['jointmix', '=', '"jointmix.cli:run"']
 
 
 @pytest.fixture(scope="module")
