@@ -310,8 +310,7 @@ def cmd_simulate(args) -> int:
     )
     cfg.validate()
     cfg.resolve_pi()
-    if args.replicates < 1:
-        raise InputError(f"--replicates must be at least 1, got {args.replicates}")
+    _require_at_least("--replicates", args.replicates, 1)
     single = ["expression_a.tsv", "expression_b.tsv", "methylation_a.tsv",
               "methylation_b.tsv", "truth.tsv", "sim_config.json"]
     if args.replicates == 1:
@@ -386,7 +385,6 @@ def cmd_baseline(args) -> int:
     if fits:
         write_layer_tables([(
             out / results_name, table.columns,
-            lambda rows: [col[rows] for col in table.columns.values()],
             [(rows_of[label], res.layer) for label, res in fits.items()],
             label_names("gene" if expression else "cpg", args.k),
         )], args.threads)
@@ -414,8 +412,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     t0 = time.perf_counter()
-    if args.replicates < 2:
-        raise InputError(f"--replicates must be at least 2, got {args.replicates}")
+    _require_at_least("--replicates", args.replicates, 2)
     out = _prepare_out(
         args,
         ["benchmark_summary.tsv", "benchmark_replicates.tsv", "benchmark.json", "manifest.json"],
@@ -469,8 +466,7 @@ def cmd_timing(args) -> int:
             raise InputError(f"--patients: {cell!r} is not a whole number") from None
     if not counts:
         raise InputError("--patients must list at least one patient count")
-    if args.repeats < 1:
-        raise InputError(f"--repeats must be at least 1, got {args.repeats}")
+    _require_at_least("--repeats", args.repeats, 1)
     out = _prepare_out(args, ["timing.tsv", "manifest.json"])
     cfg = SimConfig(n_genes=args.genes, seed=args.seed)
     rows = timing_probe(counts, cfg, repeats=args.repeats)

@@ -10,7 +10,8 @@ chromosome are those of its parent gene. Values may be raw
 differences): only their structure matters here. Every output file
 is written here too, a TSV by :func:`_write_tables` on the pool of
 :func:`_each` and a JSON file by :func:`write_json`, each making its
-file's directory if it is missing. A TSV's numbers
+file's directory if it is missing. A TSV reaches the writer as its
+whole columns, of one length. Its numbers
 are written a block at a time by ``orjson`` (:func:`_block_lines`),
 to the rule :func:`_format_number` gives for one number. A table may
 have a binary twin (:func:`_write_twin`), which its reader takes in
@@ -155,14 +156,15 @@ def gather(values, rows=None, cols=None) -> np.ndarray:
 
     Every column in order is one row take; with every row in order too,
     that is ``values`` itself if it is C-contiguous, so an aligned table
-    is not copied. Any other selection is one ``np.ix_`` gather.
+    is not copied. Any other selection is one ``np.ix_`` gather. A 1-D
+    ``values`` is one column: ``rows`` alone selects from it.
     """
     values = np.asarray(values)
-    n_rows, n_cols = values.shape
-    rows = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.intp)
-    if cols is not None and not np.array_equal(cols, np.arange(n_cols)):
+    every_row = np.arange(len(values))
+    rows = every_row if rows is None else np.asarray(rows, dtype=np.intp)
+    if cols is not None and not np.array_equal(cols, np.arange(values.shape[1])):
         return values[np.ix_(rows, np.asarray(cols, dtype=np.intp))]
-    if np.array_equal(rows, np.arange(n_rows)):
+    if np.array_equal(rows, every_row):
         return np.ascontiguousarray(values)
     return values[rows]
 
@@ -762,10 +764,9 @@ def _render_rows(columns) -> str:
 
     A column is a 1-D sequence of strings, written as they are, or a 2-D
     number array, each row of which :func:`_block_lines` writes as one
-    string. The rows are joined by ``str.join`` over ``zip``: no Python
-    call of ours per row or cell.
+    string; every column has one entry per row. The rows are joined by
+    ``str.join`` over ``zip``: no Python call of ours per row or cell.
     """
-    (_,) = {len(col) for col in columns}  # a ValueError unless all are one length
     texts = []
     for col in columns:
         if isinstance(col, np.ndarray):  # its own str objects, not a numpy scalar per cell
@@ -869,35 +870,35 @@ def _run_each(fn, items: dict, threads: int, catch):
 def _write_tables(tables, threads=1) -> None:
     """Write TSVs, their rows rendered on up to ``threads`` workers.
 
-    A table is ``(path, header, n_rows, columns)``, ``columns(span)``
-    giving the columns :func:`_render_rows` takes of the rows in the
-    slice ``span``. One run of :func:`_each` renders every table in
-    ranges of :func:`_block_rows` rows, each gathered where it is
+    A table is ``(path, header, columns)``, ``columns`` the whole columns
+    :func:`_render_rows` takes. Columns of unequal length are a
+    ValueError naming the path and the lengths, raised before any file
+    is opened. One run of :func:`_each` renders every table in ranges of
+    :func:`_block_rows` rows, each sliced from the columns where it is
     rendered and written once it and those before it have arrived. The
     directory of each path is made just before the file is opened.
     """
     ranges = {}
-    for t, (_, header, n_rows, _) in enumerate(tables):
+    for t, (path, header, columns) in enumerate(tables):
+        lengths = [len(col) for col in columns]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"{path}: columns of unequal lengths {lengths}")
         step = _block_rows(len(header))
-        ranges.update(((t, i), (t, slice(i, i + step))) for i in range(0, n_rows, step))
+        ranges.update(((t, i), (t, slice(i, i + step)))
+                      for i in range(0, max(lengths, default=0), step))
 
     def render(item):
         t, span = item
-        return _render_rows(tables[t][3](span))
+        return _render_rows([col[span] for col in tables[t][2]])
 
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(_parent_made(path), "w", encoding="utf-8"))
-                 for path, *_ in tables]
-        for fh, (_, header, _, _) in zip(files, tables):
+                 for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
             fh.write("\t".join(header) + "\n")
         texts = stack.enter_context(contextlib.closing(_each(render, ranges, threads, ())))
         for (t, _), text, _ in texts:
             files[t].write(text)
-
-
-def _data_table(path, header, columns):
-    """The :func:`_write_tables` entry of a table held whole in ``columns``."""
-    return path, header, len(columns[0]), lambda span: [col[span] for col in columns]
 
 
 def _parent_made(path) -> Path:
@@ -921,10 +922,10 @@ def write_json(path, payload) -> None:
 def write_expression_table(path, gene_ids, chromosomes, patients, values) -> None:
     """Write an expression TSV; float values use shortest round-trip form."""
     header = [*EXPRESSION_FIXED_COLUMNS, *patients]
-    _write_tables([_data_table(path, header, [gene_ids, chromosomes, np.asarray(values)])])
+    _write_tables([(path, header, [gene_ids, chromosomes, np.asarray(values)])])
 
 
 def write_methylation_table(path, cpg_ids, gene_ids, chromosomes, patients, values) -> None:
     """Write a methylation TSV; float values use shortest round-trip form."""
     header = [*METHYLATION_FIXED_COLUMNS, *patients]
-    _write_tables([_data_table(path, header, [cpg_ids, gene_ids, chromosomes, np.asarray(values)])])
+    _write_tables([(path, header, [cpg_ids, gene_ids, chromosomes, np.asarray(values)])])

@@ -17,6 +17,7 @@ from .dataset import (
     METHYLATION_FIXED_COLUMNS,
     _format_number,
     _write_tables,
+    gather,
     split_by_chromosome,
     write_json,
 )
@@ -35,7 +36,7 @@ def format_cell(v) -> str:
 def write_tsv(path, header, rows) -> None:
     """Write a TSV from its header cells and its rows, each cell through :func:`format_cell`."""
     columns = [list(map(format_cell, col)) for col in zip(*rows, strict=True)]
-    _write_tables([(path, header, len(rows), lambda span: [col[span] for col in columns])])
+    _write_tables([(path, header, columns)])
 
 
 def label_names(layer: str, k: int) -> list[str]:
@@ -99,23 +100,25 @@ def independent_model_payload(K, per_chrom: dict) -> dict:
 def write_layer_tables(tables, threads=1) -> None:
     """Write fitted layers' result tables, rendered on up to ``threads`` workers.
 
-    Each table is ``(path, columns, annotations, parts, names)``.
-    ``annotations(rows)`` gives the leading columns, named ``columns``,
-    of the ascending table rows ``rows``; ``parts`` pairs each fitted
-    part's rows with its :class:`~jointmix.joint_em.LayerFit`, whose MAP
-    labels index ``names`` from 1. A row is its annotations, posteriors,
-    MAP label name and uncertainty, in table order, written by
-    ``dataset._write_tables``; rows no part holds are left out.
+    Each table is ``(path, annotations, parts, names)``. ``annotations``
+    maps each leading column's name to its values, one per table row;
+    ``parts`` pairs each fitted part's rows with its
+    :class:`~jointmix.joint_em.LayerFit`, whose MAP labels index ``names``
+    from 1. A row is its annotations, posteriors, MAP label name and
+    uncertainty, in table order, written by ``dataset._write_tables``;
+    rows no part holds are left out. Each annotation column is taken
+    through ``dataset.gather``, so a table of every row holds the
+    column itself, not a copy.
     """
-    def table(path, columns, annotations, parts, names):
+    def table(path, annotations, parts, names):
         rows = np.concatenate([part_rows for part_rows, _ in parts])
         order = np.argsort(rows, kind="stable")
         fields = zip(*((layer.resp, layer.map_labels, layer.uncertainty) for _, layer in parts))
         resp, labels, uncertainty = (np.concatenate(f)[order] for f in fields)
         rows, label_of = rows[order], np.array(names, dtype=object)
-        return path, results_header(columns, names), len(rows), lambda span: [
-            *annotations(rows[span]), resp[span], label_of[labels[span] - 1],
-            uncertainty[span, np.newaxis],
+        return path, results_header(annotations, names), [
+            *(gather(col, rows) for col in annotations.values()), resp, label_of[labels - 1],
+            uncertainty[:, np.newaxis],
         ]
 
     _write_tables([table(*t) for t in tables], threads)
@@ -125,12 +128,12 @@ def write_joint_results(out_dir, ds, results, K, L, threads=1) -> None:
     """Write ``model.json`` and the result tables, less the chromosomes ``results`` lacks."""
     out, parts = Path(out_dir), [p for p in split_by_chromosome(ds) if p.label in results]
     gene_columns = ds.gene_ids, ds.chromosomes
+    # a CpG's gene cells point at its gene's str objects: 8 bytes a row, not 4 a character
+    cpg_columns = ds.cpg_ids, *(col.astype(object)[ds.cpg_gene_idx] for col in gene_columns)
     write_layer_tables([
-        (out / "gene_results.tsv", EXPRESSION_FIXED_COLUMNS,
-         lambda rows: [col[rows] for col in gene_columns],
+        (out / "gene_results.tsv", dict(zip(EXPRESSION_FIXED_COLUMNS, gene_columns)),
          [(p.genes, results[p.label].gene) for p in parts], label_names("gene", K)),
-        (out / "cpg_results.tsv", METHYLATION_FIXED_COLUMNS,
-         lambda rows: [ds.cpg_ids[rows], *(col[ds.cpg_gene_idx[rows]] for col in gene_columns)],
+        (out / "cpg_results.tsv", dict(zip(METHYLATION_FIXED_COLUMNS, cpg_columns)),
          [(p.cpgs, results[p.label].cpg) for p in parts], label_names("cpg", L)),
     ], threads)
     write_json(out / "model.json", joint_model_payload(K, L, results))

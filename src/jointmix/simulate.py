@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    _data_table,
+    _require_at_least,
     _write_tables,
     write_expression_table,
     write_json,
@@ -88,8 +88,7 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ParameterError(f"{name} must be at least {least}, got {value}")
+            _require_at_least(name, value, least)
         if self.pi is None and self.case not in CASE_PI:
             raise ParameterError(f"case must be one of {sorted(CASE_PI)}")
 
@@ -260,7 +259,7 @@ def write_simulation(sim: SimData, out_dir) -> None:
         write_expression_table(path, t.gene_ids, ["1"] * genes, sim.patients, values)
     for path, values in zip(paths[2:], (sim.betas_a, sim.betas_b)):
         write_methylation_table(path, t.cpg_ids, cpg_gene_ids, ["1"] * cpgs, sim.patients, values)
-    _write_tables([_data_table(paths[4], ["entity_id", "layer", "label"],
-                               [[*t.gene_ids, *t.cpg_ids], ["gene"] * genes + ["cpg"] * cpgs,
-                                np.concatenate([t.gene_labels, t.cpg_labels])])])
+    _write_tables([(paths[4], ["entity_id", "layer", "label"],
+                    [[*t.gene_ids, *t.cpg_ids], ["gene"] * genes + ["cpg"] * cpgs,
+                     np.concatenate([t.gene_labels, t.cpg_labels])])])
     write_json(out / "sim_config.json", sim.config.to_dict())

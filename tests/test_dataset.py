@@ -171,6 +171,24 @@ class TestGather:
         assert got.flags.c_contiguous and np.array_equal(got, self.VALUES[list(rows)])
 
 
+    COLUMN = np.array(["g1", "g2", "g3", "g4", "g5"])
+
+    @pytest.mark.parametrize("rows", [None, range(5), np.arange(5)])
+    def test_every_row_of_a_column_in_order_is_the_column_itself(self, rows):
+        assert gather(self.COLUMN, rows) is self.COLUMN
+
+    @pytest.mark.parametrize("rows", [[4, 3, 2, 1, 0], [0, 1, 3, 4], [2]])
+    def test_any_other_take_of_a_column_is_one_contiguous_copy(self, rows):
+        got = gather(self.COLUMN, rows)
+        assert not np.shares_memory(got, self.COLUMN)
+        assert got.flags.c_contiguous
+        assert got.tolist() == [self.COLUMN[r] for r in rows]
+
+    def test_a_strided_column_taken_whole_is_made_contiguous(self):
+        got = gather(self.COLUMN[::2])
+        assert got.flags.c_contiguous and got.tolist() == ["g1", "g3", "g5"]
+
+
 class TestSplitByChromosome:
     def test_two_chromosomes(self, tiny_pair_files):
         ds = load_paired_dataset(*tiny_pair_files)

@@ -7,7 +7,9 @@ genes over three interleaved chromosomes, so the per-chromosome fits
 are placed back in input order; the result tables are also written in
 ranges of a few rows, which cut across the chromosomes. The one TSV
 writer beneath them is checked at one and at two workers, and
-``write_tsv`` against ``format_cell`` cell by cell.
+``write_tsv`` against ``format_cell`` cell by cell. The writer refuses
+columns of unequal length before it opens any file, and
+``write_layer_tables`` is checked called directly.
 """
 
 import os
@@ -16,21 +18,23 @@ import numpy as np
 import pytest
 
 import jointmix.dataset
+import jointmix.reports
 from conftest import scalar_lines
 from jointmix.baseline import fit_independent
 from jointmix.cli import main
 from jointmix.dataset import (
     _block_rows,
-    _data_table,
+    _format_number,
     _write_tables,
     load_paired_dataset,
     read_expression_table,
     read_methylation_table,
     split_by_chromosome,
+    write_methylation_table,
 )
-from jointmix.joint_em import fit_all_chromosomes
+from jointmix.joint_em import LayerFit, fit_all_chromosomes
 from jointmix.preprocess import derive_model_inputs
-from jointmix.reports import format_cell, write_tsv
+from jointmix.reports import format_cell, write_joint_results, write_layer_tables, write_tsv
 from jointmix.simulate import SimConfig, replicate_batch
 
 GENE_POSTERIORS = ["posterior_Eminus", "posterior_E0", "posterior_Eplus"]
@@ -186,6 +190,20 @@ def test_fit_writes_the_layers_it_fits(prep_dir, tmp_path, threads, block_cells)
     })
 
 
+def test_a_fit_of_every_row_hands_the_writer_the_datasets_own_id_columns(
+    prep_dir, tmp_path, monkeypatch
+):
+    ds = load_paired_dataset(prep_dir / "expression.tsv", prep_dir / "methylation.tsv")
+    results, failures = fit_all_chromosomes(ds)
+    assert failures == {}
+    tables = []
+    monkeypatch.setattr(jointmix.reports, "_write_tables",
+                        lambda entries, threads: tables.extend(entries))
+    write_joint_results(tmp_path, ds, results, 3, 3)
+    (_, _, genes), (_, _, cpgs) = tables
+    assert genes[0] is ds.gene_ids and genes[1] is ds.chromosomes and cpgs[0] is ds.cpg_ids
+
+
 @pytest.mark.parametrize("layer, reader, results, posteriors, names", [
     ("expression", read_expression_table, "gene_results.tsv", GENE_POSTERIORS,
      ["E-", "E0", "E+"]),
@@ -305,11 +323,63 @@ def test_the_writer_gives_the_same_bytes_on_one_and_on_two_workers(tmp_path, mon
     assert all(len(cols[0]) > 3 * _block_rows(len(header)) for header, cols in tables.values())
     for threads in (1, 2):
         (tmp_path / str(threads)).mkdir()
-        _write_tables([_data_table(tmp_path / str(threads) / name, header, cols)
+        _write_tables([(tmp_path / str(threads) / name, header, cols)
                        for name, (header, cols) in tables.items()], threads)
     for name, (header, cols) in tables.items():
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes() == (
             reference_tsv(header, cols))
+
+
+@pytest.mark.parametrize("n_ids, n_values", [(8192, 8197), (8191, 8192)])
+def test_columns_of_unequal_length_are_refused_before_any_file_is_opened(
+    tmp_path, n_ids, n_values
+):
+    # ranges of 4,096 rows: the first case's two ranges each hold ids and values of one
+    # length, and the second case's first range does
+    assert _block_rows(4) == 4096
+    ids, path = [f"c{i}" for i in range(n_ids)], tmp_path / "out" / "methylation.tsv"
+    with pytest.raises(ValueError) as exc:
+        write_methylation_table(path, ids, ids, ["1"] * n_ids, ["P1"], np.zeros((n_values, 1)))
+    assert str(exc.value) == (
+        f"{path}: columns of unequal lengths [{n_ids}, {n_ids}, {n_ids}, {n_values}]")
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_table_of_unequal_columns_stops_every_table_of_the_call(tmp_path):
+    good = (tmp_path / "a" / "good.tsv", ["id"], [["x", "y"]])
+    bad = (tmp_path / "b" / "bad.tsv", ["id", "v"], [["x"], np.zeros((2, 1))])
+    with pytest.raises(ValueError, match=r"bad\.tsv: columns of unequal lengths \[1, 2\]$"):
+        _write_tables([good, bad], threads=2)
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_write_layer_tables_puts_the_parts_rows_in_table_order(tmp_path, monkeypatch):
+    # ranges of two rows, rendered on two workers
+    monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 14)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(8)
+    annotations = {"row_id": np.array([f"r{i}" for i in range(11)]),
+                   "chromosome": np.array(list("22211133322"))}
+    names = ["E-", "E0", "E+"]
+    parts = []
+    for rows in ([6, 7, 8, 9, 10], [0, 2, 4], [1, 3]):  # out of label order; row 5 in none
+        resp = rng.dirichlet(np.ones(3), size=len(rows))
+        resp[0] = [0.0, 1.0, 0.0]  # integral cells lose their ``.0``
+        parts.append((np.array(rows), LayerFit(resp, resp.argmax(axis=1) + 1,
+                                               1.0 - resp.max(axis=1))))
+    path = tmp_path / "results.tsv"
+    write_layer_tables([(path, annotations, parts, names)], threads=2)
+    fitted = {r: (layer, i) for rows, layer in parts for i, r in enumerate(rows.tolist())}
+    want = ["row_id\tchromosome\tposterior_Eminus\tposterior_E0\tposterior_Eplus\t"
+            "map_label\tuncertainty"]
+    for r, (layer, i) in sorted(fitted.items()):
+        want.append("\t".join([
+            *(str(col[r]) for col in annotations.values()),
+            *(_format_number(v) for v in layer.resp[i]), names[layer.map_labels[i] - 1],
+            _format_number(layer.uncertainty[i]),
+        ]))
+    assert len(want) == 11
+    assert path.read_text().splitlines() == want
 
 
 def test_write_tsv_writes_each_cell_by_format_cell(tmp_path):

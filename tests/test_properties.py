@@ -137,8 +137,7 @@ def rendered_lines(columns, block_cells):
             mock.patch.object(dataset, "FORMAT_BLOCK_CELLS", block_cells), \
             mock.patch.object(dataset, "_render_rows", render):
         path = Path(tmp) / "table.tsv"
-        _write_tables([(path, header, len(columns[0]),
-                        lambda span: [col[span] for col in columns])])
+        _write_tables([(path, header, columns)])
         text = path.read_bytes().decode("utf-8")
     assert text == "\t".join(header) + "\n" + "".join(ranges)
     assert all(0 < r.count("\n") <= max(1, block_cells // width) for r in ranges)
