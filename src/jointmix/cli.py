@@ -67,14 +67,20 @@ from .preprocess import (
 )
 from .reports import (
     independent_model_payload,
-    label_names,
     write_benchmark_tables,
     write_joint_results,
     write_layer_tables,
     write_metric_report,
     write_tsv,
 )
-from .simulate import SimConfig, replicate_batch, simulate, write_simulation
+from .simulate import (
+    CPG_LABELS,
+    GENE_LABELS,
+    SimConfig,
+    replicate_batch,
+    simulate,
+    write_simulation,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -357,7 +363,7 @@ def cmd_fit(args) -> int:
     ds = load_paired_dataset(args.expression, args.methylation, args.mode, digests)
     results, failures = fit_all_chromosomes(ds, args.threads, **settings)
     if results:
-        write_joint_results(out, ds, results, args.K, args.L, args.threads)
+        write_joint_results(out, ds, results, args.threads)
     return _finish_fits(out, args, [args.expression, args.methylation], digests, t0,
                         results, failures)
 
@@ -386,9 +392,9 @@ def cmd_baseline(args) -> int:
         write_layer_tables([(
             out / results_name, table.columns,
             [(rows_of[label], res.layer) for label, res in fits.items()],
-            label_names("gene" if expression else "cpg", args.k),
+            "gene" if expression else "cpg",
         )], args.threads)
-        write_json(out / "model.json", independent_model_payload(args.k, fits))
+        write_json(out / "model.json", independent_model_payload(fits))
     return _finish_fits(out, args, [args.input], digests, t0, fits, failures)
 
 
@@ -404,7 +410,16 @@ def cmd_evaluate(args) -> int:
             f"{args.predicted}:{lineno}: {args.layer} id {rid!r} is not in {args.truth} "
             f"({len(unknown)} predicted ids missing from truth)"
         )
-    report = score_labels([truth[i] for i, _ in pairs], [lab for _, lab in pairs])
+    predicted = np.array([lab for _, lab in pairs])  # the array score_labels would make
+    states = GENE_LABELS if args.layer == "gene" else CPG_LABELS
+    outside = np.count_nonzero(~np.isin(predicted, states))
+    if outside:
+        logger.warning(
+            "%d of %d predicted labels are none of %s: FDR, sensitivity and specificity "
+            "count them as differential, the ARI does not", outside, len(predicted),
+            ", ".join(states),
+        )
+    report = score_labels([truth[i] for i, _ in pairs], predicted)
     write_metric_report(out, report, args.layer)
     _write_manifest(out, args, [args.truth, args.predicted], t0)
     return 0

@@ -11,9 +11,10 @@ differences): only their structure matters here. Every output file
 is written here too, a TSV by :func:`_write_tables` on the pool of
 :func:`_each` and a JSON file by :func:`write_json`, each making its
 file's directory if it is missing. A TSV reaches the writer as its
-whole columns, of one length. Its numbers
-are written a block at a time by ``orjson`` (:func:`_block_lines`),
-to the rule :func:`_format_number` gives for one number. A table may
+header and its whole columns, of one length and as many cells to a
+row as the header has. Its numbers are written a block at a time by
+``orjson`` (:func:`_block_lines`), to the rule
+:func:`_format_number` gives for one number. A table may
 have a binary twin (:func:`_write_twin`), which its reader takes in
 place of parsing the TSV again when the twin records the TSV's sha256.
 """
@@ -872,8 +873,12 @@ def _write_tables(tables, threads=1) -> None:
 
     A table is ``(path, header, columns)``, ``columns`` the whole columns
     :func:`_render_rows` takes. Columns of unequal length are a
-    ValueError naming the path and the lengths, raised before any file
-    is opened. One run of :func:`_each` renders every table in ranges of
+    ValueError naming the path and the lengths, and so is a header whose
+    cells, counted as :func:`_read_tsv` counts a line, are not the rows'
+    (one per 1-D column, ``shape[1]`` per 2-D block), or that holds a
+    line end; a cell that holds a tab miscounts. Both are raised before
+    any file or directory is made; a table of no columns is its header
+    alone. One run of :func:`_each` renders every table in ranges of
     :func:`_block_rows` rows, each sliced from the columns where it is
     rendered and written once it and those before it have arrived. The
     directory of each path is made just before the file is opened.
@@ -883,6 +888,12 @@ def _write_tables(tables, threads=1) -> None:
         lengths = [len(col) for col in columns]
         if len(set(lengths)) > 1:
             raise ValueError(f"{path}: columns of unequal lengths {lengths}")
+        line = "\t".join(header)
+        cells, broken = line.count("\t") + 1, "\n" in line or "\r" in line
+        width = sum(c.shape[1] if isinstance(c, np.ndarray) and c.ndim == 2 else 1 for c in columns)
+        if columns and (cells != width or broken):
+            raise ValueError(f"{path}: a header of {cells} cells over rows of {width}"
+                             + (", broken by a line end" if broken else ""))
         step = _block_rows(len(header))
         ranges.update(((t, i), (t, slice(i, i + step)))
                       for i in range(0, max(lengths, default=0), step))

@@ -981,6 +981,27 @@ class TestEvaluateCommand:
         assert -1.0 <= payload["ari"] <= 1.0
         assert payload["tp"] + payload["fp"] + payload["tn"] + payload["fn"] == 80
 
+    @pytest.mark.parametrize("K, L", [(3, 3), (2, 4)])
+    def test_labels_outside_the_three_states_are_warned_of_once(
+        self, sim_dir, transformed_dir, tmp_path, caplog, K, L
+    ):
+        fit_out = tmp_path / "fit"
+        assert run(*fit_argv(transformed_dir, "fit"), "--k", K, "--l", L, "--out", fit_out) == 0
+        for layer, table, states in (("gene", "gene_results.tsv", "E-, E0, E+"),
+                                     ("cpg", "cpg_results.tsv", "M-, M0, M+")):
+            caplog.clear()
+            out = tmp_path / f"eval_{layer}"
+            assert run("evaluate", "--truth", sim_dir / "truth.tsv", "--predicted",
+                       fit_out / table, "--layer", layer, "--out", out) == 0
+            n = len((fit_out / table).read_text().splitlines()) - 1
+            assert caplog.messages == ([] if K == 3 else [
+                f"{n} of {n} predicted labels are none of {states}: FDR, sensitivity and "
+                "specificity count them as differential, the ARI does not"
+            ])
+            if K != 3:  # every label counted as differential: no null is ever called
+                payload = json.loads((out / "evaluation.json").read_text())
+                assert payload["tn"] == payload["fn"] == 0 and payload["sensitivity"] == 1
+
     def test_unknown_id_is_input_error(self, sim_dir, tmp_path, capsys):
         pred = tmp_path / "pred.tsv"
         pred.write_text("gene_id\tmap_label\nNOPE\tE0\n")

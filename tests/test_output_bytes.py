@@ -12,6 +12,7 @@ columns of unequal length before it opens any file, and
 ``write_layer_tables`` is checked called directly.
 """
 
+import json
 import os
 
 import numpy as np
@@ -30,11 +31,18 @@ from jointmix.dataset import (
     read_expression_table,
     read_methylation_table,
     split_by_chromosome,
+    write_expression_table,
     write_methylation_table,
 )
 from jointmix.joint_em import LayerFit, fit_all_chromosomes
 from jointmix.preprocess import derive_model_inputs
-from jointmix.reports import format_cell, write_joint_results, write_layer_tables, write_tsv
+from jointmix.reports import (
+    format_cell,
+    joint_params_payload,
+    write_joint_results,
+    write_layer_tables,
+    write_tsv,
+)
 from jointmix.simulate import SimConfig, replicate_batch
 
 GENE_POSTERIORS = ["posterior_Eminus", "posterior_E0", "posterior_Eplus"]
@@ -199,7 +207,7 @@ def test_a_fit_of_every_row_hands_the_writer_the_datasets_own_id_columns(
     tables = []
     monkeypatch.setattr(jointmix.reports, "_write_tables",
                         lambda entries, threads: tables.extend(entries))
-    write_joint_results(tmp_path, ds, results, 3, 3)
+    write_joint_results(tmp_path, ds, results)
     (_, _, genes), (_, _, cpgs) = tables
     assert genes[0] is ds.gene_ids and genes[1] is ds.chromosomes and cpgs[0] is ds.cpg_ids
 
@@ -227,6 +235,68 @@ def test_baseline_writes_the_layer_it_fits(
         ),
     })
 
+
+@pytest.mark.parametrize("K, L, gene_names, cpg_names", [
+    (2, 4, ["E1", "E2"], ["M1", "M2", "M3", "M4"]),
+    (1, 3, ["E1"], ["M-", "M0", "M+"]),
+])
+def test_the_writers_take_the_sizes_and_state_names_of_the_fits(
+    prep_dir, tmp_path, K, L, gene_names, cpg_names
+):
+    """``fit`` and ``baseline`` at sizes other than 3: the sizes and state names of the fits."""
+    def posteriors(names):
+        return [f"posterior_{n.replace('-', 'minus').replace('+', 'plus')}" for n in names]
+
+    def model_json(payload):
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    assert run("fit", "--expression", prep_dir / "expression.tsv",
+               "--methylation", prep_dir / "methylation.tsv", "--k", K, "--l", L,
+               "--threads", 2, "--out", tmp_path / "fit") == 0
+    ds = load_paired_dataset(prep_dir / "expression.tsv", prep_dir / "methylation.tsv")
+    results, failures = fit_all_chromosomes(ds, K=K, L=L)
+    assert failures == {}
+    parts = split_by_chromosome(ds)
+    fits, parent = [results[p.label] for p in parts], ds.cpg_gene_idx
+    assert_files(tmp_path / "fit", {
+        "gene_results.tsv": reference_tsv(
+            ["gene_id", "chromosome", *posteriors(gene_names), "map_label", "uncertainty"],
+            [ds.gene_ids, ds.chromosomes, *result_columns(
+                ds.n_genes, [p.genes for p in parts], [r.gene for r in fits], gene_names)],
+        ),
+        "cpg_results.tsv": reference_tsv(
+            ["cpg_id", "gene_id", "chromosome", *posteriors(cpg_names), "map_label",
+             "uncertainty"],
+            [ds.cpg_ids, ds.gene_ids[parent], ds.chromosomes[parent], *result_columns(
+                ds.n_cpgs, [p.cpgs for p in parts], [r.cpg for r in fits], cpg_names)],
+        ),
+        "model.json": model_json({"model": "joint", "K": K, "L": L, "chromosomes": {
+            label: joint_params_payload(r) for label, r in sorted(results.items())}}),
+    })
+    for layer, reader, name, names in (
+        ("expression", read_expression_table, "gene_results.tsv", gene_names),
+        ("methylation", read_methylation_table, "cpg_results.tsv",
+         [n.replace("E", "M") for n in gene_names]),
+    ):
+        out = tmp_path / layer
+        assert run("baseline", "--input", prep_dir / f"{layer}.tsv", "--layer", layer,
+                   "--k", K, "--out", out) == 0
+        _, table = reader(prep_dir / f"{layer}.tsv")
+        labels = sorted(CHROMOSOMES)
+        rows = [np.flatnonzero(table["chromosome"] == label) for label in labels]
+        base = [fit_independent(table.values[r], K=K) for r in rows]
+        assert_files(out, {
+            name: reference_tsv(
+                [*table.columns, *posteriors(names), "map_label", "uncertainty"],
+                [*table.columns.values(),
+                 *result_columns(len(table), rows, [b.layer for b in base], names)],
+            ),
+            "model.json": model_json({"model": "independent", "K": K, "chromosomes": {
+                label: {"weights": b.params.weights.tolist(), "means": b.params.means.tolist(),
+                        "variance": float(b.params.variance), "n_iters": b.n_iters,
+                        "converged": b.converged}
+                for label, b in zip(labels, base)}}),
+        })
 
 def separated_inputs(out):
     """Model-ready tables whose fitted CpG posteriors reach 0 and run through [1e-9, 1e-4).
@@ -353,6 +423,58 @@ def test_one_table_of_unequal_columns_stops_every_table_of_the_call(tmp_path):
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("write, message", [
+    (lambda p: write_expression_table(p, ["a"], ["1"], ["P1"], np.zeros((1, 2))),
+     "a header of 3 cells over rows of 4"),
+    (lambda p: write_expression_table(p, ["a"], ["1"], ["P\t1"], np.zeros((1, 1))),
+     "a header of 4 cells over rows of 3"),
+    (lambda p: write_tsv(p, ["x", "y", "z"], [(1, 2), (3, 4)]),
+     "a header of 3 cells over rows of 2"),
+    (lambda p: write_tsv(p, ["x", "y\rz"], [(1, 2)]),
+     "a header of 2 cells over rows of 2, broken by a line end"),
+], ids=["short patient list", "patient holding a tab", "short rows", "header holding a CR"])
+def test_a_header_that_does_not_match_its_rows_is_refused_before_any_file_is_made(
+    tmp_path, write, message
+):
+    path = tmp_path / "out" / "table.tsv"
+    with pytest.raises(ValueError) as exc:
+        write(path)
+    assert str(exc.value) == f"{path}: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_table_whose_header_does_not_match_its_rows_stops_every_table_of_the_call(tmp_path):
+    good = (tmp_path / "a" / "good.tsv", ["id"], [["x", "y"]])
+    bad = (tmp_path / "b" / "bad.tsv", ["id", "v"], [["x", "y"], np.zeros((2, 2))])
+    with pytest.raises(ValueError, match=r"bad\.tsv: a header of 2 cells over rows of 3$"):
+        _write_tables([good, bad], threads=2)
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def layer_fit(n_rows, k):
+    """A fitted layer of ``n_rows`` rows over ``k`` states, every row in state 1."""
+    resp = np.zeros((n_rows, k))
+    resp[:, 0] = 1.0
+    return LayerFit(resp, np.ones(n_rows, dtype=int), np.zeros(n_rows))
+
+
+def test_write_layer_tables_refuses_a_layer_other_than_gene_or_cpg(tmp_path):
+    table = (tmp_path / "out" / "results.tsv", {"row_id": np.array(["r0", "r1"])},
+             [(np.array([0, 1]), layer_fit(2, 3))], "genes")
+    with pytest.raises(ValueError, match="^layer must be 'gene' or 'cpg', got 'genes'$"):
+        write_layer_tables([table])
+    assert not (tmp_path / "out").exists()
+
+
+def test_parts_of_two_posterior_widths_are_refused_before_any_file_is_opened(tmp_path):
+    good = (tmp_path / "a" / "good.tsv", {"row_id": np.array(["r0", "r1"])},
+            [(np.array([0, 1]), layer_fit(2, 3))], "gene")
+    mixed = (tmp_path / "b" / "mixed.tsv", {"row_id": np.array(["r0", "r1", "r2"])},
+             [(np.array([0, 2]), layer_fit(2, 3)), (np.array([1]), layer_fit(1, 2))], "cpg")
+    with pytest.raises(ValueError):
+        write_layer_tables([good, mixed], threads=2)
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
 def test_write_layer_tables_puts_the_parts_rows_in_table_order(tmp_path, monkeypatch):
     # ranges of two rows, rendered on two workers
     monkeypatch.setattr(jointmix.dataset, "FORMAT_BLOCK_CELLS", 14)
@@ -368,7 +490,7 @@ def test_write_layer_tables_puts_the_parts_rows_in_table_order(tmp_path, monkeyp
         parts.append((np.array(rows), LayerFit(resp, resp.argmax(axis=1) + 1,
                                                1.0 - resp.max(axis=1))))
     path = tmp_path / "results.tsv"
-    write_layer_tables([(path, annotations, parts, names)], threads=2)
+    write_layer_tables([(path, annotations, parts, "gene")], threads=2)
     fitted = {r: (layer, i) for rows, layer in parts for i, r in enumerate(rows.tolist())}
     want = ["row_id\tchromosome\tposterior_Eminus\tposterior_E0\tposterior_Eplus\t"
             "map_label\tuncertainty"]
